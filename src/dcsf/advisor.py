@@ -12,12 +12,9 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+import urllib.request
+from dataclasses import dataclass
 from importlib import resources
-
-import requests
-
-from .metrics import max_spread_metric, spacing_metric  # noqa: F401  (re-exported diagnostics)
 
 P_C_BOUNDS = (0.1, 0.95)
 P_M_BOUNDS = (0.01, 0.9)
@@ -172,12 +169,14 @@ def _call_endpoint(endpoint: LlmEndpoint, prompt: str) -> str:
         "model": endpoint.model,
         "messages": [{"role": "user", "content": prompt}],
     }
+    data = json.dumps(payload).encode()
     last_exc: Exception | None = None
     for _ in range(endpoint.retries + 1):
         try:
-            resp = requests.post(endpoint.url, json=payload, headers=headers, timeout=endpoint.timeout)
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
+            # urlopen raises HTTPError on any non-2xx reply
+            request = urllib.request.Request(endpoint.url, data=data, headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
+                return json.loads(resp.read())["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - degrade, never raise
             last_exc = exc
     raise last_exc if last_exc else RuntimeError("no attempts made")

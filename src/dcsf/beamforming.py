@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkGeometry, avg_path_loss
-from .kernels import pairwise_sinc_sum
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,20 @@ def array_factor(spec: ArraySpec, theta: float, phi: float) -> complex:
     return complex(np.sum(spec.weights * np.exp(1j * phases)))
 
 
+def pairwise_sinc_sum(xyz: np.ndarray, weights: np.ndarray, phase_constant: float) -> float:
+    """Sum_ij w_i w_j sinc(p * d_ij) with sinc(x) = sin(x)/x, sinc(0) = 1."""
+    xyz = np.asarray(xyz, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    diff = xyz[:, None, :] - xyz[None, :, :]
+    x = phase_constant * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+    return float(w @ s @ w)
+
+
 def denominator_closed_form(spec: ArraySpec) -> float:
     """(1/4pi) * integral of |F|^2 over the sphere, exact for isotropic elements."""
-    return float(pairwise_sinc_sum(spec.positions, spec.weights, spec.phase_constant))
+    return pairwise_sinc_sum(spec.positions, spec.weights, spec.phase_constant)
 
 
 def denominator_quadrature(spec: ArraySpec, quad: QuadratureSpec = QuadratureSpec()) -> float:

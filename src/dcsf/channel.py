@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import sum_user_rate_kernel
 from .scenario import SPEED_OF_LIGHT, associate_users
 
 
@@ -84,19 +83,27 @@ def user_rate(sinr: float, bandwidth: float) -> float:
 
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f1: total rate of all users under nearest-UAV association."""
-    uav_positions = np.asarray(uav_positions, dtype=float)
-    return sum_user_rate_kernel(
-        scenario.user_xyz,
-        scenario.user_tx,
-        uav_positions,
-        params.frequency,
-        params.psi,
-        params.beta,
-        params.mu_los,
-        params.mu_nlos,
-        params.noise_watts,
-        params.bandwidth,
+    user_xyz = np.asarray(scenario.user_xyz, dtype=float)
+    uav_xyz = np.asarray(uav_positions, dtype=float)
+    diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
+    d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))
+    nearest = np.argmin(d, axis=1)
+
+    d_star = d[np.arange(len(user_xyz)), nearest]
+    h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
+    elevation_deg = np.degrees(np.arcsin(h_star / d_star))
+    p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))
+    fspl = (
+        20.0 * np.log10(d_star)
+        + 20.0 * np.log10(params.frequency)
+        + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
     )
+    loss_db = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
+    rx = np.asarray(scenario.user_tx, dtype=float) * 10.0 ** (-loss_db / 10.0)
+
+    totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))
+    sinr = rx / (totals[nearest] - rx + params.noise_watts)
+    return float(params.bandwidth * np.sum(np.log2(1.0 + sinr)))
 
 
 def per_user_rates(scenario, uav_positions: np.ndarray, params) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Command-line interface: generate scenarios, run solvers, compare runs,
-export deployments, and benchmark the compiled kernels.
+and export deployments.
 
 All artifacts are written with stable formatting so repeated runs with the
 same seed produce byte-identical files.
@@ -122,6 +122,9 @@ def _cmd_solve(args) -> int:
 
     front = solver.final_front(result.population)
     knee_i, objs = _knee(front)
+    # final_front keeps only feasible members when any exist
+    best_violation = min(ind.violation for ind in front)
+    feasible = best_violation == 0.0
 
     _json_dump({
         "mode": args.mode,
@@ -141,6 +144,8 @@ def _cmd_solve(args) -> int:
     _json_dump(_deployment_doc(scn, params, front[knee_i]), out / "deployment.json")
     _json_dump({
         "front_size": len(front),
+        "feasible": feasible,
+        "best_violation": best_violation,
         "knee_index": knee_i,
         "knee_objectives": list(front[knee_i].objectives.as_tuple()),
         "spacing": metrics.spacing_metric(objs),
@@ -150,7 +155,11 @@ def _cmd_solve(args) -> int:
         "final_p_m": result.final_p_m,
         "elapsed_seconds": round(elapsed, 3),
     }, out / "report.json")
-    print(f"{args.mode}: front of {len(front)}, knee f1={front[knee_i].objectives.f1:.4g} bps, "
+    if not feasible:
+        print(f"warning: no member of the front is feasible (best violation {best_violation:.4g})",
+              file=sys.stderr)
+    kind = "front" if feasible else "infeasible front"
+    print(f"{args.mode}: {kind} of {len(front)}, knee f1={front[knee_i].objectives.f1:.4g} bps, "
           f"f2={front[knee_i].objectives.f2:.4g} suts/s, f3={front[knee_i].objectives.f3:.4g} J "
           f"({elapsed:.1f}s)")
     return 0
@@ -223,48 +232,6 @@ def _cmd_export(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-def _cmd_bench(args) -> int:
-    from . import _kernels_py
-
-    try:
-        from . import _speedups
-    except ImportError:
-        _speedups = None
-
-    bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
-    scn = generate_scenario(args.users, args.uavs, bounds, Position3(5000.0, 5000.0, 0.0), 0)
-    params = SystemParams()
-    rng = np.random.default_rng(0)
-    q = bounds.lower + rng.random((args.uavs, 3)) * (bounds.upper - bounds.lower)
-
-    def kernel_args():
-        return (scn.user_xyz, scn.user_tx, q, params.frequency, params.psi, params.beta,
-                params.mu_los, params.mu_nlos, params.noise_watts, params.bandwidth)
-
-    impls = [("numpy", _kernels_py)]
-    if _speedups is not None:
-        impls.append(("cython", _speedups))
-    results = {}
-    for name, mod in impls:
-        mod.sum_user_rate_kernel(*kernel_args())  # warm up
-        start = time.perf_counter()
-        for _ in range(args.repeat):
-            value = mod.sum_user_rate_kernel(*kernel_args())
-        per_call = (time.perf_counter() - start) / args.repeat
-        results[name] = (per_call, value)
-        print(f"sum_user_rate [{name}]: {per_call * 1e3:.3f} ms/call (f1 = {value:.6g} bps)")
-    if len(results) == 2:
-        print(f"speedup cython vs numpy: {results['numpy'][0] / results['cython'][0]:.2f}x")
-        rel = abs(results['numpy'][1] - results['cython'][1]) / abs(results['numpy'][1])
-        print(f"relative difference: {rel:.2e}")
-    else:
-        print("compiled extension not available; numpy fallback only")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcsf", description=__doc__)
@@ -304,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--index", default="knee", help='front index or "knee"')
     e.add_argument("--out", default="deployment.json")
     e.set_defaults(func=_cmd_export)
-
-    b = sub.add_parser("bench", help="benchmark compiled vs numpy kernels")
-    b.add_argument("--users", type=int, default=500)
-    b.add_argument("--uavs", type=int, default=8)
-    b.add_argument("--repeat", type=int, default=20)
-    b.set_defaults(func=_cmd_bench)
 
     return parser
 

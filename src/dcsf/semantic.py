@@ -94,10 +94,3 @@ def semantic_rate(model: SimilarityModel, k: float, snr: float, params) -> float
     xi = semantic_similarity(model, k, snr)
     return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi
 
-
-def sum_semantic_rate(scenario, individual, params) -> float:
-    """Objective f2: total semantic rate across an individual's clusters."""
-    from . import problem  # late import; problem depends on this module
-
-    rates, _ = problem.cluster_semantic_terms(individual, scenario, params)
-    return float(rates.sum())

@@ -33,7 +33,6 @@ class SolverConfig:
     sbx_eta: float = 15.0
     poly_eta: float = 20.0
     advisor_mode: str = "static"  # "llm" | "fallback" | "static"
-    gca_baseline: str = "stale"   # "stale" | "refreshed"
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class SolverConfig:
             raise ValueError("iteration counts must be >= 1")
         if self.advisor_mode not in ("llm", "fallback", "static"):
             raise ValueError(f"unknown advisor mode {self.advisor_mode!r}")
-        if self.gca_baseline not in ("stale", "refreshed"):
-            raise ValueError(f"unknown gca baseline {self.gca_baseline!r}")
 
 
 @dataclass
@@ -134,12 +131,11 @@ def enumerate_merge_gains(ind: Individual, scenario, params, baseline_f2: float)
             yield b, b2, f2 - baseline_f2, assignment, k, f2
 
 
-def gca_step(population, scenario, params, baseline_mode: str = "stale") -> None:
+def gca_step(population, scenario, params) -> None:
     """Greedy best-gain cluster merging on f2, per individual, in place.
 
-    The merge gain is measured against the individual's f2 from the previous
-    iteration; with `baseline_mode="refreshed"` the baseline tracks each
-    applied merge instead.
+    Every merge gain, including those after a merge has been applied, is
+    measured against the individual's f2 from the previous iteration.
     """
     evaluate_population(population, scenario, params)
     for ind in population:
@@ -148,14 +144,12 @@ def gca_step(population, scenario, params, baseline_mode: str = "stale") -> None
         while ind.assignment.n_clusters > 1:
             best_gain = -math.inf
             best = None
-            for _, _, gain, assignment, k, f2 in enumerate_merge_gains(ind, scenario, params, baseline):
+            for _, _, gain, assignment, k, _ in enumerate_merge_gains(ind, scenario, params, baseline):
                 if gain > best_gain:
                     best_gain = gain
-                    best = (assignment, k, f2)
+                    best = (assignment, k)
             if best_gain > 0:
-                ind.assignment, ind.k = best[0], best[1]
-                if baseline_mode == "refreshed":
-                    baseline = best[2]
+                ind.assignment, ind.k = best
                 changed = True
             else:
                 break
@@ -225,19 +219,23 @@ def _rank_and_crowd(pool):
     return fronts, rank, crowd
 
 
-def select_best(pool, m: int):
-    """Elitist selection of m individuals by (front rank, crowding)."""
+def _select_indices(pool, m: int) -> list[int]:
+    """Pool indices of the m elitist survivors by (front rank, crowding)."""
     fronts, _, crowd = _rank_and_crowd(pool)
     chosen: list[int] = []
     for front in fronts:
         if len(chosen) + len(front) <= m:
             chosen.extend(front)
         else:
-            remaining = m - len(chosen)
             order = sorted(front, key=lambda i: (-crowd[i], i))
-            chosen.extend(order[:remaining])
+            chosen.extend(order[: m - len(chosen)])
             break
-    return [pool[i] for i in chosen]
+    return chosen
+
+
+def select_best(pool, m: int):
+    """Elitist selection of m individuals by (front rank, crowding)."""
+    return [pool[i] for i in _select_indices(pool, m)]
 
 
 def _tournament(pool, rank, crowd, rng) -> int:
@@ -401,6 +399,15 @@ def _front_metrics(population) -> tuple[float, float, float, int]:
     return sp, m3, hv, len(front)
 
 
+def _history_record(t: int, population, p_c: float, p_m: float) -> dict:
+    """One `history` row: front metrics after outer iteration t."""
+    sp, m3, hv, front_size = _front_metrics(population)
+    return {
+        "iteration": t, "sp": sp, "m3": m3, "hypervolume": hv,
+        "p_c": p_c, "p_m": p_m, "front_size": front_size,
+    }
+
+
 def run(mode: str, scenario, params, config: SolverConfig,
         endpoint=None, transport=None) -> RunResult:
     """Execute a full optimization run.
@@ -424,7 +431,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
     window: list[tuple[float, float]] = []
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
-        gca_step(population, scenario, params, config.gca_baseline)
+        gca_step(population, scenario, params)
         for gen in range(config.t_local):
             population = nsga2_generation(population, scenario, params, config, p_c, p_m, rng)
             sp, m3, _, _ = _front_metrics(population)
@@ -440,11 +447,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
             window.append((sp, m3))
         gso_step(population, scenario, params)
         population = select_best(population, config.population_size)
-        sp, m3, hv, front_size = _front_metrics(population)
-        history.append({
-            "iteration": t, "sp": sp, "m3": m3, "hypervolume": hv,
-            "p_c": p_c, "p_m": p_m, "front_size": front_size,
-        })
+        history.append(_history_record(t, population, p_c, p_m))
     return RunResult(mode, population, history, p_c, p_m)
 
 
@@ -505,20 +508,8 @@ def _run_monolithic(scenario, params, config: SolverConfig) -> RunResult:
                 pool_genomes.append(polynomial_mutation(genomes[i], lower, upper, config.poly_eta, rng))
             pool = [decode(g) for g in pool_genomes]
             evaluate_population(pool, scenario, params)
-            fronts, _, crowd2 = _rank_and_crowd(pool)
-            chosen: list[int] = []
-            for front in fronts:
-                if len(chosen) + len(front) <= config.population_size:
-                    chosen.extend(front)
-                else:
-                    order = sorted(front, key=lambda i: (-crowd2[i], i))
-                    chosen.extend(order[: config.population_size - len(chosen)])
-                    break
+            chosen = _select_indices(pool, config.population_size)
             genomes = [pool_genomes[i] for i in chosen]
             population = [pool[i] for i in chosen]
-        sp, m3, hv, front_size = _front_metrics(population)
-        history.append({
-            "iteration": t, "sp": sp, "m3": m3, "hypervolume": hv,
-            "p_c": p_c, "p_m": p_m, "front_size": front_size,
-        })
+        history.append(_history_record(t, population, p_c, p_m))
     return RunResult("monolithic-nsga2", population, history, p_c, p_m)

@@ -243,7 +243,7 @@ def test_acceptance_05_gca_greedy_optimality():
                 assert best[5] > baseline  # the merge strictly increases f2 over the baseline
             else:
                 break
-        gca_step([ind], scn, PARAMS, baseline_mode="stale")
+        gca_step([ind], scn, PARAMS)
         assert ind.assignment.labels == oracle.assignment.labels
         assert list(ind.k) == list(oracle.k)
         assert ind.objectives.f2 >= baseline

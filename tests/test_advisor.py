@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,3 +140,76 @@ def test_advise_never_crashes_on_fuzzed_bodies(body):
     assert P_C_BOUNDS[0] <= upd.p_c <= P_C_BOUNDS[1]
     assert P_M_BOUNDS[0] <= upd.p_m <= P_M_BOUNDS[1]
     assert upd.source in ("llm", "fallback")
+
+
+class _ChatServer:
+    """Loopback chat endpoint that records each POST and answers with a set reply."""
+
+    def __init__(self):
+        self.status = 200
+        self.body = b""
+        self.posts = []
+        server = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                server.posts.append((self.headers, self.rfile.read(length)))
+                self.send_response(server.status)
+                self.send_header("Content-Length", str(len(server.body)))
+                self.end_headers()
+                self.wfile.write(server.body)
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.httpd.server_port}/v1/chat/completions"
+
+    def reply(self, status, content):
+        self.status = status
+        self.body = content.encode()
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    server = _ChatServer()
+    thread = threading.Thread(target=server.httpd.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.httpd.shutdown()
+    server.httpd.server_close()
+    thread.join()
+
+
+def test_llm_mode_posts_to_a_live_endpoint(chat_server):
+    content = json.dumps({"p_c": 0.7, "p_m": 0.3})
+    chat_server.reply(200, json.dumps({"choices": [{"message": {"content": content}}]}))
+    ep = LlmEndpoint(chat_server.url, api_key="secret", model="m1", timeout=5.0)
+    upd = advise(_inp(), "llm", endpoint=ep)
+    assert (upd.p_c, upd.p_m, upd.source) == (0.7, 0.3, "llm")
+    [(headers, body)] = chat_server.posts
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["Content-Type"] == "application/json"
+    payload = json.loads(body)
+    assert payload["model"] == "m1"
+    assert payload["messages"] == [{"role": "user", "content": render_prompt(_inp())}]
+
+
+def test_llm_mode_retries_a_server_error_then_falls_back(chat_server):
+    content = json.dumps({"p_c": 0.7, "p_m": 0.3})
+    chat_server.reply(500, json.dumps({"choices": [{"message": {"content": content}}]}))
+    ep = LlmEndpoint(chat_server.url, timeout=5.0, retries=2)
+    upd = advise(_inp(), "llm", endpoint=ep)
+    assert upd == fallback_rule(_inp())
+    assert len(chat_server.posts) == ep.retries + 1
+    assert "Authorization" not in chat_server.posts[0][0]
+
+
+def test_llm_mode_falls_back_on_a_malformed_reply(chat_server):
+    chat_server.reply(200, "<html>not a chat completion</html>")
+    ep = LlmEndpoint(chat_server.url, timeout=5.0, retries=0)
+    upd = advise(_inp(), "llm", endpoint=ep)
+    assert upd.source == "fallback"
+    assert len(chat_server.posts) == 1

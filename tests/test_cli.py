@@ -116,8 +116,33 @@ def test_monolithic_mode_through_cli(tmp_path):
     assert config["mode"] == "monolithic-nsga2"
 
 
-def test_bench_runs(tmp_path, capsys):
-    rc = main(["bench", "--users", "50", "--uavs", "3", "--repeat", "2"])
+def _solve_40x6(tmp_path, seed, capsys):
+    """llm-aoa on `dcsf generate --users 40 --uavs 6` (other options default)."""
+    scn = tmp_path / "scn40x6.json"
+    assert main(["generate", "--users", "40", "--uavs", "6", "--out", str(scn)]) == 0
+    out = tmp_path / f"run-seed{seed}"
+    capsys.readouterr()
+    rc = main(["solve", "--scenario", str(scn), "--seed", str(seed), "--pop", "8",
+               "--t-ao", "2", "--t-local", "2", "--out", str(out)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "sum_user_rate [numpy]" in out
+    return out, capsys.readouterr()
+
+
+def test_solve_reports_an_infeasible_front(tmp_path, capsys):
+    # solver seed 3 ends with no feasible member on this scenario
+    out, captured = _solve_40x6(tmp_path, 3, capsys)
+    report = json.loads((out / "report.json").read_text())
+    front = json.loads((out / "pareto.json").read_text())["front"]
+    assert report["feasible"] is False
+    assert report["best_violation"] == min(m["violation"] for m in front) > 0.0
+    assert "warning: no member of the front is feasible" in captured.err
+    assert "llm-aoa: infeasible front of" in captured.out
+
+
+def test_solve_reports_a_feasible_front(tmp_path, capsys):
+    out, captured = _solve_40x6(tmp_path, 0, capsys)
+    report = json.loads((out / "report.json").read_text())
+    assert report["feasible"] is True
+    assert report["best_violation"] == 0.0
+    assert captured.err == ""
+    assert "llm-aoa: front of" in captured.out

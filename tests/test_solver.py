@@ -145,7 +145,7 @@ def test_gca_applied_merges_are_exhaustive_best_and_increase_f2(small_scenario, 
                 expected.assignment, expected.k = best[3], best[4]
             else:
                 break
-        gca_step([ind], scn, PARAMS, baseline_mode="stale")
+        gca_step([ind], scn, PARAMS)
         assert ind.assignment.labels == expected.assignment.labels
         assert list(ind.k) == list(expected.k)
         assert ind.objectives.f2 >= f2_before
