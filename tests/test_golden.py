@@ -1,10 +1,12 @@
 """Seeded runs reproduce committed artifacts byte for byte.
 
 The files under tests/data/golden were written by `dcsf solve` before the
-evaluation kernels moved into `channel` and `beamforming` and before the
-solver's selection and history code was shared. Any change to a front, a
-history row or the knee deployment shows up here, where comparing two runs
-of the same code cannot catch it.
+changes they guard. The three 40 x 6 cases predate the move of the
+evaluation kernels into `channel` and `beamforming` and the sharing of the
+solver's selection and history code; they apply no GCA merge. The 40 x 20
+aoa case applies 4 merges and predates the delta evaluation of GCA merges.
+Any change to a front, a history row or the knee deployment shows up here,
+where comparing two runs of the same code cannot catch it.
 """
 
 from pathlib import Path
@@ -15,19 +17,33 @@ from dcsf.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
+# golden directory -> (uavs, mode, outer iterations)
+CASES = {
+    "llm-aoa": (6, "llm-aoa", 3),
+    "aoa": (6, "aoa", 3),
+    "monolithic-nsga2": (6, "monolithic-nsga2", 3),
+    "aoa-u40-v20": (20, "aoa", 2),
+}
+
 
 @pytest.fixture(scope="module")
-def scenario(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "scenario.json"
-    assert main(["generate", "--users", "40", "--uavs", "6", "--seed", "0", "--out", str(path)]) == 0
-    return path
+def scenarios(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for uavs in sorted({case[0] for case in CASES.values()}):
+        path = root / f"scenario-v{uavs}.json"
+        assert main(["generate", "--users", "40", "--uavs", str(uavs), "--seed", "0",
+                     "--out", str(path)]) == 0
+        paths[uavs] = path
+    return paths
 
 
-@pytest.mark.parametrize("mode", ["llm-aoa", "aoa", "monolithic-nsga2"])
-def test_seeded_run_matches_golden_artifacts(scenario, tmp_path, mode):
-    out = tmp_path / mode
-    rc = main(["solve", "--scenario", str(scenario), "--mode", mode, "--advisor", "fallback",
-               "--seed", "0", "--pop", "8", "--t-ao", "3", "--t-local", "3", "--out", str(out)])
+@pytest.mark.parametrize("case", list(CASES))
+def test_seeded_run_matches_golden_artifacts(scenarios, tmp_path, case):
+    uavs, mode, t_ao = CASES[case]
+    out = tmp_path / case
+    rc = main(["solve", "--scenario", str(scenarios[uavs]), "--mode", mode, "--advisor", "fallback",
+               "--seed", "0", "--pop", "8", "--t-ao", str(t_ao), "--t-local", "3", "--out", str(out)])
     assert rc == 0
     for name in ("pareto.json", "history.csv", "deployment.json"):
-        assert (out / name).read_bytes() == (GOLDEN / mode / name).read_bytes(), name
+        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
