@@ -142,21 +142,26 @@ class Individual:
         return ind
 
 
+def cluster_terms(members, k: int, q: np.ndarray, w: np.ndarray, scenario, params) -> tuple[float, float]:
+    """(semantic rate, similarity) of the cluster `members` at k symbols/word.
+
+    `members` are UAV indices in ascending order. A zero-SNR cluster gives (0, 0).
+    """
+    snr = beamforming.cluster_snr(members, q, w, scenario.uav_tx, scenario.bs_pos.as_array(), params)
+    if snr <= 0:
+        return 0.0, 0.0
+    xi = semantic.semantic_similarity(params.similarity, k, snr)
+    return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi, xi
+
+
 def cluster_semantic_terms(individual: Individual, scenario, params) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster (semantic rate, similarity). Zero-SNR clusters contribute nothing."""
     clusters = individual.assignment.clusters()
     rates = np.zeros(len(clusters))
     xis = np.zeros(len(clusters))
     for i, members in enumerate(clusters):
-        snr = beamforming.cluster_snr(
-            members, individual.q, individual.w, scenario.uav_tx,
-            scenario.bs_pos.as_array(), params,
-        )
-        if snr <= 0:
-            continue
-        k = int(individual.k[i])
-        xis[i] = semantic.semantic_similarity(params.similarity, k, snr)
-        rates[i] = params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xis[i]
+        rates[i], xis[i] = cluster_terms(members, int(individual.k[i]), individual.q, individual.w,
+                                         scenario, params)
     return rates, xis
 
 
@@ -172,6 +177,27 @@ def evaluate(individual: Individual, scenario, params) -> ObjectiveTriple:
     return individual.objectives
 
 
+# Relative slack on d_min^2 when screening pairs by vectorized squared
+# distance, far above the few ulps by which it can differ from the norm.
+_SCREEN_SLACK = 1e-9
+
+
+def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
+    """(i, j, d) for UAV pairs i < j closer than d_min, in (i, j) order.
+
+    A vectorized squared distance screens the pairs; d itself is the scalar
+    `np.linalg.norm`, so the values match a double loop over all pairs exactly.
+    """
+    diff = q[:, None, :] - q[None, :, :]
+    near = np.triu((diff**2).sum(axis=2) < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
+    out = []
+    for i, j in zip(*np.nonzero(near)):
+        d = float(np.linalg.norm(q[i] - q[j]))
+        if d < d_min:
+            out.append((int(i), int(j), d))
+    return out
+
+
 def _violation_scalar(individual: Individual, scenario, params, xis: np.ndarray) -> float:
     total = 0.0
     lower, upper = scenario.bounds.lower, scenario.bounds.upper
@@ -179,12 +205,8 @@ def _violation_scalar(individual: Individual, scenario, params, xis: np.ndarray)
     below = np.maximum(lower - individual.q, 0.0) / span
     above = np.maximum(individual.q - upper, 0.0) / span
     total += float(below.sum() + above.sum())
-    n = len(individual.q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(individual.q[i] - individual.q[j]))
-            if d < params.d_min:
-                total += (params.d_min - d) / params.d_min
+    for _, _, d in close_pairs(individual.q, params.d_min):
+        total += (params.d_min - d) / params.d_min
     total += float(np.maximum(params.xi_threshold - xis, 0.0).sum())
     return total
 
@@ -198,12 +220,8 @@ def violations_report(individual: Individual, scenario, params) -> tuple[float, 
     for i, pos in enumerate(individual.q):
         if np.any(pos < lower) or np.any(pos > upper):
             report.append(f"C1: UAV {i} at {pos.tolist()} outside bounds")
-    n = len(individual.q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(individual.q[i] - individual.q[j]))
-            if d < params.d_min:
-                report.append(f"C2: UAVs {i},{j} at {d:.3f} m < {params.d_min} m")
+    for i, j, d in close_pairs(individual.q, params.d_min):
+        report.append(f"C2: UAVs {i},{j} at {d:.3f} m < {params.d_min} m")
     for c, xi in enumerate(individual.cluster_xi):
         if xi < params.xi_threshold:
             report.append(f"C6: cluster {c + 1} similarity {xi:.4f} < {params.xi_threshold}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ class SimilarityModel:
     floors: tuple[float, ...]     # a_k, non-decreasing in k, each in [0, 1)
     midpoints: tuple[float, ...]  # b_k in dB, non-increasing in k
     slopes: tuple[float, ...]     # c_k > 0
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.ks)
@@ -46,12 +47,20 @@ class SimilarityModel:
             raise SimilarityModelError("floors must be non-decreasing in k")
 
     def parameters_at(self, k: float) -> tuple[float, float, float]:
-        """(a, b, c) at possibly fractional k, linearly interpolated and clamped."""
-        ks = np.asarray(self.ks, dtype=float)
-        a = float(np.interp(k, ks, self.floors))
-        b = float(np.interp(k, ks, self.midpoints))
-        c = float(np.interp(k, ks, self.slopes))
-        return a, b, c
+        """(a, b, c) at possibly fractional k, linearly interpolated and clamped.
+
+        Memoized per k value: the solvers ask for the same few integer k
+        values millions of times.
+        """
+        abc = self._memo.get(k)
+        if abc is None:
+            ks = np.asarray(self.ks, dtype=float)
+            abc = self._memo[k] = (
+                float(np.interp(k, ks, self.floors)),
+                float(np.interp(k, ks, self.midpoints)),
+                float(np.interp(k, ks, self.slopes)),
+            )
+        return abc
 
 
 def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel:

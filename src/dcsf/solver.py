@@ -117,9 +117,11 @@ def _f2_of(assignment, q, w, k, scenario, params) -> float:
 
 
 def enumerate_merge_gains(ind: Individual, scenario, params, baseline_f2: float):
-    """All ordered-pair merges with their f2 gain versus the baseline.
+    """All ordered-pair merges with their f2 gain versus the baseline, each
+    merged individual evaluated from scratch: the brute-force oracle for
+    `gca_step`.
 
-    Yields (survivor, absorbed, gain, merged assignment, merged k).
+    Yields (survivor, absorbed, gain, merged assignment, merged k, merged f2).
     """
     n = ind.assignment.n_clusters
     for b in range(1, n + 1):
@@ -131,6 +133,64 @@ def enumerate_merge_gains(ind: Individual, scenario, params, baseline_f2: float)
             yield b, b2, f2 - baseline_f2, assignment, k, f2
 
 
+def _best_merge(ind: Individual, rate, baseline: float):
+    """(gain, survivor, absorbed) of the first strictly best ordered merge.
+
+    `rate(members, k)` gives one cluster's semantic rate. Mirror merges have
+    the same members and k, so each unordered pair is rated once; each
+    ordered candidate's f2 is then the sum of the rate vector in the label
+    order `merge_clusters` gives, which reproduces `enumerate_merge_gains`
+    bit for bit, ties included.
+    """
+    clusters = [tuple(members) for members in ind.assignment.clusters()]
+    k = [int(v) for v in ind.k]
+    n = len(clusters)
+    rates = np.array([rate(clusters[i], k[i]) for i in range(n)])
+    merged = {
+        (lo, hi): rate(tuple(sorted(clusters[lo] + clusters[hi])), k[lo])
+        for lo in range(n) for hi in range(lo + 1, n)
+    }
+    # the absorbed cluster's slot is removed; the merged rate takes the survivor's slot
+    without = [np.delete(rates, a) for a in range(n)]
+    best = (-math.inf, None, None)
+    for b in range(n):
+        for b2 in range(n):
+            if b == b2:
+                continue
+            trial = without[b2].copy()
+            trial[b if b < b2 else b - 1] = merged[min(b, b2), max(b, b2)]
+            gain = float(trial.sum()) - baseline
+            if gain > best[0]:
+                best = (gain, b + 1, b2 + 1)
+    return best
+
+
+def _merge_greedily(ind: Individual, scenario, params) -> bool:
+    """Apply best-gain merges to one evaluated individual until none gains;
+    True when any merge was applied.
+
+    Rates are cached by (members, k), so each cluster and each merged pair is
+    rated once; after a merge only the pairs with the new cluster are new.
+    """
+    cache: dict = {}
+
+    def rate(members, k):
+        key = (members, k)
+        if key not in cache:
+            cache[key] = problem.cluster_terms(members, k, ind.q, ind.w, scenario, params)[0]
+        return cache[key]
+
+    baseline = ind.objectives.f2
+    changed = False
+    while ind.assignment.n_clusters > 1:
+        gain, survivor, absorbed = _best_merge(ind, rate, baseline)
+        if gain <= 0:
+            break
+        ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, survivor, absorbed)
+        changed = True
+    return changed
+
+
 def gca_step(population, scenario, params) -> None:
     """Greedy best-gain cluster merging on f2, per individual, in place.
 
@@ -139,21 +199,7 @@ def gca_step(population, scenario, params) -> None:
     """
     evaluate_population(population, scenario, params)
     for ind in population:
-        baseline = ind.objectives.f2
-        changed = False
-        while ind.assignment.n_clusters > 1:
-            best_gain = -math.inf
-            best = None
-            for _, _, gain, assignment, k, _ in enumerate_merge_gains(ind, scenario, params, baseline):
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (assignment, k)
-            if best_gain > 0:
-                ind.assignment, ind.k = best
-                changed = True
-            else:
-                break
-        if changed:
+        if _merge_greedily(ind, scenario, params):
             problem.evaluate(ind, scenario, params)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import SystemParams
+from dcsf import Bounds, Position3, SystemParams, generate_scenario
 from dcsf.channel import per_user_rates
 from dcsf.beamforming import cluster_snr
 from dcsf.problem import (
@@ -13,6 +13,7 @@ from dcsf.problem import (
     Individual,
     ObjectiveTriple,
     canonicalize_labels,
+    close_pairs,
     cluster_semantic_terms,
     dominates,
     dominates_objectives,
@@ -116,6 +117,64 @@ def test_violation_penalizes_bounds_and_proximity(small_scenario):
     _, report = violations_report(ind, small_scenario, params)
     assert any(v.startswith("C1") for v in report)
     assert any(v.startswith("C2") for v in report)
+
+
+def _close_pairs_double_loop(q, d_min):
+    out = []
+    for i in range(len(q)):
+        for j in range(i + 1, len(q)):
+            d = float(np.linalg.norm(q[i] - q[j]))
+            if d < d_min:
+                out.append((i, j, d))
+    return out
+
+
+def _violation_double_loop(ind, scn, params):
+    lower, upper = scn.bounds.lower, scn.bounds.upper
+    span = upper - lower
+    total = 0.0
+    total += float((np.maximum(lower - ind.q, 0.0) / span).sum()
+                   + (np.maximum(ind.q - upper, 0.0) / span).sum())
+    for _, _, d in _close_pairs_double_loop(ind.q, params.d_min):
+        total += (params.d_min - d) / params.d_min
+    total += float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
+    return total
+
+
+def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
+    params = SystemParams()
+    d_min = params.d_min
+    for n in (2, 8, 24):
+        scn = generate_scenario(10, n, Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0),
+                                Position3(2000.0, 2000.0, 0.0), seed=n)
+        for spread in (2.0, 6.0, 15.0):  # box sides of a few d_min: most pairs are close
+            q = np.array([250.0, 250.0, 80.0]) + rng.random((n, 3)) * spread
+            assert close_pairs(q, d_min) == _close_pairs_double_loop(q, d_min)
+            ind = Individual(ClusterAssignment(tuple(range(1, n + 1))), q, np.ones(n), np.full(n, 5))
+            evaluate(ind, scn, params)
+            assert ind.violation == _violation_double_loop(ind, scn, params)
+            _, report = violations_report(ind, scn, params)
+            c2 = [line for line in report if line.startswith("C2")]
+            assert len(c2) == len(_close_pairs_double_loop(q, d_min))
+
+
+def test_close_pairs_at_the_d_min_boundary(rng):
+    d_min = SystemParams().d_min
+    # exactly d_min apart along an axis: not a violation
+    q = np.array([[0.0, 0.0, 80.0], [d_min, 0.0, 80.0], [0.0, d_min, 80.0]])
+    assert close_pairs(q, d_min) == _close_pairs_double_loop(q, d_min) == []
+    # pairs within a few ulps of d_min in random directions fall on both sides
+    sides = set()
+    for _ in range(200):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        scale = d_min * (1.0 + rng.integers(-4, 5) * np.finfo(float).eps)
+        base = rng.random(3) * 100.0
+        q = np.array([base, base + u * scale, base - u * scale / 2.0])
+        expected = _close_pairs_double_loop(q, d_min)
+        assert close_pairs(q, d_min) == expected
+        sides.add((0, 1) in [(i, j) for i, j, _ in expected])
+    assert sides == {True, False}
 
 
 def test_low_similarity_contributes_violation(small_scenario):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +32,27 @@ def test_similarity_reference_value():
     # k=5: floor 0.1 + 0.28*4/19, midpoint 12 - 16*4/19, slope 0.35, at 20 dB
     xi = semantic_similarity(MODEL, 5, 100.0)
     assert xi == pytest.approx(0.9845567139970124, rel=1e-12)
+
+
+def _fresh_parameters(model, k):
+    ks = np.asarray(model.ks, dtype=float)
+    return tuple(float(np.interp(k, ks, col)) for col in (model.floors, model.midpoints, model.slopes))
+
+
+def test_memoized_parameters_equal_a_fresh_interpolation():
+    gapped = SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
+    for model in (default_similarity_model(), gapped):
+        for k in list(range(1, 21)) + [0, 21, 2.5, 7.25]:
+            fresh = _fresh_parameters(model, k)
+            assert model.parameters_at(k) == fresh  # first call fills the memo
+            assert model.parameters_at(k) == fresh  # second call reads it
+    # a knot returns the table row; a gap and a fractional k still interpolate
+    assert gapped.parameters_at(5) == (0.2, 6.0, 0.35)
+    assert gapped.parameters_at(3) == pytest.approx((0.15, 9.0, 0.325))
+    assert default_similarity_model().parameters_at(2.5) == pytest.approx(
+        ((MODEL.floors[1] + MODEL.floors[2]) / 2, (MODEL.midpoints[1] + MODEL.midpoints[2]) / 2, 0.35))
+    # the memo is not part of the model's value
+    assert gapped == SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
 
 
 def test_semantic_rate_reference_value():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcsf import SystemParams
+from dcsf import Bounds, Position3, SystemParams, beamforming, generate_scenario
 from dcsf.problem import (
     ClusterAssignment,
     Individual,
@@ -149,6 +149,62 @@ def test_gca_applied_merges_are_exhaustive_best_and_increase_f2(small_scenario, 
         assert ind.assignment.labels == expected.assignment.labels
         assert list(ind.k) == list(expected.k)
         assert ind.objectives.f2 >= f2_before
+
+
+def _gca_oracle(ind, scn, params):
+    """The greedy loop replayed with every ordered merge evaluated from scratch."""
+    expected = ind.copy()
+    baseline = expected.objectives.f2
+    merges = 0
+    while expected.assignment.n_clusters > 1:
+        best_gain, best = -math.inf, None
+        for _, _, gain, assignment, k, _ in enumerate_merge_gains(expected, scn, params, baseline):
+            if gain > best_gain:
+                best_gain, best = gain, (assignment, k)
+        if best_gain <= 0:
+            break
+        expected.assignment, expected.k = best
+        merges += 1
+    evaluate(expected, scn, params)
+    return expected, merges
+
+
+@pytest.mark.parametrize("n_uavs,n_individuals", [(8, 8), (16, 4), (24, 3)])
+def test_gca_matches_exhaustive_oracle_and_rates_each_cluster_once(n_uavs, n_individuals, monkeypatch):
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, n_uavs, bounds, Position3(2000.0, 2000.0, 0.0), seed=n_uavs)
+    rng = np.random.default_rng(n_uavs)
+    calls = []
+    real_snr = beamforming.cluster_snr
+
+    def counting_snr(*args, **kwargs):
+        calls.append(1)
+        return real_snr(*args, **kwargs)
+
+    total_merges = 0
+    for _ in range(n_individuals):
+        ind = _random_individual(scn, rng)
+        evaluate(ind, scn, PARAMS)
+        n_clusters = ind.assignment.n_clusters
+        expected, merges = _gca_oracle(ind, scn, PARAMS)
+        total_merges += merges
+
+        calls.clear()
+        monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
+        gca_step([ind], scn, PARAMS)
+        monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
+
+        assert ind.assignment.labels == expected.assignment.labels
+        assert list(ind.k) == list(expected.k)
+        assert ind.objectives.f2 == expected.objectives.f2
+        assert ind.violation == expected.violation
+        # each cluster and each unordered pair rated once, then only the pairs
+        # with each merged cluster, plus the final re-evaluation
+        budget = n_clusters * (n_clusters - 1) // 2 + n_clusters + merges * n_clusters
+        if merges:
+            budget += ind.assignment.n_clusters
+        assert len(calls) <= budget
+    assert total_merges > 0
 
 
 def test_gca_never_merges_when_no_gain(small_scenario):
