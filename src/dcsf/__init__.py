@@ -9,7 +9,7 @@ exhaustive per-cluster symbol-count sweep.
 
 from .advisor import AdvisorInput, LlmEndpoint, ParamUpdate, advise
 from .beamforming import ArraySpec, array_gain, cluster_snr
-from .channel import avg_path_loss, per_user_rates, sum_user_rate
+from .channel import avg_path_loss, sum_user_rate
 from .energy import RotorModel, flight_energy_xyz, hover_power, total_flight_energy
 from .metrics import hypervolume, knee_index, max_spread_metric, spacing_metric
 from .problem import ClusterAssignment, Individual, ObjectiveTriple, evaluate
@@ -24,7 +24,7 @@ from .scenario import (
     load_scenario,
     save_scenario,
 )
-from .semantic import SimilarityModel, default_similarity_model, semantic_rate, semantic_similarity
+from .semantic import SimilarityModel, default_similarity_model, semantic_similarity, semantic_terms
 from .solver import RunResult, SolverConfig, final_front, run
 
 __version__ = "0.1.0"
@@ -61,11 +61,10 @@ __all__ = [
     "knee_index",
     "load_scenario",
     "max_spread_metric",
-    "per_user_rates",
     "run",
     "save_scenario",
-    "semantic_rate",
     "semantic_similarity",
+    "semantic_terms",
     "spacing_metric",
     "sum_user_rate",
     "total_flight_energy",

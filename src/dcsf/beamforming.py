@@ -116,15 +116,15 @@ def cluster_snr(
     member_ids,
     uav_positions: np.ndarray,
     weights: np.ndarray,
-    uav_tx: np.ndarray,
     bs_xyz: np.ndarray,
     params,
 ) -> float:
     """SNR of one cluster's link to the BS.
 
-    Multi-UAV clusters transmit P_c = sum w^2 P_v with the collaborative array
-    gain; singletons use the plain link budget. Path loss and BS direction are
-    taken from the cluster's centroid (far-field BS).
+    Every UAV transmits P_v = `params.uav_tx_power`. Multi-UAV clusters
+    transmit P_c = sum w^2 P_v with the collaborative array gain; singletons
+    use the plain link budget. Path loss and BS direction are taken from the
+    cluster's centroid (far-field BS).
     """
     members = list(member_ids)
     if not members:
@@ -136,10 +136,11 @@ def cluster_snr(
     loss_db = avg_path_loss(geom, params)
     path = 10.0 ** (-loss_db / 10.0)
     if len(members) == 1:
-        received = float(np.asarray(uav_tx)[members[0]]) * path
+        received = params.uav_tx_power * path
     else:
         w = np.asarray(weights, dtype=float)[members]
-        p_total = float(np.sum(w**2 * np.asarray(uav_tx)[members]))
+        # element by element, as sum_v w_v^2 P_v; factoring P_v out changes the last bits
+        p_total = float(np.sum(w**2 * params.uav_tx_power))
         if p_total == 0.0:
             return 0.0
         spec = ArraySpec(pos, w, params.wavelength)

@@ -57,16 +57,17 @@ def _received_watts(tx_power: float, loss_db: float) -> float:
 
 
 def sinr_user_uav(user, uav, cohort, params) -> float:
-    """SINR of one user at its serving UAV against its cohort's interference."""
+    """SINR of one user at its serving UAV's launch position against its
+    cohort's interference."""
     members = list(cohort)
     if not members or all(m.id != user.id for m in members):
         raise ValueError("user must belong to the serving UAV's cohort")
-    uav_xyz = uav.pos.as_array()
+    uav_xyz = uav.initial_pos.as_array()
     signal = 0.0
     interference = 0.0
     for m in members:
         geom = LinkGeometry.between(m.pos.as_array(), uav_xyz)
-        rx = _received_watts(m.tx_power, avg_path_loss(geom, params))
+        rx = _received_watts(params.user_tx_power, avg_path_loss(geom, params))
         if m.id == user.id:
             signal = rx
         else:
@@ -99,7 +100,7 @@ def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
         + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
     )
     loss_db = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
-    rx = np.asarray(scenario.user_tx, dtype=float) * 10.0 ** (-loss_db / 10.0)
+    rx = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
 
     totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))
     sinr = rx / (totals[nearest] - rx + params.noise_watts)
@@ -117,7 +118,7 @@ def per_user_rates(scenario, uav_positions: np.ndarray, params) -> np.ndarray:
         rx = np.array(
             [
                 _received_watts(
-                    scenario.users[u].tx_power,
+                    params.user_tx_power,
                     avg_path_loss(
                         LinkGeometry.between(scenario.user_xyz[u], uav_positions[v]), params
                     ),

@@ -133,8 +133,8 @@ def _cmd_solve(args) -> int:
         "population_size": config.population_size,
         "t_ao": config.t_ao,
         "t_local": config.t_local,
-        "p_c_initial": config.p_c,
-        "p_m_initial": config.p_m,
+        "p_c_initial": solver.P_C_INITIAL,
+        "p_m_initial": solver.P_M_INITIAL,
         "scenario_seed": scn.seed,
         "n_users": scn.n_users,
         "n_uavs": scn.n_uavs,
@@ -175,7 +175,11 @@ def _load_front(run_dir: Path):
 
 def _cmd_compare(args) -> int:
     runs = [Path(r) for r in args.runs]
-    fronts = {r.name or str(r): _load_front(r) for r in runs}
+    names = [r.name or str(r) for r in runs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two runs are named {name!r}; runs are keyed by directory name")
+    fronts = {name: _load_front(r) for name, r in zip(names, runs)}
     all_objs = np.vstack([
         np.array([ind.objectives.as_tuple() for ind in front]) for front in fronts.values()
     ])
@@ -197,12 +201,12 @@ def _cmd_compare(args) -> int:
             "spacing": metrics.spacing_metric(objs),
             "max_spread": metrics.max_spread_metric(objs),
         }
-    names = list(rows)
-    ratios = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            hv_b = rows[b]["hypervolume"]
-            ratios[f"{a}/{b}"] = rows[a]["hypervolume"] / hv_b if hv_b > 0 else float("inf")
+    # every normalized point lies in [0, 1]^3 against a reference of 1.1, so
+    # every hypervolume is at least 0.1^3
+    ratios = {
+        f"{a}/{b}": rows[a]["hypervolume"] / rows[b]["hypervolume"]
+        for i, a in enumerate(names) for b in names[i + 1:]
+    }
     doc = {"runs": rows, "hypervolume_ratios": ratios}
     if args.out:
         _json_dump(doc, Path(args.out))

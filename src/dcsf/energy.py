@@ -71,17 +71,6 @@ def flight_energy_xyz(
     return energy
 
 
-def flight_energy(uav, target, params) -> float:
-    """Relocation energy for one UAV from its initial position to `target`."""
-    return flight_energy_xyz(
-        uav.initial_pos.as_array(),
-        target.as_array() if hasattr(target, "as_array") else np.asarray(target, dtype=float),
-        params.rotor,
-        params.v_xy,
-        params.v_z,
-    )
-
-
 def total_flight_energy(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f3: summed relocation energy of the whole fleet."""
     uav_positions = np.asarray(uav_positions, dtype=float)

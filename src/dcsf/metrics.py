@@ -65,21 +65,19 @@ def _staircase_area(points_2d: np.ndarray, ref_x: float, ref_y: float) -> float:
     return area
 
 
-def hypervolume(front_objectives, reference=None) -> float:
+def hypervolume(front_objectives) -> float:
     """Dominated hypervolume of a 3-objective (max, max, min) front.
 
-    Objectives are normalized to minimization in [0, 1] by the front's own
-    ranges; the default reference point is 1.1 per dimension (nadir * 1.1).
-    Passing `reference` together with pre-normalized minimization triples is
-    supported through `hypervolume_min`.
+    Objectives are turned into minimization and normalized to [0, 1] by the
+    front's own ranges (a degenerate dimension maps to 0); the reference point
+    is 1.1 in every dimension. For another scale or reference, normalize the
+    points yourself and call `hypervolume_min`.
     """
     front = np.atleast_2d(np.asarray(front_objectives, dtype=float))
     if len(front) == 0:
         return 0.0
     g = np.column_stack([-front[:, 0], -front[:, 1], front[:, 2]])
-    g = _normalize(g)
-    ref = np.full(3, 1.1) if reference is None else np.asarray(reference, dtype=float)
-    return hypervolume_min(g, ref)
+    return hypervolume_min(_normalize(g), np.full(3, 1.1))
 
 
 def hypervolume_min(points: np.ndarray, ref: np.ndarray) -> float:

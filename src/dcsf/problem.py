@@ -147,11 +147,8 @@ def cluster_terms(members, k: int, q: np.ndarray, w: np.ndarray, scenario, param
 
     `members` are UAV indices in ascending order. A zero-SNR cluster gives (0, 0).
     """
-    snr = beamforming.cluster_snr(members, q, w, scenario.uav_tx, scenario.bs_pos.as_array(), params)
-    if snr <= 0:
-        return 0.0, 0.0
-    xi = semantic.semantic_similarity(params.similarity, k, snr)
-    return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi, xi
+    snr = beamforming.cluster_snr(members, q, w, scenario.bs_pos.as_array(), params)
+    return semantic.semantic_terms(snr, k, params)
 
 
 def cluster_semantic_terms(individual: Individual, scenario, params) -> tuple[np.ndarray, np.ndarray]:

@@ -77,23 +77,12 @@ class Bounds:
 class GroundUser:
     id: int
     pos: Position3
-    tx_power: float  # watts
-
-    def __post_init__(self):
-        if self.tx_power <= 0:
-            raise ScenarioError(f"user {self.id}: tx_power must be > 0")
 
 
 @dataclass(frozen=True)
 class Uav:
     id: int
-    pos: Position3
     initial_pos: Position3
-    tx_power: float  # watts
-
-    def __post_init__(self):
-        if self.tx_power <= 0:
-            raise ScenarioError(f"uav {self.id}: tx_power must be > 0")
 
 
 @dataclass(frozen=True)
@@ -112,13 +101,7 @@ class Scenario:
             self, "user_xyz", np.array([u.pos.as_array() for u in self.users])
         )
         object.__setattr__(
-            self, "user_tx", np.array([u.tx_power for u in self.users])
-        )
-        object.__setattr__(
             self, "uav_initial_xyz", np.array([v.initial_pos.as_array() for v in self.uavs])
-        )
-        object.__setattr__(
-            self, "uav_tx", np.array([v.tx_power for v in self.uavs])
         )
 
     @property
@@ -152,9 +135,8 @@ class SystemParams:
     w_max: float = 1.0
     v_xy: float = 10.0              # m/s horizontal cruise speed
     v_z: float = 2.0                # m/s climb speed
-    user_tx_power: float = 0.1      # W
-    uav_tx_power: float = 0.1       # W
-    c7_mode: str = "always-optimize"  # or "literal-compare"
+    user_tx_power: float = 0.1      # W, every ground user
+    uav_tx_power: float = 0.1       # W, every UAV
     rotor: RotorModel = field(default_factory=RotorModel)
     similarity: SimilarityModel = field(default_factory=default_similarity_model)
 
@@ -169,8 +151,8 @@ class SystemParams:
             raise ScenarioError("xi_threshold must be in [0, 1]")
         if not (0 < self.eta <= 1):
             raise ScenarioError("eta must be in (0, 1]")
-        if self.c7_mode not in ("always-optimize", "literal-compare"):
-            raise ScenarioError(f"unknown c7_mode {self.c7_mode!r}")
+        if self.user_tx_power <= 0 or self.uav_tx_power <= 0:
+            raise ScenarioError("user_tx_power and uav_tx_power must be > 0")
 
     @property
     def frequency(self) -> float:
@@ -181,10 +163,6 @@ class SystemParams:
     def noise_watts(self) -> float:
         """Total noise power B * N0 in watts."""
         return self.bandwidth * 10 ** ((self.noise_density_dbm - 30.0) / 10.0)
-
-    @property
-    def phase_constant(self) -> float:
-        return 2.0 * math.pi / self.wavelength
 
 
 def launch_positions(n_uavs: int, bounds: Bounds) -> np.ndarray:
@@ -204,8 +182,6 @@ def generate_scenario(
     bounds: Bounds,
     bs_pos: Position3,
     seed: int,
-    user_tx_power: float = 0.1,
-    uav_tx_power: float = 0.1,
 ) -> Scenario:
     """Seeded scenario: users uniform on the ground plane, UAVs on the launch grid."""
     if n_users < 1 or n_uavs < 1:
@@ -214,19 +190,10 @@ def generate_scenario(
     xs = rng.uniform(bounds.x_min, bounds.x_max, n_users)
     ys = rng.uniform(bounds.y_min, bounds.y_max, n_users)
     users = tuple(
-        GroundUser(i, Position3(float(xs[i]), float(ys[i]), 0.0), user_tx_power)
-        for i in range(n_users)
+        GroundUser(i, Position3(float(xs[i]), float(ys[i]), 0.0)) for i in range(n_users)
     )
     launch = launch_positions(n_uavs, bounds)
-    uavs = tuple(
-        Uav(
-            i,
-            Position3.from_sequence(launch[i]),
-            Position3.from_sequence(launch[i]),
-            uav_tx_power,
-        )
-        for i in range(n_uavs)
-    )
+    uavs = tuple(Uav(i, Position3.from_sequence(launch[i])) for i in range(n_uavs))
     return Scenario(users, uavs, bs_pos, bounds, seed)
 
 
@@ -252,9 +219,9 @@ def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
     """
     problems = []
     for v in scenario.uavs:
-        if not scenario.bounds.contains(v.pos):
-            problems.append(f"C1: UAV {v.id} at {v.pos} outside deployment region")
-    pos = np.array([v.pos.as_array() for v in scenario.uavs])
+        if not scenario.bounds.contains(v.initial_pos):
+            problems.append(f"C1: UAV {v.id} at {v.initial_pos} outside deployment region")
+    pos = scenario.uav_initial_xyz
     for i in range(len(pos)):
         for j in range(i + 1, len(pos)):
             d = float(np.linalg.norm(pos[i] - pos[j]))
@@ -280,23 +247,13 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
-def load_scenario(
-    path: str | Path,
-    user_tx_power: float = 0.1,
-    uav_tx_power: float = 0.1,
-) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON document (see scenario_to_dict for the schema)."""
     doc = json.loads(Path(path).read_text())
     try:
         bounds = Bounds(**doc["bounds"])
-        users = tuple(
-            GroundUser(i, Position3.from_sequence(p), user_tx_power)
-            for i, p in enumerate(doc["users"])
-        )
-        uavs = tuple(
-            Uav(i, Position3.from_sequence(p), Position3.from_sequence(p), uav_tx_power)
-            for i, p in enumerate(doc["uavs_initial"])
-        )
+        users = tuple(GroundUser(i, Position3.from_sequence(p)) for i, p in enumerate(doc["users"]))
+        uavs = tuple(Uav(i, Position3.from_sequence(p)) for i, p in enumerate(doc["uavs_initial"]))
         bs = Position3.from_sequence(doc["bs"])
         seed = int(doc["seed"])
     except (KeyError, TypeError) as exc:

@@ -7,10 +7,8 @@ floors rise and midpoints fall with k, so more symbols per word never hurt.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -74,21 +72,6 @@ def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel
     return SimilarityModel(ks, floors, midpoints, slopes)
 
 
-def load_similarity_model(path: str | Path) -> SimilarityModel:
-    """Load a JSON array of {k, a, b, c} rows; rejects non-monotone tables."""
-    rows = json.loads(Path(path).read_text())
-    try:
-        rows = sorted(rows, key=lambda r: r["k"])
-        return SimilarityModel(
-            ks=tuple(int(r["k"]) for r in rows),
-            floors=tuple(float(r["a"]) for r in rows),
-            midpoints=tuple(float(r["b"]) for r in rows),
-            slopes=tuple(float(r["c"]) for r in rows),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SimilarityModelError(f"malformed similarity table {path}: {exc}") from exc
-
-
 def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:
     """xi in [0, 1), non-decreasing in both SNR and k."""
     if snr <= 0:
@@ -98,8 +81,11 @@ def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:
     return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
 
 
-def semantic_rate(model: SimilarityModel, k: float, snr: float, params) -> float:
-    """suts/s delivered at k symbols/word over a link with the given SNR."""
-    xi = semantic_similarity(model, k, snr)
-    return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi
+def semantic_terms(snr: float, k: int, params) -> tuple[float, float]:
+    """(semantic rate in suts/s, similarity) at k symbols/word over a link with
+    the given SNR: B * I / (k * L) * xi. A link with SNR <= 0 gives (0, 0)."""
+    if snr <= 0:
+        return 0.0, 0.0
+    xi = semantic_similarity(params.similarity, k, snr)
+    return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi, xi
 

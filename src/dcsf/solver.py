@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import advisor as advisor_mod
-from . import metrics, problem
+from . import beamforming, metrics, problem, semantic
 from .problem import ClusterAssignment, Individual, canonicalize_labels
 
 
@@ -23,23 +23,26 @@ class SolverError(RuntimeError):
     pass
 
 
+# NSGA-II operator constants: initial crossover and mutation probabilities
+# (the advisor adapts them from there) and the SBX and polynomial-mutation
+# distribution indices.
+P_C_INITIAL = 0.8
+P_M_INITIAL = 0.4
+SBX_ETA = 15.0
+POLY_ETA = 20.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     population_size: int = 30
     t_ao: int = 50            # outer alternating-optimization iterations
     t_local: int = 10         # NSGA-II generations per outer iteration
-    p_c: float = 0.8          # initial crossover probability
-    p_m: float = 0.4          # initial mutation probability
-    sbx_eta: float = 15.0
-    poly_eta: float = 20.0
     advisor_mode: str = "static"  # "llm" | "fallback" | "static"
     seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population size must be even and >= 4")
-        if not (0 < self.p_c <= 1 and 0 < self.p_m <= 1):
-            raise ValueError("initial probabilities must be in (0, 1]")
         if self.t_ao < 1 or self.t_local < 1:
             raise ValueError("iteration counts must be >= 1")
         if self.advisor_mode not in ("llm", "fallback", "static"):
@@ -48,7 +51,6 @@ class SolverConfig:
 
 @dataclass
 class RunResult:
-    mode: str
     population: list[Individual]
     history: list[dict]
     final_p_c: float
@@ -354,14 +356,14 @@ def nsga2_generation(population, scenario, params, config: SolverConfig,
     for _ in range(n_cross // 2):
         p1 = population[_tournament(population, rank, crowd, rng)]
         p2 = population[_tournament(population, rank, crowd, rng)]
-        g1, g2 = sbx_crossover(_genes_of(p1), _genes_of(p2), lower, upper, config.sbx_eta, rng)
+        g1, g2 = sbx_crossover(_genes_of(p1), _genes_of(p2), lower, upper, SBX_ETA, rng)
         offspring.append(_with_genes(p1, g1))
         offspring.append(_with_genes(p2, g2))
 
     n_mut = int(round(p_m * m))
     for _ in range(n_mut):
         parent = population[_tournament(population, rank, crowd, rng)]
-        genes = polynomial_mutation(_genes_of(parent), lower, upper, config.poly_eta, rng)
+        genes = polynomial_mutation(_genes_of(parent), lower, upper, POLY_ETA, rng)
         offspring.append(_with_genes(parent, genes))
 
     pool = population + offspring
@@ -373,55 +375,39 @@ def nsga2_generation(population, scenario, params, config: SolverConfig,
 # Stage 3: greedy symbol optimization
 
 def gso_step(population, scenario, params) -> None:
-    """Per cluster, set k to the exhaustive argmax of f2 (ties toward smaller k).
+    """Per cluster, in label order, set k to the exhaustive argmax of f2 (ties
+    toward smaller k), with the other clusters' rates at their current k.
 
     Candidates violating the similarity threshold are skipped; if no candidate
     reaches it, the max-similarity value is taken and the violation stands.
-    Under the literal C7 mode, individuals with f1 <= f2 are left untouched.
+    Each cluster's SNR is computed once per individual and shared by its
+    current rate and every candidate k; the individual is then re-evaluated.
     """
-    from . import beamforming, semantic
-
     evaluate_population(population, scenario, params)
+    bs_xyz = scenario.bs_pos.as_array()
     for ind in population:
-        if params.c7_mode == "literal-compare" and ind.objectives.f1 <= ind.objectives.f2:
-            continue
-        clusters = ind.assignment.clusters()
-        snrs = [
-            beamforming.cluster_snr(members, ind.q, ind.w, scenario.uav_tx,
-                                    scenario.bs_pos.as_array(), params)
-            for members in clusters
-        ]
-        rates, xis = problem.cluster_semantic_terms(ind, scenario, params)
-        for i in range(len(clusters)):
-            best_f2 = -math.inf
-            best_xi = -math.inf
-            best_k = None
+        snrs = [beamforming.cluster_snr(members, ind.q, ind.w, bs_xyz, params)
+                for members in ind.assignment.clusters()]
+        rates = np.array([semantic.semantic_terms(snr, int(k), params)[0]
+                          for snr, k in zip(snrs, ind.k)])
+        for i, snr in enumerate(snrs):
+            best_f2 = best_xi = -math.inf
+            best_k = best_rate = None
             best_feasible = False
             for k in range(params.k_min, params.k_max + 1):
-                if snrs[i] > 0:
-                    xi = semantic.semantic_similarity(params.similarity, k, snrs[i])
-                    sr = params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi
-                else:
-                    xi, sr = 0.0, 0.0
+                sr, xi = semantic.semantic_terms(snr, k, params)
                 trial = rates.copy()
                 trial[i] = sr
                 f2 = float(trial.sum())
                 feasible = xi >= params.xi_threshold
                 if feasible and not best_feasible:
                     # first threshold-meeting candidate resets the search
-                    best_feasible, best_f2, best_xi, best_k = True, f2, xi, k
+                    best_feasible, best_f2, best_xi, best_k, best_rate = True, f2, xi, k, sr
                 elif feasible == best_feasible:
                     if (feasible and f2 > best_f2) or (not feasible and xi > best_xi):
-                        best_f2, best_xi, best_k = f2, xi, k
-                if best_k is None:
-                    best_f2, best_xi, best_k = f2, xi, k
+                        best_f2, best_xi, best_k, best_rate = f2, xi, k, sr
             ind.k[i] = best_k
-            if snrs[i] > 0:
-                xis[i] = semantic.semantic_similarity(params.similarity, best_k, snrs[i])
-                rates[i] = (params.bandwidth * params.info_per_sentence
-                            / (best_k * params.words_per_sentence) * xis[i])
-            else:
-                xis[i], rates[i] = 0.0, 0.0
+            rates[i] = best_rate
         problem.evaluate(ind, scenario, params)
 
 
@@ -473,7 +459,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
     population = initialize_population(scenario, params, config, rng)
     evaluate_population(population, scenario, params)
 
-    p_c, p_m = config.p_c, config.p_m
+    p_c, p_m = P_C_INITIAL, P_M_INITIAL
     window: list[tuple[float, float]] = []
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
@@ -494,7 +480,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
         gso_step(population, scenario, params)
         population = select_best(population, config.population_size)
         history.append(_history_record(t, population, p_c, p_m))
-    return RunResult(mode, population, history, p_c, p_m)
+    return RunResult(population, history, p_c, p_m)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +522,7 @@ def _run_monolithic(scenario, params, config: SolverConfig) -> RunResult:
     population = [decode(g) for g in genomes]
     evaluate_population(population, scenario, params)
 
-    p_c, p_m = config.p_c, config.p_m
+    p_c, p_m = P_C_INITIAL, P_M_INITIAL
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
         for _ in range(config.t_local):
@@ -546,16 +532,16 @@ def _run_monolithic(scenario, params, config: SolverConfig) -> RunResult:
             for _ in range(n_cross // 2):
                 i1 = _tournament(population, rank, crowd, rng)
                 i2 = _tournament(population, rank, crowd, rng)
-                g1, g2 = sbx_crossover(genomes[i1], genomes[i2], lower, upper, config.sbx_eta, rng)
+                g1, g2 = sbx_crossover(genomes[i1], genomes[i2], lower, upper, SBX_ETA, rng)
                 pool_genomes.extend([g1, g2])
             n_mut = int(round(p_m * config.population_size))
             for _ in range(n_mut):
                 i = _tournament(population, rank, crowd, rng)
-                pool_genomes.append(polynomial_mutation(genomes[i], lower, upper, config.poly_eta, rng))
+                pool_genomes.append(polynomial_mutation(genomes[i], lower, upper, POLY_ETA, rng))
             pool = [decode(g) for g in pool_genomes]
             evaluate_population(pool, scenario, params)
             chosen = _select_indices(pool, config.population_size)
             genomes = [pool_genomes[i] for i in chosen]
             population = [pool[i] for i in chosen]
         history.append(_history_record(t, population, p_c, p_m))
-    return RunResult("monolithic-nsga2", population, history, p_c, p_m)
+    return RunResult(population, history, p_c, p_m)

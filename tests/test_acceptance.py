@@ -110,10 +110,9 @@ def test_acceptance_03_collaborative_gain_scaling():
         spacing = 60.0 * LAM
         ys = (np.arange(n) - (n - 1) / 2.0) * spacing
         q = np.column_stack([np.zeros(n), ys, np.full(n, 80.0)])
-        tx = np.full(n, PARAMS.uav_tx_power)
-        snr_multi = cluster_snr(list(range(n)), q, np.ones(n), tx, bs, PARAMS)
+        snr_multi = cluster_snr(list(range(n)), q, np.ones(n), bs, PARAMS)
         centroid = q.mean(axis=0, keepdims=True)
-        snr_single = cluster_snr([0], centroid, np.ones(1), tx[:1], bs, PARAMS)
+        snr_single = cluster_snr([0], centroid, np.ones(1), bs, PARAMS)
         ratio = snr_multi / snr_single
         assert ratio == pytest.approx(n * n * PARAMS.eta, rel=0.05), f"N={n}: ratio {ratio}"
     _report(3, "co-phased N=2,4,8 received power scales as N^2 * eta within 5%")

@@ -99,7 +99,7 @@ def test_direction_to_axes():
 def test_singleton_cluster_snr_is_link_budget(params):
     q = np.array([[100.0, 100.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
-    snr = cluster_snr([0], q, np.array([1.0]), np.array([0.1]), bs, params)
+    snr = cluster_snr([0], q, np.array([1.0]), bs, params)
     loss = avg_path_loss(LinkGeometry.between(q[0], bs), params)
     expected = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
     assert snr == pytest.approx(expected, rel=1e-12)
@@ -108,20 +108,20 @@ def test_singleton_cluster_snr_is_link_budget(params):
 def test_zero_weights_give_zero_cluster_snr(params):
     q = np.array([[0.0, 0.0, 80.0], [10.0, 0.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
-    snr = cluster_snr([0, 1], q, np.zeros(2), np.array([0.1, 0.1]), bs, params)
+    snr = cluster_snr([0, 1], q, np.zeros(2), bs, params)
     assert snr == 0.0
 
 
 def test_empty_cluster_rejected(params):
     with pytest.raises(ValueError):
-        cluster_snr([], np.zeros((1, 3)), np.ones(1), np.array([0.1]), np.ones(3), params)
+        cluster_snr([], np.zeros((1, 3)), np.ones(1), np.ones(3), params)
 
 
 def test_cophased_pair_beats_singleton(params):
     # two elements along the direction orthogonal to the BS bearing stay co-phased
     bs = np.array([2000.0, 0.0, 0.0])
     q = np.array([[0.0, -25 * LAM, 80.0], [0.0, 25 * LAM, 80.0]])
-    snr_pair = cluster_snr([0, 1], q, np.ones(2), np.array([0.1, 0.1]), bs, params)
+    snr_pair = cluster_snr([0, 1], q, np.ones(2), bs, params)
     centroid = q.mean(axis=0)
     loss = avg_path_loss(LinkGeometry.between(centroid, bs), params)
     snr_single = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,20 @@ def test_compare_reports_shared_scale_metrics(tmp_path):
     assert "runA/runB" in doc["hypervolume_ratios"]
     for row in doc["runs"].values():
         assert row["hypervolume"] >= 0.0
+
+
+def test_compare_rejects_runs_with_the_same_name(tmp_path, capsys):
+    scn = _generate(tmp_path)
+    a = _solve(tmp_path, scn, "a/run")
+    b = tmp_path / "b" / "run"
+    shutil.copytree(a, b)
+    capsys.readouterr()
+    rc = main(["compare", str(a), str(b)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'run'" in err
 
 
 def test_export_deployment_matches_solve_output(tmp_path):

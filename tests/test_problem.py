@@ -80,21 +80,37 @@ def test_objective_triple_rejects_non_finite():
         ObjectiveTriple(float("inf"), 0.0, 0.0)
 
 
+def _f2_by_cluster(ind, scn, params):
+    """f2 by direct per-cluster recomputation."""
+    f2 = 0.0
+    for i, members in enumerate(ind.assignment.clusters()):
+        snr = cluster_snr(members, ind.q, ind.w, scn.bs_pos.as_array(), params)
+        if snr > 0:
+            xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
+            f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi
+    return f2
+
+
 def test_evaluate_matches_independent_scalar_paths(small_scenario, rng):
     params = SystemParams()
     ind = _individual(small_scenario, rng)
     obj = evaluate(ind, small_scenario, params)
     # f1 via the scalar per-user path
     assert obj.f1 == pytest.approx(per_user_rates(small_scenario, ind.q, params).sum(), rel=1e-9)
-    # f2 via direct per-cluster recomputation
-    f2 = 0.0
-    for i, members in enumerate(ind.assignment.clusters()):
-        snr = cluster_snr(members, ind.q, ind.w, small_scenario.uav_tx,
-                          small_scenario.bs_pos.as_array(), params)
-        if snr > 0:
-            xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
-            f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi
-    assert obj.f2 == pytest.approx(f2, rel=1e-9)
+    assert obj.f2 == pytest.approx(_f2_by_cluster(ind, small_scenario, params), rel=1e-9)
+
+
+def test_evaluate_reads_transmit_powers_from_params(small_scenario, rng):
+    ind = _individual(small_scenario, rng)
+    quiet = evaluate(ind.copy(), small_scenario, SystemParams())
+    params = SystemParams(user_tx_power=1.0, uav_tx_power=1.0)
+    loud = evaluate(ind, small_scenario, params)
+    # more power lifts every SINR and SNR; the flight energy does not depend on it
+    assert loud.f1 > quiet.f1
+    assert loud.f2 > quiet.f2
+    assert loud.f3 == quiet.f3
+    assert loud.f1 == pytest.approx(per_user_rates(small_scenario, ind.q, params).sum(), rel=1e-9)
+    assert loud.f2 == pytest.approx(_f2_by_cluster(ind, small_scenario, params), rel=1e-9)
 
 
 def test_in_bounds_individual_with_spread_uavs_is_feasible_on_c1_c2(small_scenario):

@@ -81,7 +81,7 @@ def test_validate_scenario_flags_out_of_bounds_and_proximity():
     from dcsf.scenario import Scenario, Uav
 
     p = Position3(10.0, 10.0, 70.0)
-    uavs = tuple(Uav(i, p, p, 0.1) for i in range(2))
+    uavs = tuple(Uav(i, p) for i in range(2))
     bad = Scenario(scn.users, uavs, BS, BOUNDS, 0)
     issues = validate_scenario(bad, params)
     assert any(v.startswith("C2") for v in issues)
@@ -108,4 +108,4 @@ def test_params_validation():
     with pytest.raises(ScenarioError):
         SystemParams(k_min=5, k_max=2)
     with pytest.raises(ScenarioError):
-        SystemParams(c7_mode="nope")
+        SystemParams(uav_tx_power=0)

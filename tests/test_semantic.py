@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,9 +9,8 @@ from dcsf.semantic import (
     SimilarityModel,
     SimilarityModelError,
     default_similarity_model,
-    load_similarity_model,
-    semantic_rate,
     semantic_similarity,
+    semantic_terms,
 )
 
 MODEL = default_similarity_model()
@@ -56,8 +54,12 @@ def test_memoized_parameters_equal_a_fresh_interpolation():
 
 
 def test_semantic_rate_reference_value():
-    sr = semantic_rate(MODEL, 5, 100.0, PARAMS)
+    sr, _ = semantic_terms(100.0, 5, PARAMS)
     assert sr == pytest.approx(787645.3711976099, rel=1e-12)
+
+
+def test_semantic_terms_of_a_dead_link_are_zero():
+    assert semantic_terms(0.0, 5, PARAMS) == (0.0, 0.0)
 
 
 def test_similarity_logistic_midpoint():
@@ -112,28 +114,10 @@ def test_table_validation_rejects_bad_slope_and_floor():
         SimilarityModel((1,), (1.0,), (0.0,), (0.3,))
 
 
-def test_load_similarity_model_roundtrip(tmp_path):
-    rows = [
-        {"k": k, "a": a, "b": b, "c": c}
-        for k, a, b, c in zip(MODEL.ks, MODEL.floors, MODEL.midpoints, MODEL.slopes)
-    ]
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(rows))
-    loaded = load_similarity_model(path)
-    assert loaded == MODEL
-
-
-def test_load_similarity_model_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([{"k": 1, "a": 0.1}]))
-    with pytest.raises(SimilarityModelError):
-        load_similarity_model(path)
-
-
 def test_rate_tradeoff_small_k_boosts_rate_factor():
     # the B*I/(kL) factor doubles when k halves; similarity tempers it
     xi10 = semantic_similarity(MODEL, 10, 1000.0)
     xi20 = semantic_similarity(MODEL, 20, 1000.0)
-    r10 = semantic_rate(MODEL, 10, 1000.0, PARAMS)
-    r20 = semantic_rate(MODEL, 20, 1000.0, PARAMS)
+    r10, _ = semantic_terms(1000.0, 10, PARAMS)
+    r20, _ = semantic_terms(1000.0, 20, PARAMS)
     assert r10 / r20 == pytest.approx(2.0 * xi10 / xi20, rel=1e-12)

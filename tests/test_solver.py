@@ -14,6 +14,8 @@ from dcsf.problem import (
     evaluate,
 )
 from dcsf.solver import (
+    P_C_INITIAL,
+    P_M_INITIAL,
     SolverConfig,
     crowding_distance,
     enumerate_merge_gains,
@@ -248,15 +250,29 @@ def test_gso_matches_from_scratch_argmax(small_scenario, rng):
         assert ind.objectives.f2 == pytest.approx(oracle.objectives.f2, rel=1e-12)
 
 
-def test_gso_literal_compare_mode_skips_when_f1_not_larger(small_scenario, rng):
-    params = SystemParams(c7_mode="literal-compare")
-    ind = _random_individual(small_scenario, rng)
-    evaluate(ind, small_scenario, params)
-    # force the skip branch by injecting f1 <= f2
-    ind.objectives = ObjectiveTriple(0.0, ind.objectives.f2, ind.objectives.f3)
-    k_before = ind.k.copy()
-    gso_step([ind], small_scenario, params)
-    assert list(ind.k) == list(k_before)
+def test_gso_computes_each_cluster_snr_once(monkeypatch):
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, 12, bounds, Position3(2000.0, 2000.0, 0.0), seed=12)
+    rng = np.random.default_rng(12)
+    population = [_random_individual(scn, rng) for _ in range(6)]
+    for ind in population:
+        evaluate(ind, scn, PARAMS)
+    oracles = [_gso_oracle(ind.copy(), scn, PARAMS) for ind in population]
+    n_clusters = sum(ind.assignment.n_clusters for ind in population)
+    calls = []
+    real_snr = beamforming.cluster_snr
+
+    def counting_snr(*args, **kwargs):
+        calls.append(1)
+        return real_snr(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
+    gso_step(population, scn, PARAMS)
+    # one SNR per cluster for the sweep, one more in the closing evaluate
+    assert len(calls) == 2 * n_clusters
+    for ind, oracle in zip(population, oracles):
+        assert list(ind.k) == list(oracle.k)
+        assert ind.objectives == oracle.objectives
 
 
 def test_sbx_and_mutation_respect_bounds(rng):
@@ -320,7 +336,7 @@ def test_aoa_mode_ignores_advisor_setting(small_scenario):
     cfg = SolverConfig(population_size=8, t_ao=2, t_local=2, seed=5, advisor_mode="fallback")
     static = run("aoa", small_scenario, PARAMS, cfg)
     # static advisor echoes the initial probabilities forever
-    assert all(row["p_c"] == cfg.p_c and row["p_m"] == cfg.p_m for row in static.history)
+    assert all(row["p_c"] == P_C_INITIAL and row["p_m"] == P_M_INITIAL for row in static.history)
 
 
 def test_fallback_advisor_can_move_probabilities(small_scenario):
