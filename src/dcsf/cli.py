@@ -97,9 +97,18 @@ def _deployment_doc(scn, params, ind) -> dict:
     }
 
 
+def _load_valid_scenario(path, params):
+    """Load a scenario whose launch positions meet C1 (bounds) and C2 (d_min)."""
+    scn = load_scenario(path)
+    problems = scenario_mod.validate_scenario(scn, params)
+    if problems:
+        raise scenario_mod.ScenarioError(f"invalid scenario {path}: " + "; ".join(problems))
+    return scn
+
+
 def _cmd_solve(args) -> int:
-    scn = load_scenario(args.scenario)
     params = SystemParams()
+    scn = _load_valid_scenario(args.scenario, params)
     config = solver.SolverConfig(
         population_size=args.pop,
         t_ao=args.t_ao,
@@ -218,8 +227,8 @@ def _cmd_compare(args) -> int:
 # export-deployment
 
 def _cmd_export(args) -> int:
-    scn = load_scenario(args.scenario)
     params = SystemParams()
+    scn = _load_valid_scenario(args.scenario, params)
     front = _load_front(Path(args.run))
     for ind in front:
         problem.evaluate(ind, scn, params)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamforming, channel, energy, semantic
+from .scenario import close_pairs
 
 
 class EncodingError(ValueError):
@@ -172,27 +173,6 @@ def evaluate(individual: Individual, scenario, params) -> ObjectiveTriple:
     individual.cluster_xi = xis
     individual.violation = _violation_scalar(individual, scenario, params, xis)
     return individual.objectives
-
-
-# Relative slack on d_min^2 when screening pairs by vectorized squared
-# distance, far above the few ulps by which it can differ from the norm.
-_SCREEN_SLACK = 1e-9
-
-
-def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
-    """(i, j, d) for UAV pairs i < j closer than d_min, in (i, j) order.
-
-    A vectorized squared distance screens the pairs; d itself is the scalar
-    `np.linalg.norm`, so the values match a double loop over all pairs exactly.
-    """
-    diff = q[:, None, :] - q[None, :, :]
-    near = np.triu((diff**2).sum(axis=2) < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
-    out = []
-    for i, j in zip(*np.nonzero(near)):
-        d = float(np.linalg.norm(q[i] - q[j]))
-        if d < d_min:
-            out.append((int(i), int(j), d))
-    return out
 
 
 def _violation_scalar(individual: Individual, scenario, params, xis: np.ndarray) -> float:

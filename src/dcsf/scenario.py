@@ -212,6 +212,27 @@ def associate_users(scenario: Scenario, uav_positions: np.ndarray) -> list[list[
     return cohorts
 
 
+# Relative slack on d_min^2 when screening pairs by vectorized squared
+# distance, far above the few ulps by which it can differ from the norm.
+_SCREEN_SLACK = 1e-9
+
+
+def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
+    """(i, j, d) for UAV pairs i < j closer than d_min, in (i, j) order.
+
+    A vectorized squared distance screens the pairs; d itself is the scalar
+    `np.linalg.norm`, so the values match a double loop over all pairs exactly.
+    """
+    diff = q[:, None, :] - q[None, :, :]
+    near = np.triu((diff**2).sum(axis=2) < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
+    out = []
+    for i, j in zip(*np.nonzero(near)):
+        d = float(np.linalg.norm(q[i] - q[j]))
+        if d < d_min:
+            out.append((int(i), int(j), d))
+    return out
+
+
 def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
     """Deployment-constraint check: every UAV inside bounds, pairwise safety distance.
 
@@ -221,15 +242,11 @@ def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
     for v in scenario.uavs:
         if not scenario.bounds.contains(v.initial_pos):
             problems.append(f"C1: UAV {v.id} at {v.initial_pos} outside deployment region")
-    pos = scenario.uav_initial_xyz
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            d = float(np.linalg.norm(pos[i] - pos[j]))
-            if d < params.d_min:
-                problems.append(
-                    f"C2: UAVs {scenario.uavs[i].id} and {scenario.uavs[j].id} "
-                    f"at distance {d:.3f} m < d_min {params.d_min} m"
-                )
+    for i, j, d in close_pairs(scenario.uav_initial_xyz, params.d_min):
+        problems.append(
+            f"C2: UAVs {scenario.uavs[i].id} and {scenario.uavs[j].id} "
+            f"at distance {d:.3f} m < d_min {params.d_min} m"
+        )
     return problems
 
 

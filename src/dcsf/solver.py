@@ -5,6 +5,10 @@ merging on f2 (GCA), an advisor-guided NSGA-II pass over positions and weights,
 an exhaustive per-cluster sweep of the symbol count (GSO), and an elitist
 sort/truncate assessment. Two baselines share the machinery: the same loop
 with a static advisor, and a flat NSGA-II over every variable at once.
+
+All three modes run the same NSGA-II generation, `nsga2_generation`; they
+differ only in the genome and its decoding. Parents carry their objectives
+across generations, so each generation evaluates only its offspring.
 """
 
 from __future__ import annotations
@@ -342,33 +346,42 @@ def polynomial_mutation(genes, lower, upper, eta, rng):
     return np.clip(out, lower, upper)
 
 
-def nsga2_generation(population, scenario, params, config: SolverConfig,
-                     p_c: float, p_m: float, rng) -> list[Individual]:
-    """One generation over (Q, w): SBX offspring, polynomial mutants, elitist
-    selection of the best M from the merged pool. c and k are untouched."""
+def nsga2_generation(population, genomes, scenario, params, bounds, decode,
+                     p_c: float, p_m: float, rng):
+    """One NSGA-II generation: SBX offspring, polynomial mutants, elitist
+    selection of the best M from parents plus offspring.
+
+    `genomes[i]` is the real-valued genome of `population[i]`, `bounds` its
+    (lower, upper) gene bounds, and `decode(parent, genes)` builds one
+    offspring. Parents keep their objectives; only offspring are evaluated.
+    Returns the M survivors and their genomes.
+    """
     evaluate_population(population, scenario, params)
     m = len(population)
-    lower, upper = _gene_bounds(scenario, params)
+    lower, upper = bounds
     _, rank, crowd = _rank_and_crowd(population)
 
-    offspring: list[Individual] = []
+    def pick() -> int:
+        return _tournament(population, rank, crowd, rng)
+
+    children: list[tuple[int, np.ndarray]] = []  # (parent index, genes)
     n_cross = int(round(p_c * m))
     for _ in range(n_cross // 2):
-        p1 = population[_tournament(population, rank, crowd, rng)]
-        p2 = population[_tournament(population, rank, crowd, rng)]
-        g1, g2 = sbx_crossover(_genes_of(p1), _genes_of(p2), lower, upper, SBX_ETA, rng)
-        offspring.append(_with_genes(p1, g1))
-        offspring.append(_with_genes(p2, g2))
+        i1, i2 = pick(), pick()
+        g1, g2 = sbx_crossover(genomes[i1], genomes[i2], lower, upper, SBX_ETA, rng)
+        children += [(i1, g1), (i2, g2)]
 
     n_mut = int(round(p_m * m))
     for _ in range(n_mut):
-        parent = population[_tournament(population, rank, crowd, rng)]
-        genes = polynomial_mutation(_genes_of(parent), lower, upper, POLY_ETA, rng)
-        offspring.append(_with_genes(parent, genes))
+        i = pick()
+        children.append((i, polynomial_mutation(genomes[i], lower, upper, POLY_ETA, rng)))
 
+    offspring = [decode(population[i], genes) for i, genes in children]
+    evaluate_population(offspring, scenario, params)
     pool = population + offspring
-    evaluate_population(pool, scenario, params)
-    return select_best(pool, m)
+    pool_genomes = list(genomes) + [genes for _, genes in children]
+    chosen = _select_indices(pool, m)
+    return [pool[i] for i in chosen], [pool_genomes[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +435,16 @@ def final_front(population) -> list[Individual]:
     return [base[i] for i in fronts[0]]
 
 
-def _front_metrics(population) -> tuple[float, float, float, int]:
-    front = final_front(population)
-    objs = np.array([ind.objectives.as_tuple() for ind in front])
-    sp = metrics.spacing_metric(objs)
-    m3 = metrics.max_spread_metric(objs)
-    hv = metrics.hypervolume(objs)
-    return sp, m3, hv, len(front)
+def _front_objectives(population) -> np.ndarray:
+    return np.array([ind.objectives.as_tuple() for ind in final_front(population)])
 
 
 def _history_record(t: int, population, p_c: float, p_m: float) -> dict:
     """One `history` row: front metrics after outer iteration t."""
-    sp, m3, hv, front_size = _front_metrics(population)
+    objs = _front_objectives(population)
     return {
-        "iteration": t, "sp": sp, "m3": m3, "hypervolume": hv,
-        "p_c": p_c, "p_m": p_m, "front_size": front_size,
+        "iteration": t, "sp": metrics.spacing_metric(objs), "m3": metrics.max_spread_metric(objs),
+        "hypervolume": metrics.hypervolume(objs), "p_c": p_c, "p_m": p_m, "front_size": len(objs),
     }
 
 
@@ -459,15 +467,19 @@ def run(mode: str, scenario, params, config: SolverConfig,
     population = initialize_population(scenario, params, config, rng)
     evaluate_population(population, scenario, params)
 
+    bounds = _gene_bounds(scenario, params)
     p_c, p_m = P_C_INITIAL, P_M_INITIAL
     window: list[tuple[float, float]] = []
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
         gca_step(population, scenario, params)
         for gen in range(config.t_local):
-            population = nsga2_generation(population, scenario, params, config, p_c, p_m, rng)
-            sp, m3, _, _ = _front_metrics(population)
-            objs = np.array([ind.objectives.as_tuple() for ind in final_front(population)])
+            # offspring keep their parent's (c, k)
+            population, _ = nsga2_generation(
+                population, [_genes_of(ind) for ind in population], scenario, params,
+                bounds, _with_genes, p_c, p_m, rng)
+            objs = _front_objectives(population)
+            sp, m3 = metrics.spacing_metric(objs), metrics.max_spread_metric(objs)
             inp = advisor_mod.AdvisorInput(
                 generation=(t - 1) * config.t_local + gen + 1,
                 p_c=p_c, p_m=p_m, sp=sp, m3=m3,
@@ -487,61 +499,40 @@ def run(mode: str, scenario, params, config: SolverConfig,
 # Monolithic baseline: flat NSGA-II over (c, Q, w, k)
 
 def _monolithic_bounds(scenario, params):
+    """Genome bounds: labels, then the (Q, w) genes of `_gene_bounds`, then k."""
     n_v = scenario.n_uavs
-    lower = np.concatenate([
-        np.full(n_v, 1.0),
-        np.tile(scenario.bounds.lower, n_v),
-        np.full(n_v, params.w_min),
-        np.full(n_v, float(params.k_min)),
-    ])
-    upper = np.concatenate([
-        np.full(n_v, float(n_v)),
-        np.tile(scenario.bounds.upper, n_v),
-        np.full(n_v, params.w_max),
-        np.full(n_v, float(params.k_max)),
-    ])
-    return lower, upper
+    lower, upper = _gene_bounds(scenario, params)
+    return (np.concatenate([np.full(n_v, 1.0), lower, np.full(n_v, float(params.k_min))]),
+            np.concatenate([np.full(n_v, float(n_v)), upper, np.full(n_v, float(params.k_max))]))
+
+
+def _decode_monolithic(genes: np.ndarray, params) -> Individual:
+    """Round the label and k genes; Q and w are taken as they are."""
+    n_v = len(genes) // 6  # labels, Q (3 per UAV), w, k
+    raw_labels = np.clip(np.rint(genes[:n_v]).astype(int), 1, n_v)
+    q = genes[n_v: 4 * n_v].reshape(n_v, 3).copy()
+    w = genes[4 * n_v: 5 * n_v].copy()
+    k_full = np.clip(np.rint(genes[5 * n_v:]).astype(int), params.k_min, params.k_max)
+    k_raw = np.resize(k_full, int(raw_labels.max()))
+    assignment, k = canonicalize_labels(raw_labels, k_raw)
+    return Individual(assignment, q, w, k)
 
 
 def _run_monolithic(scenario, params, config: SolverConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
-    n_v = scenario.n_uavs
-    lower, upper = _monolithic_bounds(scenario, params)
-    dim = len(lower)
-
-    def decode(genes: np.ndarray) -> Individual:
-        raw_labels = np.clip(np.rint(genes[:n_v]).astype(int), 1, n_v)
-        q = genes[n_v: 4 * n_v].reshape(n_v, 3).copy()
-        w = genes[4 * n_v: 5 * n_v].copy()
-        k_full = np.clip(np.rint(genes[5 * n_v:]).astype(int), params.k_min, params.k_max)
-        k_raw = np.resize(k_full, int(raw_labels.max()))
-        assignment, k = canonicalize_labels(raw_labels, k_raw)
-        return Individual(assignment, q, w, k)
-
-    genomes = [lower + rng.random(dim) * (upper - lower) for _ in range(config.population_size)]
-    population = [decode(g) for g in genomes]
+    bounds = _monolithic_bounds(scenario, params)
+    lower, upper = bounds
+    genomes = [lower + rng.random(len(lower)) * (upper - lower)
+               for _ in range(config.population_size)]
+    population = [_decode_monolithic(g, params) for g in genomes]
     evaluate_population(population, scenario, params)
 
     p_c, p_m = P_C_INITIAL, P_M_INITIAL
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
         for _ in range(config.t_local):
-            _, rank, crowd = _rank_and_crowd(population)
-            pool_genomes = list(genomes)
-            n_cross = int(round(p_c * config.population_size))
-            for _ in range(n_cross // 2):
-                i1 = _tournament(population, rank, crowd, rng)
-                i2 = _tournament(population, rank, crowd, rng)
-                g1, g2 = sbx_crossover(genomes[i1], genomes[i2], lower, upper, SBX_ETA, rng)
-                pool_genomes.extend([g1, g2])
-            n_mut = int(round(p_m * config.population_size))
-            for _ in range(n_mut):
-                i = _tournament(population, rank, crowd, rng)
-                pool_genomes.append(polynomial_mutation(genomes[i], lower, upper, POLY_ETA, rng))
-            pool = [decode(g) for g in pool_genomes]
-            evaluate_population(pool, scenario, params)
-            chosen = _select_indices(pool, config.population_size)
-            genomes = [pool_genomes[i] for i in chosen]
-            population = [pool[i] for i in chosen]
+            population, genomes = nsga2_generation(
+                population, genomes, scenario, params, bounds,
+                lambda _, genes: _decode_monolithic(genes, params), p_c, p_m, rng)
         history.append(_history_record(t, population, p_c, p_m))
     return RunResult(population, history, p_c, p_m)

@@ -175,7 +175,9 @@ class _ChatServer:
 def chat_server(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
     server = _ChatServer()
-    thread = threading.Thread(target=server.httpd.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting out the default 0.5 s poll
+    thread = threading.Thread(target=server.httpd.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield server
     server.httpd.shutdown()

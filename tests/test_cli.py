@@ -124,6 +124,28 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_solve_and_export_reject_invalid_launch_positions(tmp_path, capsys):
+    scn = _generate(tmp_path)
+    doc = json.loads(scn.read_text())
+    # two launch points west of the region (x_min = 0), 1 m apart (d_min = 5 m)
+    doc["uavs_initial"][:2] = [[-50.0, 100.0, 60.0], [-50.0, 101.0, 60.0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    for argv in (
+        ["solve", "--scenario", str(bad), "--pop", "4", "--t-ao", "1", "--t-local", "1",
+         "--out", str(run)],
+        ["export-deployment", "--scenario", str(bad), "--run", str(run),
+         "--out", str(tmp_path / "dep.json")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: invalid scenario")
+        assert "C1: UAV 0" in line and "C1: UAV 1" in line and "C2: UAVs 0 and 1" in line
+    assert not run.exists()
+
+
 def test_monolithic_mode_through_cli(tmp_path):
     scn = _generate(tmp_path)
     out = _solve(tmp_path, scn, "runM", mode="monolithic-nsga2")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcsf import Bounds, Position3, SystemParams, beamforming, generate_scenario
+from dcsf import Bounds, Position3, SystemParams, beamforming, generate_scenario, metrics, problem
 from dcsf.problem import (
     ClusterAssignment,
     Individual,
@@ -17,6 +17,11 @@ from dcsf.solver import (
     P_C_INITIAL,
     P_M_INITIAL,
     SolverConfig,
+    _decode_monolithic,
+    _gene_bounds,
+    _genes_of,
+    _monolithic_bounds,
+    _with_genes,
     crowding_distance,
     enumerate_merge_gains,
     final_front,
@@ -303,11 +308,53 @@ def test_nsga2_generation_preserves_size_and_discrete_genes(small_scenario, rng)
     cfg = SolverConfig(population_size=8, t_ao=1, t_local=1, seed=0)
     pop = initialize_population(small_scenario, PARAMS, cfg, rng)
     signatures = {(ind.assignment.labels, tuple(ind.k)) for ind in pop}
-    out = nsga2_generation(pop, small_scenario, PARAMS, cfg, 0.9, 0.5, rng)
+    out, _ = nsga2_generation(pop, [_genes_of(ind) for ind in pop], small_scenario, PARAMS,
+                              _gene_bounds(small_scenario, PARAMS), _with_genes, 0.9, 0.5, rng)
     assert len(out) == 8
     # offspring inherit (c, k) untouched from some parent
     for ind in out:
         assert (ind.assignment.labels, tuple(ind.k)) in signatures
+
+
+def test_nsga2_generation_returns_each_survivors_monolithic_genome(small_scenario, rng):
+    bounds = lower, upper = _monolithic_bounds(small_scenario, PARAMS)
+    genomes = [lower + rng.random(len(lower)) * (upper - lower) for _ in range(8)]
+    pop = [_decode_monolithic(g, PARAMS) for g in genomes]
+    for _ in range(3):
+        pop, genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
+                                        lambda _, g: _decode_monolithic(g, PARAMS), 0.9, 0.5, rng)
+    assert len(pop) == len(genomes) == 8
+    for ind, g in zip(pop, genomes):
+        decoded = _decode_monolithic(g, PARAMS)
+        evaluate(decoded, small_scenario, PARAMS)
+        assert decoded.to_dict() == ind.to_dict()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
+    calls = _count_calls(monkeypatch, problem, "evaluate")
+    cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, seed=0)
+    run("monolithic-nsga2", small_scenario, PARAMS, cfg)
+    offspring = 2 * (int(round(P_C_INITIAL * 8)) // 2) + int(round(P_M_INITIAL * 8))
+    assert len(calls) == 8 + 2 * 3 * offspring
+
+
+def test_llm_aoa_computes_one_hypervolume_per_outer_iteration(small_scenario, monkeypatch):
+    calls = _count_calls(monkeypatch, metrics, "hypervolume")
+    cfg = SolverConfig(population_size=8, t_ao=3, t_local=2, advisor_mode="fallback", seed=0)
+    run("llm-aoa", small_scenario, PARAMS, cfg)
+    assert len(calls) == 3
 
 
 def test_run_is_seed_deterministic(small_scenario):
