@@ -8,7 +8,7 @@ exhaustive per-cluster symbol-count sweep.
 """
 
 from .advisor import AdvisorInput, LlmEndpoint, ParamUpdate, advise
-from .beamforming import ArraySpec, array_gain, cluster_snr
+from .beamforming import cluster_snr
 from .channel import avg_path_loss, sum_user_rate
 from .energy import RotorModel, flight_energy_xyz, hover_power, total_flight_energy
 from .metrics import hypervolume, knee_index, max_spread_metric, spacing_metric
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvisorInput",
-    "ArraySpec",
     "Bounds",
     "ClusterAssignment",
     "GroundUser",
@@ -48,7 +47,6 @@ __all__ = [
     "SystemParams",
     "Uav",
     "advise",
-    "array_gain",
     "avg_path_loss",
     "cluster_snr",
     "default_similarity_model",

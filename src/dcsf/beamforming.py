@@ -1,61 +1,39 @@
 """Virtual antenna array: array factor, gain normalization, cluster-to-BS SNR.
 
-The gain denominator (1/4pi) * integral of |F|^2 over the sphere has the exact
-closed form sum_ij w_i w_j sinc(p d_ij) for isotropic elements; that is the
-production path. Spherical quadrature exists purely as an independent oracle,
-because at centimeter wavelengths and inter-UAV spacings of tens of meters the
-integrand oscillates far too fast for quadrature to be practical.
+A multi-UAV cluster transmits as a collaborative array toward the BS with gain
+
+    G = |F(u)|^2 * eta / D,   F(u) = sum_i w_i exp(j p r_i . u),   p = 2 pi / lambda,
+
+where u is the unit vector from the cluster centroid to the BS and D, the
+pattern normalization (1/4pi) * integral of |F|^2 over the sphere, has the
+exact closed form sum_ij w_i w_j sinc(p d_ij) for isotropic elements; that is
+the production path. Spherical quadrature exists purely as an independent
+oracle, because at centimeter wavelengths and inter-UAV spacings of tens of
+meters the integrand oscillates far too fast for quadrature to be practical.
+
+The array factor carries no steering phase: the elements are not
+phase-synchronized toward the BS, so a cluster's gain depends on its element
+positions at sub-wavelength scale (a lambda/2 shift of one UAV along its BS
+bearing can cost over 10 dB). This unsteered model is the current choice and
+is pending review; a steered model would replace |F(u)|^2 by (sum_i w_i)^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkGeometry, avg_path_loss
+from .channel import avg_path_loss
 
 
-@dataclass(frozen=True)
-class ArraySpec:
-    """Element positions (n, 3) in meters, excitation weights (n,), wavelength."""
-
-    positions: np.ndarray
-    weights: np.ndarray
-    wavelength: float
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if pos.shape[0] != w.shape[0] or pos.shape[0] < 1 or pos.shape[1] != 3:
-            raise ValueError("positions must be (n, 3) with matching weights (n,)")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def phase_constant(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    n_theta: int = 512
-    n_phi: int = 1024
-
-    def __post_init__(self):
-        if self.n_theta < 8 or self.n_phi < 8:
-            raise ValueError("quadrature resolution must be >= 8 per axis")
-
-
-def array_factor(spec: ArraySpec, theta: float, phi: float) -> complex:
-    """Complex array factor in direction (theta, phi)."""
+def array_factor(pos: np.ndarray, w: np.ndarray, p: float, theta: float, phi: float) -> complex:
+    """Complex array factor of elements `pos` (n, 3) with weights `w` (n,) and
+    phase constant p = 2 pi / lambda, in direction (theta, phi)."""
     st, ct = math.sin(theta), math.cos(theta)
     direction = np.array([st * math.cos(phi), st * math.sin(phi), ct])
-    phases = spec.phase_constant * (spec.positions @ direction)
-    return complex(np.sum(spec.weights * np.exp(1j * phases)))
+    phases = p * (pos @ direction)
+    return complex(np.sum(w * np.exp(1j * phases)))
 
 
 def pairwise_sinc_sum(xyz: np.ndarray, weights: np.ndarray, phase_constant: float) -> float:
@@ -69,47 +47,26 @@ def pairwise_sinc_sum(xyz: np.ndarray, weights: np.ndarray, phase_constant: floa
     return float(w @ s @ w)
 
 
-def denominator_closed_form(spec: ArraySpec) -> float:
-    """(1/4pi) * integral of |F|^2 over the sphere, exact for isotropic elements."""
-    return pairwise_sinc_sum(spec.positions, spec.weights, spec.phase_constant)
-
-
-def denominator_quadrature(spec: ArraySpec, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Oracle evaluation of the same normalization by spherical quadrature.
+def denominator_quadrature(pos: np.ndarray, w: np.ndarray, p: float,
+                           n_theta: int = 512, n_phi: int = 1024) -> float:
+    """Oracle evaluation of the pattern normalization by spherical quadrature.
 
     Gauss-Legendre in cos(theta), uniform midpoint rule in phi (spectrally
     accurate for the periodic azimuth).
     """
-    nodes, gl_weights = np.polynomial.legendre.leggauss(quad.n_theta)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
     # nodes are cos(theta) in [-1, 1]
     sin_theta = np.sqrt(1.0 - nodes**2)
-    phis = -math.pi + (np.arange(quad.n_phi) + 0.5) * (2.0 * math.pi / quad.n_phi)
-    dirs = np.empty((quad.n_theta, quad.n_phi, 3))
+    phis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    dirs = np.empty((n_theta, n_phi, 3))
     dirs[:, :, 0] = sin_theta[:, None] * np.cos(phis)[None, :]
     dirs[:, :, 1] = sin_theta[:, None] * np.sin(phis)[None, :]
     dirs[:, :, 2] = nodes[:, None]
-    phases = spec.phase_constant * np.tensordot(dirs, spec.positions.T, axes=1)
-    field = np.tensordot(np.exp(1j * phases), spec.weights, axes=1)
+    phases = p * np.tensordot(dirs, np.asarray(pos, dtype=float).T, axes=1)
+    field = np.tensordot(np.exp(1j * phases), np.asarray(w, dtype=float), axes=1)
     mag2 = np.abs(field) ** 2
-    integral = (2.0 * math.pi / quad.n_phi) * float(gl_weights @ mag2.sum(axis=1))
+    integral = (2.0 * math.pi / n_phi) * float(gl_weights @ mag2.sum(axis=1))
     return integral / (4.0 * math.pi)
-
-
-def array_gain(spec: ArraySpec, theta_bs: float, phi_bs: float, eta: float) -> float:
-    """Gain toward (theta_bs, phi_bs): |F|^2 * eta / closed-form denominator."""
-    denominator = denominator_closed_form(spec)
-    if denominator <= 0:
-        raise ValueError("degenerate array: all-zero weights")
-    return abs(array_factor(spec, theta_bs, phi_bs)) ** 2 * eta / denominator
-
-
-def direction_to(origin: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    """(theta, phi) of the far-field direction from origin toward target."""
-    delta = np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)
-    r = float(np.linalg.norm(delta))
-    if r == 0:
-        raise ValueError("coincident origin and target")
-    return math.acos(float(delta[2]) / r), math.atan2(float(delta[1]), float(delta[0]))
 
 
 def cluster_snr(
@@ -124,18 +81,21 @@ def cluster_snr(
     Every UAV transmits P_v = `params.uav_tx_power`. Multi-UAV clusters
     transmit P_c = sum w^2 P_v with the collaborative array gain; singletons
     use the plain link budget. Path loss and BS direction are taken from the
-    cluster's centroid (far-field BS).
+    cluster's centroid (far-field BS), which must not coincide with the BS.
     """
     members = list(member_ids)
     if not members:
         raise ValueError("empty cluster")
     pos = np.asarray(uav_positions, dtype=float)[members]
-    bs_xyz = np.asarray(bs_xyz, dtype=float)
-    centroid = pos.mean(axis=0)
-    geom = LinkGeometry.between(centroid, bs_xyz)
-    loss_db = avg_path_loss(geom, params)
-    path = 10.0 ** (-loss_db / 10.0)
-    if len(members) == 1:
+    n = len(members)
+    centroid = pos.sum(axis=0) / n
+    delta = bs_xyz - centroid
+    d = float(np.linalg.norm(delta))
+    if d == 0:
+        raise ValueError("cluster centroid coincides with the BS")
+    dz = float(delta[2])
+    path = 10.0 ** (-avg_path_loss(d, abs(dz), params) / 10.0)
+    if n == 1:
         received = params.uav_tx_power * path
     else:
         w = np.asarray(weights, dtype=float)[members]
@@ -143,7 +103,9 @@ def cluster_snr(
         p_total = float(np.sum(w**2 * params.uav_tx_power))
         if p_total == 0.0:
             return 0.0
-        spec = ArraySpec(pos, w, params.wavelength)
-        theta, phi = direction_to(centroid, bs_xyz)
-        received = p_total * array_gain(spec, theta, phi, params.eta) * path
+        p = 2.0 * math.pi / params.wavelength
+        # through (theta, phi) rather than delta / d; the shortcut changes the last bits
+        theta, phi = math.acos(dz / d), math.atan2(float(delta[1]), float(delta[0]))
+        gain = abs(array_factor(pos, w, p, theta, phi)) ** 2 * params.eta / pairwise_sinc_sum(pos, w, p)
+        received = p_total * gain * path
     return received / params.noise_watts

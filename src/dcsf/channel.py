@@ -7,36 +7,16 @@ The same model serves both user-to-UAV links and the cluster-to-BS link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, associate_users
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Total distance d and vertical separation H of one air-to-ground link."""
-
-    d: float
-    h: float
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("link distance must be > 0")
-        if not (0 <= self.h <= self.d):
-            raise ValueError("need 0 <= H <= d")
-
-    @staticmethod
-    def between(a: np.ndarray, b: np.ndarray) -> "LinkGeometry":
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return LinkGeometry(float(np.linalg.norm(a - b)), abs(float(a[2] - b[2])))
-
-
-def los_probability(geom: LinkGeometry, psi: float, beta: float) -> float:
-    """Elevation-dependent LoS probability, strictly inside (0, 1)."""
-    elevation_deg = math.degrees(math.asin(geom.h / geom.d))
+def los_probability(d: float, h: float, psi: float, beta: float) -> float:
+    """Elevation-dependent LoS probability, strictly inside (0, 1), of a link
+    of length d > 0 with vertical separation 0 <= h <= d."""
+    elevation_deg = math.degrees(math.asin(h / d))
     return 1.0 / (1.0 + psi * math.exp(-beta * (elevation_deg - psi)))
 
 
@@ -45,34 +25,12 @@ def free_space_path_loss(d: float, f: float) -> float:
     return 20.0 * math.log10(d) + 20.0 * math.log10(f) + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
 
 
-def avg_path_loss(geom: LinkGeometry, params) -> float:
-    """LoS/NLoS-probability-weighted average path loss in dB."""
-    p_los = los_probability(geom, params.psi, params.beta)
-    fspl = free_space_path_loss(geom.d, params.frequency)
+def avg_path_loss(d: float, h: float, params) -> float:
+    """LoS/NLoS-probability-weighted average path loss in dB of a link of
+    length d with vertical separation h."""
+    p_los = los_probability(d, h, params.psi, params.beta)
+    fspl = free_space_path_loss(d, params.frequency)
     return fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
-
-
-def _received_watts(tx_power: float, loss_db: float) -> float:
-    return tx_power * 10.0 ** (-loss_db / 10.0)
-
-
-def sinr_user_uav(user, uav, cohort, params) -> float:
-    """SINR of one user at its serving UAV's launch position against its
-    cohort's interference."""
-    members = list(cohort)
-    if not members or all(m.id != user.id for m in members):
-        raise ValueError("user must belong to the serving UAV's cohort")
-    uav_xyz = uav.initial_pos.as_array()
-    signal = 0.0
-    interference = 0.0
-    for m in members:
-        geom = LinkGeometry.between(m.pos.as_array(), uav_xyz)
-        rx = _received_watts(params.user_tx_power, avg_path_loss(geom, params))
-        if m.id == user.id:
-            signal = rx
-        else:
-            interference += rx
-    return signal / (interference + params.noise_watts)
 
 
 def user_rate(sinr: float, bandwidth: float) -> float:
@@ -115,17 +73,11 @@ def per_user_rates(scenario, uav_positions: np.ndarray, params) -> np.ndarray:
     for v, members in enumerate(cohorts):
         if not members:
             continue
-        rx = np.array(
-            [
-                _received_watts(
-                    params.user_tx_power,
-                    avg_path_loss(
-                        LinkGeometry.between(scenario.user_xyz[u], uav_positions[v]), params
-                    ),
-                )
-                for u in members
-            ]
-        )
+        rx = np.empty(len(members))
+        for i, u in enumerate(members):
+            delta = scenario.user_xyz[u] - uav_positions[v]
+            loss_db = avg_path_loss(float(np.linalg.norm(delta)), abs(float(delta[2])), params)
+            rx[i] = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
         total = rx.sum()
         for i, u in enumerate(members):
             sinr = rx[i] / (total - rx[i] + params.noise_watts)

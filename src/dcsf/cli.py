@@ -31,10 +31,19 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 # generate
 
+def _require_valid(scn, params, context: str):
+    """Raise unless `scn` passes `validate_scenario`: launch positions meet C1
+    (bounds) and C2 (d_min), and the BS lies outside the bounds."""
+    problems = scenario_mod.validate_scenario(scn, params)
+    if problems:
+        raise scenario_mod.ScenarioError(f"{context}: " + "; ".join(problems))
+
+
 def _cmd_generate(args) -> int:
     bounds = Bounds(0.0, args.area, 0.0, args.area, args.alt_min, args.alt_max)
     bs = Position3(*args.bs)
     scn = generate_scenario(args.users, args.uavs, bounds, bs, args.seed)
+    _require_valid(scn, SystemParams(), f"invalid scenario, {args.out} not written")
     save_scenario(scn, args.out)
     print(f"wrote {args.out}: {scn.n_users} users, {scn.n_uavs} UAVs, seed {scn.seed}")
     return 0
@@ -98,11 +107,8 @@ def _deployment_doc(scn, params, ind) -> dict:
 
 
 def _load_valid_scenario(path, params):
-    """Load a scenario whose launch positions meet C1 (bounds) and C2 (d_min)."""
     scn = load_scenario(path)
-    problems = scenario_mod.validate_scenario(scn, params)
-    if problems:
-        raise scenario_mod.ScenarioError(f"invalid scenario {path}: " + "; ".join(problems))
+    _require_valid(scn, params, f"invalid scenario {path}")
     return scn
 
 

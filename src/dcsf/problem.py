@@ -148,7 +148,7 @@ def cluster_terms(members, k: int, q: np.ndarray, w: np.ndarray, scenario, param
 
     `members` are UAV indices in ascending order. A zero-SNR cluster gives (0, 0).
     """
-    snr = beamforming.cluster_snr(members, q, w, scenario.bs_pos.as_array(), params)
+    snr = beamforming.cluster_snr(members, q, w, scenario.bs_xyz, params)
     return semantic.semantic_terms(snr, k, params)
 
 

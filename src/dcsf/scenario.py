@@ -103,6 +103,7 @@ class Scenario:
         object.__setattr__(
             self, "uav_initial_xyz", np.array([v.initial_pos.as_array() for v in self.uavs])
         )
+        object.__setattr__(self, "bs_xyz", self.bs_pos.as_array())
 
     @property
     def n_users(self) -> int:
@@ -234,11 +235,15 @@ def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
 
 
 def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
-    """Deployment-constraint check: every UAV inside bounds, pairwise safety distance.
+    """Deployment-constraint check: every UAV inside bounds, pairwise safety
+    distance, and the BS outside the bounds (the cluster-to-BS link model is
+    far-field, and keeps every cluster centroid off the BS).
 
     Returns a list of human-readable violations; empty means ok.
     """
     problems = []
+    if scenario.bounds.contains(scenario.bs_pos):
+        problems.append(f"BS at {scenario.bs_pos} inside deployment region")
     for v in scenario.uavs:
         if not scenario.bounds.contains(v.initial_pos):
             problems.append(f"C1: UAV {v.id} at {v.initial_pos} outside deployment region")
@@ -273,7 +278,7 @@ def load_scenario(path: str | Path) -> Scenario:
         uavs = tuple(Uav(i, Position3.from_sequence(p)) for i, p in enumerate(doc["uavs_initial"]))
         bs = Position3.from_sequence(doc["bs"])
         seed = int(doc["seed"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     for u in users:
         if not (bounds.x_min <= u.pos.x <= bounds.x_max and bounds.y_min <= u.pos.y <= bounds.y_max):

@@ -397,9 +397,8 @@ def gso_step(population, scenario, params) -> None:
     current rate and every candidate k; the individual is then re-evaluated.
     """
     evaluate_population(population, scenario, params)
-    bs_xyz = scenario.bs_pos.as_array()
     for ind in population:
-        snrs = [beamforming.cluster_snr(members, ind.q, ind.w, bs_xyz, params)
+        snrs = [beamforming.cluster_snr(members, ind.q, ind.w, scenario.bs_xyz, params)
                 for members in ind.assignment.clusters()]
         rates = np.array([semantic.semantic_terms(snr, int(k), params)[0]
                           for snr, k in zip(snrs, ind.k)])

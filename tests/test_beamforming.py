@@ -5,102 +5,151 @@ import pytest
 
 from dcsf import SystemParams
 from dcsf.beamforming import (
-    ArraySpec,
-    QuadratureSpec,
     array_factor,
-    array_gain,
     cluster_snr,
-    denominator_closed_form,
     denominator_quadrature,
-    direction_to,
+    pairwise_sinc_sum,
 )
-from dcsf.channel import LinkGeometry, avg_path_loss
+from dcsf.channel import avg_path_loss
+from dcsf.scenario import SPEED_OF_LIGHT
 
 PARAMS = SystemParams()
 LAM = PARAMS.wavelength
+P = 2.0 * math.pi / LAM
 
 
-def _random_spec(rng, n=None, max_spacing_wavelengths=10.0):
+def _random_array(rng, n=None, max_spacing_wavelengths=10.0):
     n = n or int(rng.integers(2, 7))
     pos = rng.uniform(0, max_spacing_wavelengths * LAM, (n, 3))
     w = rng.uniform(0.0, 1.0, n)
     if np.all(w == 0):
         w[0] = 1.0
-    return ArraySpec(pos, w, LAM)
+    return pos, w
+
+
+def _link_loss(a, b, params):
+    delta = b - a
+    return avg_path_loss(float(np.linalg.norm(delta)), abs(float(delta[2])), params)
 
 
 def test_single_element_denominator_is_weight_squared():
-    spec = ArraySpec(np.zeros((1, 3)), np.array([0.7]), LAM)
-    assert denominator_closed_form(spec) == pytest.approx(0.49, rel=1e-12)
-    assert denominator_quadrature(spec, QuadratureSpec(64, 128)) == pytest.approx(0.49, rel=1e-6)
+    pos, w = np.zeros((1, 3)), np.array([0.7])
+    assert pairwise_sinc_sum(pos, w, P) == pytest.approx(0.49, rel=1e-12)
+    assert denominator_quadrature(pos, w, P, 64, 128) == pytest.approx(0.49, rel=1e-6)
 
 
 def test_colocated_elements_denominator_is_sum_squared():
     w = np.array([0.5, 1.0, 0.25])
-    spec = ArraySpec(np.zeros((3, 3)), w, LAM)
-    assert denominator_closed_form(spec) == pytest.approx(w.sum() ** 2, rel=1e-12)
+    assert pairwise_sinc_sum(np.zeros((3, 3)), w, P) == pytest.approx(w.sum() ** 2, rel=1e-12)
 
 
 def test_closed_form_matches_quadrature_small_arrays(rng):
     for _ in range(10):
-        spec = _random_spec(rng)
-        cf = denominator_closed_form(spec)
-        quad = denominator_quadrature(spec)
+        pos, w = _random_array(rng)
+        cf = pairwise_sinc_sum(pos, w, P)
+        quad = denominator_quadrature(pos, w, P)
         assert quad == pytest.approx(cf, rel=1e-3)
 
 
 def test_half_wavelength_pair_sinc_identity():
     # two unit elements lambda/2 apart: denominator = 2 + 2 sinc(pi) = 2 exactly
     pos = np.array([[0.0, 0.0, 0.0], [LAM / 2, 0.0, 0.0]])
-    spec = ArraySpec(pos, np.ones(2), LAM)
-    assert denominator_closed_form(spec) == pytest.approx(2.0, rel=1e-12)
+    assert pairwise_sinc_sum(pos, np.ones(2), P) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_array_factor_peak_is_weight_sum():
     pos = np.array([[0.0, 0.0, 0.0], [3 * LAM, 0.0, 0.0], [7 * LAM, 0.0, 0.0]])
     w = np.array([0.2, 0.9, 0.4])
-    spec = ArraySpec(pos, w, LAM)
     # broadside (z axis): all phases vanish because positions have z = 0
-    assert abs(array_factor(spec, 0.0, 0.0)) == pytest.approx(w.sum(), rel=1e-12)
+    assert abs(array_factor(pos, w, P, 0.0, 0.0)) == pytest.approx(w.sum(), rel=1e-12)
 
 
 def test_gain_normalization_integrates_to_eta(rng):
     # (1/4pi) integral of G over the sphere equals eta by construction
-    spec = _random_spec(rng, n=4)
-    quad = QuadratureSpec(128, 256)
-    nodes, glw = np.polynomial.legendre.leggauss(quad.n_theta)
-    phis = -math.pi + (np.arange(quad.n_phi) + 0.5) * (2 * math.pi / quad.n_phi)
+    pos, w = _random_array(rng, n=4)
+    n_theta, n_phi = 128, 256
+    nodes, glw = np.polynomial.legendre.leggauss(n_theta)
+    phis = -math.pi + (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
     total = 0.0
-    denom = denominator_closed_form(spec)
+    denom = pairwise_sinc_sum(pos, w, P)
     for ct, gw in zip(nodes, glw):
         theta = math.acos(ct)
         for phi in phis:
-            g = abs(array_factor(spec, theta, phi)) ** 2 / denom
-            total += gw * g * (2 * math.pi / quad.n_phi)
+            g = abs(array_factor(pos, w, P, theta, phi)) ** 2 / denom
+            total += gw * g * (2 * math.pi / n_phi)
     assert total / (4 * math.pi) == pytest.approx(1.0, rel=2e-3)
 
 
-def test_array_gain_rejects_zero_weights():
-    spec = ArraySpec(np.zeros((2, 3)), np.zeros(2), LAM)
-    with pytest.raises(ValueError):
-        array_gain(spec, 0.0, 0.0, 1.0)
+def _oracle_snr(q, w, bs, params):
+    """SNR from the textbook formulas, sharing no code with `cluster_snr`:
+    P * sum w^2 * |sum_i w_i exp(j p r_i . u)|^2 * eta / sum_ij w_i w_j sinc(p d_ij)
+    * 10^(-L/10) / N, with u the unit vector from the centroid to the BS."""
+    centroid = q.mean(axis=0)
+    r = bs - centroid
+    d = math.sqrt(float(r @ r))
+    elevation = math.degrees(math.asin(abs(r[2]) / d))
+    p_los = 1.0 / (1.0 + params.psi * math.exp(-params.beta * (elevation - params.psi)))
+    fspl = 20.0 * math.log10(4.0 * math.pi * d * params.frequency / SPEED_OF_LIGHT)
+    loss = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
+    if len(q) == 1:
+        tx_gain = params.uav_tx_power
+    else:
+        power = params.uav_tx_power * float(np.sum(w**2))
+        if power == 0.0:
+            return 0.0
+        p = 2.0 * math.pi / params.wavelength
+        af = np.sum(w * np.exp(1j * p * (q @ (r / d))))
+        dist = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
+        denom = float(w @ np.sinc(p * dist / math.pi) @ w)
+        tx_gain = power * abs(af) ** 2 * params.eta / denom
+    return tx_gain * 10.0 ** (-loss / 10.0) / params.noise_watts
 
 
-def test_direction_to_axes():
-    theta, phi = direction_to(np.zeros(3), np.array([0.0, 0.0, 5.0]))
-    assert theta == pytest.approx(0.0, abs=1e-12)
-    theta, phi = direction_to(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
-    assert phi == pytest.approx(0.0, abs=1e-12)
+def test_cluster_snr_matches_independent_oracle(params):
+    rng = np.random.default_rng(11)
+    sizes = [1, 1, 32, 32] + [int(v) for v in rng.integers(1, 33, 196)]
+    for case, n_uavs in enumerate(sizes):
+        q = np.column_stack([rng.uniform(0, 1000, n_uavs), rng.uniform(0, 1000, n_uavs),
+                             rng.uniform(60, 120, n_uavs)])
+        w = np.zeros(n_uavs) if case % 10 == 3 else rng.uniform(0, 1, n_uavs)
+        members = sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False))
+        bs = np.array([rng.uniform(-8000, 8000), rng.uniform(-8000, 8000), rng.uniform(0, 50)])
+        expected = _oracle_snr(q[members], w[members], bs, params)
+        assert cluster_snr(members, q, w, bs, params) == pytest.approx(expected, rel=1e-9), case
+
+
+def test_centroid_on_the_bs_is_rejected(params):
+    q = np.array([[0.0, 0.0, 80.0], [10.0, 0.0, 80.0]])
     with pytest.raises(ValueError):
-        direction_to(np.zeros(3), np.zeros(3))
+        cluster_snr([0, 1], q, np.ones(2), np.array([5.0, 0.0, 80.0]), params)
+    with pytest.raises(ValueError):
+        cluster_snr([0], q, np.ones(2), q[0].copy(), params)
+
+
+def test_unsteered_gain_follows_sub_wavelength_shifts(params):
+    # The array factor has no steering phase toward the BS, so moving one UAV
+    # lambda/2 along its own BS bearing turns the pair's sum destructive, and
+    # a full lambda restores it.
+    bs = np.array([5000.0, 5000.0, 0.0])
+    q = np.array([[400.0, 500.0, 90.0], [450.0, 520.0, 95.0]])
+    w = np.array([0.8, 0.6])
+    bearing = (bs - q[1]) / np.linalg.norm(bs - q[1])
+
+    def snr_db(shift):
+        moved = q.copy()
+        moved[1] += shift * bearing
+        return 10.0 * math.log10(cluster_snr([0, 1], moved, w, bs, params))
+
+    base = snr_db(0.0)
+    assert snr_db(LAM / 2) < base - 10.0
+    assert snr_db(LAM) == pytest.approx(base, abs=0.1)
 
 
 def test_singleton_cluster_snr_is_link_budget(params):
     q = np.array([[100.0, 100.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
     snr = cluster_snr([0], q, np.array([1.0]), bs, params)
-    loss = avg_path_loss(LinkGeometry.between(q[0], bs), params)
+    loss = _link_loss(q[0], bs, params)
     expected = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
     assert snr == pytest.approx(expected, rel=1e-12)
 
@@ -123,6 +172,6 @@ def test_cophased_pair_beats_singleton(params):
     q = np.array([[0.0, -25 * LAM, 80.0], [0.0, 25 * LAM, 80.0]])
     snr_pair = cluster_snr([0, 1], q, np.ones(2), bs, params)
     centroid = q.mean(axis=0)
-    loss = avg_path_loss(LinkGeometry.between(centroid, bs), params)
+    loss = _link_loss(centroid, bs, params)
     snr_single = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
     assert snr_pair > 2.0 * snr_single  # beamforming gain on top of power pooling

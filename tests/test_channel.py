@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 
 from dcsf import SystemParams
 from dcsf.channel import (
-    LinkGeometry,
     avg_path_loss,
     free_space_path_loss,
     los_probability,
     per_user_rates,
-    sinr_user_uav,
     sum_user_rate,
     user_rate,
 )
@@ -34,30 +32,26 @@ def test_free_space_path_loss_distance_doubling_adds_6db(params):
 
 
 def test_los_probability_overhead_near_one(params):
-    geom = LinkGeometry(100.0, 100.0)  # straight overhead
-    assert los_probability(geom, params.psi, params.beta) == pytest.approx(0.999975074537903, abs=1e-12)
+    # straight overhead
+    assert los_probability(100.0, 100.0, params.psi, params.beta) == pytest.approx(0.999975074537903, abs=1e-12)
 
 
 def test_los_probability_at_elevation_psi(params):
     # at elevation angle psi the exponent vanishes
     h = 100.0 * math.sin(math.radians(params.psi))
-    geom = LinkGeometry(100.0, h)
-    assert los_probability(geom, params.psi, params.beta) == pytest.approx(1.0 / (1.0 + params.psi), rel=1e-12)
+    assert los_probability(100.0, h, params.psi, params.beta) == pytest.approx(1.0 / (1.0 + params.psi), rel=1e-12)
 
 
 def test_los_probability_grazing(params):
-    geom = LinkGeometry(1000.0, 1e-9)
-    assert los_probability(geom, params.psi, params.beta) == pytest.approx(0.021872621233283412, rel=1e-6)
+    assert los_probability(1000.0, 1e-9, params.psi, params.beta) == pytest.approx(0.021872621233283412, rel=1e-6)
 
 
 def test_avg_path_loss_vertical_100m(params):
-    geom = LinkGeometry(100.0, 100.0)
-    assert avg_path_loss(geom, params) == pytest.approx(81.64645564878334, abs=1e-9)
+    assert avg_path_loss(100.0, 100.0, params) == pytest.approx(81.64645564878334, abs=1e-9)
 
 
 def test_avg_path_loss_between_los_and_nlos_extremes(params):
-    geom = LinkGeometry(400.0, 80.0)
-    loss = avg_path_loss(geom, params)
+    loss = avg_path_loss(400.0, 80.0, params)
     fspl = free_space_path_loss(400.0, params.frequency)
     assert fspl + params.mu_los < loss < fspl + params.mu_nlos
 
@@ -73,13 +67,6 @@ def test_user_rate_shannon():
         user_rate(-0.1, 2e6)
 
 
-def test_link_geometry_validation():
-    with pytest.raises(ValueError):
-        LinkGeometry(0.0, 0.0)
-    with pytest.raises(ValueError):
-        LinkGeometry(10.0, 11.0)
-
-
 def test_single_user_rate_matches_link_budget(small_scenario, params):
     # isolate one user straight under one UAV, far from everything else
     scn = small_scenario
@@ -87,8 +74,8 @@ def test_single_user_rate_matches_link_budget(small_scenario, params):
                   [1e7, 1e7, 100.0],
                   [2e7, 2e7, 100.0]])
     rates = per_user_rates(scn, q, params)
-    geom = LinkGeometry.between(scn.user_xyz[0], q[0])
-    rx = 0.1 * 10 ** (-avg_path_loss(geom, params) / 10.0)
+    delta = scn.user_xyz[0] - q[0]
+    rx = 0.1 * 10 ** (-avg_path_loss(float(np.linalg.norm(delta)), abs(float(delta[2])), params) / 10.0)
     cohorts = associate_users(scn, q)
     if cohorts[0] == [0]:
         assert rates[0] == pytest.approx(params.bandwidth * math.log2(1 + rx / params.noise_watts), rel=1e-9)
@@ -103,28 +90,10 @@ def test_sum_user_rate_matches_scalar_path(small_scenario, params, rng):
     assert fast == pytest.approx(slow, rel=1e-9)
 
 
-def test_sinr_user_uav_interference_reduces_sinr(small_scenario, params):
-    scn = small_scenario
-    uav = scn.uavs[0]
-    cohorts = associate_users(scn, scn.uav_initial_xyz)
-    members = [scn.users[u] for u in cohorts[0]]
-    if len(members) >= 2:
-        alone = sinr_user_uav(members[0], uav, [members[0]], params)
-        crowded = sinr_user_uav(members[0], uav, members, params)
-        assert crowded < alone
-
-
-def test_sinr_requires_membership(small_scenario, params):
-    scn = small_scenario
-    with pytest.raises(ValueError):
-        sinr_user_uav(scn.users[0], scn.uavs[0], [scn.users[1]], params)
-
-
 @given(d=st.floats(10.0, 5000.0), frac=st.floats(0.01, 1.0))
 def test_los_probability_in_open_unit_interval(d, frac):
     params = SystemParams()
-    geom = LinkGeometry(d, d * frac)
-    p = los_probability(geom, params.psi, params.beta)
+    p = los_probability(d, d * frac, params.psi, params.beta)
     assert 0.0 < p < 1.0
 
 

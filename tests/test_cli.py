@@ -34,6 +34,15 @@ def test_generate_writes_scenario(tmp_path):
     assert len(doc["uavs_initial"]) == 3
 
 
+def test_generate_rejects_an_invalid_scenario_without_writing(tmp_path, capsys):
+    # a 3 m area cannot hold 8 UAVs d_min = 5 m apart
+    scn = tmp_path / "scn.json"
+    assert main(["generate", "--area", "3", "--uavs", "8", "--out", str(scn)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: invalid scenario") and "C2: UAVs 0 and 1" in line
+    assert not scn.exists()
+
+
 def test_solve_writes_all_artifacts(tmp_path):
     scn = _generate(tmp_path)
     out = _solve(tmp_path, scn, "run")

@@ -84,7 +84,7 @@ def _f2_by_cluster(ind, scn, params):
     """f2 by direct per-cluster recomputation."""
     f2 = 0.0
     for i, members in enumerate(ind.assignment.clusters()):
-        snr = cluster_snr(members, ind.q, ind.w, scn.bs_pos.as_array(), params)
+        snr = cluster_snr(members, ind.q, ind.w, scn.bs_xyz, params)
         if snr > 0:
             xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
             f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ def test_load_rejects_malformed(tmp_path):
         load_scenario(path)
 
 
+def test_load_rejects_wrong_length_coordinates(tmp_path):
+    path = tmp_path / "bad.json"
+    save_scenario(generate_scenario(5, 2, BOUNDS, BS, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["users"][1] = [10.0, 20.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="malformed scenario file"):
+        load_scenario(path)
+
+
 def test_association_ties_go_to_lowest_id():
     scn = generate_scenario(1, 2, BOUNDS, BS, seed=0)
     # both UAVs equidistant from the user
@@ -85,6 +97,15 @@ def test_validate_scenario_flags_out_of_bounds_and_proximity():
     bad = Scenario(scn.users, uavs, BS, BOUNDS, 0)
     issues = validate_scenario(bad, params)
     assert any(v.startswith("C2") for v in issues)
+
+
+def test_validate_scenario_rejects_a_bs_inside_the_region():
+    params = SystemParams()
+    scn = generate_scenario(20, 3, BOUNDS, Position3(500.0, 500.0, 90.0), seed=0)
+    [issue] = validate_scenario(scn, params)
+    assert issue.startswith("BS at") and "inside deployment region" in issue
+    on_corner = generate_scenario(20, 3, BOUNDS, Position3(1000.0, 0.0, 60.0), seed=0)
+    assert len(validate_scenario(on_corner, params)) == 1
 
 
 def test_bounds_must_be_ordered():
