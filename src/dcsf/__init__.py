@@ -15,11 +15,8 @@ from .metrics import hypervolume, knee_index, max_spread_metric, spacing_metric
 from .problem import ClusterAssignment, Individual, ObjectiveTriple, evaluate
 from .scenario import (
     Bounds,
-    GroundUser,
-    Position3,
     Scenario,
     SystemParams,
-    Uav,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -33,19 +30,16 @@ __all__ = [
     "AdvisorInput",
     "Bounds",
     "ClusterAssignment",
-    "GroundUser",
     "Individual",
     "LlmEndpoint",
     "ObjectiveTriple",
     "ParamUpdate",
-    "Position3",
     "RotorModel",
     "RunResult",
     "Scenario",
     "SimilarityModel",
     "SolverConfig",
     "SystemParams",
-    "Uav",
     "advise",
     "avg_path_loss",
     "cluster_snr",

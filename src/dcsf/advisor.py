@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -60,11 +61,11 @@ class LlmEndpoint:
     retries: int = 1
 
     @staticmethod
-    def from_env(model: str = "gpt-4o-mini") -> "LlmEndpoint | None":
+    def from_env() -> "LlmEndpoint | None":
         url = os.environ.get(ENV_URL, "").strip()
         if not url:
             return None
-        return LlmEndpoint(url, os.environ.get(ENV_KEY, ""), model)
+        return LlmEndpoint(url, os.environ.get(ENV_KEY, ""))
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -127,23 +128,12 @@ def fallback_rule(inp: AdvisorInput) -> ParamUpdate:
 
 
 def _extract_json_object(text: str) -> dict | None:
-    """First balanced JSON object in the text, or None."""
+    """The first JSON object that parses from a `{` in the text, or None."""
+    decoder = json.JSONDecoder()
     for match in re.finditer(r"\{", text):
-        depth = 0
-        for end in range(match.start(), len(text)):
-            if text[end] == "{":
-                depth += 1
-            elif text[end] == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        doc = json.loads(text[match.start() : end + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(doc, dict):
-                        return doc
-                    break
-        else:
+        try:
+            return decoder.raw_decode(text, match.start())[0]
+        except json.JSONDecodeError:
             continue
     return None
 
@@ -178,6 +168,8 @@ def _call_endpoint(endpoint: LlmEndpoint, prompt: str) -> str:
             with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
                 return json.loads(resp.read())["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - degrade, never raise
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # a non-2xx reply: the error holds its open response
             last_exc = exc
     raise last_exc if last_exc else RuntimeError("no attempts made")
 

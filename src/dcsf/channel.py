@@ -42,7 +42,7 @@ def user_rate(sinr: float, bandwidth: float) -> float:
 
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f1: total rate of all users under nearest-UAV association."""
-    user_xyz = np.asarray(scenario.user_xyz, dtype=float)
+    user_xyz = scenario.user_xyz
     uav_xyz = np.asarray(uav_positions, dtype=float)
     diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
     d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))

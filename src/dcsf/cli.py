@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics, problem, scenario as scenario_mod, solver
 from .advisor import ENV_URL, LlmEndpoint
-from .scenario import Bounds, Position3, SystemParams, generate_scenario, load_scenario, save_scenario
+from .scenario import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
 
 
 def _json_dump(doc, path: Path) -> None:
@@ -41,8 +41,7 @@ def _require_valid(scn, params, context: str):
 
 def _cmd_generate(args) -> int:
     bounds = Bounds(0.0, args.area, 0.0, args.area, args.alt_min, args.alt_max)
-    bs = Position3(*args.bs)
-    scn = generate_scenario(args.users, args.uavs, bounds, bs, args.seed)
+    scn = generate_scenario(args.users, args.uavs, bounds, args.bs, args.seed)
     _require_valid(scn, SystemParams(), f"invalid scenario, {args.out} not written")
     save_scenario(scn, args.out)
     print(f"wrote {args.out}: {scn.n_users} users, {scn.n_uavs} UAVs, seed {scn.seed}")
@@ -184,8 +183,14 @@ def _cmd_solve(args) -> int:
 # compare
 
 def _load_front(run_dir: Path):
-    doc = json.loads((run_dir / "pareto.json").read_text())
-    return [problem.Individual.from_dict(d) for d in doc["front"]]
+    path = run_dir / "pareto.json"
+    try:
+        front = [problem.Individual.from_dict(d) for d in json.loads(path.read_text())["front"]]
+        if not front:
+            raise ValueError("empty front")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed front file {path}: {exc}") from exc
+    return front
 
 
 def _cmd_compare(args) -> int:

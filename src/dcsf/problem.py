@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamforming, channel, energy, semantic
-from .scenario import close_pairs
+from .scenario import close_pairs, deployment_violations
 
 
 class EncodingError(ValueError):
@@ -192,13 +192,7 @@ def violations_report(individual: Individual, scenario, params) -> tuple[float, 
     """Violation scalar plus a per-constraint listing (C1, C2, C6)."""
     if individual.cluster_xi is None:
         evaluate(individual, scenario, params)
-    report = []
-    lower, upper = scenario.bounds.lower, scenario.bounds.upper
-    for i, pos in enumerate(individual.q):
-        if np.any(pos < lower) or np.any(pos > upper):
-            report.append(f"C1: UAV {i} at {pos.tolist()} outside bounds")
-    for i, j, d in close_pairs(individual.q, params.d_min):
-        report.append(f"C2: UAVs {i},{j} at {d:.3f} m < {params.d_min} m")
+    report = deployment_violations(individual.q, scenario.bounds, params.d_min)
     for c, xi in enumerate(individual.cluster_xi):
         if xi < params.xi_threshold:
             report.append(f"C6: cluster {c + 1} similarity {xi:.4f} < {params.xi_threshold}")

@@ -1,13 +1,16 @@
 """World model: ground users, UAV fleet, base station, bounds, and system constants.
 
-Everything here is immutable after construction and cheap to serialize, so
-scenarios can be generated once, written to JSON, and replayed exactly.
+A scenario is plain arrays: `user_xyz` (U x 3), `uav_initial_xyz` (V x 3)
+and `bs_xyz` (3,), plus the deployment `Bounds` and the seed. Construction
+copies them to float arrays, checks their shapes and that every coordinate is
+finite, and marks them read-only, so everything here is immutable after
+construction. Scenarios are generated once, written to JSON, and replayed
+exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -21,25 +24,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 class ScenarioError(ValueError):
     """Raised for scenarios or bounds that violate the world-model invariants."""
-
-
-@dataclass(frozen=True)
-class Position3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ScenarioError(f"non-finite coordinate in {self!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_sequence(seq) -> "Position3":
-        x, y, z = (float(v) for v in seq)
-        return Position3(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -65,53 +49,37 @@ class Bounds:
     def upper(self) -> np.ndarray:
         return np.array([self.x_max, self.y_max, self.z_max])
 
-    def contains(self, pos: Position3) -> bool:
-        return bool(
-            self.x_min <= pos.x <= self.x_max
-            and self.y_min <= pos.y <= self.y_max
-            and self.z_min <= pos.z <= self.z_max
-        )
+    def contains(self, xyz) -> bool:
+        """Whether the length-3 point `xyz` lies in the region, faces included."""
+        return bool(np.all(self.lower <= xyz) and np.all(xyz <= self.upper))
 
 
-@dataclass(frozen=True)
-class GroundUser:
-    id: int
-    pos: Position3
-
-
-@dataclass(frozen=True)
-class Uav:
-    id: int
-    initial_pos: Position3
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    users: tuple[GroundUser, ...]
-    uavs: tuple[Uav, ...]
-    bs_pos: Position3
+    user_xyz: np.ndarray         # (U, 3) ground users
+    uav_initial_xyz: np.ndarray  # (V, 3) UAV launch positions
+    bs_xyz: np.ndarray           # (3,) base station
     bounds: Bounds
     seed: int
 
     def __post_init__(self):
-        if len(self.users) < 1 or len(self.uavs) < 1:
-            raise ScenarioError("need at least one user and one UAV")
-        # Precomputed coordinate arrays shared by the fast evaluation paths.
-        object.__setattr__(
-            self, "user_xyz", np.array([u.pos.as_array() for u in self.users])
-        )
-        object.__setattr__(
-            self, "uav_initial_xyz", np.array([v.initial_pos.as_array() for v in self.uavs])
-        )
-        object.__setattr__(self, "bs_xyz", self.bs_pos.as_array())
+        for name, ndim in (("user_xyz", 2), ("uav_initial_xyz", 2), ("bs_xyz", 1)):
+            xyz = np.array(getattr(self, name), dtype=float)
+            if xyz.ndim != ndim or xyz.shape[-1] != 3 or xyz.size == 0:
+                expected = "(n >= 1, 3)" if ndim == 2 else "(3,)"
+                raise ScenarioError(f"{name} has shape {xyz.shape}, expected {expected}")
+            if not np.isfinite(xyz).all():
+                raise ScenarioError(f"non-finite coordinate in {name}")
+            xyz.setflags(write=False)
+            object.__setattr__(self, name, xyz)
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return len(self.user_xyz)
 
     @property
     def n_uavs(self) -> int:
-        return len(self.uavs)
+        return len(self.uav_initial_xyz)
 
 
 @dataclass(frozen=True)
@@ -181,21 +149,18 @@ def generate_scenario(
     n_users: int,
     n_uavs: int,
     bounds: Bounds,
-    bs_pos: Position3,
+    bs_xyz,
     seed: int,
 ) -> Scenario:
-    """Seeded scenario: users uniform on the ground plane, UAVs on the launch grid."""
+    """Seeded scenario: users uniform on the ground plane, UAVs on the launch
+    grid, the BS at the (x, y, z) sequence `bs_xyz`."""
     if n_users < 1 or n_uavs < 1:
         raise ScenarioError("need n_users >= 1 and n_uavs >= 1")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(bounds.x_min, bounds.x_max, n_users)
     ys = rng.uniform(bounds.y_min, bounds.y_max, n_users)
-    users = tuple(
-        GroundUser(i, Position3(float(xs[i]), float(ys[i]), 0.0)) for i in range(n_users)
-    )
-    launch = launch_positions(n_uavs, bounds)
-    uavs = tuple(Uav(i, Position3.from_sequence(launch[i])) for i in range(n_uavs))
-    return Scenario(users, uavs, bs_pos, bounds, seed)
+    users = np.column_stack([xs, ys, np.zeros(n_users)])
+    return Scenario(users, launch_positions(n_uavs, bounds), bs_xyz, bounds, seed)
 
 
 def associate_users(scenario: Scenario, uav_positions: np.ndarray) -> list[list[int]]:
@@ -234,53 +199,55 @@ def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
     return out
 
 
+def deployment_violations(q: np.ndarray, bounds: Bounds, d_min: float) -> list[str]:
+    """C1 (every UAV inside the bounds) and C2 (pairwise safety distance)
+    violations of the UAV positions `q`, one human-readable line each."""
+    problems = [
+        f"C1: UAV {i} at {pos.tolist()} outside deployment region"
+        for i, pos in enumerate(q)
+        if not bounds.contains(pos)
+    ]
+    problems += [
+        f"C2: UAVs {i} and {j} at distance {d:.3f} m < d_min {d_min} m"
+        for i, j, d in close_pairs(q, d_min)
+    ]
+    return problems
+
+
 def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
-    """Deployment-constraint check: every UAV inside bounds, pairwise safety
-    distance, and the BS outside the bounds (the cluster-to-BS link model is
-    far-field, and keeps every cluster centroid off the BS).
+    """Launch positions against C1 and C2, and the BS outside the bounds (the
+    cluster-to-BS link model is far-field, and keeps every cluster centroid
+    off the BS).
 
     Returns a list of human-readable violations; empty means ok.
     """
     problems = []
-    if scenario.bounds.contains(scenario.bs_pos):
-        problems.append(f"BS at {scenario.bs_pos} inside deployment region")
-    for v in scenario.uavs:
-        if not scenario.bounds.contains(v.initial_pos):
-            problems.append(f"C1: UAV {v.id} at {v.initial_pos} outside deployment region")
-    for i, j, d in close_pairs(scenario.uav_initial_xyz, params.d_min):
-        problems.append(
-            f"C2: UAVs {scenario.uavs[i].id} and {scenario.uavs[j].id} "
-            f"at distance {d:.3f} m < d_min {params.d_min} m"
-        )
-    return problems
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "users": [[u.pos.x, u.pos.y, u.pos.z] for u in scenario.users],
-        "uavs_initial": [[v.initial_pos.x, v.initial_pos.y, v.initial_pos.z] for v in scenario.uavs],
-        "bs": [scenario.bs_pos.x, scenario.bs_pos.y, scenario.bs_pos.z],
-        "bounds": asdict(scenario.bounds),
-        "seed": scenario.seed,
-    }
+    if scenario.bounds.contains(scenario.bs_xyz):
+        problems.append(f"BS at {scenario.bs_xyz.tolist()} inside deployment region")
+    return problems + deployment_violations(scenario.uav_initial_xyz, scenario.bounds, params.d_min)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    doc = {
+        "users": scenario.user_xyz.tolist(),
+        "uavs_initial": scenario.uav_initial_xyz.tolist(),
+        "bs": scenario.bs_xyz.tolist(),
+        "bounds": asdict(scenario.bounds),
+        "seed": scenario.seed,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario JSON document (see scenario_to_dict for the schema)."""
-    doc = json.loads(Path(path).read_text())
+    """Load and validate a scenario JSON document (see save_scenario for the schema)."""
     try:
+        doc = json.loads(Path(path).read_text())
         bounds = Bounds(**doc["bounds"])
-        users = tuple(GroundUser(i, Position3.from_sequence(p)) for i, p in enumerate(doc["users"]))
-        uavs = tuple(Uav(i, Position3.from_sequence(p)) for i, p in enumerate(doc["uavs_initial"]))
-        bs = Position3.from_sequence(doc["bs"])
-        seed = int(doc["seed"])
+        scn = Scenario(doc["users"], doc["uavs_initial"], doc["bs"], bounds, int(doc["seed"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
-    for u in users:
-        if not (bounds.x_min <= u.pos.x <= bounds.x_max and bounds.y_min <= u.pos.y <= bounds.y_max):
-            raise ScenarioError(f"user {u.id} outside area bounds")
-    return Scenario(users, uavs, bs, bounds, seed)
+    xy = scn.user_xyz[:, :2]
+    outside = np.flatnonzero(((xy < bounds.lower[:2]) | (xy > bounds.upper[:2])).any(axis=1))
+    if len(outside):
+        raise ScenarioError(f"user {outside[0]} outside area bounds")
+    return scn

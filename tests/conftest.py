@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsf import Bounds, Position3, SystemParams, generate_scenario
+from dcsf import Bounds, SystemParams, generate_scenario
 
 
 @pytest.fixture
@@ -12,7 +12,7 @@ def params():
 @pytest.fixture
 def small_scenario():
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
-    return generate_scenario(20, 3, bounds, Position3(2000.0, 2000.0, 0.0), seed=1)
+    return generate_scenario(20, 3, bounds, (2000.0, 2000.0, 0.0), seed=1)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dcsf import Bounds, Position3, SystemParams, generate_scenario
+from dcsf import Bounds, SystemParams, generate_scenario
 from dcsf.advisor import P_C_BOUNDS, P_M_BOUNDS, AdvisorInput, advise, _parse_params
 from dcsf.beamforming import cluster_snr, denominator_quadrature, pairwise_sinc_sum
 from dcsf.cli import main
@@ -207,7 +207,7 @@ def test_acceptance_05_gca_greedy_optimality():
     total_merges = 0
     for i in range(50):
         n_v = int(rng.integers(2, 6))
-        bs = Position3(3000.0, 250.0, 0.0)
+        bs = (3000.0, 250.0, 0.0)
         scn = generate_scenario(15, n_v, bounds, bs, seed=100 + i)
         if i % 2 == 0:
             ind = _random_individual(scn, rng)
@@ -264,7 +264,7 @@ def test_acceptance_06_gso_exactness():
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
     for i in range(50):
         n_v = int(rng.integers(2, 6))
-        scn = generate_scenario(15, n_v, bounds, Position3(2000.0, 2000.0, 0.0), seed=200 + i)
+        scn = generate_scenario(15, n_v, bounds, (2000.0, 2000.0, 0.0), seed=200 + i)
         ind = _random_individual(scn, rng)
         oracle = _gso_oracle(ind.copy(), scn, PARAMS)
         gso_step([ind], scn, PARAMS)
@@ -328,7 +328,7 @@ def _paired_hypervolumes(front_a, front_b):
 
 def test_acceptance_09_advisor_beats_static_on_scaled_problem():
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
-    scn = generate_scenario(50, 4, bounds, Position3(5000.0, 5000.0, 0.0), seed=1)
+    scn = generate_scenario(50, 4, bounds, (5000.0, 5000.0, 0.0), seed=1)
     start = time.perf_counter()
     wins = 0
     ratios = []
@@ -357,7 +357,7 @@ def test_acceptance_09_advisor_beats_static_on_scaled_problem():
 
 def test_acceptance_10_full_scale_knee_magnitudes():
     bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
-    scn = generate_scenario(500, 8, bounds, Position3(5000.0, 5000.0, 0.0), seed=0)
+    scn = generate_scenario(500, 8, bounds, (5000.0, 5000.0, 0.0), seed=0)
     cfg = SolverConfig(population_size=30, t_ao=20, t_local=10, seed=0,
                        advisor_mode="fallback")
     result = run("llm-aoa", scn, PARAMS, cfg)

@@ -1,6 +1,9 @@
+import gc
 import http.server
 import json
 import threading
+import urllib.error
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from dcsf.advisor import (
     AdvisorInput,
     LlmEndpoint,
     ParamUpdate,
+    _call_endpoint,
     advise,
     fallback_rule,
     render_prompt,
@@ -71,6 +75,12 @@ def test_llm_mode_extracts_embedded_json():
     body = 'Sure, here you go:\n```json\n{"p_c": 0.65, "p_m": 0.25}\n```\nGood luck.'
     upd = advise(_inp(), "llm", transport=lambda prompt: body)
     assert (upd.p_c, upd.p_m, upd.source) == (0.65, 0.25, "llm")
+
+
+def test_llm_mode_parses_an_object_with_a_brace_in_a_string():
+    body = '{"note": "keep } balanced", "p_c": 0.5, "p_m": 0.2}'
+    upd = advise(_inp(), "llm", transport=lambda prompt: body)
+    assert (upd.p_c, upd.p_m, upd.source) == (0.5, 0.2, "llm")
 
 
 def test_llm_mode_clamps_out_of_range_reply():
@@ -215,3 +225,14 @@ def test_llm_mode_falls_back_on_a_malformed_reply(chat_server):
     upd = advise(_inp(), "llm", endpoint=ep)
     assert upd.source == "fallback"
     assert len(chat_server.posts) == 1
+
+
+def test_a_server_error_reply_is_closed(chat_server):
+    chat_server.reply(500, "{}")
+    ep = LlmEndpoint(chat_server.url, timeout=5.0, retries=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(urllib.error.HTTPError):
+            _call_endpoint(ep, "prompt")
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -192,3 +192,46 @@ def test_solve_reports_a_feasible_front(tmp_path, capsys):
     assert report["best_violation"] == 0.0
     assert captured.err == ""
     assert "llm-aoa: front of" in captured.out
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A scenario, a run on it, a non-JSON scenario and three malformed fronts."""
+    root = tmp_path_factory.mktemp("inputs")
+    _solve(root, _generate(root), "run")
+    (root / "notjson.json").write_text("not json\n")
+    for name, text in (("run-obj", "{}"), ("run-list", "[]"), ("run-empty", '{"front": []}')):
+        (root / name).mkdir()
+        (root / name / "pareto.json").write_text(text)
+    return root
+
+
+BAD_INPUTS = {
+    "bs-nan": (["generate", "--bs", "nan", "0", "0", "--out", "{root}/out.json"],
+               "non-finite coordinate"),
+    "alt-order": (["generate", "--alt-min", "120", "--alt-max", "60", "--out", "{root}/out.json"],
+                  "bounds not well-ordered"),
+    "pop-3": (["solve", "--scenario", "{root}/scn.json", "--pop", "3", "--out", "{root}/out"],
+              "population size"),
+    "t-ao-0": (["solve", "--scenario", "{root}/scn.json", "--t-ao", "0", "--out", "{root}/out"],
+               "iteration counts"),
+    "index-abc": (["export-deployment", "--scenario", "{root}/scn.json", "--run", "{root}/run",
+                   "--index", "abc", "--out", "{root}/out.json"], "invalid literal"),
+    "front-obj": (["compare", "{root}/run-obj"], "malformed front file"),
+    "front-list": (["export-deployment", "--scenario", "{root}/scn.json", "--run", "{root}/run-list",
+                    "--out", "{root}/out.json"], "malformed front file"),
+    "front-empty": (["compare", "{root}/run", "{root}/run-empty"], "malformed front file"),
+    "scenario-not-json": (["solve", "--scenario", "{root}/notjson.json", "--out", "{root}/out"],
+                          "malformed scenario file"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_a_bad_input_is_one_error_line(inputs, capsys, case):
+    argv, message = BAD_INPUTS[case]
+    capsys.readouterr()
+    assert main([arg.format(root=inputs) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and line.startswith("error: ") and message in line
+    assert not (inputs / "out.json").exists() and not (inputs / "out").exists()

@@ -9,6 +9,7 @@ Any change to a front, a history row or the knee deployment shows up here,
 where comparing two runs of the same code cannot catch it.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,14 @@ CASES = {
 }
 
 
+# SHA-256 of `dcsf generate --users 40 --uavs N --seed 0`, recorded while the
+# scenario still held one object per user and per UAV next to its arrays
+SCENARIO_SHA256 = {
+    6: "2936f5979f54ba1f0ba38f2d3bff78c8982ac087ae0ba7da4fbd3ee6bab8a8f5",
+    20: "0fd8b40aed0eab731d3081db70d7fd4e43c6ec55e8ba4eb59010b296de787bda",
+}
+
+
 @pytest.fixture(scope="module")
 def scenarios(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -34,6 +43,7 @@ def scenarios(tmp_path_factory):
         path = root / f"scenario-v{uavs}.json"
         assert main(["generate", "--users", "40", "--uavs", str(uavs), "--seed", "0",
                      "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIO_SHA256[uavs]
         paths[uavs] = path
     return paths
 

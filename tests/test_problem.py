@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import Bounds, Position3, SystemParams, generate_scenario
+from dcsf import Bounds, SystemParams, generate_scenario
 from dcsf.channel import per_user_rates
 from dcsf.beamforming import cluster_snr
 from dcsf.problem import (
@@ -162,7 +162,7 @@ def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
     d_min = params.d_min
     for n in (2, 8, 24):
         scn = generate_scenario(10, n, Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0),
-                                Position3(2000.0, 2000.0, 0.0), seed=n)
+                                (2000.0, 2000.0, 0.0), seed=n)
         for spread in (2.0, 6.0, 15.0):  # box sides of a few d_min: most pairs are close
             q = np.array([250.0, 250.0, 80.0]) + rng.random((n, 3)) * spread
             assert close_pairs(q, d_min) == _close_pairs_double_loop(q, d_min)

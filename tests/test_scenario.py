@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dcsf import Bounds, Position3, SystemParams, generate_scenario, load_scenario, save_scenario
+from dcsf import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
 from dcsf.scenario import (
+    Scenario,
     ScenarioError,
     associate_users,
     launch_positions,
@@ -12,7 +13,7 @@ from dcsf.scenario import (
 )
 
 BOUNDS = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
-BS = Position3(5000.0, 5000.0, 0.0)
+BS = (5000.0, 5000.0, 0.0)
 
 
 def test_generate_is_seed_deterministic():
@@ -47,7 +48,7 @@ def test_roundtrip_through_json(tmp_path):
     loaded = load_scenario(path)
     assert np.array_equal(loaded.user_xyz, scn.user_xyz)
     assert np.array_equal(loaded.uav_initial_xyz, scn.uav_initial_xyz)
-    assert loaded.bs_pos == scn.bs_pos
+    assert np.array_equal(loaded.bs_xyz, scn.bs_xyz)
     assert loaded.seed == scn.seed
 
 
@@ -90,21 +91,17 @@ def test_validate_scenario_flags_out_of_bounds_and_proximity():
     params = SystemParams()
     assert validate_scenario(scn, params) == []
     # rebuild with the two UAVs stacked on top of each other
-    from dcsf.scenario import Scenario, Uav
-
-    p = Position3(10.0, 10.0, 70.0)
-    uavs = tuple(Uav(i, p) for i in range(2))
-    bad = Scenario(scn.users, uavs, BS, BOUNDS, 0)
+    bad = Scenario(scn.user_xyz, [(10.0, 10.0, 70.0)] * 2, BS, BOUNDS, 0)
     issues = validate_scenario(bad, params)
     assert any(v.startswith("C2") for v in issues)
 
 
 def test_validate_scenario_rejects_a_bs_inside_the_region():
     params = SystemParams()
-    scn = generate_scenario(20, 3, BOUNDS, Position3(500.0, 500.0, 90.0), seed=0)
+    scn = generate_scenario(20, 3, BOUNDS, (500.0, 500.0, 90.0), seed=0)
     [issue] = validate_scenario(scn, params)
     assert issue.startswith("BS at") and "inside deployment region" in issue
-    on_corner = generate_scenario(20, 3, BOUNDS, Position3(1000.0, 0.0, 60.0), seed=0)
+    on_corner = generate_scenario(20, 3, BOUNDS, (1000.0, 0.0, 60.0), seed=0)
     assert len(validate_scenario(on_corner, params)) == 1
 
 
@@ -113,9 +110,47 @@ def test_bounds_must_be_ordered():
         Bounds(10.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
-def test_position_rejects_non_finite():
-    with pytest.raises(ScenarioError):
-        Position3(float("nan"), 0.0, 0.0)
+def test_load_rejects_a_non_finite_coordinate(tmp_path):
+    path = tmp_path / "bad.json"
+    save_scenario(generate_scenario(5, 2, BOUNDS, BS, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["uavs_initial"][1][2] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="malformed scenario file"):
+        load_scenario(path)
+
+
+def test_scenario_arrays_are_read_only():
+    scn = generate_scenario(5, 2, BOUNDS, BS, seed=0)
+    for xyz in (scn.user_xyz, scn.uav_initial_xyz, scn.bs_xyz):
+        with pytest.raises(ValueError):
+            xyz[0] = 1.0
+
+
+def test_scenario_copies_its_inputs():
+    users = np.array([[1.0, 2.0, 0.0]])
+    scn = Scenario(users, [(0.0, 0.0, 60.0)], BS, BOUNDS, 0)
+    users[0, 0] = 9.0
+    assert scn.user_xyz[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("users, uavs, bs", [
+    ([], [(0.0, 0.0, 60.0)], BS),
+    ([(1.0, 2.0)], [(0.0, 0.0, 60.0)], BS),
+    ([(1.0, 2.0, 0.0)], [(0.0, 0.0, 60.0)], (1.0, 2.0)),
+    ([(1.0, 2.0, 0.0)], (0.0, 0.0, 60.0), BS),
+])
+def test_scenario_rejects_wrong_shapes(users, uavs, bs):
+    with pytest.raises(ScenarioError, match="shape"):
+        Scenario(users, uavs, bs, BOUNDS, 0)
+
+
+def test_save_of_a_loaded_file_is_byte_identical(tmp_path):
+    path = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(30, 3, BOUNDS, (5000, -2.5, 1e3), seed=4), path)
+    again = tmp_path / "again.json"
+    save_scenario(load_scenario(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_generate_rejects_empty():

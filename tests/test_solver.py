@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcsf import Bounds, Position3, SystemParams, beamforming, generate_scenario, metrics, problem
+from dcsf import Bounds, SystemParams, beamforming, generate_scenario, metrics, problem
 from dcsf.problem import (
     ClusterAssignment,
     Individual,
@@ -179,7 +179,7 @@ def _gca_oracle(ind, scn, params):
 @pytest.mark.parametrize("n_uavs,n_individuals", [(8, 8), (16, 4), (24, 3)])
 def test_gca_matches_exhaustive_oracle_and_rates_each_cluster_once(n_uavs, n_individuals, monkeypatch):
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
-    scn = generate_scenario(50, n_uavs, bounds, Position3(2000.0, 2000.0, 0.0), seed=n_uavs)
+    scn = generate_scenario(50, n_uavs, bounds, (2000.0, 2000.0, 0.0), seed=n_uavs)
     rng = np.random.default_rng(n_uavs)
     calls = []
     real_snr = beamforming.cluster_snr
@@ -257,7 +257,7 @@ def test_gso_matches_from_scratch_argmax(small_scenario, rng):
 
 def test_gso_computes_each_cluster_snr_once(monkeypatch):
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
-    scn = generate_scenario(50, 12, bounds, Position3(2000.0, 2000.0, 0.0), seed=12)
+    scn = generate_scenario(50, 12, bounds, (2000.0, 2000.0, 0.0), seed=12)
     rng = np.random.default_rng(12)
     population = [_random_individual(scn, rng) for _ in range(6)]
     for ind in population:
