@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, associate_users
+from .scenario import SPEED_OF_LIGHT, associate_users, nearest_uavs
 
 
 def los_probability(d: float, h: float, psi: float, beta: float) -> float:
@@ -44,11 +44,7 @@ def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f1: total rate of all users under nearest-UAV association."""
     user_xyz = scenario.user_xyz
     uav_xyz = np.asarray(uav_positions, dtype=float)
-    diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
-    d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))
-    nearest = np.argmin(d, axis=1)
-
-    d_star = d[np.arange(len(user_xyz)), nearest]
+    nearest, d_star = nearest_uavs(user_xyz, uav_xyz)
     h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
     elevation_deg = np.degrees(np.arcsin(h_star / d_star))
     p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))

@@ -11,7 +11,9 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Bounds:
-    """Axis-aligned deployment region, min < max per axis."""
+    """Axis-aligned deployment region: finite real numbers, min < max per axis."""
 
     x_min: float
     x_max: float
@@ -38,6 +40,10 @@ class Bounds:
     z_max: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ScenarioError(f"bound {f.name} = {value!r} is not a finite real number")
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.z_min < self.z_max):
             raise ScenarioError(f"bounds not well-ordered: {self}")
 
@@ -163,15 +169,39 @@ def generate_scenario(
     return Scenario(users, launch_positions(n_uavs, bounds), bs_xyz, bounds, seed)
 
 
+def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, distance) of each user's nearest UAV; ties go to the lowest index.
+
+    The (V, U) distances are built one coordinate at a time. Summing the
+    squares as (dx² + dz²) + dy² reproduces, bit for bit, a (U, V, 3)
+    `einsum("uvk,uvk->uv")` (the oracle in tests/test_channel.py);
+    (dx² + dy²) + dz² does not.
+    """
+    d = user_xyz[:, 0] - uav_xyz[:, 0, None]
+    d *= d
+    square = user_xyz[:, 2] - uav_xyz[:, 2, None]
+    square *= square
+    d += square
+    np.subtract(user_xyz[:, 1], uav_xyz[:, 1, None], out=square)
+    square *= square
+    d += square
+    np.sqrt(d, out=d)
+    d_near = d.min(axis=0)
+    # the first minimum over V (the lowest index writes last); np.argmin(axis=0)
+    # is slower on this layout
+    nearest = np.zeros(len(user_xyz), dtype=np.intp)
+    for v in range(len(uav_xyz) - 1, -1, -1):
+        nearest[d[v] == d_near] = v
+    return nearest, d_near
+
+
 def associate_users(scenario: Scenario, uav_positions: np.ndarray) -> list[list[int]]:
-    """Nearest-UAV association; ties broken by lowest UAV id.
+    """Nearest-UAV association, the one f1 uses; ties broken by lowest UAV id.
 
     Returns one user-index list per UAV; the lists partition all users.
     """
     uav_positions = np.asarray(uav_positions, dtype=float)
-    diffs = scenario.user_xyz[:, None, :] - uav_positions[None, :, :]
-    d2 = np.einsum("uvk,uvk->uv", diffs, diffs)
-    nearest = np.argmin(d2, axis=1)  # argmin returns the first (lowest) index on ties
+    nearest, _ = nearest_uavs(scenario.user_xyz, uav_positions)
     cohorts: list[list[int]] = [[] for _ in range(len(uav_positions))]
     for u, v in enumerate(nearest):
         cohorts[v].append(u)

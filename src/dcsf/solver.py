@@ -8,7 +8,8 @@ with a static advisor, and a flat NSGA-II over every variable at once.
 
 All three modes run the same NSGA-II generation, `nsga2_generation`; they
 differ only in the genome and its decoding. Parents carry their objectives
-across generations, so each generation evaluates only its offspring.
+across generations, so each generation evaluates only the offspring that
+differ from their parent.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ P_C_INITIAL = 0.8
 P_M_INITIAL = 0.4
 SBX_ETA = 15.0
 POLY_ETA = 20.0
+# Consecutive generations without an `llm`-sourced update after which an
+# `llm` advisor is replaced by the fallback rule for the rest of the run.
+LLM_FAILURE_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -346,6 +350,19 @@ def polynomial_mutation(genes, lower, upper, eta, rng):
     return np.clip(out, lower, upper)
 
 
+def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
+    """Give `child` its parent's evaluation when its (c, Q, w, k) equal the
+    parent's byte for byte (so -0.0 and NaN cannot alias); such a child
+    would evaluate to exactly the same values."""
+    if (child.assignment.labels == parent.assignment.labels
+            and child.k.tobytes() == parent.k.tobytes()
+            and child.q.tobytes() == parent.q.tobytes()
+            and child.w.tobytes() == parent.w.tobytes()):
+        child.objectives, child.violation = parent.objectives, parent.violation
+        child.cluster_xi = parent.cluster_xi.copy()
+    return child
+
+
 def nsga2_generation(population, genomes, scenario, params, bounds, decode,
                      p_c: float, p_m: float, rng):
     """One NSGA-II generation: SBX offspring, polynomial mutants, elitist
@@ -353,7 +370,8 @@ def nsga2_generation(population, genomes, scenario, params, bounds, decode,
 
     `genomes[i]` is the real-valued genome of `population[i]`, `bounds` its
     (lower, upper) gene bounds, and `decode(parent, genes)` builds one
-    offspring. Parents keep their objectives; only offspring are evaluated.
+    offspring. Parents keep their objectives, and an offspring equal to its
+    parent inherits them; only the other offspring are evaluated.
     Returns the M survivors and their genomes.
     """
     evaluate_population(population, scenario, params)
@@ -376,7 +394,8 @@ def nsga2_generation(population, genomes, scenario, params, bounds, decode,
         i = pick()
         children.append((i, polynomial_mutation(genomes[i], lower, upper, POLY_ETA, rng)))
 
-    offspring = [decode(population[i], genes) for i, genes in children]
+    offspring = [_inherit_if_clone(population[i], decode(population[i], genes))
+                 for i, genes in children]
     evaluate_population(offspring, scenario, params)
     pool = population + offspring
     pool_genomes = list(genomes) + [genes for _, genes in children]
@@ -394,10 +413,12 @@ def gso_step(population, scenario, params) -> None:
     Candidates violating the similarity threshold are skipped; if no candidate
     reaches it, the max-similarity value is taken and the violation stands.
     Each cluster's SNR is computed once per individual and shared by its
-    current rate and every candidate k; the individual is then re-evaluated.
+    current rate and every candidate k; the individual is then re-evaluated
+    if its k changed.
     """
     evaluate_population(population, scenario, params)
     for ind in population:
+        k_before = ind.k.copy()
         snrs = [beamforming.cluster_snr(members, ind.q, ind.w, scenario.bs_xyz, params)
                 for members in ind.assignment.clusters()]
         rates = np.array([semantic.semantic_terms(snr, int(k), params)[0]
@@ -420,7 +441,8 @@ def gso_step(population, scenario, params) -> None:
                         best_f2, best_xi, best_k, best_rate = f2, xi, k, sr
             ind.k[i] = best_k
             rates[i] = best_rate
-        problem.evaluate(ind, scenario, params)
+        if not np.array_equal(ind.k, k_before):
+            problem.evaluate(ind, scenario, params)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +490,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
 
     bounds = _gene_bounds(scenario, params)
     p_c, p_m = P_C_INITIAL, P_M_INITIAL
+    advisor_mode, llm_failures = config.advisor_mode, 0
     window: list[tuple[float, float]] = []
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
@@ -485,8 +508,13 @@ def run(mode: str, scenario, params, config: SolverConfig,
                 objective_ranges=tuple((float(objs[:, i].min()), float(objs[:, i].max())) for i in range(3)),
                 history=tuple(window[-5:]),
             )
-            update = advisor_mod.advise(inp, config.advisor_mode, endpoint=endpoint, transport=transport)
+            update = advisor_mod.advise(inp, advisor_mode, endpoint=endpoint, transport=transport)
             p_c, p_m = update.p_c, update.p_m
+            if advisor_mode == "llm":
+                # circuit breaker: a dead endpoint stops costing a timeout per generation
+                llm_failures = 0 if update.source == "llm" else llm_failures + 1
+                if llm_failures == LLM_FAILURE_LIMIT:
+                    advisor_mode = "fallback"
             window.append((sp, m3))
         gso_step(population, scenario, params)
         population = select_best(population, config.population_size)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import SystemParams
+from dcsf import Bounds, SystemParams, generate_scenario
 from dcsf.channel import (
     avg_path_loss,
     free_space_path_loss,
@@ -13,7 +13,7 @@ from dcsf.channel import (
     sum_user_rate,
     user_rate,
 )
-from dcsf.scenario import associate_users
+from dcsf.scenario import SPEED_OF_LIGHT, Scenario, associate_users, nearest_uavs
 
 
 def test_carrier_frequency_derived_from_wavelength(params):
@@ -88,6 +88,61 @@ def test_sum_user_rate_matches_scalar_path(small_scenario, params, rng):
     fast = sum_user_rate(small_scenario, q, params)
     slow = per_user_rates(small_scenario, q, params).sum()
     assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def _sum_user_rate_oracle(scenario, uav_xyz, params):
+    """f1 as it was first vectorized: a (U, V, 3) einsum and the first argmin
+    over each user's row of distances."""
+    user_xyz = scenario.user_xyz
+    diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
+    d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))
+    nearest = np.argmin(d, axis=1)
+    d_star = d[np.arange(len(user_xyz)), nearest]
+    h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
+    elevation_deg = np.degrees(np.arcsin(h_star / d_star))
+    p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))
+    fspl = (
+        20.0 * np.log10(d_star)
+        + 20.0 * np.log10(params.frequency)
+        + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+    )
+    loss_db = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
+    rx = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
+    totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))
+    sinr = rx / (totals[nearest] - rx + params.noise_watts)
+    return float(params.bandwidth * np.sum(np.log2(1.0 + sinr))), nearest
+
+
+@pytest.mark.parametrize("n_users, n_uavs", [(500, 8), (2000, 8), (300, 32), (400, 1), (1, 1), (1, 12)])
+def test_sum_user_rate_equals_the_einsum_oracle(params, n_users, n_uavs):
+    bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
+    scn = generate_scenario(n_users, n_uavs, bounds, (5000.0, 5000.0, 0.0), seed=n_users + n_uavs)
+    rng = np.random.default_rng(n_uavs)
+    for _ in range(10):
+        q = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
+        rate, nearest = _sum_user_rate_oracle(scn, q, params)
+        assert sum_user_rate(scn, q, params) == rate
+        assert list(nearest_uavs(scn.user_xyz, q)[0]) == list(nearest)
+
+
+def test_sum_user_rate_ties_and_a_user_under_a_uav(params):
+    users = [[0.0, 0.0, 0.0], [300.0, 200.0, 0.0], [600.0, 600.0, 0.0]]
+    q = np.array([
+        [500.0, 500.0, 90.0],
+        [10.0, 0.0, 70.0],    # user 0 is equidistant from UAVs 1 and 2 ...
+        [-10.0, 0.0, 70.0],
+        [300.0, 200.0, 80.0],  # ... and user 1 is directly under UAV 3
+        [0.0, 10.0, 70.0],    # user 0 is as far from UAV 4 as well
+    ])
+    bounds = Bounds(-100.0, 1000.0, -100.0, 1000.0, 60.0, 120.0)
+    scn = Scenario(users, q, (5000.0, 5000.0, 0.0), bounds, seed=0)
+    nearest, d_near = nearest_uavs(scn.user_xyz, q)
+    assert list(nearest) == [1, 3, 0]  # the lowest of the tied UAVs wins
+    assert d_near[1] == 80.0
+    rate, oracle_nearest = _sum_user_rate_oracle(scn, q, params)
+    assert list(oracle_nearest) == [1, 3, 0]
+    assert sum_user_rate(scn, q, params) == rate
+    assert associate_users(scn, q) == [[2], [0], [], [1], []]
 
 
 @given(d=st.floats(10.0, 5000.0), frac=st.floats(0.01, 1.0))

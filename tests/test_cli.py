@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -196,10 +197,16 @@ def test_solve_reports_a_feasible_front(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A scenario, a run on it, a non-JSON scenario and three malformed fronts."""
+    """A scenario, a run on it, a non-JSON scenario, two scenarios with bad
+    bounds and three malformed fronts."""
     root = tmp_path_factory.mktemp("inputs")
-    _solve(root, _generate(root), "run")
+    scn = _generate(root)
+    _solve(root, scn, "run")
     (root / "notjson.json").write_text("not json\n")
+    for name, bounds in (("bounds-inf", {"x_max": math.inf}), ("bounds-str", {"x_min": "0", "x_max": "1000"})):
+        doc = json.loads(scn.read_text())
+        doc["bounds"].update(bounds)
+        (root / f"{name}.json").write_text(json.dumps(doc))
     for name, text in (("run-obj", "{}"), ("run-list", "[]"), ("run-empty", '{"front": []}')):
         (root / name).mkdir()
         (root / name / "pareto.json").write_text(text)
@@ -223,6 +230,10 @@ BAD_INPUTS = {
     "front-empty": (["compare", "{root}/run", "{root}/run-empty"], "malformed front file"),
     "scenario-not-json": (["solve", "--scenario", "{root}/notjson.json", "--out", "{root}/out"],
                           "malformed scenario file"),
+    "bounds-inf": (["solve", "--scenario", "{root}/bounds-inf.json", "--out", "{root}/out"],
+                   "malformed scenario file"),
+    "bounds-str": (["solve", "--scenario", "{root}/bounds-str.json", "--out", "{root}/out"],
+                   "malformed scenario file"),
 }
 
 

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dcsf import Bounds, SystemParams, beamforming, generate_scenario, metrics, problem
+from dcsf import Bounds, SystemParams, beamforming, generate_scenario, metrics, problem, solver
 from dcsf.problem import (
     ClusterAssignment,
     Individual,
@@ -14,6 +15,7 @@ from dcsf.problem import (
     evaluate,
 )
 from dcsf.solver import (
+    LLM_FAILURE_LIMIT,
     P_C_INITIAL,
     P_M_INITIAL,
     SolverConfig,
@@ -343,11 +345,99 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
+    # wrap every generation's decoder to count, independently of the solver,
+    # the offspring whose (c, Q, w, k) differ from their parent's
+    differs = []
+    real_generation = solver.nsga2_generation
+
+    def counted_generation(population, genomes, scenario, params, bounds, decode, *rest):
+        def counted_decode(parent, genes):
+            child = decode(parent, genes)
+            fields = ("c", "Q", "w", "k")
+            differs.append(any(child.to_dict()[f] != parent.to_dict()[f] for f in fields))
+            return child
+
+        return real_generation(population, genomes, scenario, params, bounds, counted_decode, *rest)
+
+    monkeypatch.setattr(solver, "nsga2_generation", counted_generation)
     calls = _count_calls(monkeypatch, problem, "evaluate")
     cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, seed=0)
     run("monolithic-nsga2", small_scenario, PARAMS, cfg)
     offspring = 2 * (int(round(P_C_INITIAL * 8)) // 2) + int(round(P_M_INITIAL * 8))
-    assert len(calls) == 8 + 2 * 3 * offspring
+    assert len(differs) == 2 * 3 * offspring
+    assert 0 < differs.count(False) < len(differs)  # the clone skip is exercised
+    assert len(calls) == 8 + differs.count(True)
+
+
+def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monkeypatch):
+    pop = [_random_individual(small_scenario, rng) for _ in range(8)]
+    for ind in pop:
+        evaluate(ind, small_scenario, PARAMS)
+    genomes = [_genes_of(ind) for ind in pop]
+    bounds = _gene_bounds(small_scenario, PARAMS)
+    children = []
+
+    def decode(parent, genes, nudge):
+        child = _with_genes(parent, _genes_of(parent))  # genes ignored: a clone
+        child.w[0] += nudge
+        children.append((parent, child))
+        return child
+
+    calls = _count_calls(monkeypatch, problem, "evaluate")
+    nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
+                     lambda parent, genes: decode(parent, genes, 0.0), 0.5, 0.5, rng)
+    assert calls == [] and len(children) == 8
+    for parent, child in children:
+        fresh = Individual(child.assignment, child.q.copy(), child.w.copy(), child.k.copy())
+        evaluate(fresh, small_scenario, PARAMS)
+        assert child.objectives == fresh.objectives
+        assert child.violation == fresh.violation
+        assert child.cluster_xi.tobytes() == fresh.cluster_xi.tobytes()
+        assert child.cluster_xi is not parent.cluster_xi
+    # the same generation with one weight moved evaluates every offspring
+    calls.clear()
+    nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
+                     lambda parent, genes: decode(parent, genes, 1e-6), 0.5, 0.5, rng)
+    assert len(calls) == 8
+
+
+def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
+    ind = _random_individual(small_scenario, rng)
+    ind.k[:] = PARAMS.k_max
+    evaluate(ind, small_scenario, PARAMS)
+    k_before = ind.k.copy()
+    calls = _count_calls(monkeypatch, problem, "evaluate")
+    gso_step([ind], small_scenario, PARAMS)
+    assert not np.array_equal(ind.k, k_before) and len(calls) == 1
+    swept = ind.copy()
+    gso_step([ind], small_scenario, PARAMS)  # the sweep's argmax keeps k
+    assert np.array_equal(ind.k, swept.k) and len(calls) == 1
+    assert ind.to_dict() == swept.to_dict()
+
+
+def test_a_failing_llm_advisor_is_called_until_the_breaker_trips(small_scenario):
+    cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, advisor_mode="llm", seed=0)
+    prompts = []
+
+    def dead(prompt):
+        prompts.append(prompt)
+        raise ConnectionError("endpoint down")
+
+    res = run("llm-aoa", small_scenario, PARAMS, cfg, transport=dead)
+    assert len(prompts) == LLM_FAILURE_LIMIT == 3
+    # every failed call already fell back, so the run is the fallback run
+    fallback = run("llm-aoa", small_scenario, PARAMS, replace(cfg, advisor_mode="fallback"))
+    assert res.history == fallback.history
+
+    replies = []
+
+    def healthy(prompt):
+        replies.append(prompt)
+        return '{"p_c": 0.7, "p_m": 0.3}'
+
+    res = run("llm-aoa", small_scenario, PARAMS, cfg, transport=healthy)
+    assert len(replies) == 2 * 3
+    assert (res.final_p_c, res.final_p_m) == (0.7, 0.3)
 
 
 def test_llm_aoa_computes_one_hypervolume_per_outer_iteration(small_scenario, monkeypatch):
