@@ -6,9 +6,9 @@ A multi-UAV cluster transmits as a collaborative array toward the BS with gain
 
 where u is the unit vector from the cluster centroid to the BS and D, the
 pattern normalization (1/4pi) * integral of |F|^2 over the sphere, has the
-exact closed form sum_ij w_i w_j sinc(p d_ij) for isotropic elements; that is
-the production path. Spherical quadrature exists purely as an independent
-oracle, because at centimeter wavelengths and inter-UAV spacings of tens of
+exact closed form sum_ij w_i w_j sinc(p d_ij) for isotropic elements. The
+tests check it against spherical quadrature (tests/oracles.py), which is no
+production path: at centimeter wavelengths and inter-UAV spacings of tens of
 meters the integrand oscillates far too fast for quadrature to be practical.
 
 The array factor carries no steering phase: the elements are not
@@ -45,28 +45,6 @@ def pairwise_sinc_sum(xyz: np.ndarray, weights: np.ndarray, phase_constant: floa
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
     return float(w @ s @ w)
-
-
-def denominator_quadrature(pos: np.ndarray, w: np.ndarray, p: float,
-                           n_theta: int = 512, n_phi: int = 1024) -> float:
-    """Oracle evaluation of the pattern normalization by spherical quadrature.
-
-    Gauss-Legendre in cos(theta), uniform midpoint rule in phi (spectrally
-    accurate for the periodic azimuth).
-    """
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
-    # nodes are cos(theta) in [-1, 1]
-    sin_theta = np.sqrt(1.0 - nodes**2)
-    phis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    dirs = np.empty((n_theta, n_phi, 3))
-    dirs[:, :, 0] = sin_theta[:, None] * np.cos(phis)[None, :]
-    dirs[:, :, 1] = sin_theta[:, None] * np.sin(phis)[None, :]
-    dirs[:, :, 2] = nodes[:, None]
-    phases = p * np.tensordot(dirs, np.asarray(pos, dtype=float).T, axes=1)
-    field = np.tensordot(np.exp(1j * phases), np.asarray(w, dtype=float), axes=1)
-    mag2 = np.abs(field) ** 2
-    integral = (2.0 * math.pi / n_phi) * float(gl_weights @ mag2.sum(axis=1))
-    return integral / (4.0 * math.pi)
 
 
 def cluster_snr(

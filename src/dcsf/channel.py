@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, associate_users, nearest_uavs
+from .scenario import SPEED_OF_LIGHT, nearest_uavs
 
 
 def los_probability(d: float, h: float, psi: float, beta: float) -> float:
@@ -33,13 +33,6 @@ def avg_path_loss(d: float, h: float, params) -> float:
     return fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
 
 
-def user_rate(sinr: float, bandwidth: float) -> float:
-    """Shannon rate in bps; monotone in SINR."""
-    if sinr < 0:
-        raise ValueError("sinr must be >= 0")
-    return bandwidth * math.log2(1.0 + sinr)
-
-
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f1: total rate of all users under nearest-UAV association."""
     user_xyz = scenario.user_xyz
@@ -60,22 +53,3 @@ def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     sinr = rx / (totals[nearest] - rx + params.noise_watts)
     return float(params.bandwidth * np.sum(np.log2(1.0 + sinr)))
 
-
-def per_user_rates(scenario, uav_positions: np.ndarray, params) -> np.ndarray:
-    """Reference per-user rate vector via the scalar path (reporting/tests only)."""
-    uav_positions = np.asarray(uav_positions, dtype=float)
-    cohorts = associate_users(scenario, uav_positions)
-    rates = np.zeros(scenario.n_users)
-    for v, members in enumerate(cohorts):
-        if not members:
-            continue
-        rx = np.empty(len(members))
-        for i, u in enumerate(members):
-            delta = scenario.user_xyz[u] - uav_positions[v]
-            loss_db = avg_path_loss(float(np.linalg.norm(delta)), abs(float(delta[2])), params)
-            rx[i] = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
-        total = rx.sum()
-        for i, u in enumerate(members):
-            sinr = rx[i] / (total - rx[i] + params.noise_watts)
-            rates[u] = user_rate(sinr, params.bandwidth)
-    return rates

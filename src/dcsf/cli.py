@@ -71,12 +71,9 @@ def _knee(front):
     return metrics.knee_index(objs), objs
 
 
-def _deployment_doc(scn, params, ind) -> dict:
-    cohorts = scenario_mod.associate_users(scn, ind.q)
-    serving = np.empty(scn.n_users, dtype=int)
-    for v, members in enumerate(cohorts):
-        for u in members:
-            serving[u] = v
+def _deployment_doc(scn, ind) -> dict:
+    # each user is served by its nearest UAV, as in f1
+    serving, _ = scenario_mod.nearest_uavs(scn.user_xyz, ind.q)
     clusters = ind.assignment.clusters()
     uav_rows = []
     for v in range(scn.n_uavs):
@@ -137,12 +134,15 @@ def _cmd_solve(args) -> int:
     front = solver.final_front(result.population)
     knee_i, objs = _knee(front)
     # final_front keeps only feasible members when any exist
-    best_violation = min(ind.violation for ind in front)
+    least_violating = min(front, key=lambda ind: ind.violation)
+    best_violation = least_violating.violation
     feasible = best_violation == 0.0
+    violations = [] if feasible else problem.violations_report(least_violating, scn, params)[1]
 
     _json_dump({
         "mode": args.mode,
-        "advisor": config.advisor_mode if args.mode != "aoa" else "static",
+        # monolithic NSGA-II runs no advisor
+        "advisor": {"llm-aoa": config.advisor_mode, "aoa": "static"}.get(args.mode),
         "seed": config.seed,
         "population_size": config.population_size,
         "t_ao": config.t_ao,
@@ -155,11 +155,12 @@ def _cmd_solve(args) -> int:
     }, out / "config.json")
     _write_history(result.history, out / "history.csv")
     _write_pareto(front, out / "pareto.json")
-    _json_dump(_deployment_doc(scn, params, front[knee_i]), out / "deployment.json")
+    _json_dump(_deployment_doc(scn, front[knee_i]), out / "deployment.json")
     _json_dump({
         "front_size": len(front),
         "feasible": feasible,
         "best_violation": best_violation,
+        "violations": violations,
         "knee_index": knee_i,
         "knee_objectives": list(front[knee_i].objectives.as_tuple()),
         "spacing": metrics.spacing_metric(objs),
@@ -170,8 +171,8 @@ def _cmd_solve(args) -> int:
         "elapsed_seconds": round(elapsed, 3),
     }, out / "report.json")
     if not feasible:
-        print(f"warning: no member of the front is feasible (best violation {best_violation:.4g})",
-              file=sys.stderr)
+        print(f"warning: no member of the front is feasible (best violation {best_violation:.4g}):",
+              *violations, sep="\n  ", file=sys.stderr)
     kind = "front" if feasible else "infeasible front"
     print(f"{args.mode}: {kind} of {len(front)}, knee f1={front[knee_i].objectives.f1:.4g} bps, "
           f"f2={front[knee_i].objectives.f2:.4g} suts/s, f3={front[knee_i].objectives.f3:.4g} J "
@@ -200,24 +201,19 @@ def _cmd_compare(args) -> int:
         if names.count(name) > 1:
             raise ValueError(f"two runs are named {name!r}; runs are keyed by directory name")
     fronts = {name: _load_front(r) for name, r in zip(names, runs)}
-    all_objs = np.vstack([
-        np.array([ind.objectives.as_tuple() for ind in front]) for front in fronts.values()
-    ])
-    # shared normalization across runs so hypervolumes are comparable
-    g_all = np.column_stack([-all_objs[:, 0], -all_objs[:, 1], all_objs[:, 2]])
-    lo, hi = g_all.min(axis=0), g_all.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    ref = np.full(3, 1.1)
+    objs_by_run = {name: np.array([ind.objectives.as_tuple() for ind in front])
+                   for name, front in fronts.items()}
+    # ranges shared across runs so hypervolumes are comparable
+    ranges = metrics.objective_ranges(np.vstack(list(objs_by_run.values())))
 
     rows = {}
     for name, front in fronts.items():
-        objs = np.array([ind.objectives.as_tuple() for ind in front])
-        g = (np.column_stack([-objs[:, 0], -objs[:, 1], objs[:, 2]]) - lo) / span
+        objs = objs_by_run[name]
         knee_i = metrics.knee_index(objs)
         rows[name] = {
             "front_size": len(front),
             "knee_objectives": list(front[knee_i].objectives.as_tuple()),
-            "hypervolume": metrics.hypervolume_min(g, ref),
+            "hypervolume": metrics.normalized_hypervolume(objs, ranges),
             "spacing": metrics.spacing_metric(objs),
             "max_spread": metrics.max_spread_metric(objs),
         }
@@ -250,7 +246,7 @@ def _cmd_export(args) -> int:
         if not (0 <= idx < len(front)):
             print(f"error: index {idx} outside front of {len(front)}", file=sys.stderr)
             return 1
-    _json_dump(_deployment_doc(scn, params, front[idx]), Path(args.out))
+    _json_dump(_deployment_doc(scn, front[idx]), Path(args.out))
     print(f"wrote {args.out} (front member {idx})")
     return 0
 

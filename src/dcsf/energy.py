@@ -51,10 +51,6 @@ def vertical_power(rotor: RotorModel, v_z: float) -> float:
     return rotor.weight * v_z if v_z > 0 else 0.0
 
 
-def hover_power(rotor: RotorModel) -> float:
-    return rotor.p0 + rotor.p_ind
-
-
 def flight_energy_xyz(
     initial: np.ndarray, target: np.ndarray, rotor: RotorModel, v_xy: float, v_z: float
 ) -> float:

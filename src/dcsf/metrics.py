@@ -1,7 +1,8 @@
 """Front-quality metrics: spacing, maximum spread, hypervolume, knee selection.
 
-All metrics normalize each objective dimension by the front's own min/max;
-degenerate dimensions contribute zero. Objectives are (f1 max, f2 max, f3 min)
+All metrics normalize each objective dimension by the front's own min/max,
+except `normalized_hypervolume`, which takes the ranges explicitly; degenerate
+dimensions contribute zero. Objectives are (f1 max, f2 max, f3 min)
 throughout.
 """
 
@@ -12,14 +13,28 @@ import math
 import numpy as np
 
 
-def _normalize(front: np.ndarray) -> np.ndarray:
-    lo = front.min(axis=0)
-    hi = front.max(axis=0)
+def _scale(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each column mapped from [lo, hi] to [0, 1]; a degenerate column maps to 0."""
     span = hi - lo
-    out = np.zeros_like(front, dtype=float)
+    out = np.zeros_like(points, dtype=float)
     ok = span > 0
-    out[:, ok] = (front[:, ok] - lo[ok]) / span[ok]
+    out[:, ok] = (points[:, ok] - lo[ok]) / span[ok]
     return out
+
+
+def _normalize(front: np.ndarray) -> np.ndarray:
+    return _scale(front, front.min(axis=0), front.max(axis=0))
+
+
+def _minimization(front: np.ndarray) -> np.ndarray:
+    """(f1, f2, f3) rows as the minimization objectives (-f1, -f2, f3)."""
+    return np.column_stack([-front[:, 0], -front[:, 1], front[:, 2]])
+
+
+def objective_ranges(front_objectives) -> tuple[tuple[float, float], ...]:
+    """(min, max) of each objective over the rows of `front_objectives`."""
+    front = np.atleast_2d(np.asarray(front_objectives, dtype=float))
+    return tuple((float(front[:, i].min()), float(front[:, i].max())) for i in range(front.shape[1]))
 
 
 def spacing_metric(front_objectives) -> float:
@@ -65,19 +80,27 @@ def _staircase_area(points_2d: np.ndarray, ref_x: float, ref_y: float) -> float:
     return area
 
 
-def hypervolume(front_objectives) -> float:
-    """Dominated hypervolume of a 3-objective (max, max, min) front.
+def normalized_hypervolume(front_objectives, ranges) -> float:
+    """Dominated hypervolume of a 3-objective (max, max, min) front on the
+    scale of `ranges`, one (min, max) per objective as `objective_ranges`
+    gives them.
 
-    Objectives are turned into minimization and normalized to [0, 1] by the
-    front's own ranges (a degenerate dimension maps to 0); the reference point
-    is 1.1 in every dimension. For another scale or reference, normalize the
-    points yourself and call `hypervolume_min`.
+    Objectives are turned into minimization and mapped to [0, 1] by the
+    ranges (a degenerate range maps to 0); the reference point is 1.1 in
+    every dimension. Fronts measured on one set of ranges are comparable.
     """
+    front = np.atleast_2d(np.asarray(front_objectives, dtype=float))
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = ranges
+    lo, hi = np.array([-hi1, -hi2, lo3]), np.array([-lo1, -lo2, hi3])
+    return hypervolume_min(_scale(_minimization(front), lo, hi), np.full(3, 1.1))
+
+
+def hypervolume(front_objectives) -> float:
+    """`normalized_hypervolume` of a front on its own ranges; 0 for no front."""
     front = np.atleast_2d(np.asarray(front_objectives, dtype=float))
     if len(front) == 0:
         return 0.0
-    g = np.column_stack([-front[:, 0], -front[:, 1], front[:, 2]])
-    return hypervolume_min(_normalize(g), np.full(3, 1.1))
+    return normalized_hypervolume(front, objective_ranges(front))
 
 
 def hypervolume_min(points: np.ndarray, ref: np.ndarray) -> float:
@@ -98,8 +121,7 @@ def hypervolume_min(points: np.ndarray, ref: np.ndarray) -> float:
 def normalized_ideal_distance(front_objectives) -> np.ndarray:
     """Per-member Euclidean distance to the normalized ideal (max f1, max f2, min f3)."""
     front = np.atleast_2d(np.asarray(front_objectives, dtype=float))
-    g = np.column_stack([-front[:, 0], -front[:, 1], front[:, 2]])
-    norm = _normalize(g)  # ideal maps to 0 per dimension
+    norm = _normalize(_minimization(front))  # ideal maps to 0 per dimension
     return np.sqrt((norm**2).sum(axis=1))
 
 

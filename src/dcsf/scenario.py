@@ -174,7 +174,7 @@ def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray,
 
     The (V, U) distances are built one coordinate at a time. Summing the
     squares as (dx² + dz²) + dy² reproduces, bit for bit, a (U, V, 3)
-    `einsum("uvk,uvk->uv")` (the oracle in tests/test_channel.py);
+    `einsum("uvk,uvk->uv")` (the oracle in tests/oracles.py);
     (dx² + dy²) + dz² does not.
     """
     d = user_xyz[:, 0] - uav_xyz[:, 0, None]
@@ -193,19 +193,6 @@ def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray,
     for v in range(len(uav_xyz) - 1, -1, -1):
         nearest[d[v] == d_near] = v
     return nearest, d_near
-
-
-def associate_users(scenario: Scenario, uav_positions: np.ndarray) -> list[list[int]]:
-    """Nearest-UAV association, the one f1 uses; ties broken by lowest UAV id.
-
-    Returns one user-index list per UAV; the lists partition all users.
-    """
-    uav_positions = np.asarray(uav_positions, dtype=float)
-    nearest, _ = nearest_uavs(scenario.user_xyz, uav_positions)
-    cohorts: list[list[int]] = [[] for _ in range(len(uav_positions))]
-    for u, v in enumerate(nearest):
-        cohorts[v].append(u)
-    return cohorts
 
 
 # Relative slack on d_min^2 when screening pairs by vectorized squared

@@ -120,37 +120,15 @@ def merge_clusters(assignment: ClusterAssignment, k: np.ndarray, survivor: int, 
     return ClusterAssignment(tuple(new_labels)), new_k
 
 
-def _f2_of(assignment, q, w, k, scenario, params) -> float:
-    temp = Individual(assignment, q, w, k)
-    rates, _ = problem.cluster_semantic_terms(temp, scenario, params)
-    return float(rates.sum())
-
-
-def enumerate_merge_gains(ind: Individual, scenario, params, baseline_f2: float):
-    """All ordered-pair merges with their f2 gain versus the baseline, each
-    merged individual evaluated from scratch: the brute-force oracle for
-    `gca_step`.
-
-    Yields (survivor, absorbed, gain, merged assignment, merged k, merged f2).
-    """
-    n = ind.assignment.n_clusters
-    for b in range(1, n + 1):
-        for b2 in range(1, n + 1):
-            if b == b2:
-                continue
-            assignment, k = merge_clusters(ind.assignment, ind.k, b, b2)
-            f2 = _f2_of(assignment, ind.q, ind.w, k, scenario, params)
-            yield b, b2, f2 - baseline_f2, assignment, k, f2
-
-
 def _best_merge(ind: Individual, rate, baseline: float):
     """(gain, survivor, absorbed) of the first strictly best ordered merge.
 
     `rate(members, k)` gives one cluster's semantic rate. Mirror merges have
     the same members and k, so each unordered pair is rated once; each
     ordered candidate's f2 is then the sum of the rate vector in the label
-    order `merge_clusters` gives, which reproduces `enumerate_merge_gains`
-    bit for bit, ties included.
+    order `merge_clusters` gives, which reproduces, bit for bit and ties
+    included, the f2 of each merged individual evaluated from scratch (the
+    oracle `enumerate_merge_gains` in tests/oracles.py).
     """
     clusters = [tuple(members) for members in ind.assignment.clusters()]
     k = [int(v) for v in ind.k]
@@ -505,7 +483,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
             inp = advisor_mod.AdvisorInput(
                 generation=(t - 1) * config.t_local + gen + 1,
                 p_c=p_c, p_m=p_m, sp=sp, m3=m3,
-                objective_ranges=tuple((float(objs[:, i].min()), float(objs[:, i].max())) for i in range(3)),
+                objective_ranges=metrics.objective_ranges(objs),
                 history=tuple(window[-5:]),
             )
             update = advisor_mod.advise(inp, advisor_mode, endpoint=endpoint, transport=transport)

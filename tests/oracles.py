@@ -1,0 +1,286 @@
+"""Brute-force oracles, each kept once: what a fast path in `dcsf` computes,
+done the slow and obvious way (scalar loops, from-scratch evaluation, the
+textbook formula); plus the random inputs several test modules build."""
+
+import math
+
+import numpy as np
+
+from dcsf import SystemParams
+from dcsf.beamforming import cluster_snr
+from dcsf.channel import avg_path_loss
+from dcsf.problem import (
+    ClusterAssignment,
+    Individual,
+    ObjectiveTriple,
+    canonicalize_labels,
+    cluster_semantic_terms,
+    evaluate,
+)
+from dcsf.scenario import SPEED_OF_LIGHT, nearest_uavs
+from dcsf.semantic import semantic_similarity
+from dcsf.solver import merge_clusters
+
+PARAMS = SystemParams()
+
+
+def random_individual(scn, rng, params=PARAMS):
+    """Random labels and k, positions uniform in the bounds, weights in [0, 1)."""
+    n = scn.n_uavs
+    raw = rng.integers(1, n + 1, size=n)
+    k_raw = rng.integers(params.k_min, params.k_max + 1, size=int(raw.max()))
+    assignment, k = canonicalize_labels(raw, k_raw)
+    q = scn.bounds.lower + rng.random((n, 3)) * (scn.bounds.upper - scn.bounds.lower)
+    w = rng.random(n)
+    return Individual(assignment, q, w, k)
+
+
+def fake_pool(objs, violations=None):
+    """Individuals with injected objectives; the genome content is irrelevant."""
+    a = ClusterAssignment((1,))
+    pool = []
+    for i, o in enumerate(objs):
+        ind = Individual(a, np.array([[0.0, 0.0, 60.0]]), np.ones(1), np.array([5]))
+        ind.objectives = ObjectiveTriple(*o)
+        ind.violation = 0.0 if violations is None else float(violations[i])
+        pool.append(ind)
+    return pool
+
+
+def user_rate(sinr: float, bandwidth: float) -> float:
+    """Shannon rate in bps; monotone in SINR."""
+    if sinr < 0:
+        raise ValueError("sinr must be >= 0")
+    return bandwidth * math.log2(1.0 + sinr)
+
+
+def associate_users(scenario, uav_positions) -> list[list[int]]:
+    """Nearest-UAV association, the one f1 uses; ties broken by lowest UAV id.
+
+    Returns one user-index list per UAV; the lists partition all users.
+    """
+    uav_positions = np.asarray(uav_positions, dtype=float)
+    nearest, _ = nearest_uavs(scenario.user_xyz, uav_positions)
+    cohorts: list[list[int]] = [[] for _ in range(len(uav_positions))]
+    for u, v in enumerate(nearest):
+        cohorts[v].append(u)
+    return cohorts
+
+
+def per_user_rates(scenario, uav_positions, params) -> np.ndarray:
+    """Per-user rate vector through the scalar link budget, user by user."""
+    uav_positions = np.asarray(uav_positions, dtype=float)
+    cohorts = associate_users(scenario, uav_positions)
+    rates = np.zeros(scenario.n_users)
+    for v, members in enumerate(cohorts):
+        if not members:
+            continue
+        rx = np.empty(len(members))
+        for i, u in enumerate(members):
+            delta = scenario.user_xyz[u] - uav_positions[v]
+            loss_db = avg_path_loss(float(np.linalg.norm(delta)), abs(float(delta[2])), params)
+            rx[i] = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
+        total = rx.sum()
+        for i, u in enumerate(members):
+            sinr = rx[i] / (total - rx[i] + params.noise_watts)
+            rates[u] = user_rate(sinr, params.bandwidth)
+    return rates
+
+
+def sum_user_rate_einsum(scenario, uav_xyz, params):
+    """f1 as it was first vectorized: a (U, V, 3) einsum and the first argmin
+    over each user's row of distances. Returns (f1, nearest UAV per user)."""
+    user_xyz = scenario.user_xyz
+    diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
+    d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))
+    nearest = np.argmin(d, axis=1)
+    d_star = d[np.arange(len(user_xyz)), nearest]
+    h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
+    elevation_deg = np.degrees(np.arcsin(h_star / d_star))
+    p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))
+    fspl = (
+        20.0 * np.log10(d_star)
+        + 20.0 * np.log10(params.frequency)
+        + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+    )
+    loss_db = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
+    rx = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
+    totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))
+    sinr = rx / (totals[nearest] - rx + params.noise_watts)
+    return float(params.bandwidth * np.sum(np.log2(1.0 + sinr))), nearest
+
+
+def denominator_quadrature(pos, w, p: float, n_theta: int = 512, n_phi: int = 1024) -> float:
+    """The pattern normalization (1/4pi) * integral of |F|^2 over the sphere
+    by quadrature: Gauss-Legendre in cos(theta), uniform midpoint rule in phi
+    (spectrally accurate for the periodic azimuth)."""
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
+    # nodes are cos(theta) in [-1, 1]
+    sin_theta = np.sqrt(1.0 - nodes**2)
+    phis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    dirs = np.empty((n_theta, n_phi, 3))
+    dirs[:, :, 0] = sin_theta[:, None] * np.cos(phis)[None, :]
+    dirs[:, :, 1] = sin_theta[:, None] * np.sin(phis)[None, :]
+    dirs[:, :, 2] = nodes[:, None]
+    phases = p * np.tensordot(dirs, np.asarray(pos, dtype=float).T, axes=1)
+    field = np.tensordot(np.exp(1j * phases), np.asarray(w, dtype=float), axes=1)
+    mag2 = np.abs(field) ** 2
+    integral = (2.0 * math.pi / n_phi) * float(gl_weights @ mag2.sum(axis=1))
+    return integral / (4.0 * math.pi)
+
+
+def cluster_snr_textbook(q, w, bs, params):
+    """SNR from the textbook formulas, sharing no code with `cluster_snr`:
+    P * sum w^2 * |sum_i w_i exp(j p r_i . u)|^2 * eta / sum_ij w_i w_j sinc(p d_ij)
+    * 10^(-L/10) / N, with u the unit vector from the centroid to the BS."""
+    centroid = q.mean(axis=0)
+    r = bs - centroid
+    d = math.sqrt(float(r @ r))
+    elevation = math.degrees(math.asin(abs(r[2]) / d))
+    p_los = 1.0 / (1.0 + params.psi * math.exp(-params.beta * (elevation - params.psi)))
+    fspl = 20.0 * math.log10(4.0 * math.pi * d * params.frequency / SPEED_OF_LIGHT)
+    loss = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
+    if len(q) == 1:
+        tx_gain = params.uav_tx_power
+    else:
+        power = params.uav_tx_power * float(np.sum(w**2))
+        if power == 0.0:
+            return 0.0
+        p = 2.0 * math.pi / params.wavelength
+        af = np.sum(w * np.exp(1j * p * (q @ (r / d))))
+        dist = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
+        denom = float(w @ np.sinc(p * dist / math.pi) @ w)
+        tx_gain = power * abs(af) ** 2 * params.eta / denom
+    return tx_gain * 10.0 ** (-loss / 10.0) / params.noise_watts
+
+
+def f2_by_cluster(ind, scn, params):
+    """f2 by direct per-cluster recomputation."""
+    f2 = 0.0
+    for i, members in enumerate(ind.assignment.clusters()):
+        snr = cluster_snr(members, ind.q, ind.w, scn.bs_xyz, params)
+        if snr > 0:
+            xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
+            f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi
+    return f2
+
+
+def close_pairs_double_loop(q, d_min):
+    out = []
+    for i in range(len(q)):
+        for j in range(i + 1, len(q)):
+            d = float(np.linalg.norm(q[i] - q[j]))
+            if d < d_min:
+                out.append((i, j, d))
+    return out
+
+
+def violation_double_loop(ind, scn, params):
+    lower, upper = scn.bounds.lower, scn.bounds.upper
+    span = upper - lower
+    total = 0.0
+    total += float((np.maximum(lower - ind.q, 0.0) / span).sum()
+                   + (np.maximum(ind.q - upper, 0.0) / span).sum())
+    for _, _, d in close_pairs_double_loop(ind.q, params.d_min):
+        total += (params.d_min - d) / params.d_min
+    total += float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
+    return total
+
+
+def peeled_fronts(objs, viol):
+    """Non-dominated fronts, each sorted, by vectorized constrained-domination
+    peeling that shares no code with `problem.dominates`."""
+    f1, f2, f3 = objs[:, 0], objs[:, 1], objs[:, 2]
+    no_worse = (f1[:, None] >= f1) & (f2[:, None] >= f2) & (f3[:, None] <= f3)
+    better = (f1[:, None] > f1) | (f2[:, None] > f2) | (f3[:, None] < f3)
+    pareto = no_worse & better
+    feas = viol == 0.0
+    dom = np.where(
+        feas[:, None] & ~feas, True,
+        np.where(
+            ~feas[:, None] & feas, False,
+            np.where(~feas[:, None] & ~feas, viol[:, None] < viol, pareto),
+        ),
+    )
+    np.fill_diagonal(dom, False)
+    remaining = np.ones(len(objs), dtype=bool)
+    out = []
+    while remaining.any():
+        idx = np.where(remaining)[0]
+        sub = dom[np.ix_(idx, idx)]
+        nondom = idx[~sub.any(axis=0)]
+        out.append(sorted(int(i) for i in nondom))
+        remaining[nondom] = False
+    return out
+
+
+def crowding(front_objs):
+    """Crowding distance of each row of one front's objectives."""
+    n, m = front_objs.shape
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for j in range(m):
+        order = np.argsort(front_objs[:, j], kind="stable")
+        lo, hi = front_objs[order[0], j], front_objs[order[-1], j]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if hi > lo:
+            for p in range(1, n - 1):
+                dist[order[p]] += (front_objs[order[p + 1], j] - front_objs[order[p - 1], j]) / (hi - lo)
+    return dist
+
+
+def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):
+    """All ordered-pair merges with their f2 gain versus the baseline, each
+    merged individual evaluated from scratch.
+
+    Yields (survivor, absorbed, gain, merged assignment, merged k, merged f2).
+    """
+    n = ind.assignment.n_clusters
+    for b in range(1, n + 1):
+        for b2 in range(1, n + 1):
+            if b == b2:
+                continue
+            assignment, k = merge_clusters(ind.assignment, ind.k, b, b2)
+            rates, _ = cluster_semantic_terms(Individual(assignment, ind.q, ind.w, k), scenario, params)
+            f2 = float(rates.sum())
+            yield b, b2, f2 - baseline_f2, assignment, k, f2
+
+
+def gca_replay(ind, scn, params):
+    """The greedy merge loop of `gca_step` on an evaluated individual, every
+    ordered merge rated from scratch: apply the first best merge while its
+    gain over the individual's f2 is positive.
+
+    Returns the merged individual, evaluated, and the f2 of each applied merge.
+    """
+    merged = ind.copy()
+    baseline = ind.objectives.f2
+    applied_f2 = []
+    while merged.assignment.n_clusters > 1:
+        best = max(enumerate_merge_gains(merged, scn, params, baseline), key=lambda g: g[2])
+        if best[2] <= 0:
+            break
+        merged.assignment, merged.k = best[3], best[4]
+        applied_f2.append(best[5])
+    evaluate(merged, scn, params)
+    return merged, applied_f2
+
+
+def gso_sweep(ind, scn, params):
+    """From-scratch exhaustive symbol sweep, sequential over clusters,
+    ascending k; returns a new, evaluated individual."""
+    best = ind.copy()
+    for i in range(best.assignment.n_clusters):
+        candidates = []
+        for k in range(params.k_min, params.k_max + 1):
+            trial = best.copy()
+            trial.k[i] = k
+            rates, xis = cluster_semantic_terms(trial, scn, params)
+            candidates.append((k, float(rates.sum()), float(xis[i])))
+        feasible = [c for c in candidates if c[2] >= params.xi_threshold]
+        pick = (max(feasible, key=lambda c: (c[1], -c[0])) if feasible
+                else max(candidates, key=lambda c: (c[2], -c[0])))
+        best.k[i] = pick[0]
+    evaluate(best, scn, params)
+    return best

@@ -15,27 +15,28 @@ import pytest
 
 from dcsf import Bounds, SystemParams, generate_scenario
 from dcsf.advisor import P_C_BOUNDS, P_M_BOUNDS, AdvisorInput, advise, _parse_params
-from dcsf.beamforming import cluster_snr, denominator_quadrature, pairwise_sinc_sum
+from dcsf.beamforming import cluster_snr, pairwise_sinc_sum
 from dcsf.cli import main
-from dcsf.energy import RotorModel, flight_energy_xyz, hover_power, vertical_power
-from dcsf.metrics import hypervolume_min
-from dcsf.problem import (
-    ClusterAssignment,
-    Individual,
-    ObjectiveTriple,
-    canonicalize_labels,
-    cluster_semantic_terms,
-    evaluate,
-)
+from dcsf.energy import RotorModel, flight_energy_xyz, horizontal_power, vertical_power
+from dcsf.metrics import normalized_hypervolume, objective_ranges
+from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
     SolverConfig,
     crowding_distance,
-    enumerate_merge_gains,
     final_front,
     gca_step,
     gso_step,
     nondominated_sort,
     run,
+)
+from oracles import (
+    crowding,
+    denominator_quadrature,
+    fake_pool,
+    gca_replay,
+    gso_sweep,
+    peeled_fronts,
+    random_individual,
 )
 
 PARAMS = SystemParams()
@@ -115,58 +116,6 @@ def test_acceptance_03_collaborative_gain_scaling():
 # 4: sorting and crowding against brute force
 
 
-def _fake_pool(objs, violations):
-    a = ClusterAssignment((1,))
-    pool = []
-    for o, v in zip(objs, violations):
-        ind = Individual(a, np.array([[0.0, 0.0, 60.0]]), np.ones(1), np.array([5]))
-        ind.objectives = ObjectiveTriple(*o)
-        ind.violation = float(v)
-        pool.append(ind)
-    return pool
-
-
-def _brute_fronts(objs, viol):
-    """Independent vectorized constrained-domination front peeling."""
-    f1, f2, f3 = objs[:, 0], objs[:, 1], objs[:, 2]
-    no_worse = (f1[:, None] >= f1) & (f2[:, None] >= f2) & (f3[:, None] <= f3)
-    better = (f1[:, None] > f1) | (f2[:, None] > f2) | (f3[:, None] < f3)
-    pareto = no_worse & better
-    feas = viol == 0.0
-    dom = np.where(
-        feas[:, None] & ~feas, True,
-        np.where(
-            ~feas[:, None] & feas, False,
-            np.where(~feas[:, None] & ~feas, viol[:, None] < viol, pareto),
-        ),
-    )
-    np.fill_diagonal(dom, False)
-    remaining = np.ones(len(objs), dtype=bool)
-    fronts = []
-    while remaining.any():
-        idx = np.where(remaining)[0]
-        sub = dom[np.ix_(idx, idx)]
-        nondom = idx[~sub.any(axis=0)]
-        fronts.append(sorted(int(i) for i in nondom))
-        remaining[nondom] = False
-    return fronts
-
-
-def _brute_crowding(front_objs):
-    n, m = front_objs.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for j in range(m):
-        order = np.argsort(front_objs[:, j], kind="stable")
-        lo, hi = front_objs[order[0], j], front_objs[order[-1], j]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi > lo:
-            for p in range(1, n - 1):
-                dist[order[p]] += (front_objs[order[p + 1], j] - front_objs[order[p - 1], j]) / (hi - lo)
-    return dist
-
-
 def test_acceptance_04_sorting_and_crowding_exactness():
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -176,29 +125,19 @@ def test_acceptance_04_sorting_and_crowding_exactness():
         if m > 4 and rng.random() < 0.5:
             objs[1] = objs[0]
         viol = np.where(rng.random(m) < 0.25, rng.random(m), 0.0)
-        pool = _fake_pool(objs, viol)
+        pool = fake_pool(objs, viol)
         got = [sorted(f) for f in nondominated_sort(pool)]
-        want = _brute_fronts(objs, viol)
+        want = peeled_fronts(objs, viol)
         assert got == want
         for front in got:
             cd = crowding_distance([pool[i] for i in front])
-            ref = _brute_crowding(objs[front])
+            ref = crowding(objs[front])
             assert np.array_equal(cd, ref)
     _report(4, "1000 random pools (M <= 50): fronts and crowding match brute force exactly")
 
 
 # ---------------------------------------------------------------------------
 # 5 & 6: greedy cluster merging and symbol sweep
-
-
-def _random_individual(scn, rng, params=PARAMS):
-    n = scn.n_uavs
-    raw = rng.integers(1, n + 1, size=n)
-    k_raw = rng.integers(params.k_min, params.k_max + 1, size=int(raw.max()))
-    assignment, k = canonicalize_labels(raw, k_raw)
-    q = scn.bounds.lower + rng.random((n, 3)) * (scn.bounds.upper - scn.bounds.lower)
-    w = rng.random(n)
-    return Individual(assignment, q, w, k)
 
 
 def test_acceptance_05_gca_greedy_optimality():
@@ -210,7 +149,7 @@ def test_acceptance_05_gca_greedy_optimality():
         bs = (3000.0, 250.0, 0.0)
         scn = generate_scenario(15, n_v, bounds, bs, seed=100 + i)
         if i % 2 == 0:
-            ind = _random_individual(scn, rng)
+            ind = random_individual(scn, rng)
         else:
             # near-coherent fleet at an SNR on the steep part of the similarity
             # curve, where pooling transmitters genuinely raises f2
@@ -225,38 +164,15 @@ def test_acceptance_05_gca_greedy_optimality():
         evaluate(ind, scn, PARAMS)
         baseline = ind.objectives.f2
         # exhaustive replay: each applied merge must be the best-gain merge
-        oracle = ind.copy()
-        while oracle.assignment.n_clusters > 1:
-            gains = list(enumerate_merge_gains(oracle, scn, PARAMS, baseline))
-            best = max(gains, key=lambda g: g[2])
-            if best[2] > 0:
-                oracle.assignment, oracle.k = best[3], best[4]
-                total_merges += 1
-                assert best[5] > baseline  # the merge strictly increases f2 over the baseline
-            else:
-                break
+        oracle, applied_f2 = gca_replay(ind, scn, PARAMS)
+        total_merges += len(applied_f2)
+        for f2 in applied_f2:
+            assert f2 > baseline  # the merge strictly increases f2 over the baseline
         gca_step([ind], scn, PARAMS)
         assert ind.assignment.labels == oracle.assignment.labels
         assert list(ind.k) == list(oracle.k)
         assert ind.objectives.f2 >= baseline
     _report(5, f"50 instances, {total_merges} applied merges all exhaustive-best and f2-increasing")
-
-
-def _gso_oracle(ind, scn, params):
-    best = ind.copy()
-    for i in range(best.assignment.n_clusters):
-        candidates = []
-        for k in range(params.k_min, params.k_max + 1):
-            trial = best.copy()
-            trial.k[i] = k
-            rates, xis = cluster_semantic_terms(trial, scn, params)
-            candidates.append((k, float(rates.sum()), float(xis[i])))
-        feasible = [c for c in candidates if c[2] >= params.xi_threshold]
-        pick = (max(feasible, key=lambda c: (c[1], -c[0])) if feasible
-                else max(candidates, key=lambda c: (c[2], -c[0])))
-        best.k[i] = pick[0]
-    evaluate(best, scn, params)
-    return best
 
 
 def test_acceptance_06_gso_exactness():
@@ -265,8 +181,8 @@ def test_acceptance_06_gso_exactness():
     for i in range(50):
         n_v = int(rng.integers(2, 6))
         scn = generate_scenario(15, n_v, bounds, (2000.0, 2000.0, 0.0), seed=200 + i)
-        ind = _random_individual(scn, rng)
-        oracle = _gso_oracle(ind.copy(), scn, PARAMS)
+        ind = random_individual(scn, rng)
+        oracle = gso_sweep(ind, scn, PARAMS)
         gso_step([ind], scn, PARAMS)
         assert list(ind.k) == list(oracle.k), f"instance {i}"
     _report(6, "50 individuals: every k matches the from-scratch exhaustive argmax")
@@ -278,7 +194,7 @@ def test_acceptance_06_gso_exactness():
 
 def test_acceptance_07_energy_closed_forms():
     rotor = RotorModel()
-    assert hover_power(rotor) == 79.86 + 88.63
+    assert horizontal_power(rotor, 0.0) == 79.86 + 88.63
     assert vertical_power(rotor, -2.5) == 0.0
     assert vertical_power(rotor, 0.0) == 0.0
     climb = flight_energy_xyz(np.zeros(3), np.array([0.0, 0.0, 10.0]), rotor, 10.0, 2.0)
@@ -313,17 +229,8 @@ def _paired_hypervolumes(front_a, front_b):
     """Hypervolumes of two fronts under one shared normalization."""
     objs_a = np.array([ind.objectives.as_tuple() for ind in front_a])
     objs_b = np.array([ind.objectives.as_tuple() for ind in front_b])
-    both = np.vstack([objs_a, objs_b])
-    g = np.column_stack([-both[:, 0], -both[:, 1], both[:, 2]])
-    lo, hi = g.min(axis=0), g.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    ref = np.full(3, 1.1)
-
-    def hv(objs):
-        gg = (np.column_stack([-objs[:, 0], -objs[:, 1], objs[:, 2]]) - lo) / span
-        return hypervolume_min(gg, ref)
-
-    return hv(objs_a), hv(objs_b)
+    ranges = objective_ranges(np.vstack([objs_a, objs_b]))
+    return normalized_hypervolume(objs_a, ranges), normalized_hypervolume(objs_b, ranges)
 
 
 def test_acceptance_09_advisor_beats_static_on_scaled_problem():

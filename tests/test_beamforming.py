@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from dcsf import SystemParams
-from dcsf.beamforming import (
-    array_factor,
-    cluster_snr,
-    denominator_quadrature,
-    pairwise_sinc_sum,
-)
+from dcsf.beamforming import array_factor, cluster_snr, pairwise_sinc_sum
 from dcsf.channel import avg_path_loss
-from dcsf.scenario import SPEED_OF_LIGHT
+from oracles import cluster_snr_textbook, denominator_quadrature
 
 PARAMS = SystemParams()
 LAM = PARAMS.wavelength
@@ -80,31 +75,6 @@ def test_gain_normalization_integrates_to_eta(rng):
     assert total / (4 * math.pi) == pytest.approx(1.0, rel=2e-3)
 
 
-def _oracle_snr(q, w, bs, params):
-    """SNR from the textbook formulas, sharing no code with `cluster_snr`:
-    P * sum w^2 * |sum_i w_i exp(j p r_i . u)|^2 * eta / sum_ij w_i w_j sinc(p d_ij)
-    * 10^(-L/10) / N, with u the unit vector from the centroid to the BS."""
-    centroid = q.mean(axis=0)
-    r = bs - centroid
-    d = math.sqrt(float(r @ r))
-    elevation = math.degrees(math.asin(abs(r[2]) / d))
-    p_los = 1.0 / (1.0 + params.psi * math.exp(-params.beta * (elevation - params.psi)))
-    fspl = 20.0 * math.log10(4.0 * math.pi * d * params.frequency / SPEED_OF_LIGHT)
-    loss = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
-    if len(q) == 1:
-        tx_gain = params.uav_tx_power
-    else:
-        power = params.uav_tx_power * float(np.sum(w**2))
-        if power == 0.0:
-            return 0.0
-        p = 2.0 * math.pi / params.wavelength
-        af = np.sum(w * np.exp(1j * p * (q @ (r / d))))
-        dist = np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
-        denom = float(w @ np.sinc(p * dist / math.pi) @ w)
-        tx_gain = power * abs(af) ** 2 * params.eta / denom
-    return tx_gain * 10.0 ** (-loss / 10.0) / params.noise_watts
-
-
 def test_cluster_snr_matches_independent_oracle(params):
     rng = np.random.default_rng(11)
     sizes = [1, 1, 32, 32] + [int(v) for v in rng.integers(1, 33, 196)]
@@ -114,7 +84,7 @@ def test_cluster_snr_matches_independent_oracle(params):
         w = np.zeros(n_uavs) if case % 10 == 3 else rng.uniform(0, 1, n_uavs)
         members = sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False))
         bs = np.array([rng.uniform(-8000, 8000), rng.uniform(-8000, 8000), rng.uniform(0, 50)])
-        expected = _oracle_snr(q[members], w[members], bs, params)
+        expected = cluster_snr_textbook(q[members], w[members], bs, params)
         assert cluster_snr(members, q, w, bs, params) == pytest.approx(expected, rel=1e-9), case
 
 

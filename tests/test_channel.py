@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcsf import Bounds, SystemParams, generate_scenario
-from dcsf.channel import (
-    avg_path_loss,
-    free_space_path_loss,
-    los_probability,
-    per_user_rates,
-    sum_user_rate,
-    user_rate,
-)
-from dcsf.scenario import SPEED_OF_LIGHT, Scenario, associate_users, nearest_uavs
+from dcsf.channel import avg_path_loss, free_space_path_loss, los_probability, sum_user_rate
+from dcsf.scenario import Scenario, nearest_uavs
+from oracles import associate_users, per_user_rates, sum_user_rate_einsum, user_rate
 
 
 def test_carrier_frequency_derived_from_wavelength(params):
@@ -90,29 +84,6 @@ def test_sum_user_rate_matches_scalar_path(small_scenario, params, rng):
     assert fast == pytest.approx(slow, rel=1e-9)
 
 
-def _sum_user_rate_oracle(scenario, uav_xyz, params):
-    """f1 as it was first vectorized: a (U, V, 3) einsum and the first argmin
-    over each user's row of distances."""
-    user_xyz = scenario.user_xyz
-    diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
-    d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))
-    nearest = np.argmin(d, axis=1)
-    d_star = d[np.arange(len(user_xyz)), nearest]
-    h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
-    elevation_deg = np.degrees(np.arcsin(h_star / d_star))
-    p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))
-    fspl = (
-        20.0 * np.log10(d_star)
-        + 20.0 * np.log10(params.frequency)
-        + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
-    )
-    loss_db = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
-    rx = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
-    totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))
-    sinr = rx / (totals[nearest] - rx + params.noise_watts)
-    return float(params.bandwidth * np.sum(np.log2(1.0 + sinr))), nearest
-
-
 @pytest.mark.parametrize("n_users, n_uavs", [(500, 8), (2000, 8), (300, 32), (400, 1), (1, 1), (1, 12)])
 def test_sum_user_rate_equals_the_einsum_oracle(params, n_users, n_uavs):
     bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
@@ -120,7 +91,7 @@ def test_sum_user_rate_equals_the_einsum_oracle(params, n_users, n_uavs):
     rng = np.random.default_rng(n_uavs)
     for _ in range(10):
         q = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
-        rate, nearest = _sum_user_rate_oracle(scn, q, params)
+        rate, nearest = sum_user_rate_einsum(scn, q, params)
         assert sum_user_rate(scn, q, params) == rate
         assert list(nearest_uavs(scn.user_xyz, q)[0]) == list(nearest)
 
@@ -139,7 +110,7 @@ def test_sum_user_rate_ties_and_a_user_under_a_uav(params):
     nearest, d_near = nearest_uavs(scn.user_xyz, q)
     assert list(nearest) == [1, 3, 0]  # the lowest of the tied UAVs wins
     assert d_near[1] == 80.0
-    rate, oracle_nearest = _sum_user_rate_oracle(scn, q, params)
+    rate, oracle_nearest = sum_user_rate_einsum(scn, q, params)
     assert list(oracle_nearest) == [1, 3, 0]
     assert sum_user_rate(scn, q, params) == rate
     assert associate_users(scn, q) == [[2], [0], [], [1], []]

@@ -1,7 +1,6 @@
 import json
 import math
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -158,9 +157,10 @@ def test_solve_and_export_reject_invalid_launch_positions(tmp_path, capsys):
 
 def test_monolithic_mode_through_cli(tmp_path):
     scn = _generate(tmp_path)
-    out = _solve(tmp_path, scn, "runM", mode="monolithic-nsga2")
+    out = _solve(tmp_path, scn, "runM", mode="monolithic-nsga2", advisor="llm")
     config = json.loads((out / "config.json").read_text())
     assert config["mode"] == "monolithic-nsga2"
+    assert config["advisor"] is None  # no advisor runs in this mode
 
 
 def _solve_40x6(tmp_path, seed, capsys):
@@ -184,6 +184,11 @@ def test_solve_reports_an_infeasible_front(tmp_path, capsys):
     assert report["best_violation"] == min(m["violation"] for m in front) > 0.0
     assert "warning: no member of the front is feasible" in captured.err
     assert "llm-aoa: infeasible front of" in captured.out
+    # the least-violating member's violations, in the report and on stderr
+    assert report["violations"]
+    for line in report["violations"]:
+        assert line.startswith(("C1:", "C2:", "C6:"))
+        assert line in captured.err
 
 
 def test_solve_reports_a_feasible_front(tmp_path, capsys):
@@ -191,6 +196,7 @@ def test_solve_reports_a_feasible_front(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["feasible"] is True
     assert report["best_violation"] == 0.0
+    assert report["violations"] == []
     assert captured.err == ""
     assert "llm-aoa: front of" in captured.out
 

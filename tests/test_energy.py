@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dcsf import SystemParams
 from dcsf.energy import (
     RotorModel,
     flight_energy_xyz,
     horizontal_power,
-    hover_power,
     total_flight_energy,
     vertical_power,
 )
@@ -16,12 +14,8 @@ from dcsf.energy import (
 ROTOR = RotorModel()
 
 
-def test_hover_power_is_sum_of_hover_terms():
-    assert hover_power(ROTOR) == 79.86 + 88.63
-
-
 def test_horizontal_power_at_zero_equals_hover():
-    assert horizontal_power(ROTOR, 0.0) == pytest.approx(hover_power(ROTOR), rel=1e-12)
+    assert horizontal_power(ROTOR, 0.0) == pytest.approx(ROTOR.p0 + ROTOR.p_ind, rel=1e-12)
 
 
 def test_parasite_term_at_20ms():

@@ -1,12 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dcsf import Bounds, SystemParams, generate_scenario
-from dcsf.channel import per_user_rates
-from dcsf.beamforming import cluster_snr
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
@@ -14,24 +10,18 @@ from dcsf.problem import (
     ObjectiveTriple,
     canonicalize_labels,
     close_pairs,
-    cluster_semantic_terms,
     dominates,
     dominates_objectives,
     evaluate,
     violations_report,
 )
-from dcsf.semantic import semantic_similarity
-
-
-def _individual(scn, rng, params=None):
-    params = params or SystemParams()
-    n = scn.n_uavs
-    raw = rng.integers(1, n + 1, size=n)
-    k_raw = rng.integers(params.k_min, params.k_max + 1, size=int(raw.max()))
-    assignment, k = canonicalize_labels(raw, k_raw)
-    q = scn.bounds.lower + rng.random((n, 3)) * (scn.bounds.upper - scn.bounds.lower)
-    w = rng.random(n)
-    return Individual(assignment, q, w, k)
+from oracles import (
+    close_pairs_double_loop,
+    f2_by_cluster,
+    per_user_rates,
+    random_individual,
+    violation_double_loop,
+)
 
 
 def test_assignment_requires_canonical_labels():
@@ -80,28 +70,17 @@ def test_objective_triple_rejects_non_finite():
         ObjectiveTriple(float("inf"), 0.0, 0.0)
 
 
-def _f2_by_cluster(ind, scn, params):
-    """f2 by direct per-cluster recomputation."""
-    f2 = 0.0
-    for i, members in enumerate(ind.assignment.clusters()):
-        snr = cluster_snr(members, ind.q, ind.w, scn.bs_xyz, params)
-        if snr > 0:
-            xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
-            f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi
-    return f2
-
-
 def test_evaluate_matches_independent_scalar_paths(small_scenario, rng):
     params = SystemParams()
-    ind = _individual(small_scenario, rng)
+    ind = random_individual(small_scenario, rng)
     obj = evaluate(ind, small_scenario, params)
     # f1 via the scalar per-user path
     assert obj.f1 == pytest.approx(per_user_rates(small_scenario, ind.q, params).sum(), rel=1e-9)
-    assert obj.f2 == pytest.approx(_f2_by_cluster(ind, small_scenario, params), rel=1e-9)
+    assert obj.f2 == pytest.approx(f2_by_cluster(ind, small_scenario, params), rel=1e-9)
 
 
 def test_evaluate_reads_transmit_powers_from_params(small_scenario, rng):
-    ind = _individual(small_scenario, rng)
+    ind = random_individual(small_scenario, rng)
     quiet = evaluate(ind.copy(), small_scenario, SystemParams())
     params = SystemParams(user_tx_power=1.0, uav_tx_power=1.0)
     loud = evaluate(ind, small_scenario, params)
@@ -110,7 +89,7 @@ def test_evaluate_reads_transmit_powers_from_params(small_scenario, rng):
     assert loud.f2 > quiet.f2
     assert loud.f3 == quiet.f3
     assert loud.f1 == pytest.approx(per_user_rates(small_scenario, ind.q, params).sum(), rel=1e-9)
-    assert loud.f2 == pytest.approx(_f2_by_cluster(ind, small_scenario, params), rel=1e-9)
+    assert loud.f2 == pytest.approx(f2_by_cluster(ind, small_scenario, params), rel=1e-9)
 
 
 def test_in_bounds_individual_with_spread_uavs_is_feasible_on_c1_c2(small_scenario):
@@ -135,28 +114,6 @@ def test_violation_penalizes_bounds_and_proximity(small_scenario):
     assert any(v.startswith("C2") for v in report)
 
 
-def _close_pairs_double_loop(q, d_min):
-    out = []
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            d = float(np.linalg.norm(q[i] - q[j]))
-            if d < d_min:
-                out.append((i, j, d))
-    return out
-
-
-def _violation_double_loop(ind, scn, params):
-    lower, upper = scn.bounds.lower, scn.bounds.upper
-    span = upper - lower
-    total = 0.0
-    total += float((np.maximum(lower - ind.q, 0.0) / span).sum()
-                   + (np.maximum(ind.q - upper, 0.0) / span).sum())
-    for _, _, d in _close_pairs_double_loop(ind.q, params.d_min):
-        total += (params.d_min - d) / params.d_min
-    total += float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
-    return total
-
-
 def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
     params = SystemParams()
     d_min = params.d_min
@@ -165,20 +122,20 @@ def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
                                 (2000.0, 2000.0, 0.0), seed=n)
         for spread in (2.0, 6.0, 15.0):  # box sides of a few d_min: most pairs are close
             q = np.array([250.0, 250.0, 80.0]) + rng.random((n, 3)) * spread
-            assert close_pairs(q, d_min) == _close_pairs_double_loop(q, d_min)
+            assert close_pairs(q, d_min) == close_pairs_double_loop(q, d_min)
             ind = Individual(ClusterAssignment(tuple(range(1, n + 1))), q, np.ones(n), np.full(n, 5))
             evaluate(ind, scn, params)
-            assert ind.violation == _violation_double_loop(ind, scn, params)
+            assert ind.violation == violation_double_loop(ind, scn, params)
             _, report = violations_report(ind, scn, params)
             c2 = [line for line in report if line.startswith("C2")]
-            assert len(c2) == len(_close_pairs_double_loop(q, d_min))
+            assert len(c2) == len(close_pairs_double_loop(q, d_min))
 
 
 def test_close_pairs_at_the_d_min_boundary(rng):
     d_min = SystemParams().d_min
     # exactly d_min apart along an axis: not a violation
     q = np.array([[0.0, 0.0, 80.0], [d_min, 0.0, 80.0], [0.0, d_min, 80.0]])
-    assert close_pairs(q, d_min) == _close_pairs_double_loop(q, d_min) == []
+    assert close_pairs(q, d_min) == close_pairs_double_loop(q, d_min) == []
     # pairs within a few ulps of d_min in random directions fall on both sides
     sides = set()
     for _ in range(200):
@@ -187,7 +144,7 @@ def test_close_pairs_at_the_d_min_boundary(rng):
         scale = d_min * (1.0 + rng.integers(-4, 5) * np.finfo(float).eps)
         base = rng.random(3) * 100.0
         q = np.array([base, base + u * scale, base - u * scale / 2.0])
-        expected = _close_pairs_double_loop(q, d_min)
+        expected = close_pairs_double_loop(q, d_min)
         assert close_pairs(q, d_min) == expected
         sides.add((0, 1) in [(i, j) for i, j, _ in expected])
     assert sides == {True, False}
@@ -206,8 +163,8 @@ def test_low_similarity_contributes_violation(small_scenario):
 
 def test_dominance_feasible_beats_infeasible(small_scenario, rng):
     params = SystemParams()
-    a = _individual(small_scenario, rng)
-    b = _individual(small_scenario, rng)
+    a = random_individual(small_scenario, rng)
+    b = random_individual(small_scenario, rng)
     evaluate(a, small_scenario, params)
     evaluate(b, small_scenario, params)
     a.violation = 0.0
@@ -218,8 +175,8 @@ def test_dominance_feasible_beats_infeasible(small_scenario, rng):
 
 def test_dominance_among_infeasible_by_violation(small_scenario, rng):
     params = SystemParams()
-    a = _individual(small_scenario, rng)
-    b = _individual(small_scenario, rng)
+    a = random_individual(small_scenario, rng)
+    b = random_individual(small_scenario, rng)
     evaluate(a, small_scenario, params)
     evaluate(b, small_scenario, params)
     a.violation, b.violation = 1.0, 3.0
@@ -251,7 +208,7 @@ def test_dominance_transitive(a, b, c):
 
 def test_to_dict_from_dict_roundtrip(small_scenario, rng):
     params = SystemParams()
-    ind = _individual(small_scenario, rng)
+    ind = random_individual(small_scenario, rng)
     evaluate(ind, small_scenario, params)
     doc = ind.to_dict()
     back = Individual.from_dict(doc)
@@ -263,7 +220,7 @@ def test_to_dict_from_dict_roundtrip(small_scenario, rng):
 
 
 def test_copy_is_deep_for_arrays(small_scenario, rng):
-    ind = _individual(small_scenario, rng)
+    ind = random_individual(small_scenario, rng)
     clone = ind.copy()
     clone.q[0, 0] += 1.0
     assert ind.q[0, 0] != clone.q[0, 0]

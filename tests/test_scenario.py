@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from dcsf import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
-from dcsf.scenario import (
-    Scenario,
-    ScenarioError,
-    associate_users,
-    launch_positions,
-    validate_scenario,
-)
+from dcsf.scenario import Scenario, ScenarioError, launch_positions, validate_scenario
+from oracles import associate_users
 
 BOUNDS = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
 BS = (5000.0, 5000.0, 0.0)

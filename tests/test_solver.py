@@ -1,19 +1,10 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dcsf import Bounds, SystemParams, beamforming, generate_scenario, metrics, problem, solver
-from dcsf.problem import (
-    ClusterAssignment,
-    Individual,
-    ObjectiveTriple,
-    canonicalize_labels,
-    cluster_semantic_terms,
-    dominates,
-    evaluate,
-)
+from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
     LLM_FAILURE_LIMIT,
     P_C_INITIAL,
@@ -25,7 +16,6 @@ from dcsf.solver import (
     _monolithic_bounds,
     _with_genes,
     crowding_distance,
-    enumerate_merge_gains,
     final_front,
     gca_step,
     gso_step,
@@ -38,48 +28,9 @@ from dcsf.solver import (
     sbx_crossover,
     select_best,
 )
+from oracles import crowding, fake_pool, gca_replay, gso_sweep, peeled_fronts, random_individual
 
 PARAMS = SystemParams()
-
-
-def _fake_pool(objs, violations=None):
-    """Individuals with injected objectives; the genome content is irrelevant."""
-    a = ClusterAssignment((1,))
-    pool = []
-    for i, o in enumerate(objs):
-        ind = Individual(a, np.array([[0.0, 0.0, 60.0]]), np.ones(1), np.array([5]))
-        ind.objectives = ObjectiveTriple(*o)
-        ind.violation = 0.0 if violations is None else violations[i]
-        pool.append(ind)
-    return pool
-
-
-def brute_force_fronts(pool):
-    remaining = list(range(len(pool)))
-    fronts = []
-    while remaining:
-        front = [
-            i for i in remaining
-            if not any(dominates(pool[j], pool[i]) for j in remaining if j != i)
-        ]
-        fronts.append(front)
-        remaining = [i for i in remaining if i not in front]
-    return fronts
-
-
-def brute_force_crowding(front_objs):
-    n, m = front_objs.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for j in range(m):
-        order = np.argsort(front_objs[:, j], kind="stable")
-        lo, hi = front_objs[order[0], j], front_objs[order[-1], j]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi > lo:
-            for p in range(1, n - 1):
-                dist[order[p]] += (front_objs[order[p + 1], j] - front_objs[order[p - 1], j]) / (hi - lo)
-    return dist
 
 
 def test_sort_and_crowding_match_brute_force(rng):
@@ -87,17 +38,17 @@ def test_sort_and_crowding_match_brute_force(rng):
         m = int(rng.integers(2, 30))
         objs = rng.random((m, 3)) * [1e8, 1e6, 1e4]
         violations = np.where(rng.random(m) < 0.3, rng.random(m), 0.0)
-        pool = _fake_pool(objs, violations)
+        pool = fake_pool(objs, violations)
         fronts = nondominated_sort(pool)
-        assert [sorted(f) for f in fronts] == [sorted(f) for f in brute_force_fronts(pool)]
+        assert [sorted(f) for f in fronts] == peeled_fronts(objs, violations)
         for front in fronts:
             got = crowding_distance([pool[i] for i in front])
-            want = brute_force_crowding(np.array([pool[i].objectives.as_tuple() for i in front]))
+            want = crowding(np.array([pool[i].objectives.as_tuple() for i in front]))
             assert np.array_equal(got, want)
 
 
 def test_sort_handles_duplicates():
-    pool = _fake_pool([(1.0, 1.0, 1.0)] * 4)
+    pool = fake_pool([(1.0, 1.0, 1.0)] * 4)
     fronts = nondominated_sort(pool)
     assert fronts == [[0, 1, 2, 3]]
     assert np.all(np.isinf(crowding_distance(pool)) | (crowding_distance(pool) == 0.0))
@@ -105,7 +56,7 @@ def test_sort_handles_duplicates():
 
 def test_select_best_keeps_first_front_whole_when_it_fits():
     objs = [(3.0, 1.0, 1.0), (1.0, 3.0, 1.0), (2.0, 2.0, 1.0), (0.5, 0.5, 2.0), (0.4, 0.4, 3.0)]
-    pool = _fake_pool(objs)
+    pool = fake_pool(objs)
     chosen = select_best(pool, 3)
     got = {ind.objectives.as_tuple() for ind in chosen}
     assert got == {objs[0], objs[1], objs[2]}
@@ -128,54 +79,18 @@ def test_merge_clusters_renumbers_and_keeps_lower_indexed_k():
         merge_clusters(a, k, 1, 1)
 
 
-def _random_individual(scn, rng):
-    n = scn.n_uavs
-    raw = rng.integers(1, n + 1, size=n)
-    k_raw = rng.integers(PARAMS.k_min, PARAMS.k_max + 1, size=int(raw.max()))
-    assignment, k = canonicalize_labels(raw, k_raw)
-    q = scn.bounds.lower + rng.random((n, 3)) * (scn.bounds.upper - scn.bounds.lower)
-    w = rng.random(n)
-    return Individual(assignment, q, w, k)
-
-
 def test_gca_applied_merges_are_exhaustive_best_and_increase_f2(small_scenario, rng):
     scn = small_scenario
     for _ in range(10):
-        ind = _random_individual(scn, rng)
+        ind = random_individual(scn, rng)
         evaluate(ind, scn, PARAMS)
         f2_before = ind.objectives.f2
-        baseline = f2_before
         # replay the greedy loop with explicit exhaustive enumeration
-        expected = ind.copy()
-        while expected.assignment.n_clusters > 1:
-            gains = list(enumerate_merge_gains(expected, scn, PARAMS, baseline))
-            best = max(gains, key=lambda g: g[2])
-            if best[2] > 0:
-                expected.assignment, expected.k = best[3], best[4]
-            else:
-                break
+        expected, _ = gca_replay(ind, scn, PARAMS)
         gca_step([ind], scn, PARAMS)
         assert ind.assignment.labels == expected.assignment.labels
         assert list(ind.k) == list(expected.k)
         assert ind.objectives.f2 >= f2_before
-
-
-def _gca_oracle(ind, scn, params):
-    """The greedy loop replayed with every ordered merge evaluated from scratch."""
-    expected = ind.copy()
-    baseline = expected.objectives.f2
-    merges = 0
-    while expected.assignment.n_clusters > 1:
-        best_gain, best = -math.inf, None
-        for _, _, gain, assignment, k, _ in enumerate_merge_gains(expected, scn, params, baseline):
-            if gain > best_gain:
-                best_gain, best = gain, (assignment, k)
-        if best_gain <= 0:
-            break
-        expected.assignment, expected.k = best
-        merges += 1
-    evaluate(expected, scn, params)
-    return expected, merges
 
 
 @pytest.mark.parametrize("n_uavs,n_individuals", [(8, 8), (16, 4), (24, 3)])
@@ -192,10 +107,11 @@ def test_gca_matches_exhaustive_oracle_and_rates_each_cluster_once(n_uavs, n_ind
 
     total_merges = 0
     for _ in range(n_individuals):
-        ind = _random_individual(scn, rng)
+        ind = random_individual(scn, rng)
         evaluate(ind, scn, PARAMS)
         n_clusters = ind.assignment.n_clusters
-        expected, merges = _gca_oracle(ind, scn, PARAMS)
+        expected, applied_f2 = gca_replay(ind, scn, PARAMS)
+        merges = len(applied_f2)
         total_merges += merges
 
         calls.clear()
@@ -226,32 +142,11 @@ def test_gca_never_merges_when_no_gain(small_scenario):
     assert ind.assignment.n_clusters == 1
 
 
-def _gso_oracle(ind, scn, params):
-    """From-scratch exhaustive sweep, sequential over clusters, ascending k."""
-    best = ind.copy()
-    for i in range(best.assignment.n_clusters):
-        candidates = []
-        for k in range(params.k_min, params.k_max + 1):
-            trial = best.copy()
-            trial.k = best.k.copy()
-            trial.k[i] = k
-            rates, xis = cluster_semantic_terms(trial, scn, params)
-            candidates.append((k, float(rates.sum()), float(xis[i])))
-        feasible = [c for c in candidates if c[2] >= params.xi_threshold]
-        if feasible:
-            pick = max(feasible, key=lambda c: (c[1], -c[0]))
-        else:
-            pick = max(candidates, key=lambda c: (c[2], -c[0]))
-        best.k[i] = pick[0]
-    evaluate(best, scn, params)
-    return best
-
-
 def test_gso_matches_from_scratch_argmax(small_scenario, rng):
     scn = small_scenario
     for _ in range(10):
-        ind = _random_individual(scn, rng)
-        oracle = _gso_oracle(ind.copy(), scn, PARAMS)
+        ind = random_individual(scn, rng)
+        oracle = gso_sweep(ind, scn, PARAMS)
         gso_step([ind], scn, PARAMS)
         assert list(ind.k) == list(oracle.k)
         assert ind.objectives.f2 == pytest.approx(oracle.objectives.f2, rel=1e-12)
@@ -261,10 +156,10 @@ def test_gso_computes_each_cluster_snr_once(monkeypatch):
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
     scn = generate_scenario(50, 12, bounds, (2000.0, 2000.0, 0.0), seed=12)
     rng = np.random.default_rng(12)
-    population = [_random_individual(scn, rng) for _ in range(6)]
+    population = [random_individual(scn, rng) for _ in range(6)]
     for ind in population:
         evaluate(ind, scn, PARAMS)
-    oracles = [_gso_oracle(ind.copy(), scn, PARAMS) for ind in population]
+    oracles = [gso_sweep(ind, scn, PARAMS) for ind in population]
     n_clusters = sum(ind.assignment.n_clusters for ind in population)
     calls = []
     real_snr = beamforming.cluster_snr
@@ -370,7 +265,7 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
 
 
 def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monkeypatch):
-    pop = [_random_individual(small_scenario, rng) for _ in range(8)]
+    pop = [random_individual(small_scenario, rng) for _ in range(8)]
     for ind in pop:
         evaluate(ind, small_scenario, PARAMS)
     genomes = [_genes_of(ind) for ind in pop]
@@ -402,7 +297,7 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
 
 
 def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
-    ind = _random_individual(small_scenario, rng)
+    ind = random_individual(small_scenario, rng)
     ind.k[:] = PARAMS.k_max
     evaluate(ind, small_scenario, PARAMS)
     k_before = ind.k.copy()
@@ -487,7 +382,7 @@ def test_fallback_advisor_can_move_probabilities(small_scenario):
 
 def test_final_front_prefers_feasible():
     objs = [(1.0, 1.0, 1.0), (5.0, 5.0, 0.5)]
-    pool = _fake_pool(objs, violations=[0.0, 1.0])
+    pool = fake_pool(objs, violations=[0.0, 1.0])
     front = final_front(pool)
     assert len(front) == 1 and front[0].violation == 0.0
 
