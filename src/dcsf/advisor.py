@@ -1,9 +1,10 @@
 """Evolution-parameter advisor: population diagnostics in, (p_c, p_m) out.
 
-Three modes: `llm` renders a prompt and calls an OpenAI-compatible chat
-endpoint; `fallback` applies a deterministic trend rule; `static` echoes the
-current values. Any LLM failure silently degrades to the fallback rule, so
-`advise` always returns and never raises.
+Two sources: a deterministic trend rule (`fallback`), and an LLM reached
+through a transport, any callable `prompt -> reply` such as an `LlmEndpoint`
+(an OpenAI-compatible chat endpoint). A transport that raises or a reply that
+does not parse degrades to the fallback rule, so `advise` always returns and
+never raises.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class AdvisorInput:
 class ParamUpdate:
     p_c: float
     p_m: float
-    source: str  # "llm" | "fallback" | "static"
+    source: str  # "llm" | "fallback"
 
     def __post_init__(self):
         object.__setattr__(self, "p_c", _clamp(self.p_c, *P_C_BOUNDS))
@@ -54,6 +55,8 @@ class ParamUpdate:
 
 @dataclass(frozen=True)
 class LlmEndpoint:
+    """An OpenAI-compatible chat endpoint, called as `endpoint(prompt) -> reply`."""
+
     url: str
     api_key: str = ""
     model: str = "gpt-4o-mini"
@@ -66,6 +69,28 @@ class LlmEndpoint:
         if not url:
             return None
         return LlmEndpoint(url, os.environ.get(ENV_KEY, ""))
+
+    def __call__(self, prompt: str) -> str:
+        """The chat reply to `prompt`, in up to `retries + 1` attempts; raises the last error."""
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        payload = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+        }
+        data = json.dumps(payload).encode()
+        for attempt in range(self.retries + 1):
+            try:
+                # urlopen raises HTTPError on any non-2xx reply
+                request = urllib.request.Request(self.url, data=data, headers=headers, method="POST")
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    return json.loads(resp.read())["choices"][0]["message"]["content"]
+            except Exception as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # a non-2xx reply: the error holds its open response
+                if attempt == self.retries:
+                    raise
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -151,61 +176,22 @@ def _parse_params(body: str) -> tuple[float, float] | None:
     return values[0], values[1]
 
 
-def _call_endpoint(endpoint: LlmEndpoint, prompt: str) -> str:
-    headers = {"Content-Type": "application/json"}
-    if endpoint.api_key:
-        headers["Authorization"] = f"Bearer {endpoint.api_key}"
-    payload = {
-        "model": endpoint.model,
-        "messages": [{"role": "user", "content": prompt}],
-    }
-    data = json.dumps(payload).encode()
-    last_exc: Exception | None = None
-    for _ in range(endpoint.retries + 1):
-        try:
-            # urlopen raises HTTPError on any non-2xx reply
-            request = urllib.request.Request(endpoint.url, data=data, headers=headers, method="POST")
-            with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
-                return json.loads(resp.read())["choices"][0]["message"]["content"]
-        except Exception as exc:  # noqa: BLE001 - degrade, never raise
-            if isinstance(exc, urllib.error.HTTPError):
-                exc.close()  # a non-2xx reply: the error holds its open response
-            last_exc = exc
-    raise last_exc if last_exc else RuntimeError("no attempts made")
+def advise(inp: AdvisorInput, transport=None) -> ParamUpdate:
+    """A clamped (p_c, p_m) update. Never raises.
 
-
-def advise(
-    inp: AdvisorInput,
-    mode: str = "static",
-    endpoint: LlmEndpoint | None = None,
-    transport=None,
-) -> ParamUpdate:
-    """Produce a clamped (p_c, p_m) update. Never raises and never blocks past
-    the endpoint timeout; LLM failures degrade to the fallback rule.
-
-    `transport` overrides the HTTP call with `prompt -> response body` (tests).
+    With no transport, the fallback rule. Otherwise the rendered prompt goes
+    through `transport(prompt) -> reply`, and a call that raises or a reply
+    without numeric `p_c` and `p_m` gives the fallback rule. `advise` sets no
+    time limit of its own: one `LlmEndpoint` call can take `(retries + 1) x
+    timeout`, 40 s at its defaults.
     """
-    if mode == "static":
-        return ParamUpdate(inp.p_c, inp.p_m, "static")
-    if mode == "fallback":
+    if transport is None:
         return fallback_rule(inp)
-    if mode != "llm":
-        raise ValueError(f"unknown advisor mode {mode!r}")
-
     try:
-        prompt = render_prompt(inp)
-        if transport is not None:
-            body = transport(prompt)
-        else:
-            ep = endpoint or LlmEndpoint.from_env()
-            if ep is None:
-                return fallback_rule(inp)
-            body = _call_endpoint(ep, prompt)
-        if not isinstance(body, str):
-            return fallback_rule(inp)
-        parsed = _parse_params(body)
-        if parsed is None:
-            return fallback_rule(inp)
-        return ParamUpdate(parsed[0], parsed[1], "llm")
+        body = transport(render_prompt(inp))
+        parsed = _parse_params(body) if isinstance(body, str) else None
+        if parsed is not None:
+            return ParamUpdate(parsed[0], parsed[1], "llm")
     except Exception:  # noqa: BLE001 - the advise contract forbids raising
-        return fallback_rule(inp)
+        pass
+    return fallback_rule(inp)

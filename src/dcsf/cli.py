@@ -66,9 +66,8 @@ def _write_pareto(front, path: Path) -> None:
     _json_dump({"front": [ind.to_dict() for ind in front]}, path)
 
 
-def _knee(front):
-    objs = np.array([ind.objectives.as_tuple() for ind in front])
-    return metrics.knee_index(objs), objs
+def _knee(front) -> int:
+    return metrics.knee_index(np.array([ind.objectives.as_tuple() for ind in front]))
 
 
 def _deployment_doc(scn, ind) -> dict:
@@ -115,24 +114,25 @@ def _cmd_solve(args) -> int:
         population_size=args.pop,
         t_ao=args.t_ao,
         t_local=args.t_local,
-        advisor_mode=args.advisor,
         seed=args.seed,
     )
-    endpoint = None
+    transport = None
     if args.mode == "llm-aoa" and args.advisor == "llm":
-        endpoint = LlmEndpoint.from_env()
-        if endpoint is None:
+        transport = LlmEndpoint.from_env()
+        if transport is None:
             print(f"warning: {ENV_URL} not set; the advisor will use the fallback rule",
                   file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = solver.run(args.mode, scn, params, config, endpoint=endpoint)
+    result = solver.run(args.mode, scn, params, config, transport=transport)
     elapsed = time.perf_counter() - start
 
     front = solver.final_front(result.population)
-    knee_i, objs = _knee(front)
+    knee_i = _knee(front)
+    # the last history row holds the front metrics and (p_c, p_m) of this front
+    last = result.history[-1]
     # final_front keeps only feasible members when any exist
     least_violating = min(front, key=lambda ind: ind.violation)
     best_violation = least_violating.violation
@@ -141,8 +141,8 @@ def _cmd_solve(args) -> int:
 
     _json_dump({
         "mode": args.mode,
-        # monolithic NSGA-II runs no advisor
-        "advisor": {"llm-aoa": config.advisor_mode, "aoa": "static"}.get(args.mode),
+        # aoa and monolithic NSGA-II run no advisor
+        "advisor": args.advisor if args.mode == "llm-aoa" else None,
         "seed": config.seed,
         "population_size": config.population_size,
         "t_ao": config.t_ao,
@@ -163,11 +163,11 @@ def _cmd_solve(args) -> int:
         "violations": violations,
         "knee_index": knee_i,
         "knee_objectives": list(front[knee_i].objectives.as_tuple()),
-        "spacing": metrics.spacing_metric(objs),
-        "max_spread": metrics.max_spread_metric(objs),
-        "hypervolume": metrics.hypervolume(objs),
-        "final_p_c": result.final_p_c,
-        "final_p_m": result.final_p_m,
+        "spacing": last["sp"],
+        "max_spread": last["m3"],
+        "hypervolume": last["hypervolume"],
+        "final_p_c": last["p_c"],
+        "final_p_m": last["p_m"],
         "elapsed_seconds": round(elapsed, 3),
     }, out / "report.json")
     if not feasible:
@@ -240,7 +240,7 @@ def _cmd_export(args) -> int:
     for ind in front:
         problem.evaluate(ind, scn, params)
     if args.index == "knee":
-        idx, _ = _knee(front)
+        idx = _knee(front)
     else:
         idx = int(args.index)
         if not (0 <= idx < len(front)):
@@ -272,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run an optimizer and write run artifacts")
     s.add_argument("--scenario", required=True)
     s.add_argument("--mode", choices=["llm-aoa", "aoa", "monolithic-nsga2"], default="llm-aoa")
-    s.add_argument("--advisor", choices=["llm", "fallback", "static"], default="fallback")
+    s.add_argument("--advisor", choices=["llm", "fallback"], default="fallback",
+                   help=f"llm-aoa's advisor: the chat endpoint at ${ENV_URL} or the fallback rule "
+                        "(default); aoa and monolithic-nsga2 run none")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--pop", type=int, default=30)
     s.add_argument("--t-ao", type=int, default=50)

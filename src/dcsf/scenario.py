@@ -128,6 +128,14 @@ class SystemParams:
             raise ScenarioError("eta must be in (0, 1]")
         if self.user_tx_power <= 0 or self.uav_tx_power <= 0:
             raise ScenarioError("user_tx_power and uav_tx_power must be > 0")
+        if self.v_xy <= 0 or self.v_z <= 0:
+            raise ScenarioError("v_xy and v_z must be > 0")
+        if self.info_per_sentence <= 0 or self.words_per_sentence <= 0:
+            raise ScenarioError("info_per_sentence and words_per_sentence must be > 0")
+        ks = self.similarity.ks
+        if not (ks[0] <= self.k_min and self.k_max <= ks[-1]):
+            raise ScenarioError(f"similarity table spans k = {ks[0]}..{ks[-1]}, "
+                                f"not [k_min, k_max] = [{self.k_min}, {self.k_max}]")
 
     @property
     def frequency(self) -> float:

@@ -4,7 +4,8 @@ The main pipeline alternates four stages per outer iteration: greedy cluster
 merging on f2 (GCA), an advisor-guided NSGA-II pass over positions and weights,
 an exhaustive per-cluster sweep of the symbol count (GSO), and an elitist
 sort/truncate assessment. Two baselines share the machinery: the same loop
-with a static advisor, and a flat NSGA-II over every variable at once.
+with fixed (p_c, p_m) and no advisor, and a flat NSGA-II over every variable
+at once.
 
 All three modes run the same NSGA-II generation, `nsga2_generation`; they
 differ only in the genome and its decoding. Parents carry their objectives
@@ -15,7 +16,7 @@ differ from their parent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +29,15 @@ class SolverError(RuntimeError):
     pass
 
 
-# NSGA-II operator constants: initial crossover and mutation probabilities
-# (the advisor adapts them from there) and the SBX and polynomial-mutation
-# distribution indices.
+# NSGA-II operator constants: the crossover and mutation probabilities (aoa
+# and monolithic-nsga2 keep them; the llm-aoa advisor adapts them from there)
+# and the SBX and polynomial-mutation distribution indices.
 P_C_INITIAL = 0.8
 P_M_INITIAL = 0.4
 SBX_ETA = 15.0
 POLY_ETA = 20.0
-# Consecutive generations without an `llm`-sourced update after which an
-# `llm` advisor is replaced by the fallback rule for the rest of the run.
+# Consecutive generations without an `llm`-sourced update after which llm-aoa
+# drops its transport and the fallback rule advises for the rest of the run.
 LLM_FAILURE_LIMIT = 3
 
 
@@ -45,7 +46,6 @@ class SolverConfig:
     population_size: int = 30
     t_ao: int = 50            # outer alternating-optimization iterations
     t_local: int = 10         # NSGA-II generations per outer iteration
-    advisor_mode: str = "static"  # "llm" | "fallback" | "static"
     seed: int = 0
 
     def __post_init__(self):
@@ -53,16 +53,12 @@ class SolverConfig:
             raise ValueError("population size must be even and >= 4")
         if self.t_ao < 1 or self.t_local < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.advisor_mode not in ("llm", "fallback", "static"):
-            raise ValueError(f"unknown advisor mode {self.advisor_mode!r}")
 
 
 @dataclass
 class RunResult:
     population: list[Individual]
-    history: list[dict]
-    final_p_c: float
-    final_p_m: float
+    history: list[dict]  # ends with the final p_c, p_m and front metrics
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +443,18 @@ def _history_record(t: int, population, p_c: float, p_m: float) -> dict:
     }
 
 
-def run(mode: str, scenario, params, config: SolverConfig,
-        endpoint=None, transport=None) -> RunResult:
+def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> RunResult:
     """Execute a full optimization run.
 
-    Modes: "llm-aoa" (advisor per config), "aoa" (static advisor), and
-    "monolithic-nsga2" (flat NSGA-II over all variables). History carries one
-    record per outer iteration.
+    Modes: "llm-aoa" (the advisor sets p_c and p_m each generation, through
+    `transport` when one is given; see `advisor.advise`), "aoa" (fixed
+    P_C_INITIAL and P_M_INITIAL, no advisor) and "monolithic-nsga2" (flat
+    NSGA-II over all variables). History carries one record per outer
+    iteration.
     """
-    if mode == "aoa":
-        config = replace(config, advisor_mode="static")
-    elif mode == "monolithic-nsga2":
+    if mode == "monolithic-nsga2":
         return _run_monolithic(scenario, params, config)
-    elif mode != "llm-aoa":
+    if mode not in ("llm-aoa", "aoa"):
         raise ValueError(f"unknown mode {mode!r}")
 
     rng = np.random.default_rng(config.seed)
@@ -468,7 +463,7 @@ def run(mode: str, scenario, params, config: SolverConfig,
 
     bounds = _gene_bounds(scenario, params)
     p_c, p_m = P_C_INITIAL, P_M_INITIAL
-    advisor_mode, llm_failures = config.advisor_mode, 0
+    llm_failures = 0
     window: list[tuple[float, float]] = []
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
@@ -478,6 +473,8 @@ def run(mode: str, scenario, params, config: SolverConfig,
             population, _ = nsga2_generation(
                 population, [_genes_of(ind) for ind in population], scenario, params,
                 bounds, _with_genes, p_c, p_m, rng)
+            if mode == "aoa":
+                continue  # fixed (p_c, p_m): no advisor, no front metrics
             objs = _front_objectives(population)
             sp, m3 = metrics.spacing_metric(objs), metrics.max_spread_metric(objs)
             inp = advisor_mod.AdvisorInput(
@@ -486,18 +483,18 @@ def run(mode: str, scenario, params, config: SolverConfig,
                 objective_ranges=metrics.objective_ranges(objs),
                 history=tuple(window[-5:]),
             )
-            update = advisor_mod.advise(inp, advisor_mode, endpoint=endpoint, transport=transport)
+            update = advisor_mod.advise(inp, transport)
             p_c, p_m = update.p_c, update.p_m
-            if advisor_mode == "llm":
+            if transport is not None:
                 # circuit breaker: a dead endpoint stops costing a timeout per generation
                 llm_failures = 0 if update.source == "llm" else llm_failures + 1
                 if llm_failures == LLM_FAILURE_LIMIT:
-                    advisor_mode = "fallback"
+                    transport = None
             window.append((sp, m3))
         gso_step(population, scenario, params)
         population = select_best(population, config.population_size)
         history.append(_history_record(t, population, p_c, p_m))
-    return RunResult(population, history, p_c, p_m)
+    return RunResult(population, history)
 
 
 # ---------------------------------------------------------------------------
@@ -540,4 +537,4 @@ def _run_monolithic(scenario, params, config: SolverConfig) -> RunResult:
                 population, genomes, scenario, params, bounds,
                 lambda _, genes: _decode_monolithic(genes, params), p_c, p_m, rng)
         history.append(_history_record(t, population, p_c, p_m))
-    return RunResult(population, history, p_c, p_m)
+    return RunResult(population, history)

@@ -211,14 +211,14 @@ def test_acceptance_08_cli_determinism(tmp_path):
     assert main(["generate", "--users", "25", "--uavs", "3", "--area", "500",
                  "--bs", "2000", "2000", "0", "--seed", "3", "--out", str(scn)]) == 0
     for out in ("runA", "runB"):
-        assert main(["solve", "--scenario", str(scn), "--mode", "llm-aoa",
-                     "--advisor", "static", "--seed", "7", "--pop", "8",
+        assert main(["solve", "--scenario", str(scn), "--mode", "aoa",
+                     "--seed", "7", "--pop", "8",
                      "--t-ao", "2", "--t-local", "2", "--out", str(tmp_path / out)]) == 0
     for name in ("history.csv", "pareto.json"):
         a = (tmp_path / "runA" / name).read_bytes()
         b = (tmp_path / "runB" / name).read_bytes()
         assert a == b, f"{name} differs between identical seeded runs"
-    _report(8, "seed-7 static runs produce byte-identical history.csv and pareto.json")
+    _report(8, "seed-7 aoa runs produce byte-identical history.csv and pareto.json")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,7 @@ def test_acceptance_09_advisor_beats_static_on_scaled_problem():
     wins = 0
     ratios = []
     for seed in range(10):
-        cfg = SolverConfig(population_size=20, t_ao=10, t_local=5, seed=seed,
-                           advisor_mode="fallback")
+        cfg = SolverConfig(population_size=20, t_ao=10, t_local=5, seed=seed)
         adaptive = run("llm-aoa", scn, PARAMS, cfg)
         static = run("aoa", scn, PARAMS, cfg)
         hv_a, hv_s = _paired_hypervolumes(final_front(adaptive.population),
@@ -265,8 +264,7 @@ def test_acceptance_09_advisor_beats_static_on_scaled_problem():
 def test_acceptance_10_full_scale_knee_magnitudes():
     bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
     scn = generate_scenario(500, 8, bounds, (5000.0, 5000.0, 0.0), seed=0)
-    cfg = SolverConfig(population_size=30, t_ao=20, t_local=10, seed=0,
-                       advisor_mode="fallback")
+    cfg = SolverConfig(population_size=30, t_ao=20, t_local=10, seed=0)
     result = run("llm-aoa", scn, PARAMS, cfg)
     front = final_front(result.population)
     objs = np.array([ind.objectives.as_tuple() for ind in front])
@@ -301,7 +299,7 @@ def test_acceptance_11_advisor_fuzz():
             body = json.dumps({"p_c": pc, "p_m": pm})
         else:
             body = "{" * int(rng.integers(1, 30)) + "}" * int(rng.integers(0, 30))
-        upd = advise(inp, "llm", transport=lambda prompt, b=body: b)
+        upd = advise(inp, transport=lambda prompt, b=body: b)
         assert P_C_BOUNDS[0] <= upd.p_c <= P_C_BOUNDS[1]
         assert P_M_BOUNDS[0] <= upd.p_m <= P_M_BOUNDS[1]
         if _parse_params(body) is None:

@@ -15,7 +15,6 @@ from dcsf.advisor import (
     AdvisorInput,
     LlmEndpoint,
     ParamUpdate,
-    _call_endpoint,
     advise,
     fallback_rule,
     render_prompt,
@@ -28,16 +27,6 @@ def _inp(**kw):
                 history=((0.25, 1.4), (0.22, 1.45)))
     base.update(kw)
     return AdvisorInput(**base)
-
-
-def test_static_mode_echoes():
-    upd = advise(_inp(), "static")
-    assert (upd.p_c, upd.p_m, upd.source) == (0.8, 0.4, "static")
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        advise(_inp(), "bogus")
 
 
 def test_param_update_clamps():
@@ -67,24 +56,24 @@ def test_fallback_rule_no_history_is_identity():
 
 
 def test_llm_mode_parses_valid_json():
-    upd = advise(_inp(), "llm", transport=lambda prompt: '{"p_c": 0.7, "p_m": 0.3}')
+    upd = advise(_inp(), transport=lambda prompt: '{"p_c": 0.7, "p_m": 0.3}')
     assert (upd.p_c, upd.p_m, upd.source) == (0.7, 0.3, "llm")
 
 
 def test_llm_mode_extracts_embedded_json():
     body = 'Sure, here you go:\n```json\n{"p_c": 0.65, "p_m": 0.25}\n```\nGood luck.'
-    upd = advise(_inp(), "llm", transport=lambda prompt: body)
+    upd = advise(_inp(), transport=lambda prompt: body)
     assert (upd.p_c, upd.p_m, upd.source) == (0.65, 0.25, "llm")
 
 
 def test_llm_mode_parses_an_object_with_a_brace_in_a_string():
     body = '{"note": "keep } balanced", "p_c": 0.5, "p_m": 0.2}'
-    upd = advise(_inp(), "llm", transport=lambda prompt: body)
+    upd = advise(_inp(), transport=lambda prompt: body)
     assert (upd.p_c, upd.p_m, upd.source) == (0.5, 0.2, "llm")
 
 
 def test_llm_mode_clamps_out_of_range_reply():
-    upd = advise(_inp(), "llm", transport=lambda prompt: '{"p_c": 99, "p_m": 1e-9}')
+    upd = advise(_inp(), transport=lambda prompt: '{"p_c": 99, "p_m": 1e-9}')
     assert upd.p_c == P_C_BOUNDS[1] and upd.p_m == P_M_BOUNDS[0]
     assert upd.source == "llm"
 
@@ -102,7 +91,7 @@ def test_llm_mode_clamps_out_of_range_reply():
     '{"nested": {"p_c": 0.5, "p_m": 0.3}} oops',
 ])
 def test_llm_mode_degrades_on_malformed(body):
-    upd = advise(_inp(), "llm", transport=lambda prompt: body)
+    upd = advise(_inp(), transport=lambda prompt: body)
     assert upd.source == "fallback"
     assert P_C_BOUNDS[0] <= upd.p_c <= P_C_BOUNDS[1]
     assert P_M_BOUNDS[0] <= upd.p_m <= P_M_BOUNDS[1]
@@ -112,14 +101,14 @@ def test_llm_mode_degrades_on_transport_exception():
     def boom(prompt):
         raise ConnectionError("refused")
 
-    upd = advise(_inp(), "llm", transport=boom)
+    upd = advise(_inp(), transport=boom)
     assert upd.source == "fallback"
 
 
 def test_llm_mode_without_endpoint_falls_back(monkeypatch):
-    monkeypatch.delenv(ENV_URL, raising=False)
-    upd = advise(_inp(), "llm")
-    assert upd.source == "fallback"
+    # `advise` does not read DCSF_LLM_URL; only the CLI does
+    monkeypatch.setenv(ENV_URL, "http://127.0.0.1:9/v1/chat/completions")
+    assert advise(_inp()) == fallback_rule(_inp())
 
 
 def test_endpoint_from_env(monkeypatch):
@@ -146,7 +135,7 @@ def test_history_window_trimmed_to_five():
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=200))
 def test_advise_never_crashes_on_fuzzed_bodies(body):
-    upd = advise(_inp(), "llm", transport=lambda prompt: body)
+    upd = advise(_inp(), transport=lambda prompt: body)
     assert P_C_BOUNDS[0] <= upd.p_c <= P_C_BOUNDS[1]
     assert P_M_BOUNDS[0] <= upd.p_m <= P_M_BOUNDS[1]
     assert upd.source in ("llm", "fallback")
@@ -199,7 +188,7 @@ def test_llm_mode_posts_to_a_live_endpoint(chat_server):
     content = json.dumps({"p_c": 0.7, "p_m": 0.3})
     chat_server.reply(200, json.dumps({"choices": [{"message": {"content": content}}]}))
     ep = LlmEndpoint(chat_server.url, api_key="secret", model="m1", timeout=5.0)
-    upd = advise(_inp(), "llm", endpoint=ep)
+    upd = advise(_inp(), transport=ep)
     assert (upd.p_c, upd.p_m, upd.source) == (0.7, 0.3, "llm")
     [(headers, body)] = chat_server.posts
     assert headers["Authorization"] == "Bearer secret"
@@ -213,7 +202,7 @@ def test_llm_mode_retries_a_server_error_then_falls_back(chat_server):
     content = json.dumps({"p_c": 0.7, "p_m": 0.3})
     chat_server.reply(500, json.dumps({"choices": [{"message": {"content": content}}]}))
     ep = LlmEndpoint(chat_server.url, timeout=5.0, retries=2)
-    upd = advise(_inp(), "llm", endpoint=ep)
+    upd = advise(_inp(), transport=ep)
     assert upd == fallback_rule(_inp())
     assert len(chat_server.posts) == ep.retries + 1
     assert "Authorization" not in chat_server.posts[0][0]
@@ -222,7 +211,7 @@ def test_llm_mode_retries_a_server_error_then_falls_back(chat_server):
 def test_llm_mode_falls_back_on_a_malformed_reply(chat_server):
     chat_server.reply(200, "<html>not a chat completion</html>")
     ep = LlmEndpoint(chat_server.url, timeout=5.0, retries=0)
-    upd = advise(_inp(), "llm", endpoint=ep)
+    upd = advise(_inp(), transport=ep)
     assert upd.source == "fallback"
     assert len(chat_server.posts) == 1
 
@@ -233,6 +222,6 @@ def test_a_server_error_reply_is_closed(chat_server):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(urllib.error.HTTPError):
-            _call_endpoint(ep, "prompt")
+            ep("prompt")
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []

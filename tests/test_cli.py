@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from dcsf.advisor import ENV_URL
 from dcsf.cli import main
 
 
@@ -17,7 +18,7 @@ def _generate(tmp_path, seed=5):
     return scn
 
 
-def _solve(tmp_path, scn, out, mode="llm-aoa", advisor="static", seed=7):
+def _solve(tmp_path, scn, out, mode="aoa", advisor="fallback", seed=7):
     rc = main([
         "solve", "--scenario", str(scn), "--mode", mode, "--advisor", advisor,
         "--seed", str(seed), "--pop", "8", "--t-ao", "2", "--t-local", "2",
@@ -155,12 +156,15 @@ def test_solve_and_export_reject_invalid_launch_positions(tmp_path, capsys):
     assert not run.exists()
 
 
-def test_monolithic_mode_through_cli(tmp_path):
+def test_monolithic_mode_through_cli(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_URL, raising=False)
     scn = _generate(tmp_path)
-    out = _solve(tmp_path, scn, "runM", mode="monolithic-nsga2", advisor="llm")
-    config = json.loads((out / "config.json").read_text())
-    assert config["mode"] == "monolithic-nsga2"
-    assert config["advisor"] is None  # no advisor runs in this mode
+    # config.json records the advisor that ran: none in aoa and monolithic-nsga2
+    for mode, advisor, recorded in (("monolithic-nsga2", "llm", None), ("aoa", "llm", None),
+                                    ("llm-aoa", "fallback", "fallback"), ("llm-aoa", "llm", "llm")):
+        out = _solve(tmp_path, scn, f"run-{mode}-{advisor}", mode=mode, advisor=advisor)
+        config = json.loads((out / "config.json").read_text())
+        assert (config["mode"], config["advisor"]) == (mode, recorded)
 
 
 def _solve_40x6(tmp_path, seed, capsys):

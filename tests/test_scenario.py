@@ -5,6 +5,7 @@ import pytest
 
 from dcsf import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
 from dcsf.scenario import Scenario, ScenarioError, launch_positions, validate_scenario
+from dcsf.semantic import default_similarity_model
 from oracles import associate_users
 
 BOUNDS = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
@@ -154,9 +155,21 @@ def test_generate_rejects_empty():
 
 
 def test_params_validation():
-    with pytest.raises(ScenarioError):
-        SystemParams(bandwidth=-1.0)
-    with pytest.raises(ScenarioError):
-        SystemParams(k_min=5, k_max=2)
-    with pytest.raises(ScenarioError):
-        SystemParams(uav_tx_power=0)
+    bad = [
+        dict(bandwidth=-1.0),
+        dict(k_min=5, k_max=2),
+        dict(uav_tx_power=0),
+        # each of these raised ZeroDivisionError inside a solve
+        dict(v_xy=0.0),
+        dict(v_z=0.0),
+        dict(words_per_sentence=0.0),
+        # a negative f2
+        dict(info_per_sentence=-40.0),
+        # the similarity table must cover every k the solver can pick
+        dict(k_max=30),
+        dict(k_min=1, similarity=default_similarity_model(2, 20)),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ScenarioError):
+            SystemParams(**kwargs)
+    SystemParams(k_min=3, k_max=8)  # a k range inside the table is fine

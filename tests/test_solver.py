@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from dcsf import Bounds, SystemParams, beamforming, generate_scenario, metrics, problem, solver
+from dcsf import Bounds, SystemParams, advisor, beamforming, generate_scenario, metrics, problem, solver
 from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
     LLM_FAILURE_LIMIT,
@@ -311,7 +309,7 @@ def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
 
 
 def test_a_failing_llm_advisor_is_called_until_the_breaker_trips(small_scenario):
-    cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, advisor_mode="llm", seed=0)
+    cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, seed=0)
     prompts = []
 
     def dead(prompt):
@@ -321,7 +319,7 @@ def test_a_failing_llm_advisor_is_called_until_the_breaker_trips(small_scenario)
     res = run("llm-aoa", small_scenario, PARAMS, cfg, transport=dead)
     assert len(prompts) == LLM_FAILURE_LIMIT == 3
     # every failed call already fell back, so the run is the fallback run
-    fallback = run("llm-aoa", small_scenario, PARAMS, replace(cfg, advisor_mode="fallback"))
+    fallback = run("llm-aoa", small_scenario, PARAMS, cfg)
     assert res.history == fallback.history
 
     replies = []
@@ -332,12 +330,12 @@ def test_a_failing_llm_advisor_is_called_until_the_breaker_trips(small_scenario)
 
     res = run("llm-aoa", small_scenario, PARAMS, cfg, transport=healthy)
     assert len(replies) == 2 * 3
-    assert (res.final_p_c, res.final_p_m) == (0.7, 0.3)
+    assert (res.history[-1]["p_c"], res.history[-1]["p_m"]) == (0.7, 0.3)
 
 
 def test_llm_aoa_computes_one_hypervolume_per_outer_iteration(small_scenario, monkeypatch):
     calls = _count_calls(monkeypatch, metrics, "hypervolume")
-    cfg = SolverConfig(population_size=8, t_ao=3, t_local=2, advisor_mode="fallback", seed=0)
+    cfg = SolverConfig(population_size=8, t_ao=3, t_local=2, seed=0)
     run("llm-aoa", small_scenario, PARAMS, cfg)
     assert len(calls) == 3
 
@@ -364,16 +362,30 @@ def test_run_history_and_modes(small_scenario):
         run("nope", small_scenario, PARAMS, cfg)
 
 
-def test_aoa_mode_ignores_advisor_setting(small_scenario):
-    cfg = SolverConfig(population_size=8, t_ao=2, t_local=2, seed=5, advisor_mode="fallback")
-    static = run("aoa", small_scenario, PARAMS, cfg)
-    # static advisor echoes the initial probabilities forever
-    assert all(row["p_c"] == P_C_INITIAL and row["p_m"] == P_M_INITIAL for row in static.history)
+def test_aoa_mode_ignores_advisor_setting(small_scenario, monkeypatch):
+    calls = _count_calls(monkeypatch, advisor, "advise")
+    prompts = []
+    cfg = SolverConfig(population_size=8, t_ao=2, t_local=2, seed=5)
+    res = run("aoa", small_scenario, PARAMS, cfg, transport=prompts.append)
+    # aoa runs no advisor and keeps the initial probabilities throughout
+    assert calls == [] and prompts == []
+    assert all(row["p_c"] == P_C_INITIAL and row["p_m"] == P_M_INITIAL for row in res.history)
 
 
-def test_fallback_advisor_can_move_probabilities(small_scenario):
-    cfg = SolverConfig(population_size=8, t_ao=4, t_local=3, seed=5, advisor_mode="fallback")
+def test_fallback_advisor_can_move_probabilities(small_scenario, monkeypatch):
+    updates = []
+    real = advisor.advise
+
+    def spy(*args, **kwargs):
+        updates.append(real(*args, **kwargs))
+        return updates[-1]
+
+    monkeypatch.setattr(advisor, "advise", spy)
+    cfg = SolverConfig(population_size=8, t_ao=4, t_local=3, seed=5)
     res = run("llm-aoa", small_scenario, PARAMS, cfg)
+    # with no transport, llm-aoa asks the fallback rule once per generation
+    assert len(updates) == cfg.t_ao * cfg.t_local
+    assert {update.source for update in updates} == {"fallback"}
     # probabilities stay inside the advisor clamp bounds at all times
     for row in res.history:
         assert 0.1 <= row["p_c"] <= 0.95
@@ -390,7 +402,5 @@ def test_final_front_prefers_feasible():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(population_size=7)
-    with pytest.raises(ValueError):
-        SolverConfig(advisor_mode="bogus")
     with pytest.raises(ValueError):
         SolverConfig(t_ao=0)
