@@ -13,10 +13,7 @@ import json
 import math
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from importlib import resources
 
 P_C_BOUNDS = (0.1, 0.95)
 P_M_BOUNDS = (0.01, 0.9)
@@ -72,6 +69,9 @@ class LlmEndpoint:
 
     def __call__(self, prompt: str) -> str:
         """The chat reply to `prompt`, in up to `retries + 1` attempts; raises the last error."""
+        import urllib.error  # imported here: only a run with an endpoint needs the HTTP stack
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -98,6 +98,8 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 
 
 def prompt_template() -> str:
+    from importlib import resources  # imported here: only a transport's prompt reads the file
+
     return resources.files("dcsf").joinpath("prompts/advisor_prompt.txt").read_text()
 
 

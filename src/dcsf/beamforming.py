@@ -11,6 +11,12 @@ tests check it against spherical quadrature (tests/oracles.py), which is no
 production path: at centimeter wavelengths and inter-UAV spacings of tens of
 meters the integrand oscillates far too fast for quadrature to be practical.
 
+The sinc factors come from one V x V table over the whole fleet,
+`sinc_matrix(Q, params)`, built at most once per evaluation and once per
+merge pass; each cluster reads its members' block, which equals, bit for
+bit, the table of the members alone (the per-cluster oracle in
+tests/oracles.py).
+
 The array factor carries no steering phase: the elements are not
 phase-synchronized toward the BS, so a cluster's gain depends on its element
 positions at sub-wavelength scale (a lambda/2 shift of one UAV along its BS
@@ -33,18 +39,22 @@ def array_factor(pos: np.ndarray, w: np.ndarray, p: float, theta: float, phi: fl
     st, ct = math.sin(theta), math.cos(theta)
     direction = np.array([st * math.cos(phi), st * math.sin(phi), ct])
     phases = p * (pos @ direction)
-    return complex(np.sum(w * np.exp(1j * phases)))
+    return complex(np.add.reduce(w * np.exp(1j * phases)))
 
 
-def pairwise_sinc_sum(xyz: np.ndarray, weights: np.ndarray, phase_constant: float) -> float:
-    """Sum_ij w_i w_j sinc(p * d_ij) with sinc(x) = sin(x)/x, sinc(0) = 1."""
-    xyz = np.asarray(xyz, dtype=float)
-    w = np.asarray(weights, dtype=float)
+def sinc_matrix(uav_positions: np.ndarray, params) -> np.ndarray:
+    """sinc(p * d_ij) for every pair of UAVs, with p = 2 pi / lambda,
+    sinc(x) = sin(x)/x and sinc(0) = 1."""
+    xyz = np.asarray(uav_positions, dtype=float)
     diff = xyz[:, None, :] - xyz[None, :, :]
-    x = phase_constant * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    x = (2.0 * math.pi / params.wavelength) * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
-    return float(w @ s @ w)
+        return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+
+
+def pairwise_sinc_sum(sinc: np.ndarray, weights: np.ndarray) -> float:
+    """Sum_ij w_i w_j sinc(p * d_ij), given the elements' `sinc_matrix`."""
+    return float(weights @ sinc @ weights)
 
 
 def cluster_snr(
@@ -53,22 +63,25 @@ def cluster_snr(
     weights: np.ndarray,
     bs_xyz: np.ndarray,
     params,
+    sinc: np.ndarray,
 ) -> float:
     """SNR of one cluster's link to the BS.
 
     Every UAV transmits P_v = `params.uav_tx_power`. Multi-UAV clusters
-    transmit P_c = sum w^2 P_v with the collaborative array gain; singletons
-    use the plain link budget. Path loss and BS direction are taken from the
-    cluster's centroid (far-field BS), which must not coincide with the BS.
+    transmit P_c = sum w^2 P_v with the collaborative array gain, whose
+    normalization reads `sinc`, the `sinc_matrix` of `uav_positions`;
+    singletons use the plain link budget and do not read it. Path loss and BS
+    direction are taken from the cluster's centroid (far-field BS), which
+    must not coincide with the BS.
     """
     members = list(member_ids)
     if not members:
         raise ValueError("empty cluster")
     pos = np.asarray(uav_positions, dtype=float)[members]
     n = len(members)
-    centroid = pos.sum(axis=0) / n
+    centroid = np.add.reduce(pos, axis=0) / n
     delta = bs_xyz - centroid
-    d = float(np.linalg.norm(delta))
+    d = math.sqrt(delta.dot(delta))
     if d == 0:
         raise ValueError("cluster centroid coincides with the BS")
     dz = float(delta[2])
@@ -78,12 +91,15 @@ def cluster_snr(
     else:
         w = np.asarray(weights, dtype=float)[members]
         # element by element, as sum_v w_v^2 P_v; factoring P_v out changes the last bits
-        p_total = float(np.sum(w**2 * params.uav_tx_power))
+        p_total = float(np.add.reduce(w**2 * params.uav_tx_power))
         if p_total == 0.0:
             return 0.0
         p = 2.0 * math.pi / params.wavelength
         # through (theta, phi) rather than delta / d; the shortcut changes the last bits
         theta, phi = math.acos(dz / d), math.atan2(float(delta[1]), float(delta[0]))
-        gain = abs(array_factor(pos, w, p, theta, phi)) ** 2 * params.eta / pairwise_sinc_sum(pos, w, p)
+        # the members' block, C-ordered like a table of the members alone (the matrix
+        # product of another layout changes the last bits)
+        block = sinc.take(members, 0).take(members, 1)
+        gain = abs(array_factor(pos, w, p, theta, phi)) ** 2 * params.eta / pairwise_sinc_sum(block, w)
         received = p_total * gain * path
     return received / params.noise_watts

@@ -117,11 +117,13 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
     )
     transport = None
-    if args.mode == "llm-aoa" and args.advisor == "llm":
+    advisor = args.advisor if args.mode == "llm-aoa" else None  # aoa and monolithic NSGA-II run none
+    if advisor == "llm":
         transport = LlmEndpoint.from_env()
         if transport is None:
             print(f"warning: {ENV_URL} not set; the advisor will use the fallback rule",
                   file=sys.stderr)
+            advisor = "fallback"
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,8 +143,7 @@ def _cmd_solve(args) -> int:
 
     _json_dump({
         "mode": args.mode,
-        # aoa and monolithic NSGA-II run no advisor
-        "advisor": args.advisor if args.mode == "llm-aoa" else None,
+        "advisor": advisor,
         "seed": config.seed,
         "population_size": config.population_size,
         "t_ao": config.t_ao,

@@ -94,6 +94,7 @@ class Individual:
     objectives: ObjectiveTriple | None = None
     violation: float = 0.0
     cluster_xi: np.ndarray | None = field(default=None, repr=False)
+    cluster_snr: np.ndarray | None = field(default=None, repr=False)  # per cluster; k-independent
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -117,6 +118,7 @@ class Individual:
             self.objectives,
             self.violation,
             None if self.cluster_xi is None else self.cluster_xi.copy(),
+            None if self.cluster_snr is None else self.cluster_snr.copy(),
         )
 
     def to_dict(self) -> dict:
@@ -143,34 +145,46 @@ class Individual:
         return ind
 
 
-def cluster_terms(members, k: int, q: np.ndarray, w: np.ndarray, scenario, params) -> tuple[float, float]:
-    """(semantic rate, similarity) of the cluster `members` at k symbols/word.
+def cluster_semantic_terms(individual: Individual, scenario, params,
+                           parent: Individual | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cluster (semantic rate, similarity, SNR). Zero-SNR clusters contribute nothing.
 
-    `members` are UAV indices in ascending order. A zero-SNR cluster gives (0, 0).
+    A cluster's SNR depends on its members' Q rows and w, not on k. A cluster
+    whose member set, Q rows and w equal, byte for byte, those of a cluster
+    of the evaluated `parent` takes the parent's SNR; the others are rated
+    from one `sinc_matrix` of Q. `parent` may be `individual` itself when its
+    stored SNRs are those of its current clusters.
     """
-    snr = beamforming.cluster_snr(members, q, w, scenario.bs_xyz, params)
-    return semantic.semantic_terms(snr, k, params)
-
-
-def cluster_semantic_terms(individual: Individual, scenario, params) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster (semantic rate, similarity). Zero-SNR clusters contribute nothing."""
     clusters = individual.assignment.clusters()
-    rates = np.zeros(len(clusters))
-    xis = np.zeros(len(clusters))
+    known = {}
+    if parent is not None:
+        same = ((individual.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
+                & (individual.w.view(np.int64) == parent.w.view(np.int64)))
+        known = {tuple(members): snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
+                 if same[members].all()}
+    stale = [members for members in clusters if tuple(members) not in known]
+    sinc = beamforming.sinc_matrix(individual.q, params) if any(len(m) > 1 for m in stale) else None
+    rates, xis, snrs = np.zeros(len(clusters)), np.zeros(len(clusters)), np.zeros(len(clusters))
     for i, members in enumerate(clusters):
-        rates[i], xis[i] = cluster_terms(members, int(individual.k[i]), individual.q, individual.w,
-                                         scenario, params)
-    return rates, xis
+        snr = known.get(tuple(members))
+        if snr is None:
+            snr = beamforming.cluster_snr(members, individual.q, individual.w, scenario.bs_xyz, params, sinc)
+        snrs[i] = snr
+        rates[i], xis[i] = semantic.semantic_terms(snr, int(individual.k[i]), params)
+    return rates, xis, snrs
 
 
-def evaluate(individual: Individual, scenario, params) -> ObjectiveTriple:
-    """Compute and cache (f1, f2, f3) plus the constraint-violation scalar."""
+def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
+    """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
+    and the constraint-violation scalar. With no `parent`, every SNR is
+    computed; see `cluster_semantic_terms` for what a parent lends."""
     f1 = channel.sum_user_rate(scenario, individual.q, params)
-    rates, xis = cluster_semantic_terms(individual, scenario, params)
+    rates, xis, snrs = cluster_semantic_terms(individual, scenario, params, parent)
     f2 = float(rates.sum())
     f3 = energy.total_flight_energy(scenario, individual.q, params)
     individual.objectives = ObjectiveTriple(f1, f2, f3)
     individual.cluster_xi = xis
+    individual.cluster_snr = snrs
     individual.violation = _violation_scalar(individual, scenario, params, xis)
     return individual.objectives
 
@@ -199,23 +213,14 @@ def violations_report(individual: Individual, scenario, params) -> tuple[float, 
     return individual.violation, report
 
 
-def dominates(a: Individual, b: Individual) -> bool:
-    """Constrained dominance: feasibility first, then Pareto on (f1, f2, -f3)."""
-    if a.objectives is None or b.objectives is None:
-        raise ValueError("both individuals must be evaluated first")
-    a_feasible = a.violation == 0.0
-    b_feasible = b.violation == 0.0
-    if a_feasible and not b_feasible:
-        return True
-    if b_feasible and not a_feasible:
-        return False
-    if not a_feasible and not b_feasible:
-        return a.violation < b.violation
-    return dominates_objectives(a.objectives.as_tuple(), b.objectives.as_tuple())
-
-
-def dominates_objectives(a: tuple[float, float, float], b: tuple[float, float, float]) -> bool:
-    """Pareto dominance: maximize f1 and f2, minimize f3."""
-    no_worse = a[0] >= b[0] and a[1] >= b[1] and a[2] <= b[2]
-    better = a[0] > b[0] or a[1] > b[1] or a[2] < b[2]
-    return no_worse and better
+def dominance_matrix(pool) -> np.ndarray:
+    """D[i, j]: pool[i] constrained-dominates pool[j]. Feasibility comes first,
+    then the lower violation between infeasible members, then Pareto dominance
+    on (f1, f2, -f3) between feasible ones."""
+    f1, f2, f3 = np.array([ind.objectives.as_tuple() for ind in pool]).reshape(-1, 3).T
+    violation = np.array([ind.violation for ind in pool])
+    no_worse = (f1[:, None] >= f1) & (f2[:, None] >= f2) & (f3[:, None] <= f3)
+    better = (f1[:, None] > f1) | (f2[:, None] > f2) | (f3[:, None] < f3)
+    feasible = violation == 0.0
+    return np.where(feasible[:, None] != feasible, feasible[:, None],
+                    np.where(feasible[:, None], no_worse & better, violation[:, None] < violation))

@@ -195,12 +195,8 @@ def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray,
     d += square
     np.sqrt(d, out=d)
     d_near = d.min(axis=0)
-    # the first minimum over V (the lowest index writes last); np.argmin(axis=0)
-    # is slower on this layout
-    nearest = np.zeros(len(user_xyz), dtype=np.intp)
-    for v in range(len(uav_xyz) - 1, -1, -1):
-        nearest[d[v] == d_near] = v
-    return nearest, d_near
+    # the first minimum over V; np.argmin(axis=0) is slower on this layout
+    return (d == d_near).argmax(axis=0), d_near
 
 
 # Relative slack on d_min^2 when screening pairs by vectorized squared

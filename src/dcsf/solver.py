@@ -11,11 +11,17 @@ All three modes run the same NSGA-II generation, `nsga2_generation`; they
 differ only in the genome and its decoding. Parents carry their objectives
 across generations, so each generation evaluates only the offspring that
 differ from their parent.
+
+Every evaluated individual also carries one SNR per cluster, which depends on
+the members' positions and weights but not on k. An offspring reuses its
+parent's SNR for each cluster it kept unchanged, GSO sweeps k from the stored
+SNRs, and GCA seeds its cache with them and rates the rest from one sinc
+table per individual. GCA's ordered merges and GSO's k candidates are scored
+as the row sums of one matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +87,13 @@ def initialize_population(scenario, params, config: SolverConfig, rng=None) -> l
     return population
 
 
-def evaluate_population(population, scenario, params) -> None:
-    for ind in population:
+def evaluate_population(population, scenario, params, parents=None) -> None:
+    """Evaluate every member that has no objectives yet, lending it the
+    stored SNRs of `parents[i]` when `parents` is given."""
+    for i, ind in enumerate(population):
         if ind.objectives is None:
             try:
-                problem.evaluate(ind, scenario, params)
+                problem.evaluate(ind, scenario, params, None if parents is None else parents[i])
             except ValueError as exc:
                 raise SolverError(f"non-finite objective during evaluation: {exc}") from exc
 
@@ -120,48 +128,54 @@ def _best_merge(ind: Individual, rate, baseline: float):
     """(gain, survivor, absorbed) of the first strictly best ordered merge.
 
     `rate(members, k)` gives one cluster's semantic rate. Mirror merges have
-    the same members and k, so each unordered pair is rated once; each
-    ordered candidate's f2 is then the sum of the rate vector in the label
-    order `merge_clusters` gives, which reproduces, bit for bit and ties
-    included, the f2 of each merged individual evaluated from scratch (the
-    oracle `enumerate_merge_gains` in tests/oracles.py).
+    the same members and k, so each unordered pair is rated once. Each
+    ordered candidate's f2 is the sum of one row of a matrix: the rate vector
+    without the absorbed slot, in the label order `merge_clusters` gives, and
+    the merged rate in the survivor's slot. A row sums bit for bit like the
+    1-D vector, so this reproduces, ties included, the f2 of each merged
+    individual evaluated from scratch (the oracle `enumerate_merge_gains` in
+    tests/oracles.py); `np.argmax` keeps the first of equal gains.
     """
     clusters = [tuple(members) for members in ind.assignment.clusters()]
     k = [int(v) for v in ind.k]
     n = len(clusters)
     rates = np.array([rate(clusters[i], k[i]) for i in range(n)])
-    merged = {
-        (lo, hi): rate(tuple(sorted(clusters[lo] + clusters[hi])), k[lo])
-        for lo in range(n) for hi in range(lo + 1, n)
-    }
-    # the absorbed cluster's slot is removed; the merged rate takes the survivor's slot
-    without = [np.delete(rates, a) for a in range(n)]
-    best = (-math.inf, None, None)
-    for b in range(n):
-        for b2 in range(n):
-            if b == b2:
-                continue
-            trial = without[b2].copy()
-            trial[b if b < b2 else b - 1] = merged[min(b, b2), max(b, b2)]
-            gain = float(trial.sum()) - baseline
-            if gain > best[0]:
-                best = (gain, b + 1, b2 + 1)
-    return best
+    merged = np.zeros((n, n))
+    for lo in range(n):
+        for hi in range(lo + 1, n):
+            merged[lo, hi] = merged[hi, lo] = rate(tuple(sorted(clusters[lo] + clusters[hi])), k[lo])
+    # ordered merges (survivor b, absorbed a), b-major: the first of equal gains is the oracle's
+    b, a = np.nonzero(~np.eye(n, dtype=bool))
+    slots = np.arange(n - 1)
+    trial = rates[slots + (slots >= a[:, None])]
+    trial[np.arange(len(b)), b - (b > a)] = merged[b, a]
+    gains = trial.sum(axis=1) - baseline
+    best = int(np.argmax(gains))
+    return float(gains[best]), int(b[best]) + 1, int(a[best]) + 1
 
 
 def _merge_greedily(ind: Individual, scenario, params) -> bool:
     """Apply best-gain merges to one evaluated individual until none gains;
-    True when any merge was applied.
+    True when any merge was applied, with `ind.cluster_snr` then set for the
+    merged clusters.
 
-    Rates are cached by (members, k), so each cluster and each merged pair is
-    rated once; after a merge only the pairs with the new cluster are new.
+    SNRs are cached by member set, seeded with the individual's stored ones;
+    the others are computed from one `sinc_matrix` of its Q. Rates are cached
+    by (members, k), so each cluster and each merged pair is rated once;
+    after a merge only the pairs with the new cluster are new.
     """
+    if ind.assignment.n_clusters == 1:
+        return False
+    snr_of = dict(zip(map(tuple, ind.assignment.clusters()), ind.cluster_snr))
+    sinc = beamforming.sinc_matrix(ind.q, params)
     cache: dict = {}
 
     def rate(members, k):
         key = (members, k)
         if key not in cache:
-            cache[key] = problem.cluster_terms(members, k, ind.q, ind.w, scenario, params)[0]
+            if members not in snr_of:
+                snr_of[members] = beamforming.cluster_snr(members, ind.q, ind.w, scenario.bs_xyz, params, sinc)
+            cache[key] = semantic.semantic_terms(snr_of[members], k, params)[0]
         return cache[key]
 
     baseline = ind.objectives.f2
@@ -172,6 +186,8 @@ def _merge_greedily(ind: Individual, scenario, params) -> bool:
             break
         ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, survivor, absorbed)
         changed = True
+    if changed:
+        ind.cluster_snr = np.array([snr_of[tuple(members)] for members in ind.assignment.clusters()])
     return changed
 
 
@@ -184,37 +200,36 @@ def gca_step(population, scenario, params) -> None:
     evaluate_population(population, scenario, params)
     for ind in population:
         if _merge_greedily(ind, scenario, params):
-            problem.evaluate(ind, scenario, params)
+            problem.evaluate(ind, scenario, params, ind)
 
 
 # ---------------------------------------------------------------------------
 # Stage 2: NSGA-II over positions and weights
 
 def nondominated_sort(pool) -> list[list[int]]:
-    """Fast non-dominated sort under constrained dominance; returns index fronts."""
-    n = len(pool)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if problem.dominates(pool[i], pool[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif problem.dominates(pool[j], pool[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts = [[i for i in range(n) if domination_count[i] == 0]]
+    """Fast non-dominated sort (Deb et al. 2002) under constrained dominance;
+    returns index fronts.
+
+    The dominance matrix gives each member's dominated-by list in ascending
+    order, as the pairwise double loop built it, so the fronts and their
+    order are unchanged.
+    """
+    dominates = problem.dominance_matrix(pool)
+    count = dominates.sum(axis=0).tolist()
+    dominated = np.nonzero(dominates)[1].tolist()
+    ends = np.cumsum(dominates.sum(axis=1)).tolist()
+    dominated_by = [dominated[start:end] for start, end in zip([0] + ends, ends)]
+    fronts = [[i for i, c in enumerate(count) if c == 0]]
     while True:
         next_front = []
         for i in fronts[-1]:
             for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
+                count[j] -= 1
+                if count[j] == 0:
                     next_front.append(j)
         if not next_front:
-            break
+            return fronts
         fronts.append(next_front)
-    return fronts
 
 
 def crowding_distance(front) -> np.ndarray:
@@ -233,9 +248,7 @@ def crowding_distance(front) -> np.ndarray:
         lo, hi = objs[order[0], m], objs[order[-1], m]
         distance[order[0]] = distance[order[-1]] = np.inf
         if hi > lo:
-            for pos in range(1, n - 1):
-                i = order[pos]
-                distance[i] += (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / (hi - lo)
+            distance[order[1:-1]] += (objs[order[2:], m] - objs[order[:-2], m]) / (hi - lo)
     return distance
 
 
@@ -333,7 +346,7 @@ def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
             and child.q.tobytes() == parent.q.tobytes()
             and child.w.tobytes() == parent.w.tobytes()):
         child.objectives, child.violation = parent.objectives, parent.violation
-        child.cluster_xi = parent.cluster_xi.copy()
+        child.cluster_xi, child.cluster_snr = parent.cluster_xi.copy(), parent.cluster_snr.copy()
     return child
 
 
@@ -370,7 +383,7 @@ def nsga2_generation(population, genomes, scenario, params, bounds, decode,
 
     offspring = [_inherit_if_clone(population[i], decode(population[i], genes))
                  for i, genes in children]
-    evaluate_population(offspring, scenario, params)
+    evaluate_population(offspring, scenario, params, [population[i] for i, _ in children])
     pool = population + offspring
     pool_genomes = list(genomes) + [genes for _, genes in children]
     chosen = _select_indices(pool, m)
@@ -386,37 +399,28 @@ def gso_step(population, scenario, params) -> None:
 
     Candidates violating the similarity threshold are skipped; if no candidate
     reaches it, the max-similarity value is taken and the violation stands.
-    Each cluster's SNR is computed once per individual and shared by its
-    current rate and every candidate k; the individual is then re-evaluated
-    if its k changed.
+    The sweep reads each cluster's stored SNR, which does not depend on k,
+    and scores a cluster's k candidates as the row sums of one matrix; the
+    individual is then re-evaluated, with its SNRs kept, if its k changed.
     """
     evaluate_population(population, scenario, params)
+    ks = range(params.k_min, params.k_max + 1)
     for ind in population:
         k_before = ind.k.copy()
-        snrs = [beamforming.cluster_snr(members, ind.q, ind.w, scenario.bs_xyz, params)
-                for members in ind.assignment.clusters()]
         rates = np.array([semantic.semantic_terms(snr, int(k), params)[0]
-                          for snr, k in zip(snrs, ind.k)])
-        for i, snr in enumerate(snrs):
-            best_f2 = best_xi = -math.inf
-            best_k = best_rate = None
-            best_feasible = False
-            for k in range(params.k_min, params.k_max + 1):
-                sr, xi = semantic.semantic_terms(snr, k, params)
-                trial = rates.copy()
-                trial[i] = sr
-                f2 = float(trial.sum())
-                feasible = xi >= params.xi_threshold
-                if feasible and not best_feasible:
-                    # first threshold-meeting candidate resets the search
-                    best_feasible, best_f2, best_xi, best_k, best_rate = True, f2, xi, k, sr
-                elif feasible == best_feasible:
-                    if (feasible and f2 > best_f2) or (not feasible and xi > best_xi):
-                        best_f2, best_xi, best_k, best_rate = f2, xi, k, sr
-            ind.k[i] = best_k
-            rates[i] = best_rate
+                          for snr, k in zip(ind.cluster_snr, ind.k)])
+        for i, snr in enumerate(ind.cluster_snr):
+            terms = np.array([semantic.semantic_terms(snr, k, params) for k in ks])
+            trial = np.tile(rates, (len(ks), 1))
+            trial[:, i] = terms[:, 0]
+            feasible = terms[:, 1] >= params.xi_threshold
+            # the first best f2 among threshold-meeting candidates, else the first best similarity
+            best = int(np.argmax(np.where(feasible, trial.sum(axis=1), -np.inf) if feasible.any()
+                                 else terms[:, 1]))
+            ind.k[i] = ks[best]
+            rates[i] = terms[best, 0]
         if not np.array_equal(ind.k, k_before):
-            problem.evaluate(ind, scenario, params)
+            problem.evaluate(ind, scenario, params, ind)
 
 
 # ---------------------------------------------------------------------------

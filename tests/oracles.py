@@ -7,8 +7,9 @@ import math
 import numpy as np
 
 from dcsf import SystemParams
-from dcsf.beamforming import cluster_snr
+from dcsf.beamforming import cluster_snr, sinc_matrix
 from dcsf.channel import avg_path_loss
+from dcsf.energy import flight_energy_xyz
 from dcsf.problem import (
     ClusterAssignment,
     Individual,
@@ -110,6 +111,18 @@ def sum_user_rate_einsum(scenario, uav_xyz, params):
     return float(params.bandwidth * np.sum(np.log2(1.0 + sinr))), nearest
 
 
+def sinc_sum_direct(xyz: np.ndarray, weights: np.ndarray, phase_constant: float) -> float:
+    """Sum_ij w_i w_j sinc(p * d_ij) of one cluster from its own positions, as
+    `beamforming.pairwise_sinc_sum` was computed before the fleet's sinc table."""
+    xyz = np.asarray(xyz, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    diff = xyz[:, None, :] - xyz[None, :, :]
+    x = phase_constant * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+    return float(w @ s @ w)
+
+
 def denominator_quadrature(pos, w, p: float, n_theta: int = 512, n_phi: int = 1024) -> float:
     """The pattern normalization (1/4pi) * integral of |F|^2 over the sphere
     by quadrature: Gauss-Legendre in cos(theta), uniform midpoint rule in phi
@@ -158,7 +171,7 @@ def f2_by_cluster(ind, scn, params):
     """f2 by direct per-cluster recomputation."""
     f2 = 0.0
     for i, members in enumerate(ind.assignment.clusters()):
-        snr = cluster_snr(members, ind.q, ind.w, scn.bs_xyz, params)
+        snr = cluster_snr(members, ind.q, ind.w, scn.bs_xyz, params, sinc_matrix(ind.q, params))
         if snr > 0:
             xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
             f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi
@@ -185,6 +198,65 @@ def violation_double_loop(ind, scn, params):
         total += (params.d_min - d) / params.d_min
     total += float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
     return total
+
+
+def total_flight_energy_per_uav(scenario, uav_positions, params) -> float:
+    """f3 with each UAV's positions passed as numpy rows."""
+    uav_positions = np.asarray(uav_positions, dtype=float)
+    return sum(
+        flight_energy_xyz(scenario.uav_initial_xyz[i], uav_positions[i], params.rotor, params.v_xy, params.v_z)
+        for i in range(len(uav_positions))
+    )
+
+
+def dominates(a: Individual, b: Individual) -> bool:
+    """Constrained dominance: feasibility first, then Pareto on (f1, f2, -f3)."""
+    if a.objectives is None or b.objectives is None:
+        raise ValueError("both individuals must be evaluated first")
+    a_feasible = a.violation == 0.0
+    b_feasible = b.violation == 0.0
+    if a_feasible and not b_feasible:
+        return True
+    if b_feasible and not a_feasible:
+        return False
+    if not a_feasible and not b_feasible:
+        return a.violation < b.violation
+    return dominates_objectives(a.objectives.as_tuple(), b.objectives.as_tuple())
+
+
+def dominates_objectives(a: tuple[float, float, float], b: tuple[float, float, float]) -> bool:
+    """Pareto dominance: maximize f1 and f2, minimize f3."""
+    no_worse = a[0] >= b[0] and a[1] >= b[1] and a[2] <= b[2]
+    better = a[0] > b[0] or a[1] > b[1] or a[2] < b[2]
+    return no_worse and better
+
+
+def nondominated_sort_double_loop(pool) -> list[list[int]]:
+    """Fast non-dominated sort (Deb et al. 2002) with `dominates` over every
+    pair: dominated-by lists, domination counts, then front by front."""
+    n = len(pool)
+    dominated_by: list[list[int]] = [[] for _ in range(n)]
+    domination_count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(pool[i], pool[j]):
+                dominated_by[i].append(j)
+                domination_count[j] += 1
+            elif dominates(pool[j], pool[i]):
+                dominated_by[j].append(i)
+                domination_count[i] += 1
+    fronts = [[i for i in range(n) if domination_count[i] == 0]]
+    while True:
+        next_front = []
+        for i in fronts[-1]:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    next_front.append(j)
+        if not next_front:
+            break
+        fronts.append(next_front)
+    return fronts
 
 
 def peeled_fronts(objs, viol):
@@ -242,7 +314,7 @@ def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):
             if b == b2:
                 continue
             assignment, k = merge_clusters(ind.assignment, ind.k, b, b2)
-            rates, _ = cluster_semantic_terms(Individual(assignment, ind.q, ind.w, k), scenario, params)
+            rates, _, _ = cluster_semantic_terms(Individual(assignment, ind.q, ind.w, k), scenario, params)
             f2 = float(rates.sum())
             yield b, b2, f2 - baseline_f2, assignment, k, f2
 
@@ -276,7 +348,7 @@ def gso_sweep(ind, scn, params):
         for k in range(params.k_min, params.k_max + 1):
             trial = best.copy()
             trial.k[i] = k
-            rates, xis = cluster_semantic_terms(trial, scn, params)
+            rates, xis, _ = cluster_semantic_terms(trial, scn, params)
             candidates.append((k, float(rates.sum()), float(xis[i])))
         feasible = [c for c in candidates if c[2] >= params.xi_threshold]
         pick = (max(feasible, key=lambda c: (c[1], -c[0])) if feasible

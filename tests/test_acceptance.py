@@ -15,7 +15,7 @@ import pytest
 
 from dcsf import Bounds, SystemParams, generate_scenario
 from dcsf.advisor import P_C_BOUNDS, P_M_BOUNDS, AdvisorInput, advise, _parse_params
-from dcsf.beamforming import cluster_snr, pairwise_sinc_sum
+from dcsf.beamforming import cluster_snr, pairwise_sinc_sum, sinc_matrix
 from dcsf.cli import main
 from dcsf.energy import RotorModel, flight_energy_xyz, horizontal_power, vertical_power
 from dcsf.metrics import normalized_hypervolume, objective_ranges
@@ -71,7 +71,7 @@ def test_acceptance_01_beam_pattern_normalization(random_arrays):
     start = time.perf_counter()
     worst = 0.0
     for pos, w in random_arrays:
-        cf = pairwise_sinc_sum(pos, w, P)
+        cf = pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w)
         q = denominator_quadrature(pos, w, P, 512, 1024)
         # (1/4pi) integral of G over the sphere is eta * q / cf by construction
         rel = abs(eta * q / cf - eta) / eta
@@ -85,7 +85,7 @@ def test_acceptance_01_beam_pattern_normalization(random_arrays):
 def test_acceptance_02_closed_form_matches_quadrature(random_arrays):
     worst = 0.0
     for pos, w in random_arrays:
-        cf = pairwise_sinc_sum(pos, w, P)
+        cf = pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w)
         q = denominator_quadrature(pos, w, P, 512, 1024)
         rel = abs(q - cf) / cf
         worst = max(worst, rel)
@@ -104,9 +104,9 @@ def test_acceptance_03_collaborative_gain_scaling():
         spacing = 60.0 * LAM
         ys = (np.arange(n) - (n - 1) / 2.0) * spacing
         q = np.column_stack([np.zeros(n), ys, np.full(n, 80.0)])
-        snr_multi = cluster_snr(list(range(n)), q, np.ones(n), bs, PARAMS)
+        snr_multi = cluster_snr(list(range(n)), q, np.ones(n), bs, PARAMS, sinc_matrix(q, PARAMS))
         centroid = q.mean(axis=0, keepdims=True)
-        snr_single = cluster_snr([0], centroid, np.ones(1), bs, PARAMS)
+        snr_single = cluster_snr([0], centroid, np.ones(1), bs, PARAMS, sinc_matrix(centroid, PARAMS))
         ratio = snr_multi / snr_single
         assert ratio == pytest.approx(n * n * PARAMS.eta, rel=0.05), f"N={n}: ratio {ratio}"
     _report(3, "co-phased N=2,4,8 received power scales as N^2 * eta within 5%")

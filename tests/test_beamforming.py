@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dcsf import SystemParams
-from dcsf.beamforming import array_factor, cluster_snr, pairwise_sinc_sum
+from dcsf.beamforming import array_factor, cluster_snr, pairwise_sinc_sum, sinc_matrix
 from dcsf.channel import avg_path_loss
-from oracles import cluster_snr_textbook, denominator_quadrature
+from oracles import cluster_snr_textbook, denominator_quadrature, sinc_sum_direct
 
 PARAMS = SystemParams()
 LAM = PARAMS.wavelength
@@ -29,19 +29,19 @@ def _link_loss(a, b, params):
 
 def test_single_element_denominator_is_weight_squared():
     pos, w = np.zeros((1, 3)), np.array([0.7])
-    assert pairwise_sinc_sum(pos, w, P) == pytest.approx(0.49, rel=1e-12)
+    assert pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w) == pytest.approx(0.49, rel=1e-12)
     assert denominator_quadrature(pos, w, P, 64, 128) == pytest.approx(0.49, rel=1e-6)
 
 
 def test_colocated_elements_denominator_is_sum_squared():
     w = np.array([0.5, 1.0, 0.25])
-    assert pairwise_sinc_sum(np.zeros((3, 3)), w, P) == pytest.approx(w.sum() ** 2, rel=1e-12)
+    assert pairwise_sinc_sum(sinc_matrix(np.zeros((3, 3)), PARAMS), w) == pytest.approx(w.sum() ** 2, rel=1e-12)
 
 
 def test_closed_form_matches_quadrature_small_arrays(rng):
     for _ in range(10):
         pos, w = _random_array(rng)
-        cf = pairwise_sinc_sum(pos, w, P)
+        cf = pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w)
         quad = denominator_quadrature(pos, w, P)
         assert quad == pytest.approx(cf, rel=1e-3)
 
@@ -49,7 +49,7 @@ def test_closed_form_matches_quadrature_small_arrays(rng):
 def test_half_wavelength_pair_sinc_identity():
     # two unit elements lambda/2 apart: denominator = 2 + 2 sinc(pi) = 2 exactly
     pos = np.array([[0.0, 0.0, 0.0], [LAM / 2, 0.0, 0.0]])
-    assert pairwise_sinc_sum(pos, np.ones(2), P) == pytest.approx(2.0, rel=1e-12)
+    assert pairwise_sinc_sum(sinc_matrix(pos, PARAMS), np.ones(2)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_array_factor_peak_is_weight_sum():
@@ -66,7 +66,7 @@ def test_gain_normalization_integrates_to_eta(rng):
     nodes, glw = np.polynomial.legendre.leggauss(n_theta)
     phis = -math.pi + (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
     total = 0.0
-    denom = pairwise_sinc_sum(pos, w, P)
+    denom = pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w)
     for ct, gw in zip(nodes, glw):
         theta = math.acos(ct)
         for phi in phis:
@@ -85,15 +85,15 @@ def test_cluster_snr_matches_independent_oracle(params):
         members = sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False))
         bs = np.array([rng.uniform(-8000, 8000), rng.uniform(-8000, 8000), rng.uniform(0, 50)])
         expected = cluster_snr_textbook(q[members], w[members], bs, params)
-        assert cluster_snr(members, q, w, bs, params) == pytest.approx(expected, rel=1e-9), case
+        assert cluster_snr(members, q, w, bs, params, sinc_matrix(q, params)) == pytest.approx(expected, rel=1e-9), case
 
 
 def test_centroid_on_the_bs_is_rejected(params):
     q = np.array([[0.0, 0.0, 80.0], [10.0, 0.0, 80.0]])
     with pytest.raises(ValueError):
-        cluster_snr([0, 1], q, np.ones(2), np.array([5.0, 0.0, 80.0]), params)
+        cluster_snr([0, 1], q, np.ones(2), np.array([5.0, 0.0, 80.0]), params, sinc_matrix(q, params))
     with pytest.raises(ValueError):
-        cluster_snr([0], q, np.ones(2), q[0].copy(), params)
+        cluster_snr([0], q, np.ones(2), q[0].copy(), params, sinc_matrix(q, params))
 
 
 def test_unsteered_gain_follows_sub_wavelength_shifts(params):
@@ -108,7 +108,7 @@ def test_unsteered_gain_follows_sub_wavelength_shifts(params):
     def snr_db(shift):
         moved = q.copy()
         moved[1] += shift * bearing
-        return 10.0 * math.log10(cluster_snr([0, 1], moved, w, bs, params))
+        return 10.0 * math.log10(cluster_snr([0, 1], moved, w, bs, params, sinc_matrix(moved, params)))
 
     base = snr_db(0.0)
     assert snr_db(LAM / 2) < base - 10.0
@@ -118,7 +118,7 @@ def test_unsteered_gain_follows_sub_wavelength_shifts(params):
 def test_singleton_cluster_snr_is_link_budget(params):
     q = np.array([[100.0, 100.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
-    snr = cluster_snr([0], q, np.array([1.0]), bs, params)
+    snr = cluster_snr([0], q, np.array([1.0]), bs, params, sinc_matrix(q, params))
     loss = _link_loss(q[0], bs, params)
     expected = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
     assert snr == pytest.approx(expected, rel=1e-12)
@@ -127,21 +127,39 @@ def test_singleton_cluster_snr_is_link_budget(params):
 def test_zero_weights_give_zero_cluster_snr(params):
     q = np.array([[0.0, 0.0, 80.0], [10.0, 0.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
-    snr = cluster_snr([0, 1], q, np.zeros(2), bs, params)
+    snr = cluster_snr([0, 1], q, np.zeros(2), bs, params, sinc_matrix(q, params))
     assert snr == 0.0
 
 
 def test_empty_cluster_rejected(params):
     with pytest.raises(ValueError):
-        cluster_snr([], np.zeros((1, 3)), np.ones(1), np.ones(3), params)
+        cluster_snr([], np.zeros((1, 3)), np.ones(1), np.ones(3), params, np.ones((1, 1)))
 
 
 def test_cophased_pair_beats_singleton(params):
     # two elements along the direction orthogonal to the BS bearing stay co-phased
     bs = np.array([2000.0, 0.0, 0.0])
     q = np.array([[0.0, -25 * LAM, 80.0], [0.0, 25 * LAM, 80.0]])
-    snr_pair = cluster_snr([0, 1], q, np.ones(2), bs, params)
+    snr_pair = cluster_snr([0, 1], q, np.ones(2), bs, params, sinc_matrix(q, params))
     centroid = q.mean(axis=0)
     loss = _link_loss(centroid, bs, params)
     snr_single = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
     assert snr_pair > 2.0 * snr_single  # beamforming gain on top of power pooling
+
+
+def test_sinc_table_block_equals_the_per_cluster_sum():
+    # 3,000 random clusters of fleets up to 48 UAVs, some closer than a wavelength
+    rng = np.random.default_rng(3)
+    for case in range(3000):
+        n_uavs = int(rng.integers(1, 49))
+        spread = 1000.0 if case % 4 else 2.0 * LAM
+        q = rng.uniform(0.0, spread, (n_uavs, 3))
+        w = rng.uniform(0.0, 1.0, n_uavs)
+        members = sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False))
+        own = sinc_matrix(q[members], PARAMS)
+        assert np.array_equal(sinc_matrix(q, PARAMS)[np.ix_(members, members)], own), case
+        assert pairwise_sinc_sum(own, w[members]) == sinc_sum_direct(q[members], w[members], P), case
+        # cluster_snr reads the block of the fleet's table as if it were the members' own
+        bs = np.array([3000.0, -2000.0, 10.0])
+        assert cluster_snr(members, q, w, bs, PARAMS, sinc_matrix(q, PARAMS)) == cluster_snr(
+            list(range(len(members))), q[members], w[members], bs, PARAMS, own), case

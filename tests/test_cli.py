@@ -159,9 +159,10 @@ def test_solve_and_export_reject_invalid_launch_positions(tmp_path, capsys):
 def test_monolithic_mode_through_cli(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_URL, raising=False)
     scn = _generate(tmp_path)
-    # config.json records the advisor that ran: none in aoa and monolithic-nsga2
+    # config.json records the advisor that ran: none in aoa and monolithic-nsga2,
+    # and the fallback rule for llm with no endpoint set
     for mode, advisor, recorded in (("monolithic-nsga2", "llm", None), ("aoa", "llm", None),
-                                    ("llm-aoa", "fallback", "fallback"), ("llm-aoa", "llm", "llm")):
+                                    ("llm-aoa", "fallback", "fallback"), ("llm-aoa", "llm", "fallback")):
         out = _solve(tmp_path, scn, f"run-{mode}-{advisor}", mode=mode, advisor=advisor)
         config = json.loads((out / "config.json").read_text())
         assert (config["mode"], config["advisor"]) == (mode, recorded)

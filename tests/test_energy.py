@@ -10,6 +10,7 @@ from dcsf.energy import (
     total_flight_energy,
     vertical_power,
 )
+from oracles import total_flight_energy_per_uav
 
 ROTOR = RotorModel()
 
@@ -81,3 +82,11 @@ def test_rotor_model_rejects_nonpositive_fields():
 def test_negative_speed_rejected():
     with pytest.raises(ValueError):
         horizontal_power(ROTOR, -1.0)
+
+
+def test_total_flight_energy_equals_the_per_uav_numpy_form(small_scenario, params, rng):
+    lower, upper = small_scenario.bounds.lower, small_scenario.bounds.upper
+    for _ in range(200):
+        q = lower - 50.0 + rng.random((small_scenario.n_uavs, 3)) * (upper - lower + 100.0)
+        assert total_flight_energy(small_scenario, q, params) == total_flight_energy_per_uav(
+            small_scenario, q, params)

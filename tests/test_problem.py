@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import Bounds, SystemParams, generate_scenario
+from dcsf import Bounds, SystemParams, beamforming, generate_scenario
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
@@ -10,14 +10,14 @@ from dcsf.problem import (
     ObjectiveTriple,
     canonicalize_labels,
     close_pairs,
-    dominates,
-    dominates_objectives,
+    dominance_matrix,
     evaluate,
     violations_report,
 )
 from oracles import (
     close_pairs_double_loop,
     f2_by_cluster,
+    fake_pool,
     per_user_rates,
     random_individual,
     violation_double_loop,
@@ -169,8 +169,8 @@ def test_dominance_feasible_beats_infeasible(small_scenario, rng):
     evaluate(b, small_scenario, params)
     a.violation = 0.0
     b.violation = 2.0
-    assert dominates(a, b)
-    assert not dominates(b, a)
+    assert dominance_matrix([a, b])[0, 1]
+    assert not dominance_matrix([a, b])[1, 0]
 
 
 def test_dominance_among_infeasible_by_violation(small_scenario, rng):
@@ -180,7 +180,7 @@ def test_dominance_among_infeasible_by_violation(small_scenario, rng):
     evaluate(a, small_scenario, params)
     evaluate(b, small_scenario, params)
     a.violation, b.violation = 1.0, 3.0
-    assert dominates(a, b) and not dominates(b, a)
+    assert dominance_matrix([a, b])[0, 1] and not dominance_matrix([a, b])[1, 0]
 
 
 obj_triple = st.tuples(
@@ -192,18 +192,63 @@ obj_triple = st.tuples(
 
 @given(obj_triple)
 def test_dominance_irreflexive(a):
-    assert not dominates_objectives(a, a)
+    assert not dominance_matrix(fake_pool([a]))[0, 0]
 
 
 @given(obj_triple, obj_triple)
 def test_dominance_antisymmetric(a, b):
-    assert not (dominates_objectives(a, b) and dominates_objectives(b, a))
+    dom = dominance_matrix(fake_pool([a, b]))
+    assert not (dom[0, 1] and dom[1, 0])
 
 
 @given(obj_triple, obj_triple, obj_triple)
 def test_dominance_transitive(a, b, c):
-    if dominates_objectives(a, b) and dominates_objectives(b, c):
-        assert dominates_objectives(a, c)
+    dom = dominance_matrix(fake_pool([a, b, c]))
+    if dom[0, 1] and dom[1, 2]:
+        assert dom[0, 2]
+
+
+def test_a_child_one_weight_away_from_its_parent_rates_one_cluster(monkeypatch):
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(30, 16, bounds, (2000.0, 2000.0, 0.0), seed=5)
+    params = SystemParams()
+    rng = np.random.default_rng(5)
+    real_snr = beamforming.cluster_snr
+    calls = []
+
+    def counting_snr(*args, **kwargs):
+        calls.append(1)
+        return real_snr(*args, **kwargs)
+
+    for _ in range(20):
+        parent = random_individual(scn, rng)
+        evaluate(parent, scn, params)
+        child = Individual(parent.assignment, parent.q.copy(), parent.w.copy(), parent.k.copy())
+        child.w[int(rng.integers(0, scn.n_uavs))] *= 0.5
+        fresh = Individual(child.assignment, child.q.copy(), child.w.copy(), child.k.copy())
+        evaluate(fresh, scn, params)
+        calls.clear()
+        monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
+        evaluate(child, scn, params, parent)
+        monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
+        assert len(calls) == 1
+        assert child.objectives == fresh.objectives and child.violation == fresh.violation
+        assert np.array_equal(child.cluster_snr, fresh.cluster_snr)
+
+
+def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng):
+    params = SystemParams()
+    for _ in range(10):
+        ind = random_individual(small_scenario, rng)
+        evaluate(ind, small_scenario, params)
+        stale = ind.cluster_snr.copy()
+        ind.q += 7.0
+        evaluate(ind, small_scenario, params)
+        fresh = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
+        evaluate(fresh, small_scenario, params)
+        assert not np.array_equal(ind.cluster_snr, stale)
+        assert np.array_equal(ind.cluster_snr, fresh.cluster_snr)
+        assert ind.objectives == fresh.objectives
 
 
 def test_to_dict_from_dict_roundtrip(small_scenario, rng):
