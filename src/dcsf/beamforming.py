@@ -1,4 +1,4 @@
-"""Virtual antenna array: array factor, gain normalization, cluster-to-BS SNR.
+"""Virtual antenna array: gain normalization and cluster-to-BS SNR, in batches.
 
 A multi-UAV cluster transmits as a collaborative array toward the BS with gain
 
@@ -11,11 +11,12 @@ tests check it against spherical quadrature (tests/oracles.py), which is no
 production path: at centimeter wavelengths and inter-UAV spacings of tens of
 meters the integrand oscillates far too fast for quadrature to be practical.
 
-The sinc factors come from one V x V table over the whole fleet,
-`sinc_matrix(Q, params)`, built at most once per evaluation and once per
-merge pass; each cluster reads its members' block, which equals, bit for
-bit, the table of the members alone (the per-cluster oracle in
-tests/oracles.py).
+`cluster_snr` rates a list of clusters of one or more fleets in one call.
+The sinc factors come from one V x V table per fleet, `sinc_matrix(Q,
+params)`, stacked over the fleets; a cluster's block of its fleet's table
+equals, bit for bit, the table of the members alone. Clusters of one size
+are gathered and rated together, so the cost per call grows with the number
+of distinct cluster sizes rather than with the number of clusters.
 
 The array factor carries no steering phase: the elements are not
 phase-synchronized toward the BS, so a cluster's gain depends on its element
@@ -33,15 +34,6 @@ import numpy as np
 from .channel import avg_path_loss
 
 
-def array_factor(pos: np.ndarray, w: np.ndarray, p: float, theta: float, phi: float) -> complex:
-    """Complex array factor of elements `pos` (n, 3) with weights `w` (n,) and
-    phase constant p = 2 pi / lambda, in direction (theta, phi)."""
-    st, ct = math.sin(theta), math.cos(theta)
-    direction = np.array([st * math.cos(phi), st * math.sin(phi), ct])
-    phases = p * (pos @ direction)
-    return complex(np.add.reduce(w * np.exp(1j * phases)))
-
-
 def sinc_matrix(uav_positions: np.ndarray, params) -> np.ndarray:
     """sinc(p * d_ij) for every pair of UAVs, with p = 2 pi / lambda,
     sinc(x) = sin(x)/x and sinc(0) = 1."""
@@ -52,54 +44,62 @@ def sinc_matrix(uav_positions: np.ndarray, params) -> np.ndarray:
         return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
 
 
-def pairwise_sinc_sum(sinc: np.ndarray, weights: np.ndarray) -> float:
-    """Sum_ij w_i w_j sinc(p * d_ij), given the elements' `sinc_matrix`."""
-    return float(weights @ sinc @ weights)
+def pairwise_sinc_sum(sinc: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum_ij w_i w_j sinc(p * d_ij) of each stacked set of elements, given
+    their `sinc_matrix` tables `sinc` (..., n, n) and weights (..., n)."""
+    return (weights[..., None, :] @ sinc @ weights[..., :, None])[..., 0, 0]
 
 
-def cluster_snr(
-    member_ids,
-    uav_positions: np.ndarray,
-    weights: np.ndarray,
-    bs_xyz: np.ndarray,
-    params,
-    sinc: np.ndarray,
-) -> float:
-    """SNR of one cluster's link to the BS.
+def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz: np.ndarray,
+                params, sinc: np.ndarray) -> np.ndarray:
+    """SNR of each cluster's link to the BS.
 
-    Every UAV transmits P_v = `params.uav_tx_power`. Multi-UAV clusters
-    transmit P_c = sum w^2 P_v with the collaborative array gain, whose
-    normalization reads `sinc`, the `sinc_matrix` of `uav_positions`;
-    singletons use the plain link budget and do not read it. Path loss and BS
-    direction are taken from the cluster's centroid (far-field BS), which
-    must not coincide with the BS.
+    `clusters` lists (fleet, members) pairs, each naming UAVs of one fleet of
+    the stack `uav_positions` (N, V, 3), `weights` (N, V) and `sinc` (N, V, V),
+    the fleets' `sinc_matrix` tables. Every UAV transmits P_v =
+    `params.uav_tx_power`. Multi-UAV clusters transmit P_c = sum w^2 P_v with
+    the collaborative array gain; singletons use the plain link budget and do
+    not read `sinc`. Path loss and BS direction are taken from the cluster's
+    centroid (far-field BS), which must not coincide with the BS.
+
+    Clusters of one size are rated together by stacked matrix products and
+    reductions over their trailing per-cluster axes, which reproduce, bit for
+    bit, the one-cluster-at-a-time form (the oracle in tests/oracles.py);
+    einsum, reduceat or Python-float sums would change the last bits.
     """
-    members = list(member_ids)
-    if not members:
-        raise ValueError("empty cluster")
-    pos = np.asarray(uav_positions, dtype=float)[members]
-    n = len(members)
-    centroid = np.add.reduce(pos, axis=0) / n
-    delta = bs_xyz - centroid
-    d = math.sqrt(delta.dot(delta))
-    if d == 0:
-        raise ValueError("cluster centroid coincides with the BS")
-    dz = float(delta[2])
-    path = 10.0 ** (-avg_path_loss(d, abs(dz), params) / 10.0)
-    if n == 1:
-        received = params.uav_tx_power * path
-    else:
-        w = np.asarray(weights, dtype=float)[members]
+    snr = np.empty(len(clusters))
+    by_size: dict[int, list[int]] = {}
+    for i, (_, members) in enumerate(clusters):
+        if len(members) == 0:
+            raise ValueError("empty cluster")
+        by_size.setdefault(len(members), []).append(i)
+    p = 2.0 * math.pi / params.wavelength
+    for n, rows in by_size.items():
+        fleets = np.array([clusters[i][0] for i in rows])[:, None]
+        ids = np.array([clusters[i][1] for i in rows])
+        pos = uav_positions[fleets, ids]
+        deltas = bs_xyz - np.add.reduce(pos, axis=1) / n
+        paths, directions = [], []
+        for (dx, dy, dz), dd in zip(deltas.tolist(), (deltas[:, None, :] @ deltas[:, :, None]).ravel().tolist()):
+            d = math.sqrt(dd)
+            if d == 0:
+                raise ValueError("cluster centroid coincides with the BS")
+            paths.append(10.0 ** (-avg_path_loss(d, abs(dz), params) / 10.0))
+            if n > 1:
+                # through (theta, phi) rather than delta / d; the shortcut changes the last bits
+                theta, phi = math.acos(dz / d), math.atan2(dy, dx)
+                st = math.sin(theta)
+                directions.append([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+        if n == 1:
+            snr[rows] = [params.uav_tx_power * path / params.noise_watts for path in paths]
+            continue
+        w = weights[fleets, ids]
         # element by element, as sum_v w_v^2 P_v; factoring P_v out changes the last bits
-        p_total = float(np.add.reduce(w**2 * params.uav_tx_power))
-        if p_total == 0.0:
-            return 0.0
-        p = 2.0 * math.pi / params.wavelength
-        # through (theta, phi) rather than delta / d; the shortcut changes the last bits
-        theta, phi = math.acos(dz / d), math.atan2(float(delta[1]), float(delta[0]))
-        # the members' block, C-ordered like a table of the members alone (the matrix
-        # product of another layout changes the last bits)
-        block = sinc.take(members, 0).take(members, 1)
-        gain = abs(array_factor(pos, w, p, theta, phi)) ** 2 * params.eta / pairwise_sinc_sum(block, w)
-        received = p_total * gain * path
-    return received / params.noise_watts
+        p_totals = np.add.reduce(w**2 * params.uav_tx_power, axis=1).tolist()
+        phases = p * (pos @ np.array(directions)[:, :, None])[:, :, 0]
+        factors = np.add.reduce(w * np.exp(1j * phases), axis=1).tolist()
+        denominators = pairwise_sinc_sum(sinc[fleets[:, :, None], ids[:, :, None], ids[:, None, :]], w).tolist()
+        snr[rows] = [0.0 if p_total == 0.0 else
+                     p_total * (abs(af) ** 2 * params.eta / denom) * path / params.noise_watts
+                     for p_total, af, denom, path in zip(p_totals, factors, denominators, paths)]
+    return snr

@@ -4,6 +4,9 @@ An individual is {cluster assignment c, UAV positions Q, excitation weights w,
 per-cluster symbol counts k}. Cluster labels are kept canonical (consecutive
 1..N_cluster), which makes the structural constraints (non-empty clusters,
 exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
+
+Each evaluated individual carries one SNR per cluster, which `rate_clusters`
+sets for a batch of individuals at once; `evaluate` alone is a batch of one.
 """
 
 from __future__ import annotations
@@ -145,46 +148,63 @@ class Individual:
         return ind
 
 
+def rate_clusters(individuals, scenario, params, parents) -> None:
+    """Set each individual's `cluster_snr` (one per cluster; k-independent).
+
+    A cluster whose member set, Q rows and w equal, byte for byte, those of a
+    cluster of the evaluated `parents[i]` (or None) takes its SNR; an
+    individual that is its own parent keeps its SNRs. The others, over every
+    individual, are rated in one `beamforming.cluster_snr` call."""
+    fleets, clusters, slots = [], [], []
+    for ind, parent in zip(individuals, parents):
+        if parent is ind:
+            continue
+        known = {}
+        if parent is not None:
+            same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
+                    & (ind.w.view(np.int64) == parent.w.view(np.int64)))
+            known = {tuple(members): snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
+                     if same[members].all()}
+        members = ind.assignment.clusters()
+        ind.cluster_snr = np.array([known.get(tuple(m), 0.0) for m in members])
+        stale = [i for i, m in enumerate(members) if tuple(m) not in known]
+        if stale:
+            clusters += [(len(fleets), members[i]) for i in stale]
+            slots += [(ind, i) for i in stale]
+            fleets.append(ind)
+    if not clusters:
+        return
+    multi = {fleet for fleet, members in clusters if len(members) > 1}
+    # a fleet whose stale clusters are all singletons never reads its table
+    sinc = np.stack([beamforming.sinc_matrix(ind.q, params) if fleet in multi else np.zeros((len(ind.w),) * 2)
+                     for fleet, ind in enumerate(fleets)])
+    snrs = beamforming.cluster_snr(clusters, np.stack([ind.q for ind in fleets]),
+                                   np.stack([ind.w for ind in fleets]), scenario.bs_xyz, params, sinc)
+    for (ind, i), snr in zip(slots, snrs.tolist()):
+        ind.cluster_snr[i] = snr
+
+
 def cluster_semantic_terms(individual: Individual, scenario, params,
                            parent: Individual | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cluster (semantic rate, similarity, SNR). Zero-SNR clusters contribute nothing.
-
-    A cluster's SNR depends on its members' Q rows and w, not on k. A cluster
-    whose member set, Q rows and w equal, byte for byte, those of a cluster
-    of the evaluated `parent` takes the parent's SNR; the others are rated
-    from one `sinc_matrix` of Q. `parent` may be `individual` itself when its
-    stored SNRs are those of its current clusters.
-    """
-    clusters = individual.assignment.clusters()
-    known = {}
-    if parent is not None:
-        same = ((individual.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
-                & (individual.w.view(np.int64) == parent.w.view(np.int64)))
-        known = {tuple(members): snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
-                 if same[members].all()}
-    stale = [members for members in clusters if tuple(members) not in known]
-    sinc = beamforming.sinc_matrix(individual.q, params) if any(len(m) > 1 for m in stale) else None
-    rates, xis, snrs = np.zeros(len(clusters)), np.zeros(len(clusters)), np.zeros(len(clusters))
-    for i, members in enumerate(clusters):
-        snr = known.get(tuple(members))
-        if snr is None:
-            snr = beamforming.cluster_snr(members, individual.q, individual.w, scenario.bs_xyz, params, sinc)
-        snrs[i] = snr
+    """Per-cluster (semantic rate, similarity, SNR), the SNRs set by
+    `rate_clusters` with `parent`. Zero-SNR clusters contribute nothing."""
+    rate_clusters([individual], scenario, params, [parent])
+    rates, xis = np.zeros(len(individual.k)), np.zeros(len(individual.k))
+    for i, snr in enumerate(individual.cluster_snr.tolist()):
         rates[i], xis[i] = semantic.semantic_terms(snr, int(individual.k[i]), params)
-    return rates, xis, snrs
+    return rates, xis, individual.cluster_snr
 
 
 def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
     """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
     and the constraint-violation scalar. With no `parent`, every SNR is
-    computed; see `cluster_semantic_terms` for what a parent lends."""
+    computed; see `rate_clusters` for what a parent lends."""
     f1 = channel.sum_user_rate(scenario, individual.q, params)
-    rates, xis, snrs = cluster_semantic_terms(individual, scenario, params, parent)
+    rates, xis, _ = cluster_semantic_terms(individual, scenario, params, parent)
     f2 = float(rates.sum())
     f3 = energy.total_flight_energy(scenario, individual.q, params)
     individual.objectives = ObjectiveTriple(f1, f2, f3)
     individual.cluster_xi = xis
-    individual.cluster_snr = snrs
     individual.violation = _violation_scalar(individual, scenario, params, xis)
     return individual.objectives
 

@@ -14,15 +14,18 @@ differ from their parent.
 
 Every evaluated individual also carries one SNR per cluster, which depends on
 the members' positions and weights but not on k. An offspring reuses its
-parent's SNR for each cluster it kept unchanged, GSO sweeps k from the stored
-SNRs, and GCA seeds its cache with them and rates the rest from one sinc
-table per individual. GCA's ordered merges and GSO's k candidates are scored
-as the row sums of one matrix.
+parent's SNR for each cluster it kept unchanged, and one population
+evaluation rates the remaining clusters of all its pending individuals in
+one `beamforming.cluster_snr` call. GSO sweeps k from the stored SNRs. GCA
+seeds its cache with them and rates the merged pairs of each merge pass in
+one call. GCA's ordered merges and GSO's k candidates are scored as the row
+sums of one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -89,13 +92,16 @@ def initialize_population(scenario, params, config: SolverConfig, rng=None) -> l
 
 def evaluate_population(population, scenario, params, parents=None) -> None:
     """Evaluate every member that has no objectives yet, lending it the
-    stored SNRs of `parents[i]` when `parents` is given."""
-    for i, ind in enumerate(population):
-        if ind.objectives is None:
-            try:
-                problem.evaluate(ind, scenario, params, None if parents is None else parents[i])
-            except ValueError as exc:
-                raise SolverError(f"non-finite objective during evaluation: {exc}") from exc
+    stored SNRs of `parents[i]` when `parents` is given. The clusters left to
+    rate, over all those members, are rated in one call."""
+    pending = [i for i, ind in enumerate(population) if ind.objectives is None]
+    try:
+        problem.rate_clusters([population[i] for i in pending], scenario, params,
+                              [None if parents is None else parents[i] for i in pending])
+        for i in pending:
+            problem.evaluate(population[i], scenario, params, population[i])
+    except ValueError as exc:
+        raise SolverError(f"evaluation failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +165,32 @@ def _merge_greedily(ind: Individual, scenario, params) -> bool:
     True when any merge was applied, with `ind.cluster_snr` then set for the
     merged clusters.
 
-    SNRs are cached by member set, seeded with the individual's stored ones;
-    the others are computed from one `sinc_matrix` of its Q. Rates are cached
-    by (members, k), so each cluster and each merged pair is rated once;
-    after a merge only the pairs with the new cluster are new.
+    SNRs are cached by member set, seeded with the individual's stored ones.
+    Each pass rates the merged pairs not yet cached in one `cluster_snr`
+    call over the individual's fleet and its `sinc_matrix`: every pair in
+    the first pass, then only the pairs with the new cluster. Rates are
+    cached by (members, k), so each cluster and each merged pair is rated once.
     """
     if ind.assignment.n_clusters == 1:
         return False
-    snr_of = dict(zip(map(tuple, ind.assignment.clusters()), ind.cluster_snr))
-    sinc = beamforming.sinc_matrix(ind.q, params)
+    snr_of = dict(zip(map(tuple, ind.assignment.clusters()), ind.cluster_snr.tolist()))
+    q, w, sinc = ind.q[None], ind.w[None], beamforming.sinc_matrix(ind.q, params)[None]  # a stack of one fleet
     cache: dict = {}
 
     def rate(members, k):
         key = (members, k)
         if key not in cache:
-            if members not in snr_of:
-                snr_of[members] = beamforming.cluster_snr(members, ind.q, ind.w, scenario.bs_xyz, params, sinc)
             cache[key] = semantic.semantic_terms(snr_of[members], k, params)[0]
         return cache[key]
 
     baseline = ind.objectives.f2
     changed = False
     while ind.assignment.n_clusters > 1:
+        pairs = (tuple(sorted(a + b)) for a, b in combinations(ind.assignment.clusters(), 2))
+        new = [members for members in pairs if members not in snr_of]
+        if new:
+            snrs = beamforming.cluster_snr([(0, members) for members in new], q, w, scenario.bs_xyz, params, sinc)
+            snr_of.update(zip(new, snrs.tolist()))
         gain, survivor, absorbed = _best_merge(ind, rate, baseline)
         if gain <= 0:
             break

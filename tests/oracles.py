@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from dcsf import SystemParams
-from dcsf.beamforming import cluster_snr, sinc_matrix
+from dcsf.beamforming import sinc_matrix
 from dcsf.channel import avg_path_loss
 from dcsf.energy import flight_energy_xyz
 from dcsf.problem import (
@@ -142,6 +142,47 @@ def denominator_quadrature(pos, w, p: float, n_theta: int = 512, n_phi: int = 10
     return integral / (4.0 * math.pi)
 
 
+def array_factor(pos: np.ndarray, w: np.ndarray, p: float, theta: float, phi: float) -> complex:
+    """Complex array factor of elements `pos` (n, 3) with weights `w` (n,) and
+    phase constant p = 2 pi / lambda, in direction (theta, phi)."""
+    st, ct = math.sin(theta), math.cos(theta)
+    direction = np.array([st * math.cos(phi), st * math.sin(phi), ct])
+    phases = p * (pos @ direction)
+    return complex(np.add.reduce(w * np.exp(1j * phases)))
+
+
+def cluster_snr_one(members, uav_positions, weights, bs_xyz, params, sinc) -> float:
+    """SNR of one cluster's link to the BS, one cluster at a time, as
+    `beamforming.cluster_snr` computed it before it rated clusters in stacked
+    batches: `uav_positions` (V, 3), `weights` (V,) and `sinc`, the
+    `sinc_matrix` of `uav_positions`, belong to one fleet."""
+    members = list(members)
+    if not members:
+        raise ValueError("empty cluster")
+    pos = np.asarray(uav_positions, dtype=float)[members]
+    n = len(members)
+    centroid = np.add.reduce(pos, axis=0) / n
+    delta = bs_xyz - centroid
+    d = math.sqrt(delta.dot(delta))
+    if d == 0:
+        raise ValueError("cluster centroid coincides with the BS")
+    dz = float(delta[2])
+    path = 10.0 ** (-avg_path_loss(d, abs(dz), params) / 10.0)
+    if n == 1:
+        received = params.uav_tx_power * path
+    else:
+        w = np.asarray(weights, dtype=float)[members]
+        p_total = float(np.add.reduce(w**2 * params.uav_tx_power))
+        if p_total == 0.0:
+            return 0.0
+        p = 2.0 * math.pi / params.wavelength
+        theta, phi = math.acos(dz / d), math.atan2(float(delta[1]), float(delta[0]))
+        block = sinc.take(members, 0).take(members, 1)
+        gain = abs(array_factor(pos, w, p, theta, phi)) ** 2 * params.eta / float(w @ block @ w)
+        received = p_total * gain * path
+    return received / params.noise_watts
+
+
 def cluster_snr_textbook(q, w, bs, params):
     """SNR from the textbook formulas, sharing no code with `cluster_snr`:
     P * sum w^2 * |sum_i w_i exp(j p r_i . u)|^2 * eta / sum_ij w_i w_j sinc(p d_ij)
@@ -171,7 +212,7 @@ def f2_by_cluster(ind, scn, params):
     """f2 by direct per-cluster recomputation."""
     f2 = 0.0
     for i, members in enumerate(ind.assignment.clusters()):
-        snr = cluster_snr(members, ind.q, ind.w, scn.bs_xyz, params, sinc_matrix(ind.q, params))
+        snr = cluster_snr_one(members, ind.q, ind.w, scn.bs_xyz, params, sinc_matrix(ind.q, params))
         if snr > 0:
             xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
             f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dcsf import SystemParams
-from dcsf.beamforming import array_factor, cluster_snr, pairwise_sinc_sum, sinc_matrix
+from dcsf.beamforming import cluster_snr, pairwise_sinc_sum, sinc_matrix
 from dcsf.channel import avg_path_loss
-from oracles import cluster_snr_textbook, denominator_quadrature, sinc_sum_direct
+from oracles import array_factor, cluster_snr_one, cluster_snr_textbook, denominator_quadrature, sinc_sum_direct
 
 PARAMS = SystemParams()
 LAM = PARAMS.wavelength
@@ -20,6 +20,11 @@ def _random_array(rng, n=None, max_spacing_wavelengths=10.0):
     if np.all(w == 0):
         w[0] = 1.0
     return pos, w
+
+
+def _snr(members, q, w, bs, params):
+    """One cluster of one fleet through the batched `cluster_snr`."""
+    return cluster_snr([(0, members)], q[None], w[None], bs, params, sinc_matrix(q, params)[None])[0]
 
 
 def _link_loss(a, b, params):
@@ -85,15 +90,15 @@ def test_cluster_snr_matches_independent_oracle(params):
         members = sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False))
         bs = np.array([rng.uniform(-8000, 8000), rng.uniform(-8000, 8000), rng.uniform(0, 50)])
         expected = cluster_snr_textbook(q[members], w[members], bs, params)
-        assert cluster_snr(members, q, w, bs, params, sinc_matrix(q, params)) == pytest.approx(expected, rel=1e-9), case
+        assert _snr(members, q, w, bs, params) == pytest.approx(expected, rel=1e-9), case
 
 
 def test_centroid_on_the_bs_is_rejected(params):
     q = np.array([[0.0, 0.0, 80.0], [10.0, 0.0, 80.0]])
     with pytest.raises(ValueError):
-        cluster_snr([0, 1], q, np.ones(2), np.array([5.0, 0.0, 80.0]), params, sinc_matrix(q, params))
+        _snr([0, 1], q, np.ones(2), np.array([5.0, 0.0, 80.0]), params)
     with pytest.raises(ValueError):
-        cluster_snr([0], q, np.ones(2), q[0].copy(), params, sinc_matrix(q, params))
+        _snr([0], q, np.ones(2), q[0].copy(), params)
 
 
 def test_unsteered_gain_follows_sub_wavelength_shifts(params):
@@ -108,7 +113,7 @@ def test_unsteered_gain_follows_sub_wavelength_shifts(params):
     def snr_db(shift):
         moved = q.copy()
         moved[1] += shift * bearing
-        return 10.0 * math.log10(cluster_snr([0, 1], moved, w, bs, params, sinc_matrix(moved, params)))
+        return 10.0 * math.log10(_snr([0, 1], moved, w, bs, params))
 
     base = snr_db(0.0)
     assert snr_db(LAM / 2) < base - 10.0
@@ -118,7 +123,7 @@ def test_unsteered_gain_follows_sub_wavelength_shifts(params):
 def test_singleton_cluster_snr_is_link_budget(params):
     q = np.array([[100.0, 100.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
-    snr = cluster_snr([0], q, np.array([1.0]), bs, params, sinc_matrix(q, params))
+    snr = _snr([0], q, np.array([1.0]), bs, params)
     loss = _link_loss(q[0], bs, params)
     expected = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
     assert snr == pytest.approx(expected, rel=1e-12)
@@ -127,20 +132,20 @@ def test_singleton_cluster_snr_is_link_budget(params):
 def test_zero_weights_give_zero_cluster_snr(params):
     q = np.array([[0.0, 0.0, 80.0], [10.0, 0.0, 80.0]])
     bs = np.array([2000.0, 2000.0, 0.0])
-    snr = cluster_snr([0, 1], q, np.zeros(2), bs, params, sinc_matrix(q, params))
+    snr = _snr([0, 1], q, np.zeros(2), bs, params)
     assert snr == 0.0
 
 
 def test_empty_cluster_rejected(params):
     with pytest.raises(ValueError):
-        cluster_snr([], np.zeros((1, 3)), np.ones(1), np.ones(3), params, np.ones((1, 1)))
+        cluster_snr([(0, [])], np.zeros((1, 1, 3)), np.ones((1, 1)), np.ones(3), params, np.ones((1, 1, 1)))
 
 
 def test_cophased_pair_beats_singleton(params):
     # two elements along the direction orthogonal to the BS bearing stay co-phased
     bs = np.array([2000.0, 0.0, 0.0])
     q = np.array([[0.0, -25 * LAM, 80.0], [0.0, 25 * LAM, 80.0]])
-    snr_pair = cluster_snr([0, 1], q, np.ones(2), bs, params, sinc_matrix(q, params))
+    snr_pair = _snr([0, 1], q, np.ones(2), bs, params)
     centroid = q.mean(axis=0)
     loss = _link_loss(centroid, bs, params)
     snr_single = 0.1 * 10 ** (-loss / 10.0) / params.noise_watts
@@ -161,5 +166,34 @@ def test_sinc_table_block_equals_the_per_cluster_sum():
         assert pairwise_sinc_sum(own, w[members]) == sinc_sum_direct(q[members], w[members], P), case
         # cluster_snr reads the block of the fleet's table as if it were the members' own
         bs = np.array([3000.0, -2000.0, 10.0])
-        assert cluster_snr(members, q, w, bs, PARAMS, sinc_matrix(q, PARAMS)) == cluster_snr(
+        assert _snr(members, q, w, bs, PARAMS) == cluster_snr_one(
             list(range(len(members))), q[members], w[members], bs, PARAMS, own), case
+
+
+def test_batched_cluster_snr_equals_the_per_cluster_oracle():
+    # 3,000 clusters over 100 calls, each mixing fleets (up to 48 UAVs) and
+    # cluster sizes on both sides of numpy's 8-element summation unroll
+    rng = np.random.default_rng(14)
+    for case in range(100):
+        n_uavs, n_fleets = int(rng.integers(1, 49)), int(rng.integers(1, 5))
+        spread = 1000.0 if case % 4 else 2.0 * LAM
+        q = rng.uniform(0.0, spread, (n_fleets, n_uavs, 3)) + [0.0, 0.0, 60.0]
+        w = rng.uniform(0.0, 1.0, (n_fleets, n_uavs))
+        w[0, : n_uavs // 2] = 0.0  # all-zero weights for the clusters drawn there
+        sinc = np.stack([sinc_matrix(fleet, PARAMS) for fleet in q])
+        bs = np.array([rng.uniform(-8000, 8000), rng.uniform(-8000, 8000), rng.uniform(0, 50)])
+        clusters = [(int(rng.integers(0, n_fleets)),
+                     sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False).tolist()))
+                    for _ in range(30)]
+        clusters[:3] = [(0, [0]), (n_fleets - 1, list(range(n_uavs))), (0, list(range(max(1, n_uavs // 2))))]
+        got = cluster_snr(clusters, q, w, bs, PARAMS, sinc)
+        assert got.shape == (len(clusters),)
+        for (fleet, members), snr in zip(clusters, got):
+            assert snr == cluster_snr_one(members, q[fleet], w[fleet], bs, PARAMS, sinc[fleet]), (case, fleet, members)
+        # the stacked denominators of one size group, against the direct per-cluster sum
+        size = len(clusters[1][1])
+        group = [(fleet, members) for fleet, members in clusters if len(members) == size]
+        blocks = np.stack([sinc[fleet][np.ix_(members, members)] for fleet, members in group])
+        weights = np.stack([w[fleet, members] for fleet, members in group])
+        for (fleet, members), denom in zip(group, pairwise_sinc_sum(blocks, weights)):
+            assert denom == sinc_sum_direct(q[fleet, members], w[fleet, members], P), (case, fleet, members)

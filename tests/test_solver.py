@@ -126,12 +126,12 @@ def test_gca_matches_exhaustive_oracle_and_rates_each_cluster_once(n_uavs, n_ind
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
     scn = generate_scenario(50, n_uavs, bounds, (2000.0, 2000.0, 0.0), seed=n_uavs)
     rng = np.random.default_rng(n_uavs)
-    calls = []
+    calls = []  # clusters rated per cluster_snr call
     real_snr = beamforming.cluster_snr
 
-    def counting_snr(*args, **kwargs):
-        calls.append(1)
-        return real_snr(*args, **kwargs)
+    def counting_snr(clusters, *args, **kwargs):
+        calls.append(len(clusters))
+        return real_snr(clusters, *args, **kwargs)
 
     total_merges = 0
     for _ in range(n_individuals):
@@ -156,7 +156,7 @@ def test_gca_matches_exhaustive_oracle_and_rates_each_cluster_once(n_uavs, n_ind
         budget = n_clusters * (n_clusters - 1) // 2 + n_clusters + merges * n_clusters
         if merges:
             budget += ind.assignment.n_clusters
-        assert len(calls) <= budget
+        assert sum(calls) <= budget
     assert total_merges > 0
 
 
@@ -188,20 +188,70 @@ def test_gso_computes_each_cluster_snr_once(monkeypatch):
     for ind in population:
         evaluate(ind, scn, PARAMS)
     oracles = [gso_sweep(ind, scn, PARAMS) for ind in population]
-    calls = []
+    calls = []  # clusters rated per cluster_snr call
     real_snr = beamforming.cluster_snr
 
-    def counting_snr(*args, **kwargs):
-        calls.append(1)
-        return real_snr(*args, **kwargs)
+    def counting_snr(clusters, *args, **kwargs):
+        calls.append(len(clusters))
+        return real_snr(clusters, *args, **kwargs)
 
     monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
     gso_step(population, scn, PARAMS)
     # the sweep and the closing evaluate read the SNRs stored by evaluate
-    assert len(calls) == 0
+    assert sum(calls) == 0
     for ind, oracle in zip(population, oracles):
         assert list(ind.k) == list(oracle.k)
         assert ind.objectives == oracle.objectives
+
+
+def test_one_population_evaluation_and_one_gca_pass_each_make_one_cluster_snr_call(monkeypatch):
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, 16, bounds, (2000.0, 2000.0, 0.0), seed=16)
+    rng = np.random.default_rng(16)
+    population = [random_individual(scn, rng) for _ in range(6)]
+    calls = []  # clusters rated per cluster_snr call
+    real_snr = beamforming.cluster_snr
+
+    def counting_snr(clusters, *args, **kwargs):
+        calls.append(len(clusters))
+        return real_snr(clusters, *args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
+    solver.evaluate_population(population, scn, PARAMS)
+    assert calls == [sum(ind.assignment.n_clusters for ind in population)]
+    # children one weight away from their parents: one stale cluster each, rated together
+    children = [Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy()) for ind in population]
+    for child in children:
+        child.w[0] *= 0.5
+    calls.clear()
+    solver.evaluate_population(children, scn, PARAMS, population)
+    assert calls == [len(children)]
+    monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
+    for ind in population + children:
+        fresh = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
+        evaluate(fresh, scn, PARAMS)
+        assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
+        assert ind.cluster_snr.tobytes() == fresh.cluster_snr.tobytes()
+    # GCA: one call per merge pass, the last pass finding no gain
+    monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
+    for ind in population:
+        calls.clear()
+        n_clusters = ind.assignment.n_clusters
+        gca_step([ind], scn, PARAMS)
+        assert len(calls) <= n_clusters - ind.assignment.n_clusters + 1
+
+
+def test_evaluation_errors_become_solver_errors(small_scenario):
+    # hand-built: box clipping keeps the solver's own individuals away from both
+    a = ClusterAssignment((1, 2, 3))
+    at_bs = Individual(a, small_scenario.uav_initial_xyz.copy(), np.ones(3), np.array([5, 5, 5]))
+    at_bs.q[2] = small_scenario.bs_xyz
+    with pytest.raises(solver.SolverError, match="coincides with the BS"):
+        solver.evaluate_population([at_bs], small_scenario, PARAMS)
+    on_a_user = Individual(a, small_scenario.uav_initial_xyz.copy(), np.ones(3), np.array([5, 5, 5]))
+    on_a_user.q[0] = small_scenario.user_xyz[0]  # zero user distance: f1 is NaN
+    with np.errstate(all="ignore"), pytest.raises(solver.SolverError, match="non-finite objectives"):
+        solver.evaluate_population([on_a_user], small_scenario, PARAMS)
 
 
 def test_sbx_and_mutation_respect_bounds(rng):
