@@ -10,7 +10,7 @@ exhaustive per-cluster symbol-count sweep.
 from .advisor import AdvisorInput, LlmEndpoint, ParamUpdate, advise
 from .beamforming import cluster_snr
 from .channel import avg_path_loss, sum_user_rate
-from .energy import RotorModel, flight_energy_xyz, total_flight_energy
+from .energy import RotorModel, total_flight_energy
 from .metrics import hypervolume, knee_index, max_spread_metric, spacing_metric
 from .problem import ClusterAssignment, Individual, ObjectiveTriple, evaluate
 from .scenario import (
@@ -46,7 +46,6 @@ __all__ = [
     "default_similarity_model",
     "evaluate",
     "final_front",
-    "flight_energy_xyz",
     "generate_scenario",
     "hypervolume",
     "knee_index",

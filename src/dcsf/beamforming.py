@@ -13,7 +13,8 @@ meters the integrand oscillates far too fast for quadrature to be practical.
 
 `cluster_snr` rates a list of clusters of one or more fleets in one call.
 The sinc factors come from one V x V table per fleet, `sinc_matrix(Q,
-params)`, stacked over the fleets; a cluster's block of its fleet's table
+params)`, stacked over the fleets (or `sinc_table` of the fleets' squared
+distances, when those are at hand); a cluster's block of its fleet's table
 equals, bit for bit, the table of the members alone. Clusters of one size
 are gathered and rated together, so the cost per call grows with the number
 of distinct cluster sizes rather than with the number of clusters.
@@ -32,16 +33,26 @@ import math
 import numpy as np
 
 from .channel import avg_path_loss
+from .scenario import squared_distances
 
 
 def sinc_matrix(uav_positions: np.ndarray, params) -> np.ndarray:
-    """sinc(p * d_ij) for every pair of UAVs, with p = 2 pi / lambda,
-    sinc(x) = sin(x)/x and sinc(0) = 1."""
-    xyz = np.asarray(uav_positions, dtype=float)
-    diff = xyz[:, None, :] - xyz[None, :, :]
-    x = (2.0 * math.pi / params.wavelength) * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+    """sinc(p * d_ij) for every pair of UAVs of each stacked fleet (..., V,
+    3) -> (..., V, V), with p = 2 pi / lambda, sinc(x) = sin(x)/x and sinc(0) = 1."""
+    return sinc_table(squared_distances(np.asarray(uav_positions, dtype=float)), params)
+
+
+def sinc_table(squared: np.ndarray, params) -> np.ndarray:
+    """`sinc_matrix` from the fleets' `squared_distances` (..., V, V), built
+    in place in two arrays of that shape."""
+    x = np.sqrt(squared)
+    x *= 2.0 * math.pi / params.wavelength
+    table = np.sin(x)
+    zero = x == 0.0
+    x[zero] = 1.0
+    table /= x
+    table[zero] = 1.0
+    return table
 
 
 def pairwise_sinc_sum(sinc: np.ndarray, weights: np.ndarray) -> np.ndarray:

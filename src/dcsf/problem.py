@@ -5,18 +5,22 @@ per-cluster symbol counts k}. Cluster labels are kept canonical (consecutive
 1..N_cluster), which makes the structural constraints (non-empty clusters,
 exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
 
-Each evaluated individual carries one SNR per cluster, which `rate_clusters`
-sets for a batch of individuals at once; `evaluate` alone is a batch of one.
+Each evaluated individual carries what does not depend on k: one SNR per
+cluster, and its fleet terms, f3 and the C1 + C2 violation, which depend on
+Q alone. `batch_terms` sets both for a batch of individuals at once, in array
+passes; `evaluate` then adds f1, f2 and the C6 violation per individual, and
+alone is a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import beamforming, channel, energy, semantic
-from .scenario import close_pairs, deployment_violations
+from .scenario import deployment_violations, fleet_close_pairs, squared_distances
 
 
 class EncodingError(ValueError):
@@ -30,7 +34,7 @@ class ObjectiveTriple:
     f3: float  # joules, minimized
 
     def __post_init__(self):
-        if not all(np.isfinite([self.f1, self.f2, self.f3])):
+        if not all(map(math.isfinite, (self.f1, self.f2, self.f3))):
             raise ValueError(f"non-finite objectives {self}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -42,6 +46,7 @@ class ClusterAssignment:
     """Canonical per-UAV cluster labels: consecutive integers starting at 1."""
 
     labels: tuple[int, ...]
+    _clusters: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -50,17 +55,18 @@ class ClusterAssignment:
         n_cluster = max(self.labels)
         if present != set(range(1, n_cluster + 1)):
             raise EncodingError(f"labels {self.labels} are not canonical 1..{n_cluster}")
+        out: list[list[int]] = [[] for _ in range(n_cluster)]
+        for uav, label in enumerate(self.labels):
+            out[label - 1].append(uav)
+        object.__setattr__(self, "_clusters", tuple(map(tuple, out)))
 
     @property
     def n_clusters(self) -> int:
-        return max(self.labels)
+        return len(self._clusters)
 
-    def clusters(self) -> list[list[int]]:
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
         """UAV indices per cluster, in cluster-label order."""
-        out: list[list[int]] = [[] for _ in range(self.n_clusters)]
-        for uav, label in enumerate(self.labels):
-            out[label - 1].append(uav)
-        return out
+        return self._clusters
 
 
 def canonicalize_labels(raw_labels, k_values) -> tuple[ClusterAssignment, np.ndarray]:
@@ -98,6 +104,7 @@ class Individual:
     violation: float = 0.0
     cluster_xi: np.ndarray | None = field(default=None, repr=False)
     cluster_snr: np.ndarray | None = field(default=None, repr=False)  # per cluster; k-independent
+    fleet_terms: tuple[float, float] | None = field(default=None, repr=False)  # (f3, C1 + C2 violation)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -122,6 +129,7 @@ class Individual:
             self.violation,
             None if self.cluster_xi is None else self.cluster_xi.copy(),
             None if self.cluster_snr is None else self.cluster_snr.copy(),
+            self.fleet_terms,
         )
 
     def to_dict(self) -> dict:
@@ -148,47 +156,81 @@ class Individual:
         return ind
 
 
-def rate_clusters(individuals, scenario, params, parents) -> None:
-    """Set each individual's `cluster_snr` (one per cluster; k-independent).
+def batch_terms(individuals, scenario, params, parents) -> None:
+    """Set each individual's `cluster_snr` (one per cluster) and
+    `fleet_terms`, f3 and the C1 + C2 violation: everything k does not change.
 
-    A cluster whose member set, Q rows and w equal, byte for byte, those of a
-    cluster of the evaluated `parents[i]` (or None) takes its SNR; an
-    individual that is its own parent keeps its SNRs. The others, over every
-    individual, are rated in one `beamforming.cluster_snr` call."""
-    fleets, clusters, slots = [], [], []
-    for ind, parent in zip(individuals, parents):
-        if parent is ind:
-            continue
+    From the evaluated `parents[i]` (or None), an individual takes the SNR of
+    each cluster whose member set, Q rows and w equal, byte for byte, those
+    of a cluster of the parent, and the fleet terms when all its Q rows are
+    byte-equal to the parent's; an individual that is its own parent keeps
+    its own. The rest is computed over the whole batch at once: one
+    squared-distance array, which the C2 screen and the sinc tables read, one
+    `energy.total_flight_energy` call and one `beamforming.cluster_snr` call.
+    """
+    batch = [(ind, parent) for ind, parent in zip(individuals, parents) if parent is not ind]
+    if not batch:
+        return
+    q = np.stack([ind.q for ind, _ in batch])
+    squared = squared_distances(q)
+    moved = []
+    for f, (ind, parent) in enumerate(batch):
+        if parent is not None and ind.q.tobytes() == parent.q.tobytes():
+            ind.fleet_terms = parent.fleet_terms
+        else:
+            moved.append(f)
+    if moved:
+        f3 = energy.total_flight_energy(scenario, q[moved], params).tolist()
+        violations = _fleet_violations(q[moved], squared[moved], scenario.bounds, params.d_min)
+        for f, terms in zip(moved, zip(f3, violations)):
+            batch[f][0].fleet_terms = terms
+
+    clusters, slots, multi = [], [], []
+    for f, (ind, parent) in enumerate(batch):
         known = {}
         if parent is not None:
             same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
                     & (ind.w.view(np.int64) == parent.w.view(np.int64)))
-            known = {tuple(members): snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
-                     if same[members].all()}
+            known = {members: snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
+                     if same[list(members)].all()}
         members = ind.assignment.clusters()
-        ind.cluster_snr = np.array([known.get(tuple(m), 0.0) for m in members])
-        stale = [i for i, m in enumerate(members) if tuple(m) not in known]
-        if stale:
-            clusters += [(len(fleets), members[i]) for i in stale]
-            slots += [(ind, i) for i in stale]
-            fleets.append(ind)
+        ind.cluster_snr = np.array([known.get(m, 0.0) for m in members])
+        stale = [i for i, m in enumerate(members) if m not in known]
+        clusters += [(f, members[i]) for i in stale]
+        slots += [(ind, i) for i in stale]
+        if any(len(members[i]) > 1 for i in stale):
+            multi.append(f)
     if not clusters:
         return
-    multi = {fleet for fleet, members in clusters if len(members) > 1}
-    # a fleet whose stale clusters are all singletons never reads its table
-    sinc = np.stack([beamforming.sinc_matrix(ind.q, params) if fleet in multi else np.zeros((len(ind.w),) * 2)
-                     for fleet, ind in enumerate(fleets)])
-    snrs = beamforming.cluster_snr(clusters, np.stack([ind.q for ind in fleets]),
-                                   np.stack([ind.w for ind in fleets]), scenario.bs_xyz, params, sinc)
+    # the tables overwrite the squared distances, which the C2 screen has read;
+    # a fleet whose stale clusters are all singletons never reads its rows
+    sinc = squared
+    sinc[multi] = beamforming.sinc_table(squared[multi], params)
+    snrs = beamforming.cluster_snr(clusters, q, np.stack([ind.w for ind, _ in batch]),
+                                   scenario.bs_xyz, params, sinc)
     for (ind, i), snr in zip(slots, snrs.tolist()):
         ind.cluster_snr[i] = snr
+
+
+def _fleet_violations(q: np.ndarray, squared: np.ndarray, bounds, d_min: float) -> list[float]:
+    """The C1 + C2 violation of each stacked fleet `q` (N, V, 3), given its
+    squared distances: the normalized bound excess (0.0 inside the bounds),
+    then (d_min - d) / d_min added per close pair in (i, j) order."""
+    lower, upper = bounds.lower, bounds.upper
+    span = upper - lower
+    outside = ((q < lower) | (q > upper)).any(axis=(1, 2)).tolist()
+    totals = [float((np.maximum(lower - fleet, 0.0) / span).sum() + (np.maximum(fleet - upper, 0.0) / span).sum())
+              if out else 0.0 for fleet, out in zip(q, outside)]
+    for f, _, _, d in fleet_close_pairs(q, squared, d_min):
+        totals[f] += (d_min - d) / d_min
+    return totals
 
 
 def cluster_semantic_terms(individual: Individual, scenario, params,
                            parent: Individual | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster (semantic rate, similarity, SNR), the SNRs set by
-    `rate_clusters` with `parent`. Zero-SNR clusters contribute nothing."""
-    rate_clusters([individual], scenario, params, [parent])
+    `batch_terms` with `parent`. Zero-SNR clusters contribute nothing."""
+    batch_terms([individual], scenario, params, [parent])
     rates, xis = np.zeros(len(individual.k)), np.zeros(len(individual.k))
     for i, snr in enumerate(individual.cluster_snr.tolist()):
         rates[i], xis[i] = semantic.semantic_terms(snr, int(individual.k[i]), params)
@@ -197,29 +239,16 @@ def cluster_semantic_terms(individual: Individual, scenario, params,
 
 def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
     """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
-    and the constraint-violation scalar. With no `parent`, every SNR is
-    computed; see `rate_clusters` for what a parent lends."""
+    and the constraint-violation scalar. With no `parent`, every term is
+    computed; see `batch_terms` for what a parent lends."""
+    batch_terms([individual], scenario, params, [parent])
     f1 = channel.sum_user_rate(scenario, individual.q, params)
-    rates, xis, _ = cluster_semantic_terms(individual, scenario, params, parent)
-    f2 = float(rates.sum())
-    f3 = energy.total_flight_energy(scenario, individual.q, params)
-    individual.objectives = ObjectiveTriple(f1, f2, f3)
+    rates, xis, _ = cluster_semantic_terms(individual, scenario, params, individual)
+    f3, violation = individual.fleet_terms
+    individual.objectives = ObjectiveTriple(f1, float(rates.sum()), f3)
     individual.cluster_xi = xis
-    individual.violation = _violation_scalar(individual, scenario, params, xis)
+    individual.violation = violation + float(np.maximum(params.xi_threshold - xis, 0.0).sum())
     return individual.objectives
-
-
-def _violation_scalar(individual: Individual, scenario, params, xis: np.ndarray) -> float:
-    total = 0.0
-    lower, upper = scenario.bounds.lower, scenario.bounds.upper
-    span = upper - lower
-    below = np.maximum(lower - individual.q, 0.0) / span
-    above = np.maximum(individual.q - upper, 0.0) / span
-    total += float(below.sum() + above.sum())
-    for _, _, d in close_pairs(individual.q, params.d_min):
-        total += (params.d_min - d) / params.d_min
-    total += float(np.maximum(params.xi_threshold - xis, 0.0).sum())
-    return total
 
 
 def violations_report(individual: Individual, scenario, params) -> tuple[float, list[str]]:

@@ -199,24 +199,48 @@ def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray,
     return (d == d_near).argmax(axis=0), d_near
 
 
+def squared_distances(xyz: np.ndarray) -> np.ndarray:
+    """|r_i - r_j|² for every pair of points of each stacked set, (..., n, 3)
+    -> (..., n, n).
+
+    Built one coordinate at a time, so no (..., n, n, 3) difference array is
+    held. As in `nearest_uavs`, the squares are summed as (dx² + dz²) + dy²,
+    which reproduces, bit for bit, `einsum("ijk,ijk->ij")` over the pairwise
+    differences of one set.
+    """
+    d = xyz[..., :, None, 0] - xyz[..., None, :, 0]
+    d *= d
+    for axis in (2, 1):
+        square = xyz[..., :, None, axis] - xyz[..., None, :, axis]
+        square *= square
+        d += square
+    return d
+
+
 # Relative slack on d_min^2 when screening pairs by vectorized squared
 # distance, far above the few ulps by which it can differ from the norm.
 _SCREEN_SLACK = 1e-9
 
 
 def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
-    """(i, j, d) for UAV pairs i < j closer than d_min, in (i, j) order.
+    """(i, j, d) for UAV pairs i < j of one fleet closer than d_min, in (i, j) order."""
+    return [hit[1:] for hit in fleet_close_pairs(q[None], squared_distances(q[None]), d_min)]
 
-    A vectorized squared distance screens the pairs; d itself is the scalar
+
+def fleet_close_pairs(q: np.ndarray, squared: np.ndarray, d_min: float) -> list[tuple[int, int, int, float]]:
+    """(fleet, i, j, d) for UAV pairs i < j closer than d_min, in (fleet, i,
+    j) order, over a stack of fleets `q` (N, V, 3) with their
+    `squared_distances` (N, V, V).
+
+    The squared distances screen the pairs; d itself is the scalar
     `np.linalg.norm`, so the values match a double loop over all pairs exactly.
     """
-    diff = q[:, None, :] - q[None, :, :]
-    near = np.triu((diff**2).sum(axis=2) < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
+    near = np.triu(squared < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
     out = []
-    for i, j in zip(*np.nonzero(near)):
-        d = float(np.linalg.norm(q[i] - q[j]))
+    for f, i, j in zip(*(index.tolist() for index in np.nonzero(near))):
+        d = float(np.linalg.norm(q[f, i] - q[f, j]))
         if d < d_min:
-            out.append((int(i), int(j), d))
+            out.append((f, i, j, d))
     return out
 
 

@@ -12,14 +12,18 @@ differ only in the genome and its decoding. Parents carry their objectives
 across generations, so each generation evaluates only the offspring that
 differ from their parent.
 
-Every evaluated individual also carries one SNR per cluster, which depends on
-the members' positions and weights but not on k. An offspring reuses its
-parent's SNR for each cluster it kept unchanged, and one population
-evaluation rates the remaining clusters of all its pending individuals in
-one `beamforming.cluster_snr` call. GSO sweeps k from the stored SNRs. GCA
-seeds its cache with them and rates the merged pairs of each merge pass in
-one call. GCA's ordered merges and GSO's k candidates are scored as the row
-sums of one matrix.
+Every evaluated individual also carries what does not depend on k: one SNR
+per cluster, which depends on the members' positions and weights, and its
+fleet terms, f3 and the C1 + C2 violation, which depend on the positions
+alone. An offspring reuses its parent's SNR for each cluster it kept
+unchanged, and its parent's fleet terms when it kept every position. One
+population evaluation computes the rest for all its pending individuals in
+array passes (`problem.batch_terms`): one `beamforming.cluster_snr` call and
+one `energy.total_flight_energy` call. GSO sweeps k from the stored SNRs.
+GCA seeds its cache with them and rates the merged pairs of each merge pass
+in one call. After GCA or GSO, an individual is re-evaluated with its own
+SNRs and fleet terms, so only f1 is computed again. GCA's ordered merges and
+GSO's k candidates are scored as the row sums of one matrix.
 """
 
 from __future__ import annotations
@@ -92,12 +96,13 @@ def initialize_population(scenario, params, config: SolverConfig, rng=None) -> l
 
 def evaluate_population(population, scenario, params, parents=None) -> None:
     """Evaluate every member that has no objectives yet, lending it the
-    stored SNRs of `parents[i]` when `parents` is given. The clusters left to
-    rate, over all those members, are rated in one call."""
+    stored SNRs and fleet terms of `parents[i]` when `parents` is given. What
+    is left to compute, over all those members, is computed in one
+    `problem.batch_terms` pass."""
     pending = [i for i, ind in enumerate(population) if ind.objectives is None]
     try:
-        problem.rate_clusters([population[i] for i in pending], scenario, params,
-                              [None if parents is None else parents[i] for i in pending])
+        problem.batch_terms([population[i] for i in pending], scenario, params,
+                            [None if parents is None else parents[i] for i in pending])
         for i in pending:
             problem.evaluate(population[i], scenario, params, population[i])
     except ValueError as exc:
@@ -142,7 +147,7 @@ def _best_merge(ind: Individual, rate, baseline: float):
     individual evaluated from scratch (the oracle `enumerate_merge_gains` in
     tests/oracles.py); `np.argmax` keeps the first of equal gains.
     """
-    clusters = [tuple(members) for members in ind.assignment.clusters()]
+    clusters = ind.assignment.clusters()
     k = [int(v) for v in ind.k]
     n = len(clusters)
     rates = np.array([rate(clusters[i], k[i]) for i in range(n)])
@@ -173,7 +178,7 @@ def _merge_greedily(ind: Individual, scenario, params) -> bool:
     """
     if ind.assignment.n_clusters == 1:
         return False
-    snr_of = dict(zip(map(tuple, ind.assignment.clusters()), ind.cluster_snr.tolist()))
+    snr_of = dict(zip(ind.assignment.clusters(), ind.cluster_snr.tolist()))
     q, w, sinc = ind.q[None], ind.w[None], beamforming.sinc_matrix(ind.q, params)[None]  # a stack of one fleet
     cache: dict = {}
 
@@ -197,7 +202,7 @@ def _merge_greedily(ind: Individual, scenario, params) -> bool:
         ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, survivor, absorbed)
         changed = True
     if changed:
-        ind.cluster_snr = np.array([snr_of[tuple(members)] for members in ind.assignment.clusters()])
+        ind.cluster_snr = np.array([snr_of[members] for members in ind.assignment.clusters()])
     return changed
 
 
@@ -357,6 +362,7 @@ def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
             and child.w.tobytes() == parent.w.tobytes()):
         child.objectives, child.violation = parent.objectives, parent.violation
         child.cluster_xi, child.cluster_snr = parent.cluster_xi.copy(), parent.cluster_snr.copy()
+        child.fleet_terms = parent.fleet_terms
     return child
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from dcsf import SystemParams
 from dcsf.beamforming import sinc_matrix
 from dcsf.channel import avg_path_loss
-from dcsf.energy import flight_energy_xyz
+from dcsf.energy import horizontal_power, vertical_power
 from dcsf.problem import (
     ClusterAssignment,
     Individual,
@@ -241,13 +241,32 @@ def violation_double_loop(ind, scn, params):
     return total
 
 
+def flight_energy_xyz(initial, target, rotor, v_xy: float, v_z: float) -> float:
+    """Energy in joules for relocating one UAV from `initial` to `target`
+    (length-3 sequences or arrays): the horizontal leg at v_xy, then the
+    climb at v_z; descent costs nothing."""
+    dx = float(target[0] - initial[0])
+    dy = float(target[1] - initial[1])
+    dz = float(target[2] - initial[2])
+    horiz = math.hypot(dx, dy)
+    energy = 0.0
+    if horiz > 0:
+        energy += horizontal_power(rotor, v_xy) * (horiz / v_xy)
+    if dz > 0:
+        energy += vertical_power(rotor, v_z) * (dz / v_z)
+    return energy
+
+
 def total_flight_energy_per_uav(scenario, uav_positions, params) -> float:
-    """f3 with each UAV's positions passed as numpy rows."""
+    """f3 of one fleet, UAV by UAV with `flight_energy_xyz` on numpy rows,
+    summed left to right (an explicit loop: `sum` of floats is compensated
+    from Python 3.12 on)."""
     uav_positions = np.asarray(uav_positions, dtype=float)
-    return sum(
-        flight_energy_xyz(scenario.uav_initial_xyz[i], uav_positions[i], params.rotor, params.v_xy, params.v_z)
-        for i in range(len(uav_positions))
-    )
+    total = 0.0
+    for i in range(len(uav_positions)):
+        total += flight_energy_xyz(scenario.uav_initial_xyz[i], uav_positions[i], params.rotor,
+                                   params.v_xy, params.v_z)
+    return total
 
 
 def dominates(a: Individual, b: Individual) -> bool:

@@ -17,7 +17,7 @@ from dcsf import Bounds, SystemParams, generate_scenario
 from dcsf.advisor import P_C_BOUNDS, P_M_BOUNDS, AdvisorInput, advise, _parse_params
 from dcsf.beamforming import cluster_snr, pairwise_sinc_sum, sinc_matrix
 from dcsf.cli import main
-from dcsf.energy import RotorModel, flight_energy_xyz, horizontal_power, vertical_power
+from dcsf.energy import RotorModel, horizontal_power, vertical_power
 from dcsf.metrics import normalized_hypervolume, objective_ranges
 from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
@@ -33,6 +33,7 @@ from oracles import (
     crowding,
     denominator_quadrature,
     fake_pool,
+    flight_energy_xyz,
     gca_replay,
     gso_sweep,
     peeled_fronts,

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dcsf import Bounds, generate_scenario
 from dcsf.energy import (
     RotorModel,
-    flight_energy_xyz,
     horizontal_power,
     total_flight_energy,
     vertical_power,
 )
-from oracles import total_flight_energy_per_uav
+from oracles import flight_energy_xyz, total_flight_energy_per_uav
 
 ROTOR = RotorModel()
 
@@ -90,3 +90,30 @@ def test_total_flight_energy_equals_the_per_uav_numpy_form(small_scenario, param
         q = lower - 50.0 + rng.random((small_scenario.n_uavs, 3)) * (upper - lower + 100.0)
         assert total_flight_energy(small_scenario, q, params) == total_flight_energy_per_uav(
             small_scenario, q, params)
+
+
+@pytest.mark.parametrize("n_uavs", [1, 2, 7, 8, 9, 16, 24, 48])
+def test_stacked_f3_equals_the_per_uav_oracle(n_uavs, params):
+    """One call rates a stack of fleets; each total is bit for bit the per-UAV
+    sum, from 8 UAVs on too, where a numpy reduction would sum pairwise."""
+    bounds = Bounds(0.0, 5000.0, 0.0, 5000.0, 60.0, 120.0)
+    scn = generate_scenario(10, n_uavs, bounds, (8000.0, 8000.0, 0.0), seed=n_uavs)
+    rng = np.random.default_rng(n_uavs)
+    start = scn.uav_initial_xyz
+    fleets = [start.copy()]  # every UAV stays put
+    for _ in range(12):
+        q = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
+        move = rng.integers(0, 4, n_uavs)  # 0 anywhere, 1 stay put, 2 only climb, 3 only descend
+        q[move == 1] = start[move == 1]
+        for kind, sign in ((2, 1.0), (3, -1.0)):
+            rows = move == kind
+            q[rows] = start[rows] + sign * np.outer(rng.random(rows.sum()) * 50.0, [0.0, 0.0, 1.0])
+        fleets.append(q)
+    q = np.stack(fleets)
+    batch = total_flight_energy(scn, q, params)
+    assert batch.shape == (len(fleets),)
+    for fleet, total in zip(q, batch.tolist()):
+        expected = total_flight_energy_per_uav(scn, fleet, params)
+        assert total == expected
+        assert total_flight_energy(scn, fleet[None], params).tolist() == [expected]
+    assert batch[0] == 0.0

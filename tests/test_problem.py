@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import Bounds, SystemParams, beamforming, generate_scenario
+from dcsf import Bounds, SystemParams, beamforming, generate_scenario, solver
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
     Individual,
     ObjectiveTriple,
     canonicalize_labels,
-    close_pairs,
     dominance_matrix,
     evaluate,
     violations_report,
 )
+from dcsf.scenario import close_pairs
 from oracles import (
     close_pairs_double_loop,
     f2_by_cluster,
     fake_pool,
     per_user_rates,
     random_individual,
+    total_flight_energy_per_uav,
     violation_double_loop,
 )
 
@@ -34,7 +35,7 @@ def test_assignment_requires_canonical_labels():
 
 def test_clusters_listing():
     a = ClusterAssignment((1, 2, 1, 3))
-    assert a.clusters() == [[0, 2], [1], [3]]
+    assert a.clusters() == ((0, 2), (1,), (3,))
 
 
 def test_canonicalize_first_appearance_order():
@@ -150,6 +151,39 @@ def test_close_pairs_at_the_d_min_boundary(rng):
     assert sides == {True, False}
 
 
+def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
+    """One population evaluation over crowded fleets, fleets with pairs a few
+    ulps either side of d_min (inside the screen's slack) and fleets outside
+    the bounds gives each member the double loop's violation and the per-UAV
+    f3, under ==."""
+    params = SystemParams()
+    d_min = params.d_min
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    lower, upper = bounds.lower, bounds.upper
+    for n in (2, 8, 24):
+        scn = generate_scenario(30, n, bounds, (2000.0, 2000.0, 0.0), seed=n)
+        batch = []
+        for case in range(12):
+            q = lower + rng.random((n, 3)) * (upper - lower)
+            if case % 4 == 1:  # crowded: a box a few d_min wide
+                q = np.array([250.0, 250.0, 80.0]) + rng.random((n, 3)) * rng.choice([2.0, 6.0, 15.0])
+            elif case % 4 == 2:  # UAV 1 within a few ulps of d_min from UAV 0
+                u = rng.normal(size=3)
+                q[1] = q[0] + u / np.linalg.norm(u) * d_min * (1.0 + rng.integers(-4, 5) * np.finfo(float).eps)
+            elif case % 4 == 3:  # the last UAV, and perhaps others, beyond the bounds
+                q += np.where(rng.random((n, 3)) < 0.2, rng.normal(scale=100.0, size=(n, 3)), 0.0)
+                q[-1] = np.where(rng.random(3) < 0.5, lower - 1.0, upper + 1.0) * (1.0 + rng.random(3))
+            batch.append(random_individual(scn, rng))
+            batch[-1].q = q
+        solver.evaluate_population(batch, scn, params)
+        for ind in batch:
+            assert ind.violation == violation_double_loop(ind, scn, params)
+            assert ind.objectives.f3 == total_flight_energy_per_uav(scn, ind.q, params)
+        inside = [bool(((ind.q >= lower) & (ind.q <= upper)).all()) for ind in batch]
+        assert True in inside and False in inside
+        assert any(close_pairs_double_loop(ind.q, d_min) for ind in batch)
+
+
 def test_low_similarity_contributes_violation(small_scenario):
     params = SystemParams()
     a = ClusterAssignment((1, 2, 3))
@@ -241,14 +275,15 @@ def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng
     for _ in range(10):
         ind = random_individual(small_scenario, rng)
         evaluate(ind, small_scenario, params)
-        stale = ind.cluster_snr.copy()
+        stale, stale_terms = ind.cluster_snr.copy(), ind.fleet_terms
         ind.q += 7.0
         evaluate(ind, small_scenario, params)
         fresh = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
         evaluate(fresh, small_scenario, params)
         assert not np.array_equal(ind.cluster_snr, stale)
         assert np.array_equal(ind.cluster_snr, fresh.cluster_snr)
-        assert ind.objectives == fresh.objectives
+        assert ind.fleet_terms != stale_terms and ind.fleet_terms == fresh.fleet_terms
+        assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
 
 
 def test_to_dict_from_dict_roundtrip(small_scenario, rng):

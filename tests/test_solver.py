@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsf import Bounds, SystemParams, advisor, beamforming, generate_scenario, metrics, problem, solver
+from dcsf import Bounds, SystemParams, advisor, beamforming, energy, generate_scenario, metrics, problem, solver
 from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
     LLM_FAILURE_LIMIT,
@@ -239,6 +239,57 @@ def test_one_population_evaluation_and_one_gca_pass_each_make_one_cluster_snr_ca
         n_clusters = ind.assignment.n_clusters
         gca_step([ind], scn, PARAMS)
         assert len(calls) <= n_clusters - ind.assignment.n_clusters + 1
+
+
+def test_only_moved_fleets_compute_f3_and_c1_c2(monkeypatch):
+    """`energy.total_flight_energy` takes one row per fleet whose positions
+    changed: one call per population evaluation, and no rows at all for GCA
+    and GSO re-evaluations, clones or weight-only children."""
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, 12, bounds, (2000.0, 2000.0, 0.0), seed=12)
+    rng = np.random.default_rng(12)
+    rows = []  # fleets passed per total_flight_energy call
+    real_f3 = energy.total_flight_energy
+
+    def counting_f3(scenario, uav_positions, params):
+        rows.append(len(uav_positions))
+        return real_f3(scenario, uav_positions, params)
+
+    def fresh(ind):
+        out = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
+        evaluate(out, scn, PARAMS)
+        return out
+
+    monkeypatch.setattr(energy, "total_flight_energy", counting_f3)
+    population = [random_individual(scn, rng) for _ in range(6)]
+    solver.evaluate_population(population, scn, PARAMS)
+    assert rows == [len(population)]
+
+    rows.clear()
+    labels = [ind.assignment.labels for ind in population]
+    gca_step(population, scn, PARAMS)
+    assert any(ind.assignment.labels != before for ind, before in zip(population, labels))
+    ks = [ind.k.copy() for ind in population]
+    gso_step(population, scn, PARAMS)
+    assert any(not np.array_equal(ind.k, k) for ind, k in zip(population, ks))
+    assert rows == []
+
+    clones = [solver._inherit_if_clone(ind, Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy()))
+              for ind in population]
+    weight_only = [Individual(ind.assignment, ind.q.copy(), ind.w * 0.5, ind.k.copy()) for ind in population]
+    solver.evaluate_population(clones + weight_only, scn, PARAMS, population + population)
+    assert rows == []
+
+    moved = [Individual(ind.assignment, ind.q.copy(), ind.w * 0.5, ind.k.copy()) for ind in population]
+    for child in moved[::2]:
+        child.q[0, 0] = np.nextafter(child.q[0, 0], 0.0)
+    solver.evaluate_population(moved, scn, PARAMS, population)
+    assert rows == [len(moved[::2])]
+
+    for ind in population + clones + weight_only + moved:
+        expected = fresh(ind)
+        assert ind.fleet_terms == expected.fleet_terms
+        assert ind.objectives == expected.objectives and ind.violation == expected.violation
 
 
 def test_evaluation_errors_become_solver_errors(small_scenario):
