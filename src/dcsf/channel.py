@@ -34,22 +34,46 @@ def avg_path_loss(d: float, h: float, params) -> float:
 
 
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
-    """Objective f1: total rate of all users under nearest-UAV association."""
+    """Objective f1: total rate of all users under nearest-UAV association.
+
+    The link budget runs in place on U-length buffers, in the operation order
+    of the out-of-place expressions (the oracle `sum_user_rate_einsum` in
+    tests/oracles.py), so the result is the same bit for bit.
+    """
     user_xyz = scenario.user_xyz
     uav_xyz = np.asarray(uav_positions, dtype=float)
     nearest, d_star = nearest_uavs(user_xyz, uav_xyz)
-    h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
-    elevation_deg = np.degrees(np.arcsin(h_star / d_star))
-    p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))
-    fspl = (
-        20.0 * np.log10(d_star)
-        + 20.0 * np.log10(params.frequency)
-        + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
-    )
-    loss_db = fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
-    rx = params.user_tx_power * 10.0 ** (-loss_db / 10.0)
+    # p_los = 1 / (1 + psi * exp(-beta * (elevation_deg - psi)))
+    p_los = user_xyz[:, 2] - uav_xyz[nearest, 2]
+    np.abs(p_los, out=p_los)
+    p_los /= d_star
+    np.arcsin(p_los, out=p_los)
+    np.degrees(p_los, out=p_los)
+    p_los -= params.psi
+    p_los *= -params.beta
+    np.exp(p_los, out=p_los)
+    p_los *= params.psi
+    p_los += 1.0
+    np.divide(1.0, p_los, out=p_los)
+    # loss_db = fspl + p_los * mu_los + (1 - p_los) * mu_nlos, in the buffer of d_star
+    loss_db = np.log10(d_star, out=d_star)
+    loss_db *= 20.0
+    loss_db += 20.0 * np.log10(params.frequency)
+    loss_db += 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+    loss_db += p_los * params.mu_los
+    np.subtract(1.0, p_los, out=p_los)
+    p_los *= params.mu_nlos
+    loss_db += p_los
+    # rx = P_u * 10 ** (-loss_db / 10)
+    rx = np.negative(loss_db, out=loss_db)
+    rx /= 10.0
+    np.power(10.0, rx, out=rx)
+    rx *= params.user_tx_power
 
     totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))
-    sinr = rx / (totals[nearest] - rx + params.noise_watts)
-    return float(params.bandwidth * np.sum(np.log2(1.0 + sinr)))
-
+    sinr = totals[nearest]
+    sinr -= rx
+    sinr += params.noise_watts
+    np.divide(rx, sinr, out=sinr)
+    sinr += 1.0
+    return float(params.bandwidth * np.sum(np.log2(sinr, out=sinr)))

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +138,13 @@ class SystemParams:
             raise ScenarioError(f"similarity table spans k = {ks[0]}..{ks[-1]}, "
                                 f"not [k_min, k_max] = [{self.k_min}, {self.k_max}]")
 
-    @property
+    # derived once per instance; the instance is frozen, so they cannot go stale
+    @cached_property
     def frequency(self) -> float:
         """Carrier frequency in Hz, coherent with the wavelength."""
         return SPEED_OF_LIGHT / self.wavelength
 
-    @property
+    @cached_property
     def noise_watts(self) -> float:
         """Total noise power B * N0 in watts."""
         return self.bandwidth * 10 ** ((self.noise_density_dbm - 30.0) / 10.0)
@@ -184,6 +186,12 @@ def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray,
     squares as (dx² + dz²) + dy² reproduces, bit for bit, a (U, V, 3)
     `einsum("uvk,uvk->uv")` (the oracle in tests/oracles.py);
     (dx² + dy²) + dz² does not.
+
+    The first minimum of each column is found without an axis-0 argmax (for
+    which numpy moves the V axis last and runs U short argmaxes): UAV v gets
+    rank n - v where it ties the minimum and 0 elsewhere, so the highest rank
+    of a column is n minus the lowest tied index. The ranks use the smallest
+    unsigned dtype that holds n; the indices are returned as `intp`.
     """
     d = user_xyz[:, 0] - uav_xyz[:, 0, None]
     d *= d
@@ -195,8 +203,10 @@ def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray,
     d += square
     np.sqrt(d, out=d)
     d_near = d.min(axis=0)
-    # the first minimum over V; np.argmin(axis=0) is slower on this layout
-    return (d == d_near).argmax(axis=0), d_near
+    n = len(uav_xyz)
+    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
+    top = ((d == d_near) * rank[:, None]).max(axis=0)
+    return n - top.astype(np.intp), d_near
 
 
 def squared_distances(xyz: np.ndarray) -> np.ndarray:

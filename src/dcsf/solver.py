@@ -296,8 +296,9 @@ def select_best(pool, m: int):
     return [pool[i] for i in _select_indices(pool, m)]
 
 
-def _tournament(pool, rank, crowd, rng) -> int:
-    i, j = rng.integers(0, len(pool), size=2)
+def _tournament(rank: list, crowd: list, rng) -> int:
+    """Binary tournament by (front rank, crowding), ties to the lower index."""
+    i, j = rng.integers(0, len(rank), size=2).tolist()
     if rank[i] != rank[j]:
         return i if rank[i] < rank[j] else j
     if crowd[i] != crowd[j]:
@@ -324,31 +325,61 @@ def _with_genes(ind: Individual, genes: np.ndarray) -> Individual:
     return child
 
 
-def sbx_crossover(g1, g2, lower, upper, eta, rng):
-    c1, c2 = g1.copy(), g2.copy()
-    for i in range(len(g1)):
-        if rng.random() <= 0.5 and abs(g1[i] - g2[i]) > 1e-14:
-            u = rng.random()
-            if u <= 0.5:
-                beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+# gene i of SBX crosses when its r <= 0.5, which for doubles is r < this
+_SBX_LIMIT = float(np.nextafter(0.5, 1.0))
+
+
+def _hit_draws(rng, limits) -> tuple[np.ndarray, list[float]]:
+    """(gene indices, u draws) of the genes that hit: gene i draws r and hits
+    when r < limits[i], and a gene that hits draws its u right after its r.
+
+    The stream is the one that drawing one value at a time gives, drawn in
+    blocks of exactly the draws still certain to be needed (one r per gene
+    left, plus the pending u of a gene that hit last), so nothing is drawn
+    that the one-at-a-time rule would not draw.
+    """
+    n = len(limits)
+    genes: list[int] = []
+    us: list[float] = []
+    i, pending = 0, False
+    while i < n or pending:
+        for x in rng.random(n - i + pending).tolist():
+            if pending:
+                us.append(x)
+                pending = False
             else:
-                beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
-            c1[i] = 0.5 * ((1 + beta) * g1[i] + (1 - beta) * g2[i])
-            c2[i] = 0.5 * ((1 - beta) * g1[i] + (1 + beta) * g2[i])
+                if x < limits[i]:
+                    genes.append(i)
+                    pending = True
+                i += 1
+    return np.array(genes, dtype=np.intp), us
+
+
+def sbx_crossover(g1, g2, lower, upper, eta, rng):
+    """Simulated binary crossover: each gene whose parents differ crosses with
+    probability 1/2, with a spread factor beta drawn from its u."""
+    limits = np.where(np.abs(g1 - g2) > 1e-14, _SBX_LIMIT, 0.0).tolist()
+    genes, us = _hit_draws(rng, limits)
+    exponent = 1.0 / (eta + 1.0)
+    beta = np.array([(2.0 * u) ** exponent if u <= 0.5 else (1.0 / (2.0 * (1.0 - u))) ** exponent
+                     for u in us])
+    a, b, up, down = g1[genes], g2[genes], 1 + beta, 1 - beta
+    c1, c2 = g1.copy(), g2.copy()
+    c1[genes] = 0.5 * (up * a + down * b)
+    c2[genes] = 0.5 * (down * a + up * b)
     return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
 
 
 def polynomial_mutation(genes, lower, upper, eta, rng):
-    out = genes.copy()
+    """Polynomial mutation: each of the n genes mutates with probability 1/n,
+    by a step delta drawn from its u and scaled by the gene's range."""
     n = len(genes)
-    for i in range(n):
-        if rng.random() < 1.0 / n:
-            u = rng.random()
-            if u < 0.5:
-                delta = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
-            else:
-                delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
-            out[i] = genes[i] + delta * (upper[i] - lower[i])
+    hit, us = _hit_draws(rng, [1.0 / n] * n)
+    exponent = 1.0 / (eta + 1.0)
+    delta = np.array([(2.0 * u) ** exponent - 1.0 if u < 0.5 else 1.0 - (2.0 * (1.0 - u)) ** exponent
+                      for u in us])
+    out = genes.copy()
+    out[hit] = genes[hit] + delta * (upper[hit] - lower[hit])
     return np.clip(out, lower, upper)
 
 
@@ -381,9 +412,10 @@ def nsga2_generation(population, genomes, scenario, params, bounds, decode,
     m = len(population)
     lower, upper = bounds
     _, rank, crowd = _rank_and_crowd(population)
+    rank, crowd = rank.tolist(), crowd.tolist()
 
     def pick() -> int:
-        return _tournament(population, rank, crowd, rng)
+        return _tournament(rank, crowd, rng)
 
     children: list[tuple[int, np.ndarray]] = []  # (parent index, genes)
     n_cross = int(round(p_c * m))
@@ -529,14 +561,14 @@ def _monolithic_bounds(scenario, params):
 
 
 def _decode_monolithic(genes: np.ndarray, params) -> Individual:
-    """Round the label and k genes; Q and w are taken as they are."""
+    """Round the label and k genes half to even and clip them into their
+    bounds; Q and w are taken as they are. Raw label r takes the r-th k gene."""
     n_v = len(genes) // 6  # labels, Q (3 per UAV), w, k
-    raw_labels = np.clip(np.rint(genes[:n_v]).astype(int), 1, n_v)
+    labels = [min(max(round(g), 1), n_v) for g in genes[:n_v].tolist()]
     q = genes[n_v: 4 * n_v].reshape(n_v, 3).copy()
     w = genes[4 * n_v: 5 * n_v].copy()
-    k_full = np.clip(np.rint(genes[5 * n_v:]).astype(int), params.k_min, params.k_max)
-    k_raw = np.resize(k_full, int(raw_labels.max()))
-    assignment, k = canonicalize_labels(raw_labels, k_raw)
+    k_full = [min(max(round(g), params.k_min), params.k_max) for g in genes[5 * n_v:].tolist()]
+    assignment, k = canonicalize_labels(labels, k_full[:max(labels)])
     return Individual(assignment, q, w, k)
 
 

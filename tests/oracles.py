@@ -416,3 +416,46 @@ def gso_sweep(ind, scn, params):
         best.k[i] = pick[0]
     evaluate(best, scn, params)
     return best
+
+
+def sbx_crossover_loop(g1, g2, lower, upper, eta, rng):
+    """SBX one gene at a time: r for every gene, then u right after r when the
+    gene crosses, as `solver.sbx_crossover` was first written."""
+    c1, c2 = g1.copy(), g2.copy()
+    for i in range(len(g1)):
+        if rng.random() <= 0.5 and abs(g1[i] - g2[i]) > 1e-14:
+            u = rng.random()
+            if u <= 0.5:
+                beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+            else:
+                beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+            c1[i] = 0.5 * ((1 + beta) * g1[i] + (1 - beta) * g2[i])
+            c2[i] = 0.5 * ((1 - beta) * g1[i] + (1 + beta) * g2[i])
+    return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
+
+
+def polynomial_mutation_loop(genes, lower, upper, eta, rng):
+    """Polynomial mutation one gene at a time: r for every gene, then u right
+    after r when the gene mutates."""
+    out = genes.copy()
+    n = len(genes)
+    for i in range(n):
+        if rng.random() < 1.0 / n:
+            u = rng.random()
+            if u < 0.5:
+                delta = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
+            else:
+                delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
+            out[i] = genes[i] + delta * (upper[i] - lower[i])
+    return np.clip(out, lower, upper)
+
+
+def decode_monolithic_numpy(genes, params) -> Individual:
+    """The monolithic decode in numpy: `np.rint`, `np.clip` and `np.resize`."""
+    n_v = len(genes) // 6
+    raw_labels = np.clip(np.rint(genes[:n_v]).astype(int), 1, n_v)
+    q = genes[n_v: 4 * n_v].reshape(n_v, 3).copy()
+    w = genes[4 * n_v: 5 * n_v].copy()
+    k_full = np.clip(np.rint(genes[5 * n_v:]).astype(int), params.k_min, params.k_max)
+    assignment, k = canonicalize_labels(raw_labels, np.resize(k_full, int(raw_labels.max())))
+    return Individual(assignment, q, w, k)

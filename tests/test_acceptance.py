@@ -67,27 +67,32 @@ def random_arrays():
     return arrays
 
 
-def test_acceptance_01_beam_pattern_normalization(random_arrays):
-    eta = PARAMS.eta
+@pytest.fixture(scope="module")
+def denominators(random_arrays):
+    """(closed form, 512 x 1024-node quadrature) of each random array, built
+    once for 01 and 02, and the seconds the build took."""
     start = time.perf_counter()
+    pairs = [(pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w), denominator_quadrature(pos, w, P, 512, 1024))
+             for pos, w in random_arrays]
+    return pairs, time.perf_counter() - start
+
+
+def test_acceptance_01_beam_pattern_normalization(denominators):
+    eta = PARAMS.eta
+    pairs, elapsed = denominators
     worst = 0.0
-    for pos, w in random_arrays:
-        cf = pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w)
-        q = denominator_quadrature(pos, w, P, 512, 1024)
+    for cf, q in pairs:
         # (1/4pi) integral of G over the sphere is eta * q / cf by construction
         rel = abs(eta * q / cf - eta) / eta
         worst = max(worst, rel)
         assert rel < 0.01
-    elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(1, f"100 arrays, worst normalization error {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_acceptance_02_closed_form_matches_quadrature(random_arrays):
+def test_acceptance_02_closed_form_matches_quadrature(denominators):
     worst = 0.0
-    for pos, w in random_arrays:
-        cf = pairwise_sinc_sum(sinc_matrix(pos, PARAMS), w)
-        q = denominator_quadrature(pos, w, P, 512, 1024)
+    for cf, q in denominators[0]:
         rel = abs(q - cf) / cf
         worst = max(worst, rel)
         assert rel < 1e-3

@@ -116,6 +116,29 @@ def test_sum_user_rate_ties_and_a_user_under_a_uav(params):
     assert associate_users(scn, q) == [[2], [0], [], [1], []]
 
 
+@pytest.mark.parametrize("n_uavs", [1, 2, 8, 24, 255, 256, 257])
+def test_nearest_uavs_equals_the_einsum_oracle_on_ties(params, n_uavs):
+    """Exact ties on duplicated UAV rows go to the lowest index at every fleet
+    size, including both sides of the rank dtype's edge (255 | 256)."""
+    bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
+    scn = generate_scenario(300, 1, bounds, (5000.0, 5000.0, 0.0), seed=n_uavs)
+    rng = np.random.default_rng(n_uavs)
+    tied = 0  # users served by a copy of the last UAV below it
+    for _ in range(5):
+        q = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
+        q[-1] = np.append(scn.user_xyz[0, :2], 60.0)  # user 0 is directly under the last UAV
+        q[rng.integers(0, n_uavs, n_uavs // 2)] = q[-1]  # and under its copies
+        first_copy = int(np.flatnonzero((q == q[-1]).all(axis=1))[0])
+        nearest, d_near = nearest_uavs(scn.user_xyz, q)
+        rate, oracle_nearest = sum_user_rate_einsum(scn, q, params)
+        assert nearest.dtype == np.intp
+        assert nearest.tolist() == oracle_nearest.tolist()
+        assert nearest[0] == first_copy and d_near[0] == 60.0
+        tied += int(np.sum((q[nearest] == q[-1]).all(axis=1) & (nearest < n_uavs - 1)))
+        assert sum_user_rate(scn, q, params) == rate
+    assert tied > 0 or n_uavs == 1
+
+
 @given(d=st.floats(10.0, 5000.0), frac=st.floats(0.01, 1.0))
 def test_los_probability_in_open_unit_interval(d, frac):
     params = SystemParams()

@@ -28,12 +28,15 @@ from dcsf.solver import (
 )
 from oracles import (
     crowding,
+    decode_monolithic_numpy,
     fake_pool,
     gca_replay,
     gso_sweep,
     nondominated_sort_double_loop,
     peeled_fronts,
+    polynomial_mutation_loop,
     random_individual,
+    sbx_crossover_loop,
 )
 
 PARAMS = SystemParams()
@@ -315,6 +318,83 @@ def test_sbx_and_mutation_respect_bounds(rng):
         m = polynomial_mutation(g1, lower, upper, 20.0, rng)
         for child in (c1, c2, m):
             assert np.all(child >= lower) and np.all(child <= upper)
+
+
+def _parent_pairs(n, rng):
+    """Parent genomes of length n: random, identical, and half the genes equal
+    or within 1e-14, where SBX must not cross."""
+    g1, g2 = rng.uniform(-3.0, 7.0, n), rng.uniform(-3.0, 7.0, n)
+    near = g2.copy()
+    near[::2] = g1[::2]
+    near[1::4] = g1[1::4] + 5e-15
+    return [(g1, g2), (g1, g1.copy()), (g1, near)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 48, 96])
+def test_sbx_and_mutation_equal_the_per_gene_loops(n):
+    """Byte-equal children and the same generator state as drawing one value
+    at a time (n = 1 mutates every gene)."""
+    rng = np.random.default_rng(n)
+    lower, upper = np.full(n, -2.0), np.full(n, 6.0)
+    for trial in range(60):
+        for g1, g2 in _parent_pairs(n, rng):
+            fast, slow = np.random.default_rng([n, trial]), np.random.default_rng([n, trial])
+            got = sbx_crossover(g1, g2, lower, upper, 15.0, fast)
+            want = sbx_crossover_loop(g1, g2, lower, upper, 15.0, slow)
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+            assert fast.random() == slow.random()
+            got = polynomial_mutation(g1, lower, upper, 20.0, fast)
+            want = polynomial_mutation_loop(g1, lower, upper, 20.0, slow)
+            assert got.tobytes() == want.tobytes()
+            assert fast.random() == slow.random()
+
+
+class _Replay:
+    """A generator stand-in that replays fixed draws, one at a time or in blocks."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        block, self.values = self.values[:size], self.values[size:]
+        return np.array(block)
+
+
+def test_sbx_and_mutation_equal_the_per_gene_loops_on_boundary_draws():
+    """Draws of exactly 0.5 (the SBX crossing and spread branches, the
+    mutation step branch) and exactly 1/n (no mutation) take the loops' side."""
+    n = 4
+    g1, g2 = np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0, 0.0])
+    lower, upper = np.full(n, -1.0), np.full(n, 4.0)
+    draws = [0.5, 0.5, 0.25, 0.5, 0.75, 0.0, 0.5, 0.999, 0.25, 0.5, 0.1] * 4
+    for start in range(len(draws) // 2):
+        fast, slow = _Replay(draws[start:]), _Replay(draws[start:])
+        got = sbx_crossover(g1, g2, lower, upper, 15.0, fast)
+        want = sbx_crossover_loop(g1, g2, lower, upper, 15.0, slow)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        got = polynomial_mutation(g1, lower, upper, 20.0, fast)
+        want = polynomial_mutation_loop(g1, lower, upper, 20.0, slow)
+        assert got.tobytes() == want.tobytes()
+        assert fast.values == slow.values
+
+
+def test_monolithic_decode_equals_the_numpy_decode():
+    """Half-way label and k genes round to even, and genes on or past the
+    bounds clip, as `np.rint` and `np.clip` do."""
+    rng = np.random.default_rng(5)
+    n_v = 6
+    halves = np.arange(0.5, 21.0, 1.0)
+    edges = np.array([1.0, float(n_v), PARAMS.k_min, PARAMS.k_max, 0.0, 21.0, -0.5, 0.49999999999999994])
+    for _ in range(300):
+        genes = rng.uniform(0.0, 1.0, 6 * n_v)
+        genes[:n_v] = rng.choice(np.concatenate([halves[: n_v + 1], edges]), n_v)
+        genes[5 * n_v:] = rng.choice(np.concatenate([halves, edges]), n_v)
+        got, want = _decode_monolithic(genes, PARAMS), decode_monolithic_numpy(genes, PARAMS)
+        assert got.assignment == want.assignment
+        assert got.k.dtype == want.k.dtype and got.k.tolist() == want.k.tolist()
+        assert got.q.tobytes() == want.q.tobytes() and got.w.tobytes() == want.w.tobytes()
 
 
 def test_initialize_population_structure(small_scenario):
