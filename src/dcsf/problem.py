@@ -76,20 +76,18 @@ def canonicalize_labels(raw_labels, k_values) -> tuple[ClusterAssignment, np.nda
     Idempotent: canonical input maps to itself.
     """
     raw = [int(v) for v in raw_labels]
-    k_values = np.asarray(k_values)
+    k_values = np.asarray(k_values).tolist()
     mapping: dict[int, int] = {}
     for label in raw:
         if label not in mapping:
             mapping[label] = len(mapping) + 1
     new_labels = tuple(mapping[v] for v in raw)
-    old_sorted = sorted(mapping, key=mapping.get)
-    if len(k_values) == max(raw):
-        new_k = np.array([k_values[old - 1] for old in old_sorted])
-    else:
+    if len(k_values) != max(raw):
         raise EncodingError(
             f"k has {len(k_values)} entries but assignment has max label {max(raw)}"
         )
-    return ClusterAssignment(new_labels), new_k
+    # the mapping's insertion order is first appearance, the new label order
+    return ClusterAssignment(new_labels), np.array([k_values[old - 1] for old in mapping])
 
 
 @dataclass
@@ -190,9 +188,9 @@ def batch_terms(individuals, scenario, params, parents) -> None:
         known = {}
         if parent is not None:
             same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
-                    & (ind.w.view(np.int64) == parent.w.view(np.int64)))
+                    & (ind.w.view(np.int64) == parent.w.view(np.int64))).tolist()
             known = {members: snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
-                     if same[list(members)].all()}
+                     if all(same[v] for v in members)}
         members = ind.assignment.clusters()
         ind.cluster_snr = np.array([known.get(m, 0.0) for m in members])
         stale = [i for i, m in enumerate(members) if m not in known]

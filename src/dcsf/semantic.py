@@ -72,13 +72,16 @@ def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel
     return SimilarityModel(ks, floors, midpoints, slopes)
 
 
+def _logistic(model: SimilarityModel, k: float, gamma_db: float) -> float:
+    a, b, c = model.parameters_at(k)
+    return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
+
+
 def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:
     """xi in [0, 1), non-decreasing in both SNR and k."""
     if snr <= 0:
         raise ValueError("snr must be > 0")
-    gamma_db = 10.0 * math.log10(snr)
-    a, b, c = model.parameters_at(k)
-    return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
+    return _logistic(model, k, 10.0 * math.log10(snr))
 
 
 def semantic_terms(snr: float, k: int, params) -> tuple[float, float]:
@@ -88,4 +91,17 @@ def semantic_terms(snr: float, k: int, params) -> tuple[float, float]:
         return 0.0, 0.0
     xi = semantic_similarity(params.similarity, k, snr)
     return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi, xi
+
+
+def semantic_rows(snr: float, params) -> tuple[list[float], list[float]]:
+    """(rates, similarities) at every k of [k_min, k_max], in ascending k:
+    `semantic_terms(snr, k, params)` for each k, bit for bit, with the SNR's
+    dB value taken once."""
+    ks = range(params.k_min, params.k_max + 1)
+    if snr <= 0:
+        return [0.0] * len(ks), [0.0] * len(ks)
+    gamma_db = 10.0 * math.log10(snr)
+    xis = [_logistic(params.similarity, k, gamma_db) for k in ks]
+    scale = params.bandwidth * params.info_per_sentence
+    return [scale / (k * params.words_per_sentence) * xi for k, xi in zip(ks, xis)], xis
 

@@ -19,11 +19,17 @@ alone. An offspring reuses its parent's SNR for each cluster it kept
 unchanged, and its parent's fleet terms when it kept every position. One
 population evaluation computes the rest for all its pending individuals in
 array passes (`problem.batch_terms`): one `beamforming.cluster_snr` call and
-one `energy.total_flight_energy` call. GSO sweeps k from the stored SNRs.
-GCA seeds its cache with them and rates the merged pairs of each merge pass
-in one call. After GCA or GSO, an individual is re-evaluated with its own
-SNRs and fleet terms, so only f1 is computed again. GCA's ordered merges and
-GSO's k candidates are scored as the row sums of one matrix.
+one `energy.total_flight_energy` call.
+
+GCA and GSO also run over the whole population at once. GCA merges every
+individual in lockstep, one pass per merge: each pass rates the pairs not
+yet rated, of all individuals, in one `cluster_snr` call, and each
+individual keeps its cluster and pair rates from pass to pass. GSO turns
+each stored SNR into one row of rates and similarities over [k_min, k_max],
+then sweeps the individuals of one cluster count together, slot by slot.
+GCA's ordered merges and GSO's k candidates are scored as matrix row sums.
+After GCA or GSO, an individual is re-evaluated with its own SNRs and fleet
+terms, so only f1 is computed again.
 """
 
 from __future__ import annotations
@@ -135,26 +141,20 @@ def merge_clusters(assignment: ClusterAssignment, k: np.ndarray, survivor: int, 
     return ClusterAssignment(tuple(new_labels)), new_k
 
 
-def _best_merge(ind: Individual, rate, baseline: float):
-    """(gain, survivor, absorbed) of the first strictly best ordered merge.
+def _best_merge(rates: np.ndarray, merged: np.ndarray, baseline: float):
+    """(gain, survivor, absorbed) of the first strictly best ordered merge,
+    by 0-based slot, given the clusters' `rates` and the `merged` rate of
+    each pair (the lower-indexed cluster's k).
 
-    `rate(members, k)` gives one cluster's semantic rate. Mirror merges have
-    the same members and k, so each unordered pair is rated once. Each
-    ordered candidate's f2 is the sum of one row of a matrix: the rate vector
-    without the absorbed slot, in the label order `merge_clusters` gives, and
-    the merged rate in the survivor's slot. A row sums bit for bit like the
-    1-D vector, so this reproduces, ties included, the f2 of each merged
-    individual evaluated from scratch (the oracle `enumerate_merge_gains` in
-    tests/oracles.py); `np.argmax` keeps the first of equal gains.
+    Each ordered candidate's f2 is the sum of one row of a matrix: the rate
+    vector without the absorbed slot, in the label order `merge_clusters`
+    gives, and the merged rate in the survivor's slot. A row sums bit for bit
+    like the 1-D vector, so this reproduces, ties included, the f2 of each
+    merged individual evaluated from scratch (the oracle
+    `enumerate_merge_gains` in tests/oracles.py); `np.argmax` keeps the first
+    of equal gains.
     """
-    clusters = ind.assignment.clusters()
-    k = [int(v) for v in ind.k]
-    n = len(clusters)
-    rates = np.array([rate(clusters[i], k[i]) for i in range(n)])
-    merged = np.zeros((n, n))
-    for lo in range(n):
-        for hi in range(lo + 1, n):
-            merged[lo, hi] = merged[hi, lo] = rate(tuple(sorted(clusters[lo] + clusters[hi])), k[lo])
+    n = len(rates)
     # ordered merges (survivor b, absorbed a), b-major: the first of equal gains is the oracle's
     b, a = np.nonzero(~np.eye(n, dtype=bool))
     slots = np.arange(n - 1)
@@ -162,60 +162,94 @@ def _best_merge(ind: Individual, rate, baseline: float):
     trial[np.arange(len(b)), b - (b > a)] = merged[b, a]
     gains = trial.sum(axis=1) - baseline
     best = int(np.argmax(gains))
-    return float(gains[best]), int(b[best]) + 1, int(a[best]) + 1
+    return float(gains[best]), int(b[best]), int(a[best])
 
 
-def _merge_greedily(ind: Individual, scenario, params) -> bool:
-    """Apply best-gain merges to one evaluated individual until none gains;
-    True when any merge was applied, with `ind.cluster_snr` then set for the
-    merged clusters.
+class _Merging:
+    """The greedy merge of one evaluated individual, one pass at a time.
 
-    SNRs are cached by member set, seeded with the individual's stored ones.
-    Each pass rates the merged pairs not yet cached in one `cluster_snr`
-    call over the individual's fleet and its `sinc_matrix`: every pair in
-    the first pass, then only the pairs with the new cluster. Rates are
-    cached by (members, k), so each cluster and each merged pair is rated once.
+    It keeps its clusters' SNRs and rates, and the SNR and merged rate of
+    every pair of clusters, across passes: a merge drops the absorbed row and
+    column and leaves only the survivor's pairs to rate again, with the k of
+    the lower-indexed cluster of each pair, as `merge_clusters` gives it.
     """
-    if ind.assignment.n_clusters == 1:
-        return False
-    snr_of = dict(zip(ind.assignment.clusters(), ind.cluster_snr.tolist()))
-    q, w, sinc = ind.q[None], ind.w[None], beamforming.sinc_matrix(ind.q, params)[None]  # a stack of one fleet
-    cache: dict = {}
 
-    def rate(members, k):
-        key = (members, k)
-        if key not in cache:
-            cache[key] = semantic.semantic_terms(snr_of[members], k, params)[0]
-        return cache[key]
+    def __init__(self, ind: Individual, params):
+        self.ind, self.params = ind, params
+        self.baseline = ind.objectives.f2
+        self.snr = ind.cluster_snr.tolist()
+        self.rates = np.array([semantic.semantic_terms(snr, k, params)[0]
+                               for snr, k in zip(self.snr, ind.k.tolist())])
+        n = len(self.snr)
+        self.pair_snr, self.merged = np.zeros((n, n)), np.zeros((n, n))
+        self.pending = list(combinations(range(n), 2))  # (lo, hi) slots of the pairs to rate
+        self.changed = False
 
-    baseline = ind.objectives.f2
-    changed = False
-    while ind.assignment.n_clusters > 1:
-        pairs = (tuple(sorted(a + b)) for a, b in combinations(ind.assignment.clusters(), 2))
-        new = [members for members in pairs if members not in snr_of]
-        if new:
-            snrs = beamforming.cluster_snr([(0, members) for members in new], q, w, scenario.bs_xyz, params, sinc)
-            snr_of.update(zip(new, snrs.tolist()))
-        gain, survivor, absorbed = _best_merge(ind, rate, baseline)
+    def pairs(self) -> list[tuple[int, ...]]:
+        """Member sets of the pending pairs."""
+        clusters = self.ind.assignment.clusters()
+        return [tuple(sorted(clusters[lo] + clusters[hi])) for lo, hi in self.pending]
+
+    def step(self, snrs) -> bool:
+        """Rate the pending pairs from their `snrs` and apply the best merge;
+        True when a merge was applied and more than one cluster is left."""
+        k = self.ind.k.tolist()
+        for (lo, hi), snr in zip(self.pending, snrs):
+            self.pair_snr[lo, hi] = self.pair_snr[hi, lo] = snr
+            self.merged[lo, hi] = self.merged[hi, lo] = semantic.semantic_terms(snr, k[lo], self.params)[0]
+        gain, b, a = _best_merge(self.rates, self.merged, self.baseline)
         if gain <= 0:
-            break
-        ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, survivor, absorbed)
-        changed = True
-    if changed:
-        ind.cluster_snr = np.array([snr_of[members] for members in ind.assignment.clusters()])
-    return changed
+            return False
+        ind = self.ind
+        ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, b + 1, a + 1)
+        self.changed = True
+        s = b - (b > a)  # the survivor's slot after the merge
+        self.snr.pop(a)
+        self.snr[s] = float(self.pair_snr[b, a])
+        self.rates = np.delete(self.rates, a)
+        self.rates[s] = self.merged[b, a]
+        self.pair_snr = np.delete(np.delete(self.pair_snr, a, 0), a, 1)
+        self.merged = np.delete(np.delete(self.merged, a, 0), a, 1)
+        n = len(self.snr)
+        self.pending = [(min(j, s), max(j, s)) for j in range(n) if j != s]
+        return n > 1
 
 
 def gca_step(population, scenario, params) -> None:
-    """Greedy best-gain cluster merging on f2, per individual, in place.
+    """Greedy best-gain cluster merging on f2, in place: each individual
+    applies its best merge while that gains, and every individual with more
+    than one cluster merges in lockstep with the others.
 
     Every merge gain, including those after a merge has been applied, is
-    measured against the individual's f2 from the previous iteration.
+    measured against the individual's f2 from the previous iteration. Each
+    pass rates every pair it has not rated yet, over all individuals, in one
+    `cluster_snr` call on one stack of their sinc tables: every pair in the
+    first pass, then only the pairs with each new cluster. The clusters
+    themselves come from the stored SNRs. A merged individual is then
+    re-evaluated with the SNRs of its merged clusters.
     """
     evaluate_population(population, scenario, params)
-    for ind in population:
-        if _merge_greedily(ind, scenario, params):
-            problem.evaluate(ind, scenario, params, ind)
+    merging = [_Merging(ind, params) for ind in population if ind.assignment.n_clusters > 1]
+    if not merging:
+        return
+    q = np.stack([m.ind.q for m in merging])
+    w = np.stack([m.ind.w for m in merging])
+    sinc = beamforming.sinc_matrix(q, params)
+    active = list(range(len(merging)))
+    while active:
+        clusters = [(f, members) for f in active for members in merging[f].pairs()]
+        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params, sinc).tolist()
+        still, start = [], 0
+        for f in active:
+            end = start + len(merging[f].pending)
+            if merging[f].step(snrs[start:end]):
+                still.append(f)
+            start = end
+        active = still
+    for m in merging:
+        if m.changed:
+            m.ind.cluster_snr = np.array(m.snr)
+            problem.evaluate(m.ind, scenario, params, m.ind)
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +481,42 @@ def gso_step(population, scenario, params) -> None:
 
     Candidates violating the similarity threshold are skipped; if no candidate
     reaches it, the max-similarity value is taken and the violation stands.
-    The sweep reads each cluster's stored SNR, which does not depend on k,
-    and scores a cluster's k candidates as the row sums of one matrix; the
-    individual is then re-evaluated, with its SNRs kept, if its k changed.
+    Each cluster's stored SNR, which does not depend on k, gives one row of
+    (rate, similarity) over [k_min, k_max] (`semantic.semantic_rows`). The
+    individuals of one cluster count sweep their clusters together, slot by
+    slot: a slot's k candidates are scored as the row sums of one (individual,
+    k, cluster) array. An individual is then re-evaluated, with its SNRs
+    kept, if its k changed.
     """
     evaluate_population(population, scenario, params)
-    ks = range(params.k_min, params.k_max + 1)
-    for ind in population:
-        k_before = ind.k.copy()
-        rates = np.array([semantic.semantic_terms(snr, int(k), params)[0]
-                          for snr, k in zip(ind.cluster_snr, ind.k)])
-        for i, snr in enumerate(ind.cluster_snr):
-            terms = np.array([semantic.semantic_terms(snr, k, params) for k in ks])
-            trial = np.tile(rates, (len(ks), 1))
-            trial[:, i] = terms[:, 0]
-            feasible = terms[:, 1] >= params.xi_threshold
+    ks = np.arange(params.k_min, params.k_max + 1)
+    groups: dict[int, list[int]] = {}
+    for i, ind in enumerate(population):
+        groups.setdefault(ind.assignment.n_clusters, []).append(i)
+    swept = [None] * len(population)
+    for n, members in groups.items():
+        # (individual, cluster, rate or similarity, k)
+        table = np.array([[semantic.semantic_rows(snr, params) for snr in population[i].cluster_snr.tolist()]
+                          for i in members])
+        rate_rows, xi_rows = table[:, :, 0], table[:, :, 1]
+        k = np.array([population[i].k for i in members])
+        g = np.arange(len(members))
+        rates = rate_rows[g[:, None], np.arange(n), k - params.k_min]
+        for c in range(n):
+            trial = np.repeat(rates[:, None, :], len(ks), axis=1)
+            trial[:, :, c] = rate_rows[:, c]
+            feasible = xi_rows[:, c] >= params.xi_threshold
             # the first best f2 among threshold-meeting candidates, else the first best similarity
-            best = int(np.argmax(np.where(feasible, trial.sum(axis=1), -np.inf) if feasible.any()
-                                 else terms[:, 1]))
-            ind.k[i] = ks[best]
-            rates[i] = terms[best, 0]
-        if not np.array_equal(ind.k, k_before):
+            best = np.where(feasible.any(axis=1),
+                            np.argmax(np.where(feasible, trial.sum(axis=2), -np.inf), axis=1),
+                            np.argmax(xi_rows[:, c], axis=1))
+            k[:, c] = ks[best]
+            rates[:, c] = rate_rows[g, c, best]
+        for i, row in zip(members, k):
+            swept[i] = row
+    for ind, k in zip(population, swept):
+        if not np.array_equal(ind.k, k):
+            ind.k[:] = k
             problem.evaluate(ind, scenario, params, ind)
 
 

@@ -9,6 +9,7 @@ from dcsf.semantic import (
     SimilarityModel,
     SimilarityModelError,
     default_similarity_model,
+    semantic_rows,
     semantic_similarity,
     semantic_terms,
 )
@@ -60,6 +61,17 @@ def test_semantic_rate_reference_value():
 
 def test_semantic_terms_of_a_dead_link_are_zero():
     assert semantic_terms(0.0, 5, PARAMS) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("params", [PARAMS, SystemParams(k_min=3, k_max=9)])
+def test_semantic_rows_equal_semantic_terms_at_every_k(params):
+    snrs = [-1.0, -0.0, 0.0, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
+    snrs += np.random.default_rng(0).lognormal(0.0, 6.0, 50).tolist()
+    for snr in snrs:
+        rates, xis = semantic_rows(snr, params)
+        terms = np.array([semantic_terms(snr, k, params) for k in range(params.k_min, params.k_max + 1)])
+        assert np.array(rates).tobytes() == terms[:, 0].tobytes(), snr
+        assert np.array(xis).tobytes() == terms[:, 1].tobytes(), snr
 
 
 def test_similarity_logistic_midpoint():

@@ -75,6 +75,9 @@ def test_row_sums_equal_the_sums_of_the_rows(rng):
         rows = rng.random((100, int(rng.integers(1, 48)))) * 10.0 ** rng.integers(-3, 7)
         sums = rows.sum(axis=1)
         mismatches += sum(sums[i] != rows[i].copy().sum() for i in range(len(rows)))
+        # GSO sums the rows of a stack of such matrices, one per individual
+        stacked = rows.reshape(4, 25, -1)
+        mismatches += int((stacked.sum(axis=2).ravel() != sums).sum())
     assert mismatches == 0
 
 
@@ -173,6 +176,56 @@ def test_gca_never_merges_when_no_gain(small_scenario):
     assert ind.assignment.n_clusters == 1
 
 
+@pytest.mark.parametrize("n_uavs", [8, 24])
+def test_population_gca_merges_each_individual_as_its_replay_in_one_call_per_pass(n_uavs, monkeypatch):
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, n_uavs, bounds, (2000.0, 2000.0, 0.0), seed=n_uavs)
+    rng = np.random.default_rng(n_uavs)
+    for _ in range(20):  # an individual that merges at least twice and ends with several clusters
+        multi = random_individual(scn, rng)
+        evaluate(multi, scn, PARAMS)
+        settled, applied_f2 = gca_replay(multi, scn, PARAMS)
+        if len(applied_f2) >= 2 and settled.assignment.n_clusters > 1:
+            break
+    else:
+        pytest.fail("no multi-merge individual drawn")
+    # its merged result, evaluated afresh, cannot gain over its own f2: every merge from it
+    # scored at most the f2 it started from
+    no_gain = Individual(settled.assignment, settled.q.copy(), settled.w.copy(), settled.k.copy())
+    one_cluster = Individual(ClusterAssignment((1,) * n_uavs), multi.q.copy(), multi.w.copy(), np.array([5]))
+    population = [one_cluster, multi, no_gain, random_individual(scn, rng)]
+    for ind in population:
+        evaluate(ind, scn, PARAMS)
+    replays = [gca_replay(ind, scn, PARAMS) for ind in population]
+    merges = [len(applied) for _, applied in replays]
+    assert merges[0] == merges[2] == 0 and merges[1] == max(merges)
+    # pairs rated: all pairs in the first pass, then the survivor's pairs after each merge
+    # that leaves more than one cluster
+    pairs = 0
+    for ind, n_merges in zip(population, merges):
+        n = ind.assignment.n_clusters
+        if n > 1:
+            pairs += n * (n - 1) // 2 + sum(n - m - 1 for m in range(1, n_merges + 1) if n - m > 1)
+
+    calls = []  # clusters rated per cluster_snr call
+    real_snr = beamforming.cluster_snr
+
+    def counting_snr(clusters, *args, **kwargs):
+        calls.append(len(clusters))
+        return real_snr(clusters, *args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
+    gca_step(population, scn, PARAMS)
+    assert len(calls) == 1 + max(merges)
+    assert sum(calls) == pairs
+    for ind, (expected, _) in zip(population, replays):
+        assert ind.assignment.labels == expected.assignment.labels
+        assert list(ind.k) == list(expected.k)
+        assert ind.objectives == expected.objectives
+        assert ind.violation == expected.violation
+        assert ind.cluster_snr.tobytes() == expected.cluster_snr.tobytes()
+
+
 def test_gso_matches_from_scratch_argmax(small_scenario, rng):
     scn = small_scenario
     for _ in range(10):
@@ -205,6 +258,29 @@ def test_gso_computes_each_cluster_snr_once(monkeypatch):
     for ind, oracle in zip(population, oracles):
         assert list(ind.k) == list(oracle.k)
         assert ind.objectives == oracle.objectives
+
+
+def test_population_gso_equals_the_sweep_of_each_individual():
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, 8, bounds, (2000.0, 2000.0, 0.0), seed=8)
+    rng = np.random.default_rng(8)
+    population = [random_individual(scn, rng) for _ in range(10)]
+    # a cluster of several UAVs, all at zero weight, has zero SNR
+    dead = next(ind for ind in population if max(map(len, ind.assignment.clusters())) > 1)
+    dead_slot = max(range(dead.assignment.n_clusters), key=lambda c: len(dead.assignment.clusters()[c]))
+    dead.w[list(dead.assignment.clusters()[dead_slot])] = 0.0
+    for ind in population:
+        evaluate(ind, scn, PARAMS)
+    assert dead.cluster_snr[dead_slot] == 0.0
+    counts = [ind.assignment.n_clusters for ind in population]
+    assert 1 < len(set(counts)) < len(counts)  # several groups, at least one of several individuals
+    oracles = [gso_sweep(ind, scn, PARAMS) for ind in population]
+    gso_step(population, scn, PARAMS)
+    assert dead.k[dead_slot] == PARAMS.k_min
+    for ind, oracle in zip(population, oracles):
+        assert list(ind.k) == list(oracle.k)
+        assert ind.objectives == oracle.objectives
+        assert ind.violation == oracle.violation
 
 
 def test_one_population_evaluation_and_one_gca_pass_each_make_one_cluster_snr_call(monkeypatch):
