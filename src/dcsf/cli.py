@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
     least_violating = min(front, key=lambda ind: ind.violation)
     best_violation = least_violating.violation
     feasible = best_violation == 0.0
-    violations = [] if feasible else problem.violations_report(least_violating, scn, params)[1]
+    violations = [] if feasible else problem.violations_report(least_violating, scn, params)
 
     _json_dump({
         "mode": args.mode,

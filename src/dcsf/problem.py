@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamforming, channel, energy, semantic
-from .scenario import deployment_violations, fleet_close_pairs, squared_distances
+from .scenario import fleet_violations, squared_distances
 
 
 class EncodingError(ValueError):
@@ -179,7 +179,7 @@ def batch_terms(individuals, scenario, params, parents) -> None:
             moved.append(f)
     if moved:
         f3 = energy.total_flight_energy(scenario, q[moved], params).tolist()
-        violations = _fleet_violations(q[moved], squared[moved], scenario.bounds, params.d_min)
+        violations, _ = fleet_violations(q[moved], squared[moved], scenario.bounds, params.d_min)
         for f, terms in zip(moved, zip(f3, violations)):
             batch[f][0].fleet_terms = terms
 
@@ -210,38 +210,23 @@ def batch_terms(individuals, scenario, params, parents) -> None:
         ind.cluster_snr[i] = snr
 
 
-def _fleet_violations(q: np.ndarray, squared: np.ndarray, bounds, d_min: float) -> list[float]:
-    """The C1 + C2 violation of each stacked fleet `q` (N, V, 3), given its
-    squared distances: the normalized bound excess (0.0 inside the bounds),
-    then (d_min - d) / d_min added per close pair in (i, j) order."""
-    lower, upper = bounds.lower, bounds.upper
-    span = upper - lower
-    outside = ((q < lower) | (q > upper)).any(axis=(1, 2)).tolist()
-    totals = [float((np.maximum(lower - fleet, 0.0) / span).sum() + (np.maximum(fleet - upper, 0.0) / span).sum())
-              if out else 0.0 for fleet, out in zip(q, outside)]
-    for f, _, _, d in fleet_close_pairs(q, squared, d_min):
-        totals[f] += (d_min - d) / d_min
-    return totals
-
-
 def cluster_semantic_terms(individual: Individual, scenario, params,
-                           parent: Individual | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cluster (semantic rate, similarity, SNR), the SNRs set by
+                           parent: Individual | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster (semantic rate, similarity) from the SNRs set by
     `batch_terms` with `parent`. Zero-SNR clusters contribute nothing."""
     batch_terms([individual], scenario, params, [parent])
     rates, xis = np.zeros(len(individual.k)), np.zeros(len(individual.k))
     for i, snr in enumerate(individual.cluster_snr.tolist()):
         rates[i], xis[i] = semantic.semantic_terms(snr, int(individual.k[i]), params)
-    return rates, xis, individual.cluster_snr
+    return rates, xis
 
 
 def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
     """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
     and the constraint-violation scalar. With no `parent`, every term is
     computed; see `batch_terms` for what a parent lends."""
-    batch_terms([individual], scenario, params, [parent])
+    rates, xis = cluster_semantic_terms(individual, scenario, params, parent)
     f1 = channel.sum_user_rate(scenario, individual.q, params)
-    rates, xis, _ = cluster_semantic_terms(individual, scenario, params, individual)
     f3, violation = individual.fleet_terms
     individual.objectives = ObjectiveTriple(f1, float(rates.sum()), f3)
     individual.cluster_xi = xis
@@ -249,15 +234,17 @@ def evaluate(individual: Individual, scenario, params, parent: Individual | None
     return individual.objectives
 
 
-def violations_report(individual: Individual, scenario, params) -> tuple[float, list[str]]:
-    """Violation scalar plus a per-constraint listing (C1, C2, C6)."""
+def violations_report(individual: Individual, scenario, params) -> list[str]:
+    """The individual's breaches, one human-readable line each: C1 and C2 as
+    `scenario.fleet_violations` words them, then C6 per cluster."""
     if individual.cluster_xi is None:
         evaluate(individual, scenario, params)
-    report = deployment_violations(individual.q, scenario.bounds, params.d_min)
+    q = individual.q[None]
+    report = fleet_violations(q, squared_distances(q), scenario.bounds, params.d_min)[1][0]
     for c, xi in enumerate(individual.cluster_xi):
         if xi < params.xi_threshold:
             report.append(f"C6: cluster {c + 1} similarity {xi:.4f} < {params.xi_threshold}")
-    return individual.violation, report
+    return report
 
 
 def dominance_matrix(pool) -> np.ndarray:

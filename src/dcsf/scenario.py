@@ -56,10 +56,6 @@ class Bounds:
     def upper(self) -> np.ndarray:
         return np.array([self.x_max, self.y_max, self.z_max])
 
-    def contains(self, xyz) -> bool:
-        """Whether the length-3 point `xyz` lies in the region, faces included."""
-        return bool(np.all(self.lower <= xyz) and np.all(xyz <= self.upper))
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -232,11 +228,6 @@ def squared_distances(xyz: np.ndarray) -> np.ndarray:
 _SCREEN_SLACK = 1e-9
 
 
-def close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, float]]:
-    """(i, j, d) for UAV pairs i < j of one fleet closer than d_min, in (i, j) order."""
-    return [hit[1:] for hit in fleet_close_pairs(q[None], squared_distances(q[None]), d_min)]
-
-
 def fleet_close_pairs(q: np.ndarray, squared: np.ndarray, d_min: float) -> list[tuple[int, int, int, float]]:
     """(fleet, i, j, d) for UAV pairs i < j closer than d_min, in (fleet, i,
     j) order, over a stack of fleets `q` (N, V, 3) with their
@@ -254,19 +245,30 @@ def fleet_close_pairs(q: np.ndarray, squared: np.ndarray, d_min: float) -> list[
     return out
 
 
-def deployment_violations(q: np.ndarray, bounds: Bounds, d_min: float) -> list[str]:
-    """C1 (every UAV inside the bounds) and C2 (pairwise safety distance)
-    violations of the UAV positions `q`, one human-readable line each."""
-    problems = [
-        f"C1: UAV {i} at {pos.tolist()} outside deployment region"
-        for i, pos in enumerate(q)
-        if not bounds.contains(pos)
-    ]
-    problems += [
-        f"C2: UAVs {i} and {j} at distance {d:.3f} m < d_min {d_min} m"
-        for i, j, d in close_pairs(q, d_min)
-    ]
-    return problems
+def fleet_violations(q: np.ndarray, squared: np.ndarray, bounds: Bounds,
+                     d_min: float) -> tuple[list[float], list[list[str]]]:
+    """C1 (every UAV inside the bounds) and C2 (pairwise safety distance) over
+    a stack of fleets `q` (N, V, 3) with their `squared_distances` (N, V, V).
+
+    Returns each fleet's violation, the normalized bound excess (0.0 inside
+    the bounds) plus (d_min - d) / d_min per close pair in (i, j) order, and
+    its breaches, one human-readable line each: C1 per UAV outside the bounds
+    (faces included; a NaN coordinate is outside), then C2 per close pair.
+    """
+    lower, upper = bounds.lower, bounds.upper
+    span = upper - lower
+    inside = ((lower <= q) & (q <= upper)).all(axis=2)
+    amounts, lines = [0.0] * len(q), [[] for _ in range(len(q))]
+    for f in np.flatnonzero(~inside.all(axis=1)).tolist():
+        fleet = q[f]
+        amounts[f] = float((np.maximum(lower - fleet, 0.0) / span).sum()
+                           + (np.maximum(fleet - upper, 0.0) / span).sum())
+        lines[f] = [f"C1: UAV {i} at {fleet[i].tolist()} outside deployment region"
+                    for i in np.flatnonzero(~inside[f]).tolist()]
+    for f, i, j, d in fleet_close_pairs(q, squared, d_min):
+        amounts[f] += (d_min - d) / d_min
+        lines[f].append(f"C2: UAVs {i} and {j} at distance {d:.3f} m < d_min {d_min} m")
+    return amounts, lines
 
 
 def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
@@ -276,10 +278,12 @@ def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
 
     Returns a list of human-readable violations; empty means ok.
     """
+    bounds, bs = scenario.bounds, scenario.bs_xyz
     problems = []
-    if scenario.bounds.contains(scenario.bs_xyz):
-        problems.append(f"BS at {scenario.bs_xyz.tolist()} inside deployment region")
-    return problems + deployment_violations(scenario.uav_initial_xyz, scenario.bounds, params.d_min)
+    if np.all(bounds.lower <= bs) and np.all(bs <= bounds.upper):
+        problems.append(f"BS at {bs.tolist()} inside deployment region")
+    q = scenario.uav_initial_xyz[None]
+    return problems + fleet_violations(q, squared_distances(q), bounds, params.d_min)[1][0]
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -8,7 +8,7 @@ floors rise and midpoints fall with k, so more symbols per word never hurt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class SimilarityModel:
     floors: tuple[float, ...]     # a_k, non-decreasing in k, each in [0, 1)
     midpoints: tuple[float, ...]  # b_k in dB, non-increasing in k
     slopes: tuple[float, ...]     # c_k > 0
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.ks)
@@ -43,6 +42,8 @@ class SimilarityModel:
             raise SimilarityModelError("midpoints must be non-increasing in k")
         if any(a2 < a1 - 1e-12 for a1, a2 in zip(self.floors, self.floors[1:])):
             raise SimilarityModelError("floors must be non-decreasing in k")
+        # a plain attribute, not a field: asdict, repr and == ignore it
+        object.__setattr__(self, "_memo", {})
 
     def parameters_at(self, k: float) -> tuple[float, float, float]:
         """(a, b, c) at possibly fractional k, linearly interpolated and clamped.
@@ -74,7 +75,10 @@ def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel
 
 def _logistic(model: SimilarityModel, k: float, gamma_db: float) -> float:
     a, b, c = model.parameters_at(k)
-    return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
+    try:
+        return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
+    except OverflowError:  # exp(x) = inf for x > ~709.78: 1 / (1 + inf) adds 0.0 to the floor
+        return a
 
 
 def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:

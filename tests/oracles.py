@@ -374,7 +374,7 @@ def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):
             if b == b2:
                 continue
             assignment, k = merge_clusters(ind.assignment, ind.k, b, b2)
-            rates, _, _ = cluster_semantic_terms(Individual(assignment, ind.q, ind.w, k), scenario, params)
+            rates, _ = cluster_semantic_terms(Individual(assignment, ind.q, ind.w, k), scenario, params)
             f2 = float(rates.sum())
             yield b, b2, f2 - baseline_f2, assignment, k, f2
 
@@ -408,7 +408,7 @@ def gso_sweep(ind, scn, params):
         for k in range(params.k_min, params.k_max + 1):
             trial = best.copy()
             trial.k[i] = k
-            rates, xis, _ = cluster_semantic_terms(trial, scn, params)
+            rates, xis = cluster_semantic_terms(trial, scn, params)
             candidates.append((k, float(rates.sum()), float(xis[i])))
         feasible = [c for c in candidates if c[2] >= params.xi_threshold]
         pick = (max(feasible, key=lambda c: (c[1], -c[0])) if feasible

@@ -13,7 +13,7 @@ from dcsf.problem import (
     evaluate,
     violations_report,
 )
-from dcsf.scenario import close_pairs
+from dcsf.scenario import fleet_close_pairs, fleet_violations, squared_distances
 from oracles import (
     close_pairs_double_loop,
     f2_by_cluster,
@@ -99,7 +99,7 @@ def test_in_bounds_individual_with_spread_uavs_is_feasible_on_c1_c2(small_scenar
     q = np.array([[100.0, 100.0, 80.0], [400.0, 100.0, 80.0], [250.0, 400.0, 80.0]])
     ind = Individual(a, q, np.ones(3), np.array([5, 5, 5]))
     evaluate(ind, small_scenario, params)
-    _, report = violations_report(ind, small_scenario, params)
+    report = violations_report(ind, small_scenario, params)
     assert not any(v.startswith(("C1", "C2")) for v in report)
 
 
@@ -110,9 +110,15 @@ def test_violation_penalizes_bounds_and_proximity(small_scenario):
     ind = Individual(a, q, np.ones(3), np.array([5, 5, 5]))
     evaluate(ind, small_scenario, params)
     assert ind.violation > 0
-    _, report = violations_report(ind, small_scenario, params)
+    report = violations_report(ind, small_scenario, params)
     assert any(v.startswith("C1") for v in report)
     assert any(v.startswith("C2") for v in report)
+
+
+def one_fleet_close_pairs(q, d_min):
+    """`fleet_close_pairs` on the one-fleet stack q[None], as (i, j, d)."""
+    stack = q[None]
+    return [hit[1:] for hit in fleet_close_pairs(stack, squared_distances(stack), d_min)]
 
 
 def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
@@ -123,11 +129,11 @@ def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
                                 (2000.0, 2000.0, 0.0), seed=n)
         for spread in (2.0, 6.0, 15.0):  # box sides of a few d_min: most pairs are close
             q = np.array([250.0, 250.0, 80.0]) + rng.random((n, 3)) * spread
-            assert close_pairs(q, d_min) == close_pairs_double_loop(q, d_min)
+            assert one_fleet_close_pairs(q, d_min) == close_pairs_double_loop(q, d_min)
             ind = Individual(ClusterAssignment(tuple(range(1, n + 1))), q, np.ones(n), np.full(n, 5))
             evaluate(ind, scn, params)
             assert ind.violation == violation_double_loop(ind, scn, params)
-            _, report = violations_report(ind, scn, params)
+            report = violations_report(ind, scn, params)
             c2 = [line for line in report if line.startswith("C2")]
             assert len(c2) == len(close_pairs_double_loop(q, d_min))
 
@@ -136,7 +142,7 @@ def test_close_pairs_at_the_d_min_boundary(rng):
     d_min = SystemParams().d_min
     # exactly d_min apart along an axis: not a violation
     q = np.array([[0.0, 0.0, 80.0], [d_min, 0.0, 80.0], [0.0, d_min, 80.0]])
-    assert close_pairs(q, d_min) == close_pairs_double_loop(q, d_min) == []
+    assert one_fleet_close_pairs(q, d_min) == close_pairs_double_loop(q, d_min) == []
     # pairs within a few ulps of d_min in random directions fall on both sides
     sides = set()
     for _ in range(200):
@@ -146,16 +152,18 @@ def test_close_pairs_at_the_d_min_boundary(rng):
         base = rng.random(3) * 100.0
         q = np.array([base, base + u * scale, base - u * scale / 2.0])
         expected = close_pairs_double_loop(q, d_min)
-        assert close_pairs(q, d_min) == expected
+        assert one_fleet_close_pairs(q, d_min) == expected
         sides.add((0, 1) in [(i, j) for i, j, _ in expected])
     assert sides == {True, False}
 
 
 def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
     """One population evaluation over crowded fleets, fleets with pairs a few
-    ulps either side of d_min (inside the screen's slack) and fleets outside
-    the bounds gives each member the double loop's violation and the per-UAV
-    f3, under ==."""
+    ulps either side of d_min (inside the screen's slack), fleets with a UAV
+    on a corner of the bounds and fleets outside the bounds gives each member
+    the double loop's violation and the per-UAV f3, under ==;
+    `fleet_violations` over the same stack gives the amounts the evaluation
+    read and one line per breach the double loops find."""
     params = SystemParams()
     d_min = params.d_min
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
@@ -165,7 +173,9 @@ def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
         batch = []
         for case in range(12):
             q = lower + rng.random((n, 3)) * (upper - lower)
-            if case % 4 == 1:  # crowded: a box a few d_min wide
+            if case % 4 == 0:  # UAV 0 on a corner of the bounds: inside
+                q[0] = np.where(rng.random(3) < 0.5, lower, upper)
+            elif case % 4 == 1:  # crowded: a box a few d_min wide
                 q = np.array([250.0, 250.0, 80.0]) + rng.random((n, 3)) * rng.choice([2.0, 6.0, 15.0])
             elif case % 4 == 2:  # UAV 1 within a few ulps of d_min from UAV 0
                 u = rng.normal(size=3)
@@ -176,12 +186,26 @@ def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
             batch.append(random_individual(scn, rng))
             batch[-1].q = q
         solver.evaluate_population(batch, scn, params)
-        for ind in batch:
+        q = np.stack([ind.q for ind in batch])
+        amounts, lines = fleet_violations(q, squared_distances(q), bounds, d_min)
+        for ind, amount, fleet_lines in zip(batch, amounts, lines):
             assert ind.violation == violation_double_loop(ind, scn, params)
             assert ind.objectives.f3 == total_flight_energy_per_uav(scn, ind.q, params)
+            assert ind.fleet_terms[1] == amount
+            assert (amount == 0.0) == (fleet_lines == [])
+            outside = [i for i in range(n) if not all(lower[a] <= ind.q[i, a] <= upper[a] for a in range(3))]
+            assert fleet_lines == (
+                [f"C1: UAV {i} at {ind.q[i].tolist()} outside deployment region" for i in outside]
+                + [f"C2: UAVs {i} and {j} at distance {d:.3f} m < d_min {d_min} m"
+                   for i, j, d in close_pairs_double_loop(ind.q, d_min)])
+            assert violations_report(ind, scn, params)[:len(fleet_lines)] == fleet_lines
         inside = [bool(((ind.q >= lower) & (ind.q <= upper)).all()) for ind in batch]
         assert True in inside and False in inside
         assert any(close_pairs_double_loop(ind.q, d_min) for ind in batch)
+    # a NaN coordinate is outside the bounds
+    q = np.array([[[100.0, 100.0, 80.0], [200.0, np.nan, 80.0]]])
+    amounts, lines = fleet_violations(q, squared_distances(q), bounds, d_min)
+    assert amounts[0] != 0.0 and lines == [["C1: UAV 1 at [200.0, nan, 80.0] outside deployment region"]]
 
 
 def test_low_similarity_contributes_violation(small_scenario):

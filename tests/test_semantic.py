@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_memoized_parameters_equal_a_fresh_interpolation():
     assert gapped == SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
 
 
+def test_the_memo_stays_out_of_asdict():
+    params = SystemParams()
+    semantic_terms(1.0, 3, params)
+    assert params.similarity.parameters_at(3) in params.similarity._memo.values()
+    doc = asdict(params)
+    assert doc == asdict(SystemParams())
+    assert "_memo" not in doc["similarity"]
+
+
 def test_semantic_rate_reference_value():
     sr, _ = semantic_terms(100.0, 5, PARAMS)
     assert sr == pytest.approx(787645.3711976099, rel=1e-12)
@@ -65,7 +75,7 @@ def test_semantic_terms_of_a_dead_link_are_zero():
 
 @pytest.mark.parametrize("params", [PARAMS, SystemParams(k_min=3, k_max=9)])
 def test_semantic_rows_equal_semantic_terms_at_every_k(params):
-    snrs = [-1.0, -0.0, 0.0, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
+    snrs = [-1.0, -0.0, 0.0, 5e-324, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
     snrs += np.random.default_rng(0).lognormal(0.0, 6.0, 50).tolist()
     for snr in snrs:
         rates, xis = semantic_rows(snr, params)
