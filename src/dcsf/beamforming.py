@@ -12,12 +12,11 @@ production path: at centimeter wavelengths and inter-UAV spacings of tens of
 meters the integrand oscillates far too fast for quadrature to be practical.
 
 `cluster_snr` rates a list of clusters of one or more fleets in one call.
-The sinc factors come from one V x V table per fleet, `sinc_matrix(Q,
-params)`, stacked over the fleets (or `sinc_table` of the fleets' squared
-distances, when those are at hand); a cluster's block of its fleet's table
-equals, bit for bit, the table of the members alone. Clusters of one size
-are gathered and rated together, so the cost per call grows with the number
-of distinct cluster sizes rather than with the number of clusters.
+Clusters of one size are gathered and rated together, so the cost per call
+grows with the number of distinct cluster sizes rather than with the number
+of clusters. Each group builds the sinc factors of its clusters' own members,
+`sinc_matrix` of the gathered positions; a cluster's table equals, bit for
+bit, its block of the whole fleet's table.
 
 The array factor carries no steering phase: the elements are not
 phase-synchronized toward the BS, so a cluster's gain depends on its element
@@ -39,13 +38,7 @@ from .scenario import squared_distances
 def sinc_matrix(uav_positions: np.ndarray, params) -> np.ndarray:
     """sinc(p * d_ij) for every pair of UAVs of each stacked fleet (..., V,
     3) -> (..., V, V), with p = 2 pi / lambda, sinc(x) = sin(x)/x and sinc(0) = 1."""
-    return sinc_table(squared_distances(np.asarray(uav_positions, dtype=float)), params)
-
-
-def sinc_table(squared: np.ndarray, params) -> np.ndarray:
-    """`sinc_matrix` from the fleets' `squared_distances` (..., V, V), built
-    in place in two arrays of that shape."""
-    x = np.sqrt(squared)
+    x = np.sqrt(squared_distances(np.asarray(uav_positions, dtype=float)))
     x *= 2.0 * math.pi / params.wavelength
     table = np.sin(x)
     zero = x == 0.0
@@ -62,16 +55,16 @@ def pairwise_sinc_sum(sinc: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz: np.ndarray,
-                params, sinc: np.ndarray) -> np.ndarray:
+                params) -> np.ndarray:
     """SNR of each cluster's link to the BS.
 
     `clusters` lists (fleet, members) pairs, each naming UAVs of one fleet of
-    the stack `uav_positions` (N, V, 3), `weights` (N, V) and `sinc` (N, V, V),
-    the fleets' `sinc_matrix` tables. Every UAV transmits P_v =
-    `params.uav_tx_power`. Multi-UAV clusters transmit P_c = sum w^2 P_v with
-    the collaborative array gain; singletons use the plain link budget and do
-    not read `sinc`. Path loss and BS direction are taken from the cluster's
-    centroid (far-field BS), which must not coincide with the BS.
+    the stack `uav_positions` (N, V, 3) and `weights` (N, V). Every UAV
+    transmits P_v = `params.uav_tx_power`. Multi-UAV clusters transmit P_c =
+    sum w^2 P_v with the collaborative array gain, normalized by the members'
+    own `sinc_matrix`; singletons use the plain link budget. Path loss and BS
+    direction are taken from the cluster's centroid (far-field BS), which must
+    not coincide with the BS.
 
     Clusters of one size are rated together by stacked matrix products and
     reductions over their trailing per-cluster axes, which reproduce, bit for
@@ -109,7 +102,7 @@ def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz
         p_totals = np.add.reduce(w**2 * params.uav_tx_power, axis=1).tolist()
         phases = p * (pos @ np.array(directions)[:, :, None])[:, :, 0]
         factors = np.add.reduce(w * np.exp(1j * phases), axis=1).tolist()
-        denominators = pairwise_sinc_sum(sinc[fleets[:, :, None], ids[:, :, None], ids[:, None, :]], w).tolist()
+        denominators = pairwise_sinc_sum(sinc_matrix(pos, params), w).tolist()
         snr[rows] = [0.0 if p_total == 0.0 else
                      p_total * (abs(af) ** 2 * params.eta / denom) * path / params.noise_watts
                      for p_total, af, denom, path in zip(p_totals, factors, denominators, paths)]

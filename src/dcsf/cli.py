@@ -238,7 +238,9 @@ def _cmd_export(args) -> int:
     params = SystemParams()
     scn = _load_valid_scenario(args.scenario, params)
     front = _load_front(Path(args.run))
-    for ind in front:
+    for i, ind in enumerate(front):
+        if not all(params.k_min <= k <= params.k_max for k in ind.k.tolist()):
+            raise ValueError(f"front member {i}: k {ind.k.tolist()} not in [{params.k_min}, {params.k_max}]")
         problem.evaluate(ind, scn, params)
     if args.index == "knee":
         idx = _knee(front)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamforming, channel, energy, semantic
-from .scenario import fleet_violations, squared_distances
+from .scenario import fleet_violations
 
 
 class EncodingError(ValueError):
@@ -142,12 +142,10 @@ class Individual:
 
     @staticmethod
     def from_dict(doc: dict) -> "Individual":
-        ind = Individual(
-            ClusterAssignment(tuple(int(v) for v in doc["c"])),
-            np.asarray(doc["Q"], dtype=float),
-            np.asarray(doc["w"], dtype=float),
-            np.asarray(doc["k"], dtype=int),
-        )
+        if not all(type(v) is int for v in [*doc["c"], *doc["k"]]):
+            raise EncodingError(f"c {doc['c']} and k {doc['k']} must hold integers only")
+        ind = Individual(ClusterAssignment(tuple(doc["c"])), np.asarray(doc["Q"], dtype=float),
+                         np.asarray(doc["w"], dtype=float), np.asarray(doc["k"], dtype=int))
         if doc.get("objectives") is not None:
             ind.objectives = ObjectiveTriple(*doc["objectives"])
         ind.violation = float(doc.get("violation", 0.0))
@@ -163,14 +161,14 @@ def batch_terms(individuals, scenario, params, parents) -> None:
     of a cluster of the parent, and the fleet terms when all its Q rows are
     byte-equal to the parent's; an individual that is its own parent keeps
     its own. The rest is computed over the whole batch at once: one
-    squared-distance array, which the C2 screen and the sinc tables read, one
-    `energy.total_flight_energy` call and one `beamforming.cluster_snr` call.
+    `energy.total_flight_energy` and one `scenario.fleet_violations` call on
+    the moved fleets, and one `beamforming.cluster_snr` call on the clusters
+    left unrated.
     """
     batch = [(ind, parent) for ind, parent in zip(individuals, parents) if parent is not ind]
     if not batch:
         return
     q = np.stack([ind.q for ind, _ in batch])
-    squared = squared_distances(q)
     moved = []
     for f, (ind, parent) in enumerate(batch):
         if parent is not None and ind.q.tobytes() == parent.q.tobytes():
@@ -179,11 +177,11 @@ def batch_terms(individuals, scenario, params, parents) -> None:
             moved.append(f)
     if moved:
         f3 = energy.total_flight_energy(scenario, q[moved], params).tolist()
-        violations, _ = fleet_violations(q[moved], squared[moved], scenario.bounds, params.d_min)
+        violations, _ = fleet_violations(q[moved], scenario.bounds, params.d_min)
         for f, terms in zip(moved, zip(f3, violations)):
             batch[f][0].fleet_terms = terms
 
-    clusters, slots, multi = [], [], []
+    clusters, slots = [], []
     for f, (ind, parent) in enumerate(batch):
         known = {}
         if parent is not None:
@@ -196,16 +194,10 @@ def batch_terms(individuals, scenario, params, parents) -> None:
         stale = [i for i, m in enumerate(members) if m not in known]
         clusters += [(f, members[i]) for i in stale]
         slots += [(ind, i) for i in stale]
-        if any(len(members[i]) > 1 for i in stale):
-            multi.append(f)
     if not clusters:
         return
-    # the tables overwrite the squared distances, which the C2 screen has read;
-    # a fleet whose stale clusters are all singletons never reads its rows
-    sinc = squared
-    sinc[multi] = beamforming.sinc_table(squared[multi], params)
-    snrs = beamforming.cluster_snr(clusters, q, np.stack([ind.w for ind, _ in batch]),
-                                   scenario.bs_xyz, params, sinc)
+    w = np.stack([ind.w for ind, _ in batch])
+    snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
     for (ind, i), snr in zip(slots, snrs.tolist()):
         ind.cluster_snr[i] = snr
 
@@ -239,8 +231,7 @@ def violations_report(individual: Individual, scenario, params) -> list[str]:
     `scenario.fleet_violations` words them, then C6 per cluster."""
     if individual.cluster_xi is None:
         evaluate(individual, scenario, params)
-    q = individual.q[None]
-    report = fleet_violations(q, squared_distances(q), scenario.bounds, params.d_min)[1][0]
+    report = fleet_violations(individual.q[None], scenario.bounds, params.d_min)[1][0]
     for c, xi in enumerate(individual.cluster_xi):
         if xi < params.xi_threshold:
             report.append(f"C6: cluster {c + 1} similarity {xi:.4f} < {params.xi_threshold}")

@@ -228,15 +228,14 @@ def squared_distances(xyz: np.ndarray) -> np.ndarray:
 _SCREEN_SLACK = 1e-9
 
 
-def fleet_close_pairs(q: np.ndarray, squared: np.ndarray, d_min: float) -> list[tuple[int, int, int, float]]:
+def fleet_close_pairs(q: np.ndarray, d_min: float) -> list[tuple[int, int, int, float]]:
     """(fleet, i, j, d) for UAV pairs i < j closer than d_min, in (fleet, i,
-    j) order, over a stack of fleets `q` (N, V, 3) with their
-    `squared_distances` (N, V, V).
+    j) order, over a stack of fleets `q` (N, V, 3).
 
-    The squared distances screen the pairs; d itself is the scalar
+    The fleets' `squared_distances` screen the pairs; d itself is the scalar
     `np.linalg.norm`, so the values match a double loop over all pairs exactly.
     """
-    near = np.triu(squared < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
+    near = np.triu(squared_distances(q) < d_min * d_min * (1.0 + _SCREEN_SLACK), k=1)
     out = []
     for f, i, j in zip(*(index.tolist() for index in np.nonzero(near))):
         d = float(np.linalg.norm(q[f, i] - q[f, j]))
@@ -245,10 +244,9 @@ def fleet_close_pairs(q: np.ndarray, squared: np.ndarray, d_min: float) -> list[
     return out
 
 
-def fleet_violations(q: np.ndarray, squared: np.ndarray, bounds: Bounds,
-                     d_min: float) -> tuple[list[float], list[list[str]]]:
+def fleet_violations(q: np.ndarray, bounds: Bounds, d_min: float) -> tuple[list[float], list[list[str]]]:
     """C1 (every UAV inside the bounds) and C2 (pairwise safety distance) over
-    a stack of fleets `q` (N, V, 3) with their `squared_distances` (N, V, V).
+    a stack of fleets `q` (N, V, 3).
 
     Returns each fleet's violation, the normalized bound excess (0.0 inside
     the bounds) plus (d_min - d) / d_min per close pair in (i, j) order, and
@@ -265,7 +263,7 @@ def fleet_violations(q: np.ndarray, squared: np.ndarray, bounds: Bounds,
                            + (np.maximum(fleet - upper, 0.0) / span).sum())
         lines[f] = [f"C1: UAV {i} at {fleet[i].tolist()} outside deployment region"
                     for i in np.flatnonzero(~inside[f]).tolist()]
-    for f, i, j, d in fleet_close_pairs(q, squared, d_min):
+    for f, i, j, d in fleet_close_pairs(q, d_min):
         amounts[f] += (d_min - d) / d_min
         lines[f].append(f"C2: UAVs {i} and {j} at distance {d:.3f} m < d_min {d_min} m")
     return amounts, lines
@@ -282,8 +280,7 @@ def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
     problems = []
     if np.all(bounds.lower <= bs) and np.all(bs <= bounds.upper):
         problems.append(f"BS at {bs.tolist()} inside deployment region")
-    q = scenario.uav_initial_xyz[None]
-    return problems + fleet_violations(q, squared_distances(q), bounds, params.d_min)[1][0]
+    return problems + fleet_violations(scenario.uav_initial_xyz[None], bounds, params.d_min)[1][0]
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -302,7 +299,9 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text())
         bounds = Bounds(**doc["bounds"])
-        scn = Scenario(doc["users"], doc["uavs_initial"], doc["bs"], bounds, int(doc["seed"]))
+        if type(doc["seed"]) is not int:
+            raise ValueError(f"seed {doc['seed']!r} is not an integer")
+        scn = Scenario(doc["users"], doc["uavs_initial"], doc["bs"], bounds, doc["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     xy = scn.user_xyz[:, :2]

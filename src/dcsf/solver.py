@@ -223,10 +223,10 @@ def gca_step(population, scenario, params) -> None:
     Every merge gain, including those after a merge has been applied, is
     measured against the individual's f2 from the previous iteration. Each
     pass rates every pair it has not rated yet, over all individuals, in one
-    `cluster_snr` call on one stack of their sinc tables: every pair in the
-    first pass, then only the pairs with each new cluster. The clusters
-    themselves come from the stored SNRs. A merged individual is then
-    re-evaluated with the SNRs of its merged clusters.
+    `cluster_snr` call: every pair in the first pass, then only the pairs
+    with each new cluster. The clusters themselves come from the stored SNRs.
+    A merged individual is then re-evaluated with the SNRs of its merged
+    clusters.
     """
     evaluate_population(population, scenario, params)
     merging = [_Merging(ind, params) for ind in population if ind.assignment.n_clusters > 1]
@@ -234,11 +234,10 @@ def gca_step(population, scenario, params) -> None:
         return
     q = np.stack([m.ind.q for m in merging])
     w = np.stack([m.ind.w for m in merging])
-    sinc = beamforming.sinc_matrix(q, params)
     active = list(range(len(merging)))
     while active:
         clusters = [(f, members) for f in active for members in merging[f].pairs()]
-        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params, sinc).tolist()
+        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params).tolist()
         still, start = [], 0
         for f in active:
             end = start + len(merging[f].pending)

@@ -110,11 +110,9 @@ def test_acceptance_03_collaborative_gain_scaling():
         spacing = 60.0 * LAM
         ys = (np.arange(n) - (n - 1) / 2.0) * spacing
         q = np.column_stack([np.zeros(n), ys, np.full(n, 80.0)])
-        snr_multi = cluster_snr([(0, list(range(n)))], q[None], np.ones((1, n)), bs, PARAMS,
-                                sinc_matrix(q, PARAMS)[None])[0]
+        snr_multi = cluster_snr([(0, list(range(n)))], q[None], np.ones((1, n)), bs, PARAMS)[0]
         centroid = q.mean(axis=0, keepdims=True)
-        snr_single = cluster_snr([(0, [0])], centroid[None], np.ones((1, 1)), bs, PARAMS,
-                                 sinc_matrix(centroid, PARAMS)[None])[0]
+        snr_single = cluster_snr([(0, [0])], centroid[None], np.ones((1, 1)), bs, PARAMS)[0]
         ratio = snr_multi / snr_single
         assert ratio == pytest.approx(n * n * PARAMS.eta, rel=0.05), f"N={n}: ratio {ratio}"
     _report(3, "co-phased N=2,4,8 received power scales as N^2 * eta within 5%")

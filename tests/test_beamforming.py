@@ -24,7 +24,7 @@ def _random_array(rng, n=None, max_spacing_wavelengths=10.0):
 
 def _snr(members, q, w, bs, params):
     """One cluster of one fleet through the batched `cluster_snr`."""
-    return cluster_snr([(0, members)], q[None], w[None], bs, params, sinc_matrix(q, params)[None])[0]
+    return cluster_snr([(0, members)], q[None], w[None], bs, params)[0]
 
 
 def _link_loss(a, b, params):
@@ -138,7 +138,7 @@ def test_zero_weights_give_zero_cluster_snr(params):
 
 def test_empty_cluster_rejected(params):
     with pytest.raises(ValueError):
-        cluster_snr([(0, [])], np.zeros((1, 1, 3)), np.ones((1, 1)), np.ones(3), params, np.ones((1, 1, 1)))
+        cluster_snr([(0, [])], np.zeros((1, 1, 3)), np.ones((1, 1)), np.ones(3), params)
 
 
 def test_cophased_pair_beats_singleton(params):
@@ -164,7 +164,7 @@ def test_sinc_table_block_equals_the_per_cluster_sum():
         own = sinc_matrix(q[members], PARAMS)
         assert np.array_equal(sinc_matrix(q, PARAMS)[np.ix_(members, members)], own), case
         assert pairwise_sinc_sum(own, w[members]) == sinc_sum_direct(q[members], w[members], P), case
-        # cluster_snr reads the block of the fleet's table as if it were the members' own
+        # cluster_snr builds the members' own table, which equals their block of the fleet's
         bs = np.array([3000.0, -2000.0, 10.0])
         assert _snr(members, q, w, bs, PARAMS) == cluster_snr_one(
             list(range(len(members))), q[members], w[members], bs, PARAMS, own), case
@@ -186,7 +186,7 @@ def test_batched_cluster_snr_equals_the_per_cluster_oracle():
                      sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False).tolist()))
                     for _ in range(30)]
         clusters[:3] = [(0, [0]), (n_fleets - 1, list(range(n_uavs))), (0, list(range(max(1, n_uavs // 2))))]
-        got = cluster_snr(clusters, q, w, bs, PARAMS, sinc)
+        got = cluster_snr(clusters, q, w, bs, PARAMS)
         assert got.shape == (len(clusters),)
         for (fleet, members), snr in zip(clusters, got):
             assert snr == cluster_snr_one(members, q[fleet], w[fleet], bs, PARAMS, sinc[fleet]), (case, fleet, members)

@@ -123,6 +123,25 @@ def test_export_deployment_rejects_bad_index(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("k", [0, -2, 99, 2.5])
+def test_export_deployment_rejects_a_k_outside_the_symbol_range(tmp_path, capsys, k):
+    scn = _generate(tmp_path)
+    out = _solve(tmp_path, scn, "run")
+    doc = json.loads((out / "pareto.json").read_text())
+    doc["front"][0]["k"][0] = k
+    (out / "pareto.json").write_text(json.dumps(doc))
+    dep = tmp_path / "dep.json"
+    capsys.readouterr()
+    rc = main(["export-deployment", "--scenario", str(scn), "--run", str(out),
+               "--index", "0", "--out", str(dep)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and str(k) in line
+    assert not dep.exists()
+
+
 def test_missing_scenario_is_a_runtime_error(tmp_path):
     rc = main(["solve", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")])
     assert rc == 1

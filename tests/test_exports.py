@@ -31,3 +31,20 @@ def test_every_library_definition_is_used_by_the_library():
             if not any(ref_name == name and ref not in own for ref, ref_name in refs):
                 unused.append(name)
     assert not unused, f"defined in src/dcsf but not used there: {unused}"
+
+
+def test_every_library_parameter_is_read():
+    """Every parameter of every function and lambda in src/dcsf, bar `self`,
+    `cls` and names starting with `_`, is read in its body."""
+    unread = []
+    for path in sorted(Path(dcsf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {inner.id for stmt in body for inner in ast.walk(stmt)
+                        if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)}
+                unread += [f"{path.name}:{node.lineno} {a.arg}" for a in params
+                           if a.arg not in ("self", "cls") and not a.arg.startswith("_") and a.arg not in read]
+    assert not unread, f"parameters never read: {unread}"

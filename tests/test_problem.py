@@ -8,14 +8,16 @@ from dcsf.problem import (
     EncodingError,
     Individual,
     ObjectiveTriple,
+    batch_terms,
     canonicalize_labels,
     dominance_matrix,
     evaluate,
     violations_report,
 )
-from dcsf.scenario import fleet_close_pairs, fleet_violations, squared_distances
+from dcsf.scenario import fleet_close_pairs, fleet_violations
 from oracles import (
     close_pairs_double_loop,
+    cluster_snr_one,
     f2_by_cluster,
     fake_pool,
     per_user_rates,
@@ -117,8 +119,7 @@ def test_violation_penalizes_bounds_and_proximity(small_scenario):
 
 def one_fleet_close_pairs(q, d_min):
     """`fleet_close_pairs` on the one-fleet stack q[None], as (i, j, d)."""
-    stack = q[None]
-    return [hit[1:] for hit in fleet_close_pairs(stack, squared_distances(stack), d_min)]
+    return [hit[1:] for hit in fleet_close_pairs(q[None], d_min)]
 
 
 def test_close_pairs_match_double_loop_on_crowded_fleets(rng):
@@ -187,7 +188,7 @@ def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
             batch[-1].q = q
         solver.evaluate_population(batch, scn, params)
         q = np.stack([ind.q for ind in batch])
-        amounts, lines = fleet_violations(q, squared_distances(q), bounds, d_min)
+        amounts, lines = fleet_violations(q, bounds, d_min)
         for ind, amount, fleet_lines in zip(batch, amounts, lines):
             assert ind.violation == violation_double_loop(ind, scn, params)
             assert ind.objectives.f3 == total_flight_energy_per_uav(scn, ind.q, params)
@@ -204,7 +205,7 @@ def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
         assert any(close_pairs_double_loop(ind.q, d_min) for ind in batch)
     # a NaN coordinate is outside the bounds
     q = np.array([[[100.0, 100.0, 80.0], [200.0, np.nan, 80.0]]])
-    amounts, lines = fleet_violations(q, squared_distances(q), bounds, d_min)
+    amounts, lines = fleet_violations(q, bounds, d_min)
     assert amounts[0] != 0.0 and lines == [["C1: UAV 1 at [200.0, nan, 80.0] outside deployment region"]]
 
 
@@ -292,6 +293,33 @@ def test_a_child_one_weight_away_from_its_parent_rates_one_cluster(monkeypatch):
         assert sum(calls) == 1
         assert child.objectives == fresh.objectives and child.violation == fresh.violation
         assert np.array_equal(child.cluster_snr, fresh.cluster_snr)
+
+
+def test_a_mixed_batch_stores_the_per_cluster_oracle_snrs():
+    # children whose only stale clusters are singletons, children with a stale
+    # multi-UAV cluster and unchanged children, rated in one batch
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(30, 10, bounds, (2000.0, 2000.0, 0.0), seed=8)
+    params = SystemParams()
+    rng = np.random.default_rng(8)
+    assignment = ClusterAssignment((1, 2, 3, 3, 4, 4, 4, 5, 6, 6))
+    singletons, multis = [0, 1, 7], [2, 3, 4, 5, 6, 8, 9]
+    children, parents = [], []
+    for _ in range(10):
+        parent = Individual(assignment, bounds.lower + rng.random((10, 3)) * (bounds.upper - bounds.lower),
+                            rng.random(10), rng.integers(params.k_min, params.k_max + 1, 6))
+        evaluate(parent, scn, params)
+        for moved in ([int(rng.choice(singletons))], [int(rng.choice(multis))], []):
+            child = Individual(assignment, parent.q.copy(), parent.w.copy(), parent.k.copy())
+            child.q[moved] += rng.uniform(-3.0, 3.0, (len(moved), 3))
+            children.append(child)
+            parents.append(parent)
+    order = rng.permutation(len(children)).tolist()
+    batch_terms([children[i] for i in order], scn, params, [parents[i] for i in order])
+    for child in children:
+        sinc = beamforming.sinc_matrix(child.q, params)
+        for members, snr in zip(assignment.clusters(), child.cluster_snr.tolist()):
+            assert snr == cluster_snr_one(members, child.q, child.w, scn.bs_xyz, params, sinc), members
 
 
 def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng):

@@ -65,6 +65,17 @@ def test_load_rejects_wrong_length_coordinates(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("seed", [1.7, "3", True])
+def test_load_rejects_a_seed_that_is_not_a_json_integer(tmp_path, seed):
+    path = tmp_path / "bad.json"
+    save_scenario(generate_scenario(5, 2, BOUNDS, BS, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["seed"] = seed
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="malformed scenario file.*seed"):
+        load_scenario(path)
+
+
 def test_association_ties_go_to_lowest_id():
     scn = generate_scenario(1, 2, BOUNDS, BS, seed=0)
     # both UAVs equidistant from the user
