@@ -13,23 +13,13 @@ import numpy as np
 from .scenario import SPEED_OF_LIGHT, nearest_uavs
 
 
-def los_probability(d: float, h: float, psi: float, beta: float) -> float:
-    """Elevation-dependent LoS probability, strictly inside (0, 1), of a link
-    of length d > 0 with vertical separation 0 <= h <= d."""
-    elevation_deg = math.degrees(math.asin(h / d))
-    return 1.0 / (1.0 + psi * math.exp(-beta * (elevation_deg - psi)))
-
-
-def free_space_path_loss(d: float, f: float) -> float:
-    """FSPL in dB at distance d (m) and frequency f (Hz)."""
-    return 20.0 * math.log10(d) + 20.0 * math.log10(f) + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
-
-
 def avg_path_loss(d: float, h: float, params) -> float:
-    """LoS/NLoS-probability-weighted average path loss in dB of a link of
-    length d with vertical separation h."""
-    p_los = los_probability(d, h, params.psi, params.beta)
-    fspl = free_space_path_loss(d, params.frequency)
+    """Average path loss in dB of a link of length d > 0 with vertical
+    separation 0 <= h <= d: the free-space loss 20 log10(4 pi d f / c), plus
+    mu_los and mu_nlos weighted by the elevation-dependent LoS probability."""
+    elevation_deg = math.degrees(math.asin(h / d))
+    p_los = 1.0 / (1.0 + params.psi * math.exp(-params.beta * (elevation_deg - params.psi)))
+    fspl = 20.0 * math.log10(d) + params.frequency_loss_db + params.aperture_loss_db
     return fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
 
 

@@ -8,14 +8,14 @@ exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
 Each evaluated individual carries what does not depend on k: one SNR per
 cluster, and its fleet terms, f3 and the C1 + C2 violation, which depend on
 Q alone. `batch_terms` sets both for a batch of individuals at once, in array
-passes; `evaluate` then adds f1, f2 and the C6 violation per individual, and
-alone is a batch of one.
+passes; `score` then adds f2 and the C6 violation to a given f1, which also
+depends on Q alone. `evaluate` is a batch of one, its f1 and `score`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,15 +77,10 @@ def canonicalize_labels(raw_labels, k_values) -> tuple[ClusterAssignment, np.nda
     """
     raw = [int(v) for v in raw_labels]
     k_values = np.asarray(k_values).tolist()
-    mapping: dict[int, int] = {}
-    for label in raw:
-        if label not in mapping:
-            mapping[label] = len(mapping) + 1
+    mapping = {label: new for new, label in enumerate(dict.fromkeys(raw), start=1)}
     new_labels = tuple(mapping[v] for v in raw)
     if len(k_values) != max(raw):
-        raise EncodingError(
-            f"k has {len(k_values)} entries but assignment has max label {max(raw)}"
-        )
+        raise EncodingError(f"k has {len(k_values)} entries but assignment has max label {max(raw)}")
     # the mapping's insertion order is first appearance, the new label order
     return ClusterAssignment(new_labels), np.array([k_values[old - 1] for old in mapping])
 
@@ -118,17 +113,9 @@ class Individual:
             raise EncodingError(f"w shape {self.w.shape} mismatched to fleet size")
 
     def copy(self) -> "Individual":
-        return Individual(
-            self.assignment,
-            self.q.copy(),
-            self.w.copy(),
-            self.k.copy(),
-            self.objectives,
-            self.violation,
-            None if self.cluster_xi is None else self.cluster_xi.copy(),
-            None if self.cluster_snr is None else self.cluster_snr.copy(),
-            self.fleet_terms,
-        )
+        return replace(self, q=self.q.copy(), w=self.w.copy(), k=self.k.copy(),
+                       cluster_xi=None if self.cluster_xi is None else self.cluster_xi.copy(),
+                       cluster_snr=None if self.cluster_snr is None else self.cluster_snr.copy())
 
     def to_dict(self) -> dict:
         return {
@@ -144,15 +131,16 @@ class Individual:
     def from_dict(doc: dict) -> "Individual":
         if not all(type(v) is int for v in [*doc["c"], *doc["k"]]):
             raise EncodingError(f"c {doc['c']} and k {doc['k']} must hold integers only")
-        ind = Individual(ClusterAssignment(tuple(doc["c"])), np.asarray(doc["Q"], dtype=float),
-                         np.asarray(doc["w"], dtype=float), np.asarray(doc["k"], dtype=int))
-        if doc.get("objectives") is not None:
-            ind.objectives = ObjectiveTriple(*doc["objectives"])
-        ind.violation = float(doc.get("violation", 0.0))
-        return ind
+        numbers = [*(v for row in doc["Q"] for v in row), *doc["w"], doc.get("violation", 0.0)]
+        if not all(type(v) in (int, float) for v in numbers):
+            raise EncodingError("Q, w and violation must hold numbers only")
+        objectives = doc.get("objectives")
+        return Individual(ClusterAssignment(tuple(doc["c"])), doc["Q"], doc["w"], doc["k"],
+                          None if objectives is None else ObjectiveTriple(*objectives),
+                          float(doc.get("violation", 0.0)))
 
 
-def batch_terms(individuals, scenario, params, parents) -> None:
+def batch_terms(individuals, scenario, params, parents) -> list[bool]:
     """Set each individual's `cluster_snr` (one per cluster) and
     `fleet_terms`, f3 and the C1 + C2 violation: everything k does not change.
 
@@ -164,14 +152,19 @@ def batch_terms(individuals, scenario, params, parents) -> None:
     `energy.total_flight_energy` and one `scenario.fleet_violations` call on
     the moved fleets, and one `beamforming.cluster_snr` call on the clusters
     left unrated.
+
+    Returns, per individual, whether its Q equals its parent's, and so its f1.
     """
-    batch = [(ind, parent) for ind, parent in zip(individuals, parents) if parent is not ind]
+    kept = [parent is ind or (parent is not None and ind.q.tobytes() == parent.q.tobytes())
+            for ind, parent in zip(individuals, parents)]
+    batch = [(ind, parent, same_q) for ind, parent, same_q in zip(individuals, parents, kept)
+             if parent is not ind]
     if not batch:
-        return
-    q = np.stack([ind.q for ind, _ in batch])
+        return kept
+    q = np.stack([ind.q for ind, _, _ in batch])
     moved = []
-    for f, (ind, parent) in enumerate(batch):
-        if parent is not None and ind.q.tobytes() == parent.q.tobytes():
+    for f, (ind, parent, same_q) in enumerate(batch):
+        if same_q:
             ind.fleet_terms = parent.fleet_terms
         else:
             moved.append(f)
@@ -182,7 +175,7 @@ def batch_terms(individuals, scenario, params, parents) -> None:
             batch[f][0].fleet_terms = terms
 
     clusters, slots = [], []
-    for f, (ind, parent) in enumerate(batch):
+    for f, (ind, parent, _) in enumerate(batch):
         known = {}
         if parent is not None:
             same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
@@ -194,36 +187,40 @@ def batch_terms(individuals, scenario, params, parents) -> None:
         stale = [i for i, m in enumerate(members) if m not in known]
         clusters += [(f, members[i]) for i in stale]
         slots += [(ind, i) for i in stale]
-    if not clusters:
-        return
-    w = np.stack([ind.w for ind, _ in batch])
-    snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
-    for (ind, i), snr in zip(slots, snrs.tolist()):
-        ind.cluster_snr[i] = snr
+    if clusters:
+        w = np.stack([ind.w for ind, _, _ in batch])
+        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
+        for (ind, i), snr in zip(slots, snrs.tolist()):
+            ind.cluster_snr[i] = snr
+    return kept
 
 
-def cluster_semantic_terms(individual: Individual, scenario, params,
-                           parent: Individual | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster (semantic rate, similarity) from the SNRs set by
-    `batch_terms` with `parent`. Zero-SNR clusters contribute nothing."""
-    batch_terms([individual], scenario, params, [parent])
+def cluster_semantic_terms(individual: Individual, params) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster (semantic rate, similarity) from the stored SNRs.
+    Zero-SNR clusters contribute nothing."""
     rates, xis = np.zeros(len(individual.k)), np.zeros(len(individual.k))
     for i, snr in enumerate(individual.cluster_snr.tolist()):
         rates[i], xis[i] = semantic.semantic_terms(snr, int(individual.k[i]), params)
     return rates, xis
 
 
-def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
-    """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
-    and the constraint-violation scalar. With no `parent`, every term is
-    computed; see `batch_terms` for what a parent lends."""
-    rates, xis = cluster_semantic_terms(individual, scenario, params, parent)
-    f1 = channel.sum_user_rate(scenario, individual.q, params)
+def score(individual: Individual, params, f1: float) -> ObjectiveTriple:
+    """Set and return the objectives, similarities and violation of an
+    individual whose SNRs and fleet terms are set, given its f1."""
+    rates, xis = cluster_semantic_terms(individual, params)
     f3, violation = individual.fleet_terms
     individual.objectives = ObjectiveTriple(f1, float(rates.sum()), f3)
     individual.cluster_xi = xis
     individual.violation = violation + float(np.maximum(params.xi_threshold - xis, 0.0).sum())
     return individual.objectives
+
+
+def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
+    """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
+    and the constraint-violation scalar. With no `parent`, every term is
+    computed; see `batch_terms` for what a parent lends, and f1 always."""
+    batch_terms([individual], scenario, params, [parent])
+    return score(individual, params, channel.sum_user_rate(scenario, individual.q, params))
 
 
 def violations_report(individual: Individual, scenario, params) -> list[str]:

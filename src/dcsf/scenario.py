@@ -145,6 +145,16 @@ class SystemParams:
         """Total noise power B * N0 in watts."""
         return self.bandwidth * 10 ** ((self.noise_density_dbm - 30.0) / 10.0)
 
+    @cached_property
+    def frequency_loss_db(self) -> float:
+        """20 log10(f), the free-space loss term of the carrier frequency."""
+        return 20.0 * math.log10(self.frequency)
+
+    @cached_property
+    def aperture_loss_db(self) -> float:
+        """20 log10(4 pi / c), the constant free-space loss term."""
+        return 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
+
 
 def launch_positions(n_uavs: int, bounds: Bounds) -> np.ndarray:
     """Deterministic launch grid: altitude z_min along the western edge,
@@ -301,6 +311,10 @@ def load_scenario(path: str | Path) -> Scenario:
         bounds = Bounds(**doc["bounds"])
         if type(doc["seed"]) is not int:
             raise ValueError(f"seed {doc['seed']!r} is not an integer")
+        for name, rows in (("users", doc["users"]), ("uavs_initial", doc["uavs_initial"]),
+                           ("bs", [doc["bs"]])):
+            if not all(type(v) in (int, float) for row in rows for v in row):
+                raise ValueError(f"{name} holds a value that is not a number")
         scn = Scenario(doc["users"], doc["uavs_initial"], doc["bs"], bounds, doc["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc

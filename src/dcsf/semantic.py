@@ -42,24 +42,18 @@ class SimilarityModel:
             raise SimilarityModelError("midpoints must be non-increasing in k")
         if any(a2 < a1 - 1e-12 for a1, a2 in zip(self.floors, self.floors[1:])):
             raise SimilarityModelError("floors must be non-decreasing in k")
-        # a plain attribute, not a field: asdict, repr and == ignore it
-        object.__setattr__(self, "_memo", {})
+        # (a, b, c) at every integer k of the table's span, built once; a plain
+        # attribute, not a field: asdict, repr and == ignore it
+        object.__setattr__(self, "rows", {})
+        self.rows.update((k, self.parameters_at(k)) for k in range(self.ks[0], self.ks[-1] + 1))
 
     def parameters_at(self, k: float) -> tuple[float, float, float]:
-        """(a, b, c) at possibly fractional k, linearly interpolated and clamped.
-
-        Memoized per k value: the solvers ask for the same few integer k
-        values millions of times.
-        """
-        abc = self._memo.get(k)
-        if abc is None:
-            ks = np.asarray(self.ks, dtype=float)
-            abc = self._memo[k] = (
-                float(np.interp(k, ks, self.floors)),
-                float(np.interp(k, ks, self.midpoints)),
-                float(np.interp(k, ks, self.slopes)),
-            )
-        return abc
+        """(a, b, c) at possibly fractional k, linearly interpolated and clamped;
+        an integer k of the table's span reads its row from `rows`."""
+        if k in self.rows:
+            return self.rows[k]
+        ks = np.asarray(self.ks, dtype=float)
+        return tuple(float(np.interp(k, ks, column)) for column in (self.floors, self.midpoints, self.slopes))
 
 
 def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel:
@@ -73,19 +67,15 @@ def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel
     return SimilarityModel(ks, floors, midpoints, slopes)
 
 
-def _logistic(model: SimilarityModel, k: float, gamma_db: float) -> float:
-    a, b, c = model.parameters_at(k)
-    try:
-        return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
-    except OverflowError:  # exp(x) = inf for x > ~709.78: 1 / (1 + inf) adds 0.0 to the floor
-        return a
-
-
 def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:
     """xi in [0, 1), non-decreasing in both SNR and k."""
     if snr <= 0:
         raise ValueError("snr must be > 0")
-    return _logistic(model, k, 10.0 * math.log10(snr))
+    a, b, c = model.parameters_at(k)
+    try:
+        return a + (1.0 - a) / (1.0 + math.exp(-c * (10.0 * math.log10(snr) - b)))
+    except OverflowError:  # exp(x) = inf for x > ~709.78: 1 / (1 + inf) adds 0.0 to the floor
+        return a
 
 
 def semantic_terms(snr: float, k: int, params) -> tuple[float, float]:
@@ -105,7 +95,12 @@ def semantic_rows(snr: float, params) -> tuple[list[float], list[float]]:
     if snr <= 0:
         return [0.0] * len(ks), [0.0] * len(ks)
     gamma_db = 10.0 * math.log10(snr)
-    xis = [_logistic(params.similarity, k, gamma_db) for k in ks]
+    rows, xis = params.similarity.rows, []
+    for k in ks:
+        a, b, c = rows[k]
+        try:  # the logistic of `semantic_similarity`
+            xis.append(a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b))))
+        except OverflowError:
+            xis.append(a)
     scale = params.bandwidth * params.info_per_sentence
     return [scale / (k * params.words_per_sentence) * xi for k, xi in zip(ks, xis)], xis
-

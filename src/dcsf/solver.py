@@ -16,10 +16,10 @@ Every evaluated individual also carries what does not depend on k: one SNR
 per cluster, which depends on the members' positions and weights, and its
 fleet terms, f3 and the C1 + C2 violation, which depend on the positions
 alone. An offspring reuses its parent's SNR for each cluster it kept
-unchanged, and its parent's fleet terms when it kept every position. One
-population evaluation computes the rest for all its pending individuals in
-array passes (`problem.batch_terms`): one `beamforming.cluster_snr` call and
-one `energy.total_flight_energy` call.
+unchanged, and its parent's fleet terms and f1 when it kept every position.
+One population evaluation computes the rest for all its pending individuals
+in array passes (`problem.batch_terms`): one `beamforming.cluster_snr` call
+and one `energy.total_flight_energy` call, and f1 per moved individual.
 
 GCA and GSO also run over the whole population at once. GCA merges every
 individual in lockstep, one pass per merge: each pass rates the pairs not
@@ -28,8 +28,8 @@ individual keeps its cluster and pair rates from pass to pass. GSO turns
 each stored SNR into one row of rates and similarities over [k_min, k_max],
 then sweeps the individuals of one cluster count together, slot by slot.
 GCA's ordered merges and GSO's k candidates are scored as matrix row sums.
-After GCA or GSO, an individual is re-evaluated with its own SNRs and fleet
-terms, so only f1 is computed again.
+After GCA or GSO, an individual is scored again (`problem.score`) with its
+own SNRs, f1 and fleet terms.
 """
 
 from __future__ import annotations
@@ -102,15 +102,18 @@ def initialize_population(scenario, params, config: SolverConfig, rng=None) -> l
 
 def evaluate_population(population, scenario, params, parents=None) -> None:
     """Evaluate every member that has no objectives yet, lending it the
-    stored SNRs and fleet terms of `parents[i]` when `parents` is given. What
-    is left to compute, over all those members, is computed in one
-    `problem.batch_terms` pass."""
+    stored SNRs, fleet terms and f1 of `parents[i]` when `parents` is given.
+    What is left to compute, over all those members, is computed in one
+    `problem.batch_terms` pass and one f1 computation per moved member."""
     pending = [i for i, ind in enumerate(population) if ind.objectives is None]
+    lenders = [None if parents is None else parents[i] for i in pending]
     try:
-        problem.batch_terms([population[i] for i in pending], scenario, params,
-                            [None if parents is None else parents[i] for i in pending])
-        for i in pending:
-            problem.evaluate(population[i], scenario, params, population[i])
+        kept = problem.batch_terms([population[i] for i in pending], scenario, params, lenders)
+        for i, parent, same_q in zip(pending, lenders, kept):
+            if same_q:
+                problem.score(population[i], params, parent.objectives.f1)
+            else:
+                problem.evaluate(population[i], scenario, params, population[i])
     except ValueError as exc:
         raise SolverError(f"evaluation failed: {exc}") from exc
 
@@ -225,8 +228,8 @@ def gca_step(population, scenario, params) -> None:
     pass rates every pair it has not rated yet, over all individuals, in one
     `cluster_snr` call: every pair in the first pass, then only the pairs
     with each new cluster. The clusters themselves come from the stored SNRs.
-    A merged individual is then re-evaluated with the SNRs of its merged
-    clusters.
+    A merged individual is then scored again with the SNRs of its merged
+    clusters and its own f1 and fleet terms.
     """
     evaluate_population(population, scenario, params)
     merging = [_Merging(ind, params) for ind in population if ind.assignment.n_clusters > 1]
@@ -248,7 +251,7 @@ def gca_step(population, scenario, params) -> None:
     for m in merging:
         if m.changed:
             m.ind.cluster_snr = np.array(m.snr)
-            problem.evaluate(m.ind, scenario, params, m.ind)
+            problem.score(m.ind, params, m.ind.objectives.f1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +487,8 @@ def gso_step(population, scenario, params) -> None:
     (rate, similarity) over [k_min, k_max] (`semantic.semantic_rows`). The
     individuals of one cluster count sweep their clusters together, slot by
     slot: a slot's k candidates are scored as the row sums of one (individual,
-    k, cluster) array. An individual is then re-evaluated, with its SNRs
-    kept, if its k changed.
+    k, cluster) array. An individual whose k changed is then scored again,
+    with its own SNRs, f1 and fleet terms.
     """
     evaluate_population(population, scenario, params)
     ks = np.arange(params.k_min, params.k_max + 1)
@@ -516,7 +519,7 @@ def gso_step(population, scenario, params) -> None:
     for ind, k in zip(population, swept):
         if not np.array_equal(ind.k, k):
             ind.k[:] = k
-            problem.evaluate(ind, scenario, params, ind)
+            problem.score(ind, params, ind.objectives.f1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dcsf.problem import (
     ClusterAssignment,
     Individual,
     ObjectiveTriple,
+    batch_terms,
     canonicalize_labels,
     cluster_semantic_terms,
     evaluate,
@@ -46,6 +47,26 @@ def fake_pool(objs, violations=None):
         ind.violation = 0.0 if violations is None else float(violations[i])
         pool.append(ind)
     return pool
+
+
+def los_probability(d: float, h: float, psi: float, beta: float) -> float:
+    """Elevation-dependent LoS probability, strictly inside (0, 1), of a link
+    of length d > 0 with vertical separation 0 <= h <= d."""
+    elevation_deg = math.degrees(math.asin(h / d))
+    return 1.0 / (1.0 + psi * math.exp(-beta * (elevation_deg - psi)))
+
+
+def free_space_path_loss(d: float, f: float) -> float:
+    """FSPL in dB at distance d (m) and frequency f (Hz)."""
+    return 20.0 * math.log10(d) + 20.0 * math.log10(f) + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
+
+
+def avg_path_loss_composed(d: float, h: float, params) -> float:
+    """`channel.avg_path_loss` as the composition of `los_probability` and
+    `free_space_path_loss`, every term computed on each call."""
+    p_los = los_probability(d, h, params.psi, params.beta)
+    fspl = free_space_path_loss(d, params.frequency)
+    return fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
 
 
 def user_rate(sinr: float, bandwidth: float) -> float:
@@ -362,6 +383,12 @@ def crowding(front_objs):
     return dist
 
 
+def semantic_terms_from_scratch(ind, scenario, params):
+    """Per-cluster (semantic rate, similarity) of `ind`, its SNRs computed afresh."""
+    batch_terms([ind], scenario, params, [None])
+    return cluster_semantic_terms(ind, params)
+
+
 def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):
     """All ordered-pair merges with their f2 gain versus the baseline, each
     merged individual evaluated from scratch.
@@ -374,7 +401,7 @@ def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):
             if b == b2:
                 continue
             assignment, k = merge_clusters(ind.assignment, ind.k, b, b2)
-            rates, _ = cluster_semantic_terms(Individual(assignment, ind.q, ind.w, k), scenario, params)
+            rates, _ = semantic_terms_from_scratch(Individual(assignment, ind.q, ind.w, k), scenario, params)
             f2 = float(rates.sum())
             yield b, b2, f2 - baseline_f2, assignment, k, f2
 
@@ -408,7 +435,7 @@ def gso_sweep(ind, scn, params):
         for k in range(params.k_min, params.k_max + 1):
             trial = best.copy()
             trial.k[i] = k
-            rates, xis = cluster_semantic_terms(trial, scn, params)
+            rates, xis = semantic_terms_from_scratch(trial, scn, params)
             candidates.append((k, float(rates.sum()), float(xis[i])))
         feasible = [c for c in candidates if c[2] >= params.xi_threshold]
         pick = (max(feasible, key=lambda c: (c[1], -c[0])) if feasible

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcsf import Bounds, SystemParams, generate_scenario
-from dcsf.channel import avg_path_loss, free_space_path_loss, los_probability, sum_user_rate
+from dcsf.channel import avg_path_loss, sum_user_rate
 from dcsf.scenario import Scenario, nearest_uavs
-from oracles import associate_users, per_user_rates, sum_user_rate_einsum, user_rate
+from oracles import (
+    associate_users,
+    avg_path_loss_composed,
+    free_space_path_loss,
+    los_probability,
+    per_user_rates,
+    sum_user_rate_einsum,
+    user_rate,
+)
 
 
 def test_carrier_frequency_derived_from_wavelength(params):
@@ -48,6 +56,15 @@ def test_avg_path_loss_between_los_and_nlos_extremes(params):
     loss = avg_path_loss(400.0, 80.0, params)
     fspl = free_space_path_loss(400.0, params.frequency)
     assert fspl + params.mu_los < loss < fspl + params.mu_nlos
+
+
+@given(d=st.floats(1e-3, 1e6), frac=st.floats(0.0, 1.0), wavelength=st.floats(1e-3, 10.0))
+def test_avg_path_loss_equals_the_composed_oracle(d, frac, wavelength):
+    """The flat path loss, with its two distance-free FSPL terms cached on the
+    params, equals the composition of the LoS and FSPL helpers bit for bit."""
+    params = SystemParams(wavelength=wavelength)
+    for h in (d * frac, d, 0.0):
+        assert avg_path_loss(d, h, params) == avg_path_loss_composed(d, h, params)
 
 
 def test_noise_power(params):

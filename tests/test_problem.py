@@ -351,6 +351,23 @@ def test_to_dict_from_dict_roundtrip(small_scenario, rng):
     assert back.violation == ind.violation
 
 
+@pytest.mark.parametrize("field, value", [
+    ("Q", [["1.5", "2", "60"], [3.0, 4.0, 60.0]]),
+    ("Q", [[1.5, 2, 60], [3.0, True, 60.0]]),
+    ("w", ["0.5", True]),
+    ("w", [0.5, True]),
+    ("violation", "0.0"),
+    ("violation", False),
+])
+def test_from_dict_rejects_a_non_number_in_q_w_or_violation(field, value):
+    doc = {"c": [1, 2], "Q": [[1.5, 2, 60], [3.0, 4.0, 60.0]], "w": [0.5, 1], "k": [5, 7],
+           "objectives": None, "violation": 0}
+    assert Individual.from_dict(doc).q.tolist() == [[1.5, 2.0, 60.0], [3.0, 4.0, 60.0]]
+    doc[field] = value
+    with pytest.raises(EncodingError, match="numbers only"):
+        Individual.from_dict(doc)
+
+
 def test_copy_is_deep_for_arrays(small_scenario, rng):
     ind = random_individual(small_scenario, rng)
     clone = ind.copy()

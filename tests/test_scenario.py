@@ -76,6 +76,23 @@ def test_load_rejects_a_seed_that_is_not_a_json_integer(tmp_path, seed):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("users", 0, ["10", True, "0"]),
+    ("users", 1, [10.0, 20.0, False]),
+    ("uavs_initial", 0, [0.0, "250", 60.0]),
+    ("bs", 2, True),
+    ("bs", 0, "5000"),
+])
+def test_load_rejects_a_coordinate_that_is_not_a_json_number(tmp_path, field, index, value):
+    path = tmp_path / "bad.json"
+    save_scenario(generate_scenario(5, 2, BOUNDS, BS, seed=0), path)
+    doc = json.loads(path.read_text())
+    doc[field][index] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=f"malformed scenario file .*: {field} holds"):
+        load_scenario(path)
+
+
 def test_association_ties_go_to_lowest_id():
     scn = generate_scenario(1, 2, BOUNDS, BS, seed=0)
     # both UAVs equidistant from the user

@@ -39,29 +39,32 @@ def _fresh_parameters(model, k):
     return tuple(float(np.interp(k, ks, col)) for col in (model.floors, model.midpoints, model.slopes))
 
 
-def test_memoized_parameters_equal_a_fresh_interpolation():
+def test_integer_rows_equal_a_fresh_interpolation():
     gapped = SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
     for model in (default_similarity_model(), gapped):
-        for k in list(range(1, 21)) + [0, 21, 2.5, 7.25]:
-            fresh = _fresh_parameters(model, k)
-            assert model.parameters_at(k) == fresh  # first call fills the memo
-            assert model.parameters_at(k) == fresh  # second call reads it
-    # a knot returns the table row; a gap and a fractional k still interpolate
+        assert list(model.rows) == list(range(1, 21))
+        for k in range(1, 21):
+            assert model.rows[k] == _fresh_parameters(model, k)
+            assert model.parameters_at(k) is model.rows[k]
+        # a fractional k still interpolates, and a k outside the table still clamps
+        for k in (2.5, 7.25, 0, 21, -3, 40.5):
+            assert model.parameters_at(k) == _fresh_parameters(model, k)
+    # a knot returns the table row; a gap and a fractional k interpolate
     assert gapped.parameters_at(5) == (0.2, 6.0, 0.35)
     assert gapped.parameters_at(3) == pytest.approx((0.15, 9.0, 0.325))
+    assert gapped.parameters_at(0) == (0.1, 12.0, 0.3) and gapped.parameters_at(21) == (0.38, -4.0, 0.4)
     assert default_similarity_model().parameters_at(2.5) == pytest.approx(
         ((MODEL.floors[1] + MODEL.floors[2]) / 2, (MODEL.midpoints[1] + MODEL.midpoints[2]) / 2, 0.35))
-    # the memo is not part of the model's value
+    # the rows are not part of the model's value
     assert gapped == SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
 
 
-def test_the_memo_stays_out_of_asdict():
+def test_the_rows_stay_out_of_asdict():
     params = SystemParams()
-    semantic_terms(1.0, 3, params)
-    assert params.similarity.parameters_at(3) in params.similarity._memo.values()
+    assert params.similarity.parameters_at(3) in params.similarity.rows.values()
     doc = asdict(params)
     assert doc == asdict(SystemParams())
-    assert "_memo" not in doc["similarity"]
+    assert "rows" not in doc["similarity"] and "rows" not in repr(params.similarity)
 
 
 def test_semantic_rate_reference_value():
@@ -75,13 +78,16 @@ def test_semantic_terms_of_a_dead_link_are_zero():
 
 @pytest.mark.parametrize("params", [PARAMS, SystemParams(k_min=3, k_max=9)])
 def test_semantic_rows_equal_semantic_terms_at_every_k(params):
-    snrs = [-1.0, -0.0, 0.0, 5e-324, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
+    snrs = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
     snrs += np.random.default_rng(0).lognormal(0.0, 6.0, 50).tolist()
     for snr in snrs:
         rates, xis = semantic_rows(snr, params)
         terms = np.array([semantic_terms(snr, k, params) for k in range(params.k_min, params.k_max + 1)])
         assert np.array(rates).tobytes() == terms[:, 0].tobytes(), snr
         assert np.array(xis).tobytes() == terms[:, 1].tobytes(), snr
+    # at 1e-300 (-3000 dB) exp overflows at every k: each similarity is its floor
+    assert semantic_rows(1e-300, params)[1] == [params.similarity.rows[k][0]
+                                               for k in range(params.k_min, params.k_max + 1)]
 
 
 def test_similarity_logistic_midpoint():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsf import Bounds, SystemParams, advisor, beamforming, energy, generate_scenario, metrics, problem, solver
+from dcsf import Bounds, SystemParams, advisor, beamforming, channel, energy, generate_scenario, metrics, problem, solver
 from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
     LLM_FAILURE_LIMIT,
@@ -539,13 +539,16 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
         return real_generation(population, genomes, scenario, params, bounds, counted_decode, *rest)
 
     monkeypatch.setattr(solver, "nsga2_generation", counted_generation)
-    calls = _count_calls(monkeypatch, problem, "evaluate")
+    # every evaluation ends in one `score` call, with f1 from `evaluate` or from the parent
+    calls = _count_calls(monkeypatch, problem, "score")
+    f1_calls = _count_calls(monkeypatch, problem, "evaluate")
     cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, seed=0)
     run("monolithic-nsga2", small_scenario, PARAMS, cfg)
     offspring = 2 * (int(round(P_C_INITIAL * 8)) // 2) + int(round(P_M_INITIAL * 8))
     assert len(differs) == 2 * 3 * offspring
     assert 0 < differs.count(False) < len(differs)  # the clone skip is exercised
     assert len(calls) == 8 + differs.count(True)
+    assert 8 <= len(f1_calls) <= len(calls)
 
 
 def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monkeypatch):
@@ -562,10 +565,12 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
         children.append((parent, child))
         return child
 
-    calls = _count_calls(monkeypatch, problem, "evaluate")
+    # every evaluation ends in one `score` call, with f1 from `evaluate` or from the parent
+    calls = _count_calls(monkeypatch, problem, "score")
+    f1_calls = _count_calls(monkeypatch, problem, "evaluate")
     nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
                      lambda parent, genes: decode(parent, genes, 0.0), 0.5, 0.5, rng)
-    assert calls == [] and len(children) == 8
+    assert calls == [] and f1_calls == [] and len(children) == 8
     for parent, child in children:
         fresh = Individual(child.assignment, child.q.copy(), child.w.copy(), child.k.copy())
         evaluate(fresh, small_scenario, PARAMS)
@@ -573,11 +578,11 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
         assert child.violation == fresh.violation
         assert child.cluster_xi.tobytes() == fresh.cluster_xi.tobytes()
         assert child.cluster_xi is not parent.cluster_xi
-    # the same generation with one weight moved evaluates every offspring
+    # the same generation with one weight moved evaluates every offspring, with its parent's f1
     calls.clear()
     nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
                      lambda parent, genes: decode(parent, genes, 1e-6), 0.5, 0.5, rng)
-    assert len(calls) == 8
+    assert len(calls) == 8 and f1_calls == []
 
 
 def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
@@ -585,13 +590,59 @@ def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
     ind.k[:] = PARAMS.k_max
     evaluate(ind, small_scenario, PARAMS)
     k_before = ind.k.copy()
-    calls = _count_calls(monkeypatch, problem, "evaluate")
+    # every evaluation ends in one `score` call; GSO's take f1 from the individual
+    calls = _count_calls(monkeypatch, problem, "score")
+    f1_calls = _count_calls(monkeypatch, problem, "evaluate")
     gso_step([ind], small_scenario, PARAMS)
     assert not np.array_equal(ind.k, k_before) and len(calls) == 1
     swept = ind.copy()
     gso_step([ind], small_scenario, PARAMS)  # the sweep's argmax keeps k
-    assert np.array_equal(ind.k, swept.k) and len(calls) == 1
+    assert np.array_equal(ind.k, swept.k) and len(calls) == 1 and f1_calls == []
     assert ind.to_dict() == swept.to_dict()
+
+
+def _assert_evaluated_afresh(ind, scn):
+    fresh = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
+    evaluate(fresh, scn, PARAMS)
+    assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
+    assert ind.cluster_xi.tobytes() == fresh.cluster_xi.tobytes()
+
+
+def test_gca_and_gso_score_without_f1(monkeypatch):
+    """A merged or re-swept individual keeps its Q, so it is scored with its
+    own f1: no `sum_user_rate` call, and the values of a fresh evaluation."""
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, 12, bounds, (2000.0, 2000.0, 0.0), seed=12)
+    rng = np.random.default_rng(12)
+    population = [random_individual(scn, rng) for _ in range(6)]
+    solver.evaluate_population(population, scn, PARAMS)
+    f1_calls = _count_calls(monkeypatch, channel, "sum_user_rate")
+    labels = [ind.assignment.labels for ind in population]
+    gca_step(population, scn, PARAMS)
+    merged = [ind for ind, before in zip(population, labels) if ind.assignment.labels != before]
+    assert merged and f1_calls == []
+    for ind in merged:
+        _assert_evaluated_afresh(ind, scn)
+    ks = [ind.k.copy() for ind in population]
+    f1_calls.clear()  # the fresh evaluations' own
+    gso_step(population, scn, PARAMS)
+    swept = [ind for ind, k in zip(population, ks) if not np.array_equal(ind.k, k)]
+    assert swept and f1_calls == []
+    for ind in swept:
+        _assert_evaluated_afresh(ind, scn)
+
+
+def test_a_weight_only_offspring_takes_its_parents_f1(small_scenario, rng, monkeypatch):
+    parents = [random_individual(small_scenario, rng) for _ in range(4)]
+    solver.evaluate_population(parents, small_scenario, PARAMS)
+    children = [Individual(ind.assignment, ind.q.copy(), ind.w * 0.5, ind.k.copy()) for ind in parents]
+    children[1].q[0] += 1.0  # one child moves a UAV
+    f1_calls = _count_calls(monkeypatch, channel, "sum_user_rate")
+    solver.evaluate_population(children, small_scenario, PARAMS, parents)
+    assert len(f1_calls) == 1
+    for parent, child in zip(parents, children):
+        assert (child.objectives.f1 == parent.objectives.f1) == (child is not children[1])
+        _assert_evaluated_afresh(child, small_scenario)
 
 
 def test_a_failing_llm_advisor_is_called_until_the_breaker_trips(small_scenario):
