@@ -131,10 +131,11 @@ class Individual:
     def from_dict(doc: dict) -> "Individual":
         if not all(type(v) is int for v in [*doc["c"], *doc["k"]]):
             raise EncodingError(f"c {doc['c']} and k {doc['k']} must hold integers only")
-        numbers = [*(v for row in doc["Q"] for v in row), *doc["w"], doc.get("violation", 0.0)]
-        if not all(type(v) in (int, float) for v in numbers):
-            raise EncodingError("Q, w and violation must hold numbers only")
         objectives = doc.get("objectives")
+        numbers = [*(v for row in doc["Q"] for v in row), *doc["w"], doc.get("violation", 0.0),
+                   *(objectives or ())]
+        if not all(type(v) in (int, float) for v in numbers):
+            raise EncodingError("Q, w, violation and objectives must hold numbers only")
         return Individual(ClusterAssignment(tuple(doc["c"])), doc["Q"], doc["w"], doc["k"],
                           None if objectives is None else ObjectiveTriple(*objectives),
                           float(doc.get("violation", 0.0)))

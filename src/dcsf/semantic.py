@@ -71,9 +71,15 @@ def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:
     """xi in [0, 1), non-decreasing in both SNR and k."""
     if snr <= 0:
         raise ValueError("snr must be > 0")
-    a, b, c = model.parameters_at(k)
+    return _logistic(model.parameters_at(k), 10.0 * math.log10(snr))
+
+
+def _logistic(row: tuple[float, float, float], gamma_db: float) -> float:
+    """a + (1 - a) / (1 + exp(-c (gamma_db - b))): the similarity of the
+    table row (a, b, c) at an SNR of gamma_db dB."""
+    a, b, c = row
     try:
-        return a + (1.0 - a) / (1.0 + math.exp(-c * (10.0 * math.log10(snr) - b)))
+        return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
     except OverflowError:  # exp(x) = inf for x > ~709.78: 1 / (1 + inf) adds 0.0 to the floor
         return a
 
@@ -95,12 +101,7 @@ def semantic_rows(snr: float, params) -> tuple[list[float], list[float]]:
     if snr <= 0:
         return [0.0] * len(ks), [0.0] * len(ks)
     gamma_db = 10.0 * math.log10(snr)
-    rows, xis = params.similarity.rows, []
-    for k in ks:
-        a, b, c = rows[k]
-        try:  # the logistic of `semantic_similarity`
-            xis.append(a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b))))
-        except OverflowError:
-            xis.append(a)
+    rows = params.similarity.rows
+    xis = [_logistic(rows[k], gamma_db) for k in ks]
     scale = params.bandwidth * params.info_per_sentence
     return [scale / (k * params.words_per_sentence) * xi for k, xi in zip(ks, xis)], xis

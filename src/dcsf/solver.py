@@ -25,9 +25,9 @@ GCA and GSO also run over the whole population at once. GCA merges every
 individual in lockstep, one pass per merge: each pass rates the pairs not
 yet rated, of all individuals, in one `cluster_snr` call, and each
 individual keeps its cluster and pair rates from pass to pass. GSO turns
-each stored SNR into one row of rates and similarities over [k_min, k_max],
-then sweeps the individuals of one cluster count together, slot by slot.
-GCA's ordered merges and GSO's k candidates are scored as matrix row sums.
+each stored SNR into one row of rates and similarities over [k_min, k_max]
+and sets the k of every cluster of the population by one argmax over the
+stacked rows. GCA's ordered merges are scored as matrix row sums.
 After GCA or GSO, an individual is scored again (`problem.score`) with its
 own SNRs, f1 and fleet terms.
 """
@@ -478,45 +478,26 @@ def nsga2_generation(population, genomes, scenario, params, bounds, decode,
 # Stage 3: greedy symbol optimization
 
 def gso_step(population, scenario, params) -> None:
-    """Per cluster, in label order, set k to the exhaustive argmax of f2 (ties
-    toward smaller k), with the other clusters' rates at their current k.
+    """Per cluster, set k to the exhaustive argmax of its own semantic rate
+    (ties toward smaller k): f2 sums the clusters' rates, so this maximizes f2.
 
     Candidates violating the similarity threshold are skipped; if no candidate
     reaches it, the max-similarity value is taken and the violation stands.
     Each cluster's stored SNR, which does not depend on k, gives one row of
-    (rate, similarity) over [k_min, k_max] (`semantic.semantic_rows`). The
-    individuals of one cluster count sweep their clusters together, slot by
-    slot: a slot's k candidates are scored as the row sums of one (individual,
-    k, cluster) array. An individual whose k changed is then scored again,
-    with its own SNRs, f1 and fleet terms.
+    (rate, similarity) over [k_min, k_max] (`semantic.semantic_rows`); the
+    rows of every cluster of the population take one masked argmax. An
+    individual whose k changed is then scored again, with its own SNRs, f1
+    and fleet terms.
     """
     evaluate_population(population, scenario, params)
-    ks = np.arange(params.k_min, params.k_max + 1)
-    groups: dict[int, list[int]] = {}
-    for i, ind in enumerate(population):
-        groups.setdefault(ind.assignment.n_clusters, []).append(i)
-    swept = [None] * len(population)
-    for n, members in groups.items():
-        # (individual, cluster, rate or similarity, k)
-        table = np.array([[semantic.semantic_rows(snr, params) for snr in population[i].cluster_snr.tolist()]
-                          for i in members])
-        rate_rows, xi_rows = table[:, :, 0], table[:, :, 1]
-        k = np.array([population[i].k for i in members])
-        g = np.arange(len(members))
-        rates = rate_rows[g[:, None], np.arange(n), k - params.k_min]
-        for c in range(n):
-            trial = np.repeat(rates[:, None, :], len(ks), axis=1)
-            trial[:, :, c] = rate_rows[:, c]
-            feasible = xi_rows[:, c] >= params.xi_threshold
-            # the first best f2 among threshold-meeting candidates, else the first best similarity
-            best = np.where(feasible.any(axis=1),
-                            np.argmax(np.where(feasible, trial.sum(axis=2), -np.inf), axis=1),
-                            np.argmax(xi_rows[:, c], axis=1))
-            k[:, c] = ks[best]
-            rates[:, c] = rate_rows[g, c, best]
-        for i, row in zip(members, k):
-            swept[i] = row
-    for ind, k in zip(population, swept):
+    rows = [semantic.semantic_rows(snr, params) for ind in population for snr in ind.cluster_snr.tolist()]
+    rates, xis = np.array(rows).transpose(1, 0, 2)  # (cluster, k) each
+    feasible = xis >= params.xi_threshold
+    # the first best rate among threshold-meeting candidates, else the first best similarity
+    best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, rates, -np.inf), axis=1),
+                    np.argmax(xis, axis=1))
+    cuts = np.cumsum([ind.assignment.n_clusters for ind in population])[:-1]
+    for ind, k in zip(population, np.split(params.k_min + best, cuts)):
         if not np.array_equal(ind.k, k):
             ind.k[:] = k
             problem.score(ind, params, ind.objectives.f1)

@@ -358,6 +358,8 @@ def test_to_dict_from_dict_roundtrip(small_scenario, rng):
     ("w", [0.5, True]),
     ("violation", "0.0"),
     ("violation", False),
+    ("objectives", [True, 2, 3.5]),
+    ("objectives", ["1", 2, 3.5]),
 ])
 def test_from_dict_rejects_a_non_number_in_q_w_or_violation(field, value):
     doc = {"c": [1, 2], "Q": [[1.5, 2, 60], [3.0, 4.0, 60.0]], "w": [0.5, 1], "k": [5, 7],

@@ -76,7 +76,11 @@ def test_semantic_terms_of_a_dead_link_are_zero():
     assert semantic_terms(0.0, 5, PARAMS) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("params", [PARAMS, SystemParams(k_min=3, k_max=9)])
+@pytest.mark.parametrize("params", [
+    PARAMS,
+    SystemParams(k_min=3, k_max=9),
+    SystemParams(similarity=SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))),
+])
 def test_semantic_rows_equal_semantic_terms_at_every_k(params):
     snrs = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
     snrs += np.random.default_rng(0).lognormal(0.0, 6.0, 50).tolist()

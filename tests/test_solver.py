@@ -3,6 +3,7 @@ import pytest
 
 from dcsf import Bounds, SystemParams, advisor, beamforming, channel, energy, generate_scenario, metrics, problem, solver
 from dcsf.problem import ClusterAssignment, Individual, evaluate
+from dcsf.semantic import SimilarityModel, semantic_rows
 from dcsf.solver import (
     LLM_FAILURE_LIMIT,
     P_C_INITIAL,
@@ -273,7 +274,7 @@ def test_population_gso_equals_the_sweep_of_each_individual():
         evaluate(ind, scn, PARAMS)
     assert dead.cluster_snr[dead_slot] == 0.0
     counts = [ind.assignment.n_clusters for ind in population]
-    assert 1 < len(set(counts)) < len(counts)  # several groups, at least one of several individuals
+    assert 1 < len(set(counts)) < len(counts)  # mixed cluster counts, one of them shared
     oracles = [gso_sweep(ind, scn, PARAMS) for ind in population]
     gso_step(population, scn, PARAMS)
     assert dead.k[dead_slot] == PARAMS.k_min
@@ -281,6 +282,24 @@ def test_population_gso_equals_the_sweep_of_each_individual():
         assert list(ind.k) == list(oracle.k)
         assert ind.objectives == oracle.objectives
         assert ind.violation == oracle.violation
+
+
+@pytest.mark.parametrize("xi_threshold, k", [(0.05, 1), (0.15, 2)])
+def test_gso_breaks_an_exact_rate_tie_toward_the_smaller_k(small_scenario, rng, monkeypatch, xi_threshold, k):
+    # at an SNR of 1e-300 (-3000 dB) each similarity is its floor, so both
+    # rates are exactly 2e6 * 40 / 20 * 0.1 = 2e6 * 40 / 40 * 0.2 = 400000.0
+    params = SystemParams(k_min=1, k_max=2, xi_threshold=xi_threshold,
+                          similarity=SimilarityModel((1, 2), (0.1, 0.2), (10.0, 5.0), (0.35, 0.35)))
+    monkeypatch.setattr(beamforming, "cluster_snr", lambda clusters, *args: np.full(len(clusters), 1e-300))
+    assert semantic_rows(1e-300, params) == ([400000.0, 400000.0], [0.1, 0.2])
+    ind = random_individual(small_scenario, rng, params)
+    ind.k[:] = 3 - k  # start at the other k
+    oracle = gso_sweep(ind, small_scenario, params)
+    evaluate(ind, small_scenario, params)
+    gso_step([ind], small_scenario, params)
+    assert list(ind.k) == list(oracle.k) == [k] * ind.assignment.n_clusters
+    assert ind.objectives == oracle.objectives
+    assert ind.violation == oracle.violation
 
 
 def test_one_population_evaluation_and_one_gca_pass_each_make_one_cluster_snr_call(monkeypatch):
