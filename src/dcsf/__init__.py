@@ -9,7 +9,7 @@ exhaustive per-cluster symbol-count sweep.
 
 from .advisor import AdvisorInput, LlmEndpoint, ParamUpdate, advise
 from .beamforming import cluster_snr
-from .channel import avg_path_loss, sum_user_rate
+from .channel import path_gain, sum_user_rate
 from .energy import RotorModel, total_flight_energy
 from .metrics import hypervolume, knee_index, max_spread_metric, spacing_metric
 from .problem import ClusterAssignment, Individual, ObjectiveTriple, evaluate
@@ -41,7 +41,6 @@ __all__ = [
     "SolverConfig",
     "SystemParams",
     "advise",
-    "avg_path_loss",
     "cluster_snr",
     "default_similarity_model",
     "evaluate",
@@ -51,6 +50,7 @@ __all__ = [
     "knee_index",
     "load_scenario",
     "max_spread_metric",
+    "path_gain",
     "run",
     "save_scenario",
     "semantic_similarity",

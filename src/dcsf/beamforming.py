@@ -16,7 +16,8 @@ Clusters of one size are gathered and rated together, so the cost per call
 grows with the number of distinct cluster sizes rather than with the number
 of clusters. Each group builds the sinc factors of its clusters' own members,
 `sinc_matrix` of the gathered positions; a cluster's table equals, bit for
-bit, its block of the whole fleet's table.
+bit, its block of the whole fleet's table. The centroid-to-BS links go
+through `channel.path_gain`, the link budget of the user uplinks.
 
 The array factor carries no steering phase: the elements are not
 phase-synchronized toward the BS, so a cluster's gain depends on its element
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .channel import avg_path_loss
+from .channel import path_gain
 from .scenario import squared_distances
 
 
@@ -66,10 +67,10 @@ def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz
     direction are taken from the cluster's centroid (far-field BS), which must
     not coincide with the BS.
 
-    Clusters of one size are rated together by stacked matrix products and
-    reductions over their trailing per-cluster axes, which reproduce, bit for
-    bit, the one-cluster-at-a-time form (the oracle in tests/oracles.py);
-    einsum, reduceat or Python-float sums would change the last bits.
+    Clusters of one size are rated together, with no loop over clusters:
+    stacked matrix products and reductions over their trailing per-cluster
+    axes, and one `channel.path_gain` call for all their centroid links. The
+    one-cluster-at-a-time oracle in tests/oracles.py agrees to rounding.
     """
     snr = np.empty(len(clusters))
     by_size: dict[int, list[int]] = {}
@@ -83,27 +84,18 @@ def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz
         ids = np.array([clusters[i][1] for i in rows])
         pos = uav_positions[fleets, ids]
         deltas = bs_xyz - np.add.reduce(pos, axis=1) / n
-        paths, directions = [], []
-        for (dx, dy, dz), dd in zip(deltas.tolist(), (deltas[:, None, :] @ deltas[:, :, None]).ravel().tolist()):
-            d = math.sqrt(dd)
-            if d == 0:
-                raise ValueError("cluster centroid coincides with the BS")
-            paths.append(10.0 ** (-avg_path_loss(d, abs(dz), params) / 10.0))
-            if n > 1:
-                # through (theta, phi) rather than delta / d; the shortcut changes the last bits
-                theta, phi = math.acos(dz / d), math.atan2(dy, dx)
-                st = math.sin(theta)
-                directions.append([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+        d = np.sqrt((deltas[:, None, :] @ deltas[:, :, None]).ravel())
+        if not d.all():
+            raise ValueError("cluster centroid coincides with the BS")
+        path = path_gain(d.copy(), np.abs(deltas[:, 2]), params) / params.noise_watts
         if n == 1:
-            snr[rows] = [params.uav_tx_power * path / params.noise_watts for path in paths]
+            snr[rows] = params.uav_tx_power * path
             continue
         w = weights[fleets, ids]
-        # element by element, as sum_v w_v^2 P_v; factoring P_v out changes the last bits
-        p_totals = np.add.reduce(w**2 * params.uav_tx_power, axis=1).tolist()
-        phases = p * (pos @ np.array(directions)[:, :, None])[:, :, 0]
-        factors = np.add.reduce(w * np.exp(1j * phases), axis=1).tolist()
-        denominators = pairwise_sinc_sum(sinc_matrix(pos, params), w).tolist()
-        snr[rows] = [0.0 if p_total == 0.0 else
-                     p_total * (abs(af) ** 2 * params.eta / denom) * path / params.noise_watts
-                     for p_total, af, denom, path in zip(p_totals, factors, denominators, paths)]
+        p_totals = np.add.reduce(w**2 * params.uav_tx_power, axis=1)
+        phases = p * (pos @ (deltas / d[:, None])[:, :, None])[:, :, 0]
+        gains = np.abs(np.add.reduce(w * np.exp(1j * phases), axis=1)) ** 2 * params.eta
+        denominators = pairwise_sinc_sum(sinc_matrix(pos, params), w)
+        # a cluster of all-zero weights transmits nothing: 0.0, not 0 / 0
+        snr[rows] = np.divide(p_totals * gains * path, denominators, out=np.zeros(len(rows)), where=p_totals > 0)
     return snr

@@ -1,26 +1,46 @@
 """Probabilistic LoS air-to-ground channel: path loss, SINR, and user rate.
 
 All powers are handled in watts internally; path losses are in dB.
-The same model serves both user-to-UAV links and the cluster-to-BS link.
+The same model, `path_gain`, serves both the user-to-UAV links and the
+cluster-to-BS link.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, nearest_uavs
 
 
-def avg_path_loss(d: float, h: float, params) -> float:
-    """Average path loss in dB of a link of length d > 0 with vertical
-    separation 0 <= h <= d: the free-space loss 20 log10(4 pi d f / c), plus
-    mu_los and mu_nlos weighted by the elevation-dependent LoS probability."""
-    elevation_deg = math.degrees(math.asin(h / d))
-    p_los = 1.0 / (1.0 + params.psi * math.exp(-params.beta * (elevation_deg - params.psi)))
-    fspl = 20.0 * math.log10(d) + params.frequency_loss_db + params.aperture_loss_db
-    return fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
+def path_gain(d: np.ndarray, h: np.ndarray, params) -> np.ndarray:
+    """Average channel gain 10^(-L/10) of links of lengths d > 0 with vertical
+    separations 0 <= h <= d. The path loss L in dB is the free-space loss
+    20 log10(4 pi d f / c), plus mu_los and mu_nlos weighted by the
+    elevation-dependent LoS probability. Runs in place: overwrites `d` and
+    `h`, and returns the buffer of `d`.
+    """
+    # p_los = 1 / (1 + psi * exp(-beta * (elevation_deg - psi))), in the buffer of h
+    p_los = np.divide(h, d, out=h)
+    np.arcsin(p_los, out=p_los)
+    np.degrees(p_los, out=p_los)
+    p_los -= params.psi
+    p_los *= -params.beta
+    np.exp(p_los, out=p_los)
+    p_los *= params.psi
+    p_los += 1.0
+    np.divide(1.0, p_los, out=p_los)
+    # loss_db = fspl + p_los * mu_los + (1 - p_los) * mu_nlos, in the buffer of d
+    loss_db = np.log10(d, out=d)
+    loss_db *= 20.0
+    loss_db += 20.0 * np.log10(params.frequency)
+    loss_db += 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+    loss_db += p_los * params.mu_los
+    np.subtract(1.0, p_los, out=p_los)
+    p_los *= params.mu_nlos
+    loss_db += p_los
+    gain = np.negative(loss_db, out=loss_db)
+    gain /= 10.0
+    return np.power(10.0, gain, out=gain)
 
 
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
@@ -33,31 +53,8 @@ def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     user_xyz = scenario.user_xyz
     uav_xyz = np.asarray(uav_positions, dtype=float)
     nearest, d_star = nearest_uavs(user_xyz, uav_xyz)
-    # p_los = 1 / (1 + psi * exp(-beta * (elevation_deg - psi)))
-    p_los = user_xyz[:, 2] - uav_xyz[nearest, 2]
-    np.abs(p_los, out=p_los)
-    p_los /= d_star
-    np.arcsin(p_los, out=p_los)
-    np.degrees(p_los, out=p_los)
-    p_los -= params.psi
-    p_los *= -params.beta
-    np.exp(p_los, out=p_los)
-    p_los *= params.psi
-    p_los += 1.0
-    np.divide(1.0, p_los, out=p_los)
-    # loss_db = fspl + p_los * mu_los + (1 - p_los) * mu_nlos, in the buffer of d_star
-    loss_db = np.log10(d_star, out=d_star)
-    loss_db *= 20.0
-    loss_db += 20.0 * np.log10(params.frequency)
-    loss_db += 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
-    loss_db += p_los * params.mu_los
-    np.subtract(1.0, p_los, out=p_los)
-    p_los *= params.mu_nlos
-    loss_db += p_los
-    # rx = P_u * 10 ** (-loss_db / 10)
-    rx = np.negative(loss_db, out=loss_db)
-    rx /= 10.0
-    np.power(10.0, rx, out=rx)
+    h_star = user_xyz[:, 2] - uav_xyz[nearest, 2]
+    rx = path_gain(d_star, np.abs(h_star, out=h_star), params)
     rx *= params.user_tx_power
 
     totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))

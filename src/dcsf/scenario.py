@@ -145,16 +145,6 @@ class SystemParams:
         """Total noise power B * N0 in watts."""
         return self.bandwidth * 10 ** ((self.noise_density_dbm - 30.0) / 10.0)
 
-    @cached_property
-    def frequency_loss_db(self) -> float:
-        """20 log10(f), the free-space loss term of the carrier frequency."""
-        return 20.0 * math.log10(self.frequency)
-
-    @cached_property
-    def aperture_loss_db(self) -> float:
-        """20 log10(4 pi / c), the constant free-space loss term."""
-        return 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
-
 
 def launch_positions(n_uavs: int, bounds: Bounds) -> np.ndarray:
     """Deterministic launch grid: altitude z_min along the western edge,

@@ -1,7 +1,8 @@
 """Semantic-similarity surrogate and semantic transmission rate (objective f2).
 
-The similarity xi(k, SNR) is a per-k logistic curve in SNR-dB with linear
-interpolation between table rows. The table is monotone by construction:
+The similarity xi(k, SNR) is a per-k logistic curve in SNR-dB, defined at
+every integer k of the table's span; the parameters of a k between two table
+rows are linearly interpolated. The table is monotone by construction:
 floors rise and midpoints fall with k, so more symbols per word never hurt.
 """
 
@@ -42,18 +43,13 @@ class SimilarityModel:
             raise SimilarityModelError("midpoints must be non-increasing in k")
         if any(a2 < a1 - 1e-12 for a1, a2 in zip(self.floors, self.floors[1:])):
             raise SimilarityModelError("floors must be non-decreasing in k")
-        # (a, b, c) at every integer k of the table's span, built once; a plain
-        # attribute, not a field: asdict, repr and == ignore it
-        object.__setattr__(self, "rows", {})
-        self.rows.update((k, self.parameters_at(k)) for k in range(self.ks[0], self.ks[-1] + 1))
-
-    def parameters_at(self, k: float) -> tuple[float, float, float]:
-        """(a, b, c) at possibly fractional k, linearly interpolated and clamped;
-        an integer k of the table's span reads its row from `rows`."""
-        if k in self.rows:
-            return self.rows[k]
+        # (a, b, c) at every integer k of the table's span, linearly interpolated
+        # between the table's k values and built once; a plain attribute, not a
+        # field: asdict, repr and == ignore it
         ks = np.asarray(self.ks, dtype=float)
-        return tuple(float(np.interp(k, ks, column)) for column in (self.floors, self.midpoints, self.slopes))
+        object.__setattr__(self, "rows", {
+            k: tuple(float(np.interp(k, ks, column)) for column in (self.floors, self.midpoints, self.slopes))
+            for k in range(self.ks[0], self.ks[-1] + 1)})
 
 
 def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel:
@@ -67,11 +63,15 @@ def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel
     return SimilarityModel(ks, floors, midpoints, slopes)
 
 
-def semantic_similarity(model: SimilarityModel, k: float, snr: float) -> float:
-    """xi in [0, 1), non-decreasing in both SNR and k."""
+def semantic_similarity(model: SimilarityModel, k: int, snr: float) -> float:
+    """xi in [0, 1), non-decreasing in both SNR and k, at an integer k of the
+    model's span."""
     if snr <= 0:
         raise ValueError("snr must be > 0")
-    return _logistic(model.parameters_at(k), 10.0 * math.log10(snr))
+    row = model.rows.get(k)
+    if row is None:
+        raise ValueError(f"k = {k} is not an integer in {model.ks[0]}..{model.ks[-1]}")
+    return _logistic(row, 10.0 * math.log10(snr))
 
 
 def _logistic(row: tuple[float, float, float], gamma_db: float) -> float:

@@ -8,7 +8,6 @@ import numpy as np
 
 from dcsf import SystemParams
 from dcsf.beamforming import sinc_matrix
-from dcsf.channel import avg_path_loss
 from dcsf.energy import horizontal_power, vertical_power
 from dcsf.problem import (
     ClusterAssignment,
@@ -61,9 +60,11 @@ def free_space_path_loss(d: float, f: float) -> float:
     return 20.0 * math.log10(d) + 20.0 * math.log10(f) + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
 
 
-def avg_path_loss_composed(d: float, h: float, params) -> float:
-    """`channel.avg_path_loss` as the composition of `los_probability` and
-    `free_space_path_loss`, every term computed on each call."""
+def avg_path_loss(d: float, h: float, params) -> float:
+    """Average path loss L in dB of one link of length d > 0 with vertical
+    separation 0 <= h <= d, whose gain 10^(-L/10) `channel.path_gain` takes
+    for arrays of links: the composition of `los_probability` and
+    `free_space_path_loss`."""
     p_los = los_probability(d, h, params.psi, params.beta)
     fspl = free_space_path_loss(d, params.frequency)
     return fspl + p_los * params.mu_los + (1.0 - p_los) * params.mu_nlos
@@ -173,10 +174,9 @@ def array_factor(pos: np.ndarray, w: np.ndarray, p: float, theta: float, phi: fl
 
 
 def cluster_snr_one(members, uav_positions, weights, bs_xyz, params, sinc) -> float:
-    """SNR of one cluster's link to the BS, one cluster at a time, as
-    `beamforming.cluster_snr` computed it before it rated clusters in stacked
-    batches: `uav_positions` (V, 3), `weights` (V,) and `sinc`, the
-    `sinc_matrix` of `uav_positions`, belong to one fleet."""
+    """SNR of one cluster's link to the BS, one cluster at a time, through the
+    scalar `avg_path_loss`: `uav_positions` (V, 3), `weights` (V,) and `sinc`,
+    the `sinc_matrix` of `uav_positions`, belong to one fleet."""
     members = list(members)
     if not members:
         raise ValueError("empty cluster")
@@ -196,10 +196,9 @@ def cluster_snr_one(members, uav_positions, weights, bs_xyz, params, sinc) -> fl
         p_total = float(np.add.reduce(w**2 * params.uav_tx_power))
         if p_total == 0.0:
             return 0.0
-        p = 2.0 * math.pi / params.wavelength
-        theta, phi = math.acos(dz / d), math.atan2(float(delta[1]), float(delta[0]))
+        phases = 2.0 * math.pi / params.wavelength * (pos @ (delta / d))
         block = sinc.take(members, 0).take(members, 1)
-        gain = abs(array_factor(pos, w, p, theta, phi)) ** 2 * params.eta / float(w @ block @ w)
+        gain = abs(np.add.reduce(w * np.exp(1j * phases))) ** 2 * params.eta / float(w @ block @ w)
         received = p_total * gain * path
     return received / params.noise_watts
 

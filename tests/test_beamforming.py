@@ -5,8 +5,7 @@ import pytest
 
 from dcsf import SystemParams
 from dcsf.beamforming import cluster_snr, pairwise_sinc_sum, sinc_matrix
-from dcsf.channel import avg_path_loss
-from oracles import array_factor, cluster_snr_one, cluster_snr_textbook, denominator_quadrature, sinc_sum_direct
+from oracles import array_factor, avg_path_loss, cluster_snr_one, cluster_snr_textbook, denominator_quadrature, sinc_sum_direct
 
 PARAMS = SystemParams()
 LAM = PARAMS.wavelength
@@ -166,8 +165,8 @@ def test_sinc_table_block_equals_the_per_cluster_sum():
         assert pairwise_sinc_sum(own, w[members]) == sinc_sum_direct(q[members], w[members], P), case
         # cluster_snr builds the members' own table, which equals their block of the fleet's
         bs = np.array([3000.0, -2000.0, 10.0])
-        assert _snr(members, q, w, bs, PARAMS) == cluster_snr_one(
-            list(range(len(members))), q[members], w[members], bs, PARAMS, own), case
+        assert _snr(members, q, w, bs, PARAMS) == pytest.approx(cluster_snr_one(
+            list(range(len(members))), q[members], w[members], bs, PARAMS, own), rel=1e-12), case
 
 
 def test_batched_cluster_snr_equals_the_per_cluster_oracle():
@@ -189,7 +188,10 @@ def test_batched_cluster_snr_equals_the_per_cluster_oracle():
         got = cluster_snr(clusters, q, w, bs, PARAMS)
         assert got.shape == (len(clusters),)
         for (fleet, members), snr in zip(clusters, got):
-            assert snr == cluster_snr_one(members, q[fleet], w[fleet], bs, PARAMS, sinc[fleet]), (case, fleet, members)
+            assert snr == pytest.approx(cluster_snr_one(members, q[fleet], w[fleet], bs, PARAMS, sinc[fleet]),
+                                        rel=1e-12), (case, fleet, members)
+            if len(members) > 1 and not w[fleet, members].any():
+                assert snr == 0.0, (case, fleet, members)
         # the stacked denominators of one size group, against the direct per-cluster sum
         size = len(clusters[1][1])
         group = [(fleet, members) for fleet, members in clusters if len(members) == size]

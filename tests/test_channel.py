@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcsf import Bounds, SystemParams, generate_scenario
-from dcsf.channel import avg_path_loss, sum_user_rate
+from dcsf.channel import path_gain, sum_user_rate
 from dcsf.scenario import Scenario, nearest_uavs
 from oracles import (
     associate_users,
-    avg_path_loss_composed,
+    avg_path_loss,
     free_space_path_loss,
     los_probability,
     per_user_rates,
@@ -48,23 +48,30 @@ def test_los_probability_grazing(params):
     assert los_probability(1000.0, 1e-9, params.psi, params.beta) == pytest.approx(0.021872621233283412, rel=1e-6)
 
 
-def test_avg_path_loss_vertical_100m(params):
-    assert avg_path_loss(100.0, 100.0, params) == pytest.approx(81.64645564878334, abs=1e-9)
+def _loss_db(d, h, params):
+    """The path loss in dB of one link through the array `path_gain`."""
+    return -10.0 * math.log10(path_gain(np.array([d]), np.array([h]), params)[0])
 
 
-def test_avg_path_loss_between_los_and_nlos_extremes(params):
-    loss = avg_path_loss(400.0, 80.0, params)
+def test_path_gain_vertical_100m(params):
+    assert _loss_db(100.0, 100.0, params) == pytest.approx(81.64645564878334, abs=1e-9)
+
+
+def test_path_gain_between_los_and_nlos_extremes(params):
+    loss = _loss_db(400.0, 80.0, params)
     fspl = free_space_path_loss(400.0, params.frequency)
     assert fspl + params.mu_los < loss < fspl + params.mu_nlos
 
 
 @given(d=st.floats(1e-3, 1e6), frac=st.floats(0.0, 1.0), wavelength=st.floats(1e-3, 10.0))
-def test_avg_path_loss_equals_the_composed_oracle(d, frac, wavelength):
-    """The flat path loss, with its two distance-free FSPL terms cached on the
-    params, equals the composition of the LoS and FSPL helpers bit for bit."""
+def test_path_gain_equals_the_scalar_oracle(d, frac, wavelength):
+    """The array link budget, run in place, equals 10^(-L/10) of the scalar
+    composition of the LoS and FSPL helpers to rounding."""
     params = SystemParams(wavelength=wavelength)
-    for h in (d * frac, d, 0.0):
-        assert avg_path_loss(d, h, params) == avg_path_loss_composed(d, h, params)
+    hs = (d * frac, d, 0.0)
+    gains = path_gain(np.full(3, d), np.array(hs), params)
+    for h, gain in zip(hs, gains):
+        assert gain == pytest.approx(10 ** (-avg_path_loss(d, h, params) / 10), rel=1e-12)
 
 
 def test_noise_power(params):

@@ -319,7 +319,8 @@ def test_a_mixed_batch_stores_the_per_cluster_oracle_snrs():
     for child in children:
         sinc = beamforming.sinc_matrix(child.q, params)
         for members, snr in zip(assignment.clusters(), child.cluster_snr.tolist()):
-            assert snr == cluster_snr_one(members, child.q, child.w, scn.bs_xyz, params, sinc), members
+            assert snr == pytest.approx(cluster_snr_one(members, child.q, child.w, scn.bs_xyz, params, sinc),
+                                        rel=1e-12), members
 
 
 def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng):

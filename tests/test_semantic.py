@@ -45,23 +45,20 @@ def test_integer_rows_equal_a_fresh_interpolation():
         assert list(model.rows) == list(range(1, 21))
         for k in range(1, 21):
             assert model.rows[k] == _fresh_parameters(model, k)
-            assert model.parameters_at(k) is model.rows[k]
-        # a fractional k still interpolates, and a k outside the table still clamps
+        # a fractional k, or a k outside the table's span, has no row
         for k in (2.5, 7.25, 0, 21, -3, 40.5):
-            assert model.parameters_at(k) == _fresh_parameters(model, k)
-    # a knot returns the table row; a gap and a fractional k interpolate
-    assert gapped.parameters_at(5) == (0.2, 6.0, 0.35)
-    assert gapped.parameters_at(3) == pytest.approx((0.15, 9.0, 0.325))
-    assert gapped.parameters_at(0) == (0.1, 12.0, 0.3) and gapped.parameters_at(21) == (0.38, -4.0, 0.4)
-    assert default_similarity_model().parameters_at(2.5) == pytest.approx(
-        ((MODEL.floors[1] + MODEL.floors[2]) / 2, (MODEL.midpoints[1] + MODEL.midpoints[2]) / 2, 0.35))
+            with pytest.raises(ValueError):
+                semantic_similarity(model, k, 100.0)
+    # a knot holds the table row; a k in a gap interpolates
+    assert gapped.rows[5] == (0.2, 6.0, 0.35)
+    assert gapped.rows[3] == pytest.approx((0.15, 9.0, 0.325))
     # the rows are not part of the model's value
     assert gapped == SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
 
 
 def test_the_rows_stay_out_of_asdict():
     params = SystemParams()
-    assert params.similarity.parameters_at(3) in params.similarity.rows.values()
+    assert 3 in params.similarity.rows
     doc = asdict(params)
     assert doc == asdict(SystemParams())
     assert "rows" not in doc["similarity"] and "rows" not in repr(params.similarity)
@@ -96,7 +93,7 @@ def test_semantic_rows_equal_semantic_terms_at_every_k(params):
 
 def test_similarity_logistic_midpoint():
     # at the midpoint SNR the curve sits halfway between floor and one
-    a, b, _ = MODEL.parameters_at(3)
+    a, b, _ = MODEL.rows[3]
     xi = semantic_similarity(MODEL, 3, 10 ** (b / 10.0))
     assert xi == pytest.approx(a + (1.0 - a) / 2.0, rel=1e-12)
 
