@@ -5,7 +5,11 @@ changes they guard. The three 40 x 6 cases predate the move of the
 evaluation kernels into `channel` and `beamforming` and the sharing of the
 solver's selection and history code; they apply no GCA merge. The 40 x 20
 aoa case applies 4 merges and predates the delta evaluation of GCA merges.
-Any change to a front, a history row or the knee deployment shows up here,
+All four were rewritten once, when the cluster-to-BS link moved onto f1's
+array link budget (`channel.path_gain`) and the BS direction became
+delta / d: f2, the C6 violation and the history metrics derived from them
+moved by rounding (f2 by under 5e-13 relative), while every c, k, Q, w, f1
+and f3 stayed byte-equal. Any change to a front, a history row or the knee deployment shows up here,
 where comparing two runs of the same code cannot catch it.
 """
 
