@@ -46,9 +46,10 @@ def path_gain(d: np.ndarray, h: np.ndarray, params) -> np.ndarray:
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f1: total rate of all users under nearest-UAV association.
 
-    The link budget runs in place on U-length buffers, in the operation order
-    of the out-of-place expressions (the oracle `sum_user_rate_einsum` in
-    tests/oracles.py), so the result is the same bit for bit.
+    The link budget, `path_gain`, runs in place on U-length buffers, in the
+    operation order of the out-of-place expressions (the oracle
+    `sum_user_rate_einsum` in tests/oracles.py), so the result is the same
+    bit for bit.
     """
     user_xyz = scenario.user_xyz
     uav_xyz = np.asarray(uav_positions, dtype=float)

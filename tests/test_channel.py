@@ -53,11 +53,11 @@ def _loss_db(d, h, params):
     return -10.0 * math.log10(path_gain(np.array([d]), np.array([h]), params)[0])
 
 
-def test_path_gain_vertical_100m(params):
+def test_avg_path_loss_vertical_100m(params):
     assert _loss_db(100.0, 100.0, params) == pytest.approx(81.64645564878334, abs=1e-9)
 
 
-def test_path_gain_between_los_and_nlos_extremes(params):
+def test_avg_path_loss_between_los_and_nlos_extremes(params):
     loss = _loss_db(400.0, 80.0, params)
     fspl = free_space_path_loss(400.0, params.frequency)
     assert fspl + params.mu_los < loss < fspl + params.mu_nlos
