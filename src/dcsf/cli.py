@@ -184,12 +184,14 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-def _load_front(run_dir: Path):
+def _load_front(run_dir: Path, scored: bool = False):
     path = run_dir / "pareto.json"
     try:
         front = [problem.Individual.from_dict(d) for d in json.loads(path.read_text())["front"]]
         if not front:
             raise ValueError("empty front")
+        if scored and any(ind.objectives is None for ind in front):
+            raise ValueError("a member has no objectives")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed front file {path}: {exc}") from exc
     return front
@@ -201,7 +203,7 @@ def _cmd_compare(args) -> int:
     for name in names:
         if names.count(name) > 1:
             raise ValueError(f"two runs are named {name!r}; runs are keyed by directory name")
-    fronts = {name: _load_front(r) for name, r in zip(names, runs)}
+    fronts = {name: _load_front(r, scored=True) for name, r in zip(names, runs)}
     objs_by_run = {name: np.array([ind.objectives.as_tuple() for ind in front])
                    for name, front in fronts.items()}
     # ranges shared across runs so hypervolumes are comparable

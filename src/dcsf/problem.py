@@ -7,14 +7,16 @@ exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
 
 Each evaluated individual carries what does not depend on k: one SNR per
 cluster, and its fleet terms, f3 and the C1 + C2 violation, which depend on
-Q alone. `batch_terms` sets both for a batch of individuals at once, in array
-passes; `score` then adds f2 and the C6 violation to a given f1, which also
-depends on Q alone. `evaluate` is a batch of one, its f1 and `score`.
+Q alone; and each cluster's semantic rate and similarity at its k.
+`batch_terms` sets them for a batch of individuals at once, in array passes;
+`score` sums them into f2 and the C6 violation next to a given f1, which
+also depends on Q alone. `evaluate` is a batch of one, its f1 and `score`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,6 +97,7 @@ class Individual:
     k: np.ndarray  # (N_cluster,) integer symbols/word per cluster
     objectives: ObjectiveTriple | None = None
     violation: float = 0.0
+    cluster_rate: np.ndarray | None = field(default=None, repr=False)  # suts/s per cluster
     cluster_xi: np.ndarray | None = field(default=None, repr=False)
     cluster_snr: np.ndarray | None = field(default=None, repr=False)  # per cluster; k-independent
     fleet_terms: tuple[float, float] | None = field(default=None, repr=False)  # (f3, C1 + C2 violation)
@@ -113,9 +116,9 @@ class Individual:
             raise EncodingError(f"w shape {self.w.shape} mismatched to fleet size")
 
     def copy(self) -> "Individual":
-        return replace(self, q=self.q.copy(), w=self.w.copy(), k=self.k.copy(),
-                       cluster_xi=None if self.cluster_xi is None else self.cluster_xi.copy(),
-                       cluster_snr=None if self.cluster_snr is None else self.cluster_snr.copy())
+        arrays = ("q", "w", "k", "cluster_rate", "cluster_xi", "cluster_snr")
+        return replace(self, **{name: None if getattr(self, name) is None else getattr(self, name).copy()
+                                for name in arrays})
 
     def to_dict(self) -> dict:
         return {
@@ -134,8 +137,9 @@ class Individual:
         objectives = doc.get("objectives")
         numbers = [*(v for row in doc["Q"] for v in row), *doc["w"], doc.get("violation", 0.0),
                    *(objectives or ())]
-        if not all(type(v) in (int, float) for v in numbers):
-            raise EncodingError("Q, w, violation and objectives must hold numbers only")
+        # |v| <= the largest double: false for NaN and infinities, exact for any int
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers):
+            raise EncodingError("Q, w, violation and objectives must hold finite numbers only")
         return Individual(ClusterAssignment(tuple(doc["c"])), doc["Q"], doc["w"], doc["k"],
                           None if objectives is None else ObjectiveTriple(*objectives),
                           float(doc.get("violation", 0.0)))
@@ -143,7 +147,8 @@ class Individual:
 
 def batch_terms(individuals, scenario, params, parents) -> list[bool]:
     """Set each individual's `cluster_snr` (one per cluster) and
-    `fleet_terms`, f3 and the C1 + C2 violation: everything k does not change.
+    `fleet_terms`, f3 and the C1 + C2 violation, which k does not change,
+    and then its `cluster_rate` and `cluster_xi` at its k.
 
     From the evaluated `parents[i]` (or None), an individual takes the SNR of
     each cluster whose member set, Q rows and w equal, byte for byte, those
@@ -151,8 +156,8 @@ def batch_terms(individuals, scenario, params, parents) -> list[bool]:
     byte-equal to the parent's; an individual that is its own parent keeps
     its own. The rest is computed over the whole batch at once: one
     `energy.total_flight_energy` and one `scenario.fleet_violations` call on
-    the moved fleets, and one `beamforming.cluster_snr` call on the clusters
-    left unrated.
+    the moved fleets, one `beamforming.cluster_snr` call on the clusters
+    left unrated, and one `cluster_semantic_terms` call on the batch.
 
     Returns, per individual, whether its Q equals its parent's, and so its f1.
     """
@@ -193,26 +198,30 @@ def batch_terms(individuals, scenario, params, parents) -> list[bool]:
         snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
         for (ind, i), snr in zip(slots, snrs.tolist()):
             ind.cluster_snr[i] = snr
+    cluster_semantic_terms([ind for ind, _, _ in batch], params)
     return kept
 
 
-def cluster_semantic_terms(individual: Individual, params) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster (semantic rate, similarity) from the stored SNRs.
-    Zero-SNR clusters contribute nothing."""
-    rates, xis = np.zeros(len(individual.k)), np.zeros(len(individual.k))
-    for i, snr in enumerate(individual.cluster_snr.tolist()):
-        rates[i], xis[i] = semantic.semantic_terms(snr, int(individual.k[i]), params)
-    return rates, xis
+def cluster_semantic_terms(individuals, params) -> None:
+    """Set each individual's `cluster_rate` and `cluster_xi`, read-only views
+    of one `semantic.semantic_terms` call over the stored SNRs and k of all
+    the individuals' clusters. Zero-SNR clusters contribute nothing."""
+    if not individuals:
+        return
+    rates, xis = semantic.semantic_terms(np.concatenate([ind.cluster_snr for ind in individuals]),
+                                         np.concatenate([ind.k for ind in individuals]), params)
+    rates.flags.writeable = xis.flags.writeable = False
+    ends = np.cumsum([len(ind.k) for ind in individuals]).tolist()
+    for ind, start, end in zip(individuals, [0] + ends, ends):
+        ind.cluster_rate, ind.cluster_xi = rates[start:end], xis[start:end]
 
 
 def score(individual: Individual, params, f1: float) -> ObjectiveTriple:
-    """Set and return the objectives, similarities and violation of an
-    individual whose SNRs and fleet terms are set, given its f1."""
-    rates, xis = cluster_semantic_terms(individual, params)
+    """Set and return the objectives and violation of an individual whose
+    fleet terms, cluster rates and similarities are set, given its f1."""
     f3, violation = individual.fleet_terms
-    individual.objectives = ObjectiveTriple(f1, float(rates.sum()), f3)
-    individual.cluster_xi = xis
-    individual.violation = violation + float(np.maximum(params.xi_threshold - xis, 0.0).sum())
+    individual.objectives = ObjectiveTriple(f1, float(individual.cluster_rate.sum()), f3)
+    individual.violation = violation + float(np.maximum(params.xi_threshold - individual.cluster_xi, 0.0).sum())
     return individual.objectives
 
 

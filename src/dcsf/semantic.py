@@ -4,11 +4,12 @@ The similarity xi(k, SNR) is a per-k logistic curve in SNR-dB, defined at
 every integer k of the table's span; the parameters of a k between two table
 rows are linearly interpolated. The table is monotone by construction:
 floors rise and midpoints fall with k, so more symbols per word never hurt.
+Both functions work elementwise over arrays, so one call rates a batch of
+clusters, a GCA pass's pairs or GSO's (cluster, k) table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,14 @@ class SimilarityModel:
             raise SimilarityModelError("midpoints must be non-increasing in k")
         if any(a2 < a1 - 1e-12 for a1, a2 in zip(self.floors, self.floors[1:])):
             raise SimilarityModelError("floors must be non-decreasing in k")
-        # (a, b, c) at every integer k of the table's span, linearly interpolated
-        # between the table's k values and built once; a plain attribute, not a
-        # field: asdict, repr and == ignore it
-        ks = np.asarray(self.ks, dtype=float)
-        object.__setattr__(self, "rows", {
-            k: tuple(float(np.interp(k, ks, column)) for column in (self.floors, self.midpoints, self.slopes))
-            for k in range(self.ks[0], self.ks[-1] + 1)})
+        # row k - ks[0]: (a, b, c) at integer k of the table's span, linearly
+        # interpolated between the table's k values and built once; a plain
+        # attribute, not a field: asdict, repr and == ignore it
+        span = np.arange(self.ks[0], self.ks[-1] + 1)
+        rows = np.stack([np.interp(span, self.ks, column)
+                         for column in (self.floors, self.midpoints, self.slopes)], axis=1)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
 
 def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel:
@@ -63,45 +65,30 @@ def default_similarity_model(k_min: int = 1, k_max: int = 20) -> SimilarityModel
     return SimilarityModel(ks, floors, midpoints, slopes)
 
 
-def semantic_similarity(model: SimilarityModel, k: int, snr: float) -> float:
-    """xi in [0, 1), non-decreasing in both SNR and k, at an integer k of the
-    model's span."""
-    if snr <= 0:
+def semantic_similarity(model: SimilarityModel, k, snr):
+    """xi in [0, 1), non-decreasing in both SNR and k, elementwise over the
+    broadcast of `k` (integers of the model's span) and `snr` (> 0).
+
+    Where exp overflows (an SNR far below the midpoint), 1 / (1 + inf) adds
+    0.0, so the similarity is exactly the floor a_k.
+    """
+    snr = np.asarray(snr, dtype=float)
+    if np.any(snr <= 0):
         raise ValueError("snr must be > 0")
-    row = model.rows.get(k)
-    if row is None:
-        raise ValueError(f"k = {k} is not an integer in {model.ks[0]}..{model.ks[-1]}")
-    return _logistic(row, 10.0 * math.log10(snr))
+    row = np.asarray(k) - model.ks[0]
+    if not np.all((row % 1 == 0) & (row >= 0) & (row < len(model.rows))):
+        raise ValueError(f"k must hold integers in {model.ks[0]}..{model.ks[-1]}, not {k}")
+    a, b, c = np.moveaxis(model.rows[row.astype(np.intp)], -1, 0)
+    with np.errstate(over="ignore"):
+        return a + (1.0 - a) / (1.0 + np.exp(-c * (10.0 * np.log10(snr) - b)))
 
 
-def _logistic(row: tuple[float, float, float], gamma_db: float) -> float:
-    """a + (1 - a) / (1 + exp(-c (gamma_db - b))): the similarity of the
-    table row (a, b, c) at an SNR of gamma_db dB."""
-    a, b, c = row
-    try:
-        return a + (1.0 - a) / (1.0 + math.exp(-c * (gamma_db - b)))
-    except OverflowError:  # exp(x) = inf for x > ~709.78: 1 / (1 + inf) adds 0.0 to the floor
-        return a
-
-
-def semantic_terms(snr: float, k: int, params) -> tuple[float, float]:
-    """(semantic rate in suts/s, similarity) at k symbols/word over a link with
-    the given SNR: B * I / (k * L) * xi. A link with SNR <= 0 gives (0, 0)."""
-    if snr <= 0:
-        return 0.0, 0.0
-    xi = semantic_similarity(params.similarity, k, snr)
-    return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi, xi
-
-
-def semantic_rows(snr: float, params) -> tuple[list[float], list[float]]:
-    """(rates, similarities) at every k of [k_min, k_max], in ascending k:
-    `semantic_terms(snr, k, params)` for each k, bit for bit, with the SNR's
-    dB value taken once."""
-    ks = range(params.k_min, params.k_max + 1)
-    if snr <= 0:
-        return [0.0] * len(ks), [0.0] * len(ks)
-    gamma_db = 10.0 * math.log10(snr)
-    rows = params.similarity.rows
-    xis = [_logistic(rows[k], gamma_db) for k in ks]
-    scale = params.bandwidth * params.info_per_sentence
-    return [scale / (k * params.words_per_sentence) * xi for k, xi in zip(ks, xis)], xis
+def semantic_terms(snr, k, params) -> tuple[np.ndarray, np.ndarray]:
+    """(semantic rates in suts/s, similarities) at k symbols/word over links
+    with the given SNRs, elementwise over the broadcast of `snr` and `k`:
+    B * I / (k * L) * xi. A link with SNR <= 0 gives (0, 0); a NaN SNR gives
+    NaN."""
+    snr = np.asarray(snr, dtype=float)
+    live = ~(snr <= 0)
+    xis = np.where(live, semantic_similarity(params.similarity, k, np.where(live, snr, 1.0)), 0.0)
+    return params.bandwidth * params.info_per_sentence / (np.asarray(k) * params.words_per_sentence) * xis, xis

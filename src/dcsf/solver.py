@@ -23,19 +23,17 @@ and one `energy.total_flight_energy` call, and f1 per moved individual.
 
 GCA and GSO also run over the whole population at once. GCA merges every
 individual in lockstep, one pass per merge: each pass rates the pairs not
-yet rated, of all individuals, in one `cluster_snr` call, and each
-individual keeps its cluster and pair rates from pass to pass. GSO turns
-each stored SNR into one row of rates and similarities over [k_min, k_max]
-and sets the k of every cluster of the population by one argmax over the
-stacked rows. GCA's ordered merges are scored as matrix row sums.
-After GCA or GSO, an individual is scored again (`problem.score`) with its
-own SNRs, f1 and fleet terms.
+yet rated, of all individuals, in one `cluster_snr` and one
+`semantic.semantic_terms` call. GSO rates every stored SNR at every k of
+[k_min, k_max] in one `semantic_terms` call and sets every k by one argmax
+over the rows. GCA's ordered merges are scored as matrix row sums. The
+individuals GCA or GSO changed are rated in one
+`problem.cluster_semantic_terms` call and scored again (`problem.score`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -171,51 +169,47 @@ def _best_merge(rates: np.ndarray, merged: np.ndarray, baseline: float):
 class _Merging:
     """The greedy merge of one evaluated individual, one pass at a time.
 
-    It keeps its clusters' SNRs and rates, and the SNR and merged rate of
-    every pair of clusters, across passes: a merge drops the absorbed row and
-    column and leaves only the survivor's pairs to rate again, with the k of
-    the lower-indexed cluster of each pair, as `merge_clusters` gives it.
+    It keeps the SNR and merged rate of every pair of clusters across passes:
+    a merge moves the pair's into the individual's cluster SNRs and rates,
+    drops the absorbed row and column and leaves only the survivor's pairs
+    to rate again, at the lower-indexed cluster's k, as `merge_clusters` does.
     """
 
-    def __init__(self, ind: Individual, params):
-        self.ind, self.params = ind, params
+    def __init__(self, ind: Individual):
+        self.ind = ind
         self.baseline = ind.objectives.f2
-        self.snr = ind.cluster_snr.tolist()
-        self.rates = np.array([semantic.semantic_terms(snr, k, params)[0]
-                               for snr, k in zip(self.snr, ind.k.tolist())])
-        n = len(self.snr)
+        n = len(ind.k)
         self.pair_snr, self.merged = np.zeros((n, n)), np.zeros((n, n))
-        self.pending = list(combinations(range(n), 2))  # (lo, hi) slots of the pairs to rate
+        self.lo, self.hi = np.triu_indices(n, 1)  # slots of the pairs to rate
         self.changed = False
 
     def pairs(self) -> list[tuple[int, ...]]:
         """Member sets of the pending pairs."""
         clusters = self.ind.assignment.clusters()
-        return [tuple(sorted(clusters[lo] + clusters[hi])) for lo, hi in self.pending]
+        return [tuple(sorted(clusters[lo] + clusters[hi]))
+                for lo, hi in zip(self.lo.tolist(), self.hi.tolist())]
 
-    def step(self, snrs) -> bool:
-        """Rate the pending pairs from their `snrs` and apply the best merge;
-        True when a merge was applied and more than one cluster is left."""
-        k = self.ind.k.tolist()
-        for (lo, hi), snr in zip(self.pending, snrs):
-            self.pair_snr[lo, hi] = self.pair_snr[hi, lo] = snr
-            self.merged[lo, hi] = self.merged[hi, lo] = semantic.semantic_terms(snr, k[lo], self.params)[0]
-        gain, b, a = _best_merge(self.rates, self.merged, self.baseline)
+    def step(self, snrs: np.ndarray, rates: np.ndarray) -> bool:
+        """Take the pending pairs' `snrs` and merged `rates` and apply the best
+        merge; True when a merge was applied and more than one cluster is left."""
+        self.pair_snr[self.lo, self.hi] = self.pair_snr[self.hi, self.lo] = snrs
+        self.merged[self.lo, self.hi] = self.merged[self.hi, self.lo] = rates
+        ind = self.ind
+        gain, b, a = _best_merge(ind.cluster_rate, self.merged, self.baseline)
         if gain <= 0:
             return False
-        ind = self.ind
         ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, b + 1, a + 1)
         self.changed = True
         s = b - (b > a)  # the survivor's slot after the merge
-        self.snr.pop(a)
-        self.snr[s] = float(self.pair_snr[b, a])
-        self.rates = np.delete(self.rates, a)
-        self.rates[s] = self.merged[b, a]
+        ind.cluster_snr = np.delete(ind.cluster_snr, a)
+        ind.cluster_snr[s] = self.pair_snr[b, a]
+        ind.cluster_rate = np.delete(ind.cluster_rate, a)
+        ind.cluster_rate[s] = self.merged[b, a]
         self.pair_snr = np.delete(np.delete(self.pair_snr, a, 0), a, 1)
         self.merged = np.delete(np.delete(self.merged, a, 0), a, 1)
-        n = len(self.snr)
-        self.pending = [(min(j, s), max(j, s)) for j in range(n) if j != s]
-        return n > 1
+        others = np.delete(np.arange(len(ind.k)), s)
+        self.lo, self.hi = np.minimum(others, s), np.maximum(others, s)
+        return len(others) > 0
 
 
 def gca_step(population, scenario, params) -> None:
@@ -226,13 +220,13 @@ def gca_step(population, scenario, params) -> None:
     Every merge gain, including those after a merge has been applied, is
     measured against the individual's f2 from the previous iteration. Each
     pass rates every pair it has not rated yet, over all individuals, in one
-    `cluster_snr` call: every pair in the first pass, then only the pairs
-    with each new cluster. The clusters themselves come from the stored SNRs.
-    A merged individual is then scored again with the SNRs of its merged
-    clusters and its own f1 and fleet terms.
+    `cluster_snr` and one `semantic_terms` call: every pair in the first
+    pass, then only the pairs with each new cluster. The merged individuals
+    are rated in one `cluster_semantic_terms` call and scored again with
+    their own f1 and fleet terms.
     """
     evaluate_population(population, scenario, params)
-    merging = [_Merging(ind, params) for ind in population if ind.assignment.n_clusters > 1]
+    merging = [_Merging(ind) for ind in population if ind.assignment.n_clusters > 1]
     if not merging:
         return
     q = np.stack([m.ind.q for m in merging])
@@ -240,18 +234,21 @@ def gca_step(population, scenario, params) -> None:
     active = list(range(len(merging)))
     while active:
         clusters = [(f, members) for f in active for members in merging[f].pairs()]
-        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params).tolist()
+        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
+        # each pair is rated at the k of its lower-indexed cluster
+        ks = np.concatenate([merging[f].ind.k[merging[f].lo] for f in active])
+        rates, _ = semantic.semantic_terms(snrs, ks, params)
         still, start = [], 0
         for f in active:
-            end = start + len(merging[f].pending)
-            if merging[f].step(snrs[start:end]):
+            end = start + len(merging[f].lo)
+            if merging[f].step(snrs[start:end], rates[start:end]):
                 still.append(f)
             start = end
         active = still
-    for m in merging:
-        if m.changed:
-            m.ind.cluster_snr = np.array(m.snr)
-            problem.score(m.ind, params, m.ind.objectives.f1)
+    changed = [m.ind for m in merging if m.changed]
+    problem.cluster_semantic_terms(changed, params)
+    for ind in changed:
+        problem.score(ind, params, ind.objectives.f1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +425,8 @@ def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
             and child.q.tobytes() == parent.q.tobytes()
             and child.w.tobytes() == parent.w.tobytes()):
         child.objectives, child.violation = parent.objectives, parent.violation
-        child.cluster_xi, child.cluster_snr = parent.cluster_xi.copy(), parent.cluster_snr.copy()
+        child.cluster_rate, child.cluster_xi = parent.cluster_rate.copy(), parent.cluster_xi.copy()
+        child.cluster_snr = parent.cluster_snr.copy()
         child.fleet_terms = parent.fleet_terms
     return child
 
@@ -483,24 +481,27 @@ def gso_step(population, scenario, params) -> None:
 
     Candidates violating the similarity threshold are skipped; if no candidate
     reaches it, the max-similarity value is taken and the violation stands.
-    Each cluster's stored SNR, which does not depend on k, gives one row of
-    (rate, similarity) over [k_min, k_max] (`semantic.semantic_rows`); the
-    rows of every cluster of the population take one masked argmax. An
-    individual whose k changed is then scored again, with its own SNRs, f1
-    and fleet terms.
+    The stored SNRs of every cluster of the population, which do not depend
+    on k, give one (cluster, k) table of rates and similarities in one
+    `semantic.semantic_terms` call, and one masked argmax over its rows. The
+    individuals whose k changed are rated in one `cluster_semantic_terms`
+    call and scored again, with their own SNRs, f1 and fleet terms.
     """
     evaluate_population(population, scenario, params)
-    rows = [semantic.semantic_rows(snr, params) for ind in population for snr in ind.cluster_snr.tolist()]
-    rates, xis = np.array(rows).transpose(1, 0, 2)  # (cluster, k) each
+    snr = np.concatenate([ind.cluster_snr for ind in population])
+    rates, xis = semantic.semantic_terms(snr[:, None], np.arange(params.k_min, params.k_max + 1), params)
     feasible = xis >= params.xi_threshold
     # the first best rate among threshold-meeting candidates, else the first best similarity
-    best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, rates, -np.inf), axis=1),
-                    np.argmax(xis, axis=1))
-    cuts = np.cumsum([ind.assignment.n_clusters for ind in population])[:-1]
-    for ind, k in zip(population, np.split(params.k_min + best, cuts)):
-        if not np.array_equal(ind.k, k):
-            ind.k[:] = k
-            problem.score(ind, params, ind.objectives.f1)
+    best = params.k_min + np.where(feasible.any(axis=1), np.argmax(np.where(feasible, rates, -np.inf), axis=1),
+                                   np.argmax(xis, axis=1))
+    changed, ends = [], np.cumsum([len(ind.k) for ind in population]).tolist()
+    for ind, start, end in zip(population, [0] + ends, ends):
+        if not np.array_equal(ind.k, best[start:end]):
+            ind.k[:] = best[start:end]
+            changed.append(ind)
+    problem.cluster_semantic_terms(changed, params)
+    for ind in changed:
+        problem.score(ind, params, ind.objectives.f1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ from dcsf.problem import (
     ObjectiveTriple,
     batch_terms,
     canonicalize_labels,
-    cluster_semantic_terms,
     evaluate,
 )
 from dcsf.scenario import SPEED_OF_LIGHT, nearest_uavs
-from dcsf.semantic import semantic_similarity
 from dcsf.solver import merge_clusters
 
 PARAMS = SystemParams()
@@ -228,15 +226,27 @@ def cluster_snr_textbook(q, w, bs, params):
     return tx_gain * 10.0 ** (-loss / 10.0) / params.noise_watts
 
 
+def semantic_terms_one(snr: float, k: int, params) -> tuple[float, float]:
+    """(semantic rate, similarity) of one link at k symbols/word, in scalar
+    math from a fresh interpolation of the table: B * I / (k * L) * xi, with
+    (0, 0) for SNR <= 0 and the floor a_k where exp overflows."""
+    if snr <= 0:
+        return 0.0, 0.0
+    model = params.similarity
+    a, b, c = (float(np.interp(k, model.ks, column)) for column in (model.floors, model.midpoints, model.slopes))
+    try:
+        xi = a + (1.0 - a) / (1.0 + math.exp(-c * (10.0 * math.log10(snr) - b)))
+    except OverflowError:  # exp(x) = inf: 1 / (1 + inf) adds 0.0 to the floor
+        xi = a
+    return params.bandwidth * params.info_per_sentence / (k * params.words_per_sentence) * xi, xi
+
+
 def f2_by_cluster(ind, scn, params):
     """f2 by direct per-cluster recomputation."""
-    f2 = 0.0
-    for i, members in enumerate(ind.assignment.clusters()):
-        snr = cluster_snr_one(members, ind.q, ind.w, scn.bs_xyz, params, sinc_matrix(ind.q, params))
-        if snr > 0:
-            xi = semantic_similarity(params.similarity, int(ind.k[i]), snr)
-            f2 += params.bandwidth * params.info_per_sentence / (int(ind.k[i]) * params.words_per_sentence) * xi
-    return f2
+    sinc = sinc_matrix(ind.q, params)
+    return sum(semantic_terms_one(cluster_snr_one(members, ind.q, ind.w, scn.bs_xyz, params, sinc),
+                                  int(ind.k[i]), params)[0]
+               for i, members in enumerate(ind.assignment.clusters()))
 
 
 def close_pairs_double_loop(q, d_min):
@@ -385,7 +395,7 @@ def crowding(front_objs):
 def semantic_terms_from_scratch(ind, scenario, params):
     """Per-cluster (semantic rate, similarity) of `ind`, its SNRs computed afresh."""
     batch_terms([ind], scenario, params, [None])
-    return cluster_semantic_terms(ind, params)
+    return ind.cluster_rate, ind.cluster_xi
 
 
 def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):

@@ -228,7 +228,7 @@ def test_solve_reports_a_feasible_front(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A scenario, a run on it, a non-JSON scenario, two scenarios with bad
-    bounds and three malformed fronts."""
+    bounds and four malformed fronts."""
     root = tmp_path_factory.mktemp("inputs")
     scn = _generate(root)
     _solve(root, scn, "run")
@@ -240,6 +240,10 @@ def inputs(tmp_path_factory):
     for name, text in (("run-obj", "{}"), ("run-list", "[]"), ("run-empty", '{"front": []}')):
         (root / name).mkdir()
         (root / name / "pareto.json").write_text(text)
+    unscored = json.loads((root / "run" / "pareto.json").read_text())
+    unscored["front"][0]["objectives"] = None
+    (root / "run-unscored").mkdir()
+    (root / "run-unscored" / "pareto.json").write_text(json.dumps(unscored))
     return root
 
 
@@ -258,6 +262,7 @@ BAD_INPUTS = {
     "front-list": (["export-deployment", "--scenario", "{root}/scn.json", "--run", "{root}/run-list",
                     "--out", "{root}/out.json"], "malformed front file"),
     "front-empty": (["compare", "{root}/run", "{root}/run-empty"], "malformed front file"),
+    "front-unscored": (["compare", "{root}/run", "{root}/run-unscored"], "malformed front file"),
     "scenario-not-json": (["solve", "--scenario", "{root}/notjson.json", "--out", "{root}/out"],
                           "malformed scenario file"),
     "bounds-inf": (["solve", "--scenario", "{root}/bounds-inf.json", "--out", "{root}/out"],

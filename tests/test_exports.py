@@ -48,3 +48,19 @@ def test_every_library_parameter_is_read():
                 unread += [f"{path.name}:{node.lineno} {a.arg}" for a in params
                            if a.arg not in ("self", "cls") and not a.arg.startswith("_") and a.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_no_library_module_calls_scalar_exp_or_log10():
+    """The logistic and the dB conversion live only in the array
+    `semantic.semantic_similarity`: no module in src/dcsf reaches `exp` or
+    `log10` through `math`, so a scalar semantic path cannot come back."""
+    calls = []
+    for path in sorted(Path(dcsf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                calls += [f"{path.name}:{node.lineno} from math import {alias.name}" for alias in node.names
+                          if alias.name in ("exp", "log10")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("exp", "log10")
+                  and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                calls.append(f"{path.name}:{node.lineno} math.{node.attr}")
+    assert not calls, f"scalar exp or log10 in src/dcsf: {calls}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -361,6 +363,10 @@ def test_to_dict_from_dict_roundtrip(small_scenario, rng):
     ("violation", False),
     ("objectives", [True, 2, 3.5]),
     ("objectives", ["1", 2, 3.5]),
+    ("w", [0.5, math.nan]),
+    ("Q", [[1.5, 2, math.inf], [3.0, 4.0, 60.0]]),
+    ("violation", math.nan),
+    ("w", [0.5, 10 ** 400]),  # an int beyond the range of a double
 ])
 def test_from_dict_rejects_a_non_number_in_q_w_or_violation(field, value):
     doc = {"c": [1, 2], "Q": [[1.5, 2, 60], [3.0, 4.0, 60.0]], "w": [0.5, 1], "k": [5, 7],

@@ -10,10 +10,10 @@ from dcsf.semantic import (
     SimilarityModel,
     SimilarityModelError,
     default_similarity_model,
-    semantic_rows,
     semantic_similarity,
     semantic_terms,
 )
+from oracles import semantic_terms_one
 
 MODEL = default_similarity_model()
 PARAMS = SystemParams()
@@ -42,23 +42,25 @@ def _fresh_parameters(model, k):
 def test_integer_rows_equal_a_fresh_interpolation():
     gapped = SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
     for model in (default_similarity_model(), gapped):
-        assert list(model.rows) == list(range(1, 21))
+        assert model.rows.shape == (20, 3)  # row k - 1 for k = 1..20
         for k in range(1, 21):
-            assert model.rows[k] == _fresh_parameters(model, k)
+            assert tuple(model.rows[k - 1].tolist()) == _fresh_parameters(model, k)
         # a fractional k, or a k outside the table's span, has no row
         for k in (2.5, 7.25, 0, 21, -3, 40.5):
             with pytest.raises(ValueError):
                 semantic_similarity(model, k, 100.0)
+            with pytest.raises(ValueError):
+                semantic_similarity(model, [3, k], [100.0, 100.0])
     # a knot holds the table row; a k in a gap interpolates
-    assert gapped.rows[5] == (0.2, 6.0, 0.35)
-    assert gapped.rows[3] == pytest.approx((0.15, 9.0, 0.325))
+    assert tuple(gapped.rows[5 - 1].tolist()) == (0.2, 6.0, 0.35)
+    assert gapped.rows[3 - 1].tolist() == pytest.approx([0.15, 9.0, 0.325])
     # the rows are not part of the model's value
     assert gapped == SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))
 
 
 def test_the_rows_stay_out_of_asdict():
     params = SystemParams()
-    assert 3 in params.similarity.rows
+    assert params.similarity.rows.shape == (20, 3)
     doc = asdict(params)
     assert doc == asdict(SystemParams())
     assert "rows" not in doc["similarity"] and "rows" not in repr(params.similarity)
@@ -78,22 +80,27 @@ def test_semantic_terms_of_a_dead_link_are_zero():
     SystemParams(k_min=3, k_max=9),
     SystemParams(similarity=SimilarityModel((1, 5, 20), (0.1, 0.2, 0.38), (12.0, 6.0, -4.0), (0.3, 0.35, 0.4))),
 ])
-def test_semantic_rows_equal_semantic_terms_at_every_k(params):
-    snrs = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9]
-    snrs += np.random.default_rng(0).lognormal(0.0, 6.0, 50).tolist()
-    for snr in snrs:
-        rates, xis = semantic_rows(snr, params)
-        terms = np.array([semantic_terms(snr, k, params) for k in range(params.k_min, params.k_max + 1)])
-        assert np.array(rates).tobytes() == terms[:, 0].tobytes(), snr
-        assert np.array(xis).tobytes() == terms[:, 1].tobytes(), snr
-    # at 1e-300 (-3000 dB) exp overflows at every k: each similarity is its floor
-    assert semantic_rows(1e-300, params)[1] == [params.similarity.rows[k][0]
-                                               for k in range(params.k_min, params.k_max + 1)]
+def test_semantic_terms_match_the_scalar_oracle_at_every_k(params):
+    snrs = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-30, 1e-12, 0.3, 1.0, 7.5, 1e3, 1e9, math.nan]
+    snrs = np.array(snrs + np.random.default_rng(0).lognormal(0.0, 6.0, 50).tolist())
+    ks = np.arange(params.k_min, params.k_max + 1)
+    rates, xis = semantic_terms(snrs[:, None], ks, params)
+    oracle = np.array([[semantic_terms_one(snr, k, params) for k in ks.tolist()] for snr in snrs.tolist()])
+    assert rates.shape == xis.shape == (len(snrs), len(ks))
+    np.testing.assert_allclose(rates, oracle[..., 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(xis, oracle[..., 1], rtol=1e-12, atol=0.0)
+    # a dead link gives exactly (0, 0)
+    assert not rates[:3].any() and not xis[:3].any()
+    # at 5e-324 and 1e-300 (-3233 and -3000 dB) exp overflows at every k: each similarity is its floor
+    floors = params.similarity.rows[ks - params.similarity.ks[0], 0]
+    assert xis[3].tolist() == xis[4].tolist() == floors.tolist()
+    # a NaN SNR gives a NaN rate, not a dead link's zero
+    assert np.isnan(rates[12]).all()
 
 
 def test_similarity_logistic_midpoint():
     # at the midpoint SNR the curve sits halfway between floor and one
-    a, b, _ = MODEL.rows[3]
+    a, b, _ = MODEL.rows[3 - MODEL.ks[0]]
     xi = semantic_similarity(MODEL, 3, 10 ** (b / 10.0))
     assert xi == pytest.approx(a + (1.0 - a) / 2.0, rel=1e-12)
 
@@ -103,6 +110,8 @@ def test_similarity_requires_positive_snr():
         semantic_similarity(MODEL, 5, 0.0)
     with pytest.raises(ValueError):
         semantic_similarity(MODEL, 5, -1.0)
+    with pytest.raises(ValueError):
+        semantic_similarity(MODEL, [5, 6], [1.0, -0.0])
 
 
 def test_similarity_bounded():

@@ -3,7 +3,7 @@ import pytest
 
 from dcsf import Bounds, SystemParams, advisor, beamforming, channel, energy, generate_scenario, metrics, problem, solver
 from dcsf.problem import ClusterAssignment, Individual, evaluate
-from dcsf.semantic import SimilarityModel, semantic_rows
+from dcsf.semantic import SimilarityModel, semantic_terms
 from dcsf.solver import (
     LLM_FAILURE_LIMIT,
     P_C_INITIAL,
@@ -291,7 +291,8 @@ def test_gso_breaks_an_exact_rate_tie_toward_the_smaller_k(small_scenario, rng, 
     params = SystemParams(k_min=1, k_max=2, xi_threshold=xi_threshold,
                           similarity=SimilarityModel((1, 2), (0.1, 0.2), (10.0, 5.0), (0.35, 0.35)))
     monkeypatch.setattr(beamforming, "cluster_snr", lambda clusters, *args: np.full(len(clusters), 1e-300))
-    assert semantic_rows(1e-300, params) == ([400000.0, 400000.0], [0.1, 0.2])
+    rates, xis = semantic_terms(1e-300, np.arange(1, 3), params)
+    assert (rates.tolist(), xis.tolist()) == ([400000.0, 400000.0], [0.1, 0.2])
     ind = random_individual(small_scenario, rng, params)
     ind.k[:] = 3 - k  # start at the other k
     oracle = gso_sweep(ind, small_scenario, params)
