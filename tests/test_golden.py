@@ -9,8 +9,14 @@ All four were rewritten once, when the cluster-to-BS link moved onto f1's
 array link budget (`channel.path_gain`) and the BS direction became
 delta / d: f2, the C6 violation and the history metrics derived from them
 moved by rounding (f2 by under 5e-13 relative), while every c, k, Q, w, f1
-and f3 stayed byte-equal. Any change to a front, a history row or the knee deployment shows up here,
-where comparing two runs of the same code cannot catch it.
+and f3 stayed byte-equal. The llm-aoa, aoa and 40 x 20 aoa cases were
+rewritten once more when the similarity logistic became numpy's array
+`exp` and `log10` in place of the `math` ones: f2, the C6 violation and the
+history's spacing and hypervolume moved by the last bits (f2 by under
+1.3e-16 relative), while every c, k, Q, w, f1 and f3 stayed byte-equal and
+the monolithic-nsga2 case stayed byte-identical. Any change to a front, a
+history row or the knee deployment shows up here, where comparing two runs
+of the same code cannot catch it.
 """
 
 import hashlib
