@@ -226,7 +226,7 @@ def score(individual: Individual, params, f1: float) -> ObjectiveTriple:
 
 
 def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
-    """Compute and cache (f1, f2, f3), the per-cluster similarities and SNRs,
+    """Compute and cache (f1, f2, f3), the per-cluster SNRs, rates and similarities,
     and the constraint-violation scalar. With no `parent`, every term is
     computed; see `batch_terms` for what a parent lends, and f1 always."""
     batch_terms([individual], scenario, params, [parent])

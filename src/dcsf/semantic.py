@@ -77,7 +77,7 @@ def semantic_similarity(model: SimilarityModel, k, snr):
         raise ValueError("snr must be > 0")
     row = np.asarray(k) - model.ks[0]
     if not np.all((row % 1 == 0) & (row >= 0) & (row < len(model.rows))):
-        raise ValueError(f"k must hold integers in {model.ks[0]}..{model.ks[-1]}, not {k}")
+        raise ValueError(f"k must hold integers in {model.ks[0]}..{model.ks[-1]} only")
     a, b, c = np.moveaxis(model.rows[row.astype(np.intp)], -1, 0)
     with np.errstate(over="ignore"):
         return a + (1.0 - a) / (1.0 + np.exp(-c * (10.0 * np.log10(snr) - b)))
