@@ -46,16 +46,17 @@ def path_gain(d: np.ndarray, h: np.ndarray, params) -> np.ndarray:
 def sum_user_rate(scenario, uav_positions: np.ndarray, params) -> float:
     """Objective f1: total rate of all users under nearest-UAV association.
 
-    The link budget, `path_gain`, runs in place on U-length buffers, in the
-    operation order of the out-of-place expressions (the oracle
-    `sum_user_rate_einsum` in tests/oracles.py), so the result is the same
-    bit for bit.
+    `scenario.nearest_uavs` screens every user against every UAV with one
+    matmul and computes the direct distance only to each user's winner
+    (and the direct (V, U') distances only for users the screen leaves
+    tied); the link budget, `path_gain`, then runs in place on U-length
+    buffers, in the operation order of the out-of-place expressions (the
+    oracle `sum_user_rate_einsum` in tests/oracles.py), so the result is
+    the same bit for bit.
     """
-    user_xyz = scenario.user_xyz
     uav_xyz = np.asarray(uav_positions, dtype=float)
-    nearest, d_star = nearest_uavs(user_xyz, uav_xyz)
-    h_star = user_xyz[:, 2] - uav_xyz[nearest, 2]
-    rx = path_gain(d_star, np.abs(h_star, out=h_star), params)
+    nearest, d_star, h_star = nearest_uavs(scenario, uav_xyz)
+    rx = path_gain(d_star, h_star, params)
     rx *= params.user_tx_power
 
     totals = np.bincount(nearest, weights=rx, minlength=len(uav_xyz))

@@ -72,7 +72,7 @@ def _knee(front) -> int:
 
 def _deployment_doc(scn, ind) -> dict:
     # each user is served by its nearest UAV, as in f1
-    serving, _ = scenario_mod.nearest_uavs(scn.user_xyz, ind.q)
+    serving = scenario_mod.nearest_uavs(scn, ind.q)[0]
     clusters = ind.assignment.clusters()
     uav_rows = []
     for v in range(scn.n_uavs):

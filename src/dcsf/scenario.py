@@ -4,8 +4,9 @@ A scenario is plain arrays: `user_xyz` (U x 3), `uav_initial_xyz` (V x 3)
 and `bs_xyz` (3,), plus the deployment `Bounds` and the seed. Construction
 copies them to float arrays, checks their shapes and that every coordinate is
 finite, and marks them read-only, so everything here is immutable after
-construction. Scenarios are generated once, written to JSON, and replayed
-exactly.
+construction; so are the users' rows that `nearest_uavs` screens with,
+built once with them. Scenarios are generated once, written to JSON, and
+replayed exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class Scenario:
     bs_xyz: np.ndarray           # (3,) base station
     bounds: Bounds
     seed: int
+    user_rows: np.ndarray = field(init=False, repr=False)     # (4, U) users' [x; y; z; 1]
+    user_sq_norms: np.ndarray = field(init=False, repr=False)  # (U,) users' |u|²
 
     def __post_init__(self):
         for name, ndim in (("user_xyz", 2), ("uav_initial_xyz", 2), ("bs_xyz", 1)):
@@ -75,6 +78,11 @@ class Scenario:
                 raise ScenarioError(f"non-finite coordinate in {name}")
             xyz.setflags(write=False)
             object.__setattr__(self, name, xyz)
+        rows = np.vstack([self.user_xyz.T, np.ones(self.n_users)])
+        sq_norms = np.einsum("uk,uk->u", self.user_xyz, self.user_xyz)
+        for name, value in (("user_rows", rows), ("user_sq_norms", sq_norms)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_users(self) -> int:
@@ -175,34 +183,101 @@ def generate_scenario(
     return Scenario(users, launch_positions(n_uavs, bounds), bs_xyz, bounds, seed)
 
 
-def nearest_uavs(user_xyz: np.ndarray, uav_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, distance) of each user's nearest UAV; ties go to the lowest index.
+# Relative slack of the nearest-UAV screen, on the scale |u|² + max_v |q_v|²
+# of a user's scores: over 150 times the rounding that can separate the
+# screen from the direct distances (see `nearest_uavs`).
+_NEAREST_SLACK = 2.0 ** -40
 
-    The (V, U) distances are built one coordinate at a time. Summing the
-    squares as (dx² + dz²) + dy² reproduces, bit for bit, a (U, V, 3)
-    `einsum("uvk,uvk->uv")` (the oracle in tests/oracles.py);
-    (dx² + dy²) + dz² does not.
 
-    The first minimum of each column is found without an axis-0 argmax (for
-    which numpy moves the V axis last and runs U short argmaxes): UAV v gets
-    rank n - v where it ties the minimum and 0 elsewhere, so the highest rank
-    of a column is n minus the lowest tied index. The ranks use the smallest
-    unsigned dtype that holds n; the indices are returned as `intp`.
+def nearest_uavs(scenario: Scenario, uav_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index, distance d and height difference |Δz| of each user's link to
+    its nearest UAV in `uav_xyz` (V, 3); ties go to the lowest index.
+
+    Nearest means the first minimum of the direct distances, each summed as
+    (dx² + dz²) + dy² and then square-rooted. That reproduces, bit for bit,
+    a (U, V, 3) `einsum("uvk,uvk->uv")` and its first `argmin` (the oracle
+    in tests/oracles.py); (dx² + dy²) + dz² does not.
+
+    A screen finds the candidates first. User u rates UAV q_v by the score
+    s_v(u) = [2q_v, -|q_v|²] · [u; 1] = |u|² - |u - q_v|², all of them in
+    one (V, 4) @ (4, U) matmul on the scenario's `user_rows`; the higher the
+    score, the nearer the UAV. UAV v is a candidate for u when s_v(u) is at
+    least the top score less _NEAREST_SLACK · M, M = |u|² + max_v |q_v|².
+    The margin argument, in units of u·M with u = 2⁻⁵³: each computed score
+    is within 13 of its exact value (a 4-term dot product whose terms sum in
+    magnitude to at most 2|q_v|² + |u|² ≤ 2M, plus the rounding of |q_v|²
+    and of the floor); each direct d² is within 10 of its exact value, as
+    d² ≤ 2M; and two d² more than 8 apart have different square roots. The
+    slack is 2¹³ = 8192, over 150 times the 2·13 + 2·10 + 8 = 54 these add
+    up to, so a UAV outside it is strictly farther than the top-scored UAV
+    after the square root and is never the oracle's choice: the nearest UAV
+    is always a candidate (barring underflow, which needs every coordinate
+    below about 1e-150 m). A user with one candidate is served by it. The
+    users with more, exact ties such as duplicated UAVs and margins inside
+    the slack, or with none (a non-finite score), go through the direct
+    (V, U') distances, `_first_nearest`. A screen on d² alone would not do:
+    two d² one ulp apart can share a d, and then the first of them wins,
+    not the smaller.
+
+    The winners' coordinates are gathered, and d and |Δz| are computed once
+    per user in the direct order, so d is the oracle's, bit for bit.
     """
-    d = user_xyz[:, 0] - uav_xyz[:, 0, None]
+    rows = scenario.user_rows
+    n = len(uav_xyz)
+    coefficients = np.empty((n, 4))
+    np.multiply(uav_xyz, 2.0, out=coefficients[:, :3])
+    sq_norms = np.einsum("vk,vk->v", uav_xyz, uav_xyz)
+    np.negative(sq_norms, out=coefficients[:, 3])
+    scores = coefficients @ rows
+    floor = scenario.user_sq_norms + sq_norms.max()
+    floor *= -_NEAREST_SLACK
+    floor += scores.max(axis=0)
+    candidate = scores >= floor
+    nearest = _first_true(candidate)
+    undecided = np.flatnonzero(candidate.sum(axis=0, dtype=np.min_scalar_type(n)) != 1)
+    if len(undecided):
+        nearest[undecided] = _first_nearest(rows[:, undecided], uav_xyz)
+
+    near = np.take(uav_xyz.T, nearest, axis=1)
+    d = rows[0] - near[0]
     d *= d
-    square = user_xyz[:, 2] - uav_xyz[:, 2, None]
+    h = np.subtract(rows[2], near[2])
+    np.abs(h, out=h)
+    square = h * h
+    d += square
+    np.subtract(rows[1], near[1], out=square)
     square *= square
     d += square
-    np.subtract(user_xyz[:, 1], uav_xyz[:, 1, None], out=square)
+    return nearest, np.sqrt(d, out=d), h
+
+
+def _first_nearest(user_rows: np.ndarray, uav_xyz: np.ndarray) -> np.ndarray:
+    """Index of each user's nearest UAV, the first minimum of the direct
+    (V, U) distances after the square root, for users given as (3+, U) rows."""
+    d = user_rows[0] - uav_xyz[:, 0, None]
+    d *= d
+    square = user_rows[2] - uav_xyz[:, 2, None]
+    square *= square
+    d += square
+    np.subtract(user_rows[1], uav_xyz[:, 1, None], out=square)
     square *= square
     d += square
     np.sqrt(d, out=d)
-    d_near = d.min(axis=0)
-    n = len(uav_xyz)
+    return _first_true(d == d.min(axis=0))
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Row index, as `intp`, of the first True of each column of a (V, U) mask
+    that has one.
+
+    Found without an axis-0 argmax (for which numpy moves the V axis last and
+    runs U short argmaxes): row v gets rank n - v where it is True and 0
+    elsewhere, so the highest rank of a column is n minus its first True row.
+    The ranks use the smallest unsigned dtype that holds n.
+    """
+    n = len(mask)
     rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
-    top = ((d == d_near) * rank[:, None]).max(axis=0)
-    return n - top.astype(np.intp), d_near
+    return n - (mask * rank[:, None]).max(axis=0).astype(np.intp)
 
 
 def squared_distances(xyz: np.ndarray) -> np.ndarray:

@@ -81,7 +81,7 @@ def associate_users(scenario, uav_positions) -> list[list[int]]:
     Returns one user-index list per UAV; the lists partition all users.
     """
     uav_positions = np.asarray(uav_positions, dtype=float)
-    nearest, _ = nearest_uavs(scenario.user_xyz, uav_positions)
+    nearest = nearest_uavs(scenario, uav_positions)[0]
     cohorts: list[list[int]] = [[] for _ in range(len(uav_positions))]
     for u, v in enumerate(nearest):
         cohorts[v].append(u)
@@ -108,14 +108,21 @@ def per_user_rates(scenario, uav_positions, params) -> np.ndarray:
     return rates
 
 
-def sum_user_rate_einsum(scenario, uav_xyz, params):
-    """f1 as it was first vectorized: a (U, V, 3) einsum and the first argmin
-    over each user's row of distances. Returns (f1, nearest UAV per user)."""
-    user_xyz = scenario.user_xyz
+def nearest_uavs_einsum(user_xyz, uav_xyz):
+    """Each user's nearest UAV as f1 was first vectorized: a (U, V, 3) einsum
+    and the first argmin over each user's row of distances. Returns (nearest
+    UAV, distance d, the (U, V) distances)."""
     diff = user_xyz[:, None, :] - uav_xyz[None, :, :]
     d = np.sqrt(np.einsum("uvk,uvk->uv", diff, diff))
     nearest = np.argmin(d, axis=1)
-    d_star = d[np.arange(len(user_xyz)), nearest]
+    return nearest, d[np.arange(len(user_xyz)), nearest], d
+
+
+def sum_user_rate_einsum(scenario, uav_xyz, params):
+    """f1 over `nearest_uavs_einsum`'s association. Returns (f1, nearest UAV
+    per user)."""
+    user_xyz = scenario.user_xyz
+    nearest, d_star, _ = nearest_uavs_einsum(user_xyz, uav_xyz)
     h_star = np.abs(user_xyz[:, 2] - uav_xyz[nearest, 2])
     elevation_deg = np.degrees(np.arcsin(h_star / d_star))
     p_los = 1.0 / (1.0 + params.psi * np.exp(-params.beta * (elevation_deg - params.psi)))

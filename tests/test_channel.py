@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dcsf import Bounds, SystemParams, generate_scenario
+from dcsf import Bounds, SystemParams, generate_scenario, scenario as scenario_mod
 from dcsf.channel import path_gain, sum_user_rate
 from dcsf.scenario import Scenario, nearest_uavs
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     avg_path_loss,
     free_space_path_loss,
     los_probability,
+    nearest_uavs_einsum,
     per_user_rates,
     sum_user_rate_einsum,
     user_rate,
@@ -117,7 +118,7 @@ def test_sum_user_rate_equals_the_einsum_oracle(params, n_users, n_uavs):
         q = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
         rate, nearest = sum_user_rate_einsum(scn, q, params)
         assert sum_user_rate(scn, q, params) == rate
-        assert list(nearest_uavs(scn.user_xyz, q)[0]) == list(nearest)
+        assert list(nearest_uavs(scn, q)[0]) == list(nearest)
 
 
 def test_sum_user_rate_ties_and_a_user_under_a_uav(params):
@@ -131,7 +132,7 @@ def test_sum_user_rate_ties_and_a_user_under_a_uav(params):
     ])
     bounds = Bounds(-100.0, 1000.0, -100.0, 1000.0, 60.0, 120.0)
     scn = Scenario(users, q, (5000.0, 5000.0, 0.0), bounds, seed=0)
-    nearest, d_near = nearest_uavs(scn.user_xyz, q)
+    nearest, d_near, _ = nearest_uavs(scn, q)
     assert list(nearest) == [1, 3, 0]  # the lowest of the tied UAVs wins
     assert d_near[1] == 80.0
     rate, oracle_nearest = sum_user_rate_einsum(scn, q, params)
@@ -140,27 +141,101 @@ def test_sum_user_rate_ties_and_a_user_under_a_uav(params):
     assert associate_users(scn, q) == [[2], [0], [], [1], []]
 
 
+def _count_exact_passes(monkeypatch):
+    """Record the users of every `_first_nearest` call, the screen's exact pass."""
+    passed = []
+    real = scenario_mod._first_nearest
+
+    def counted(user_rows, uav_xyz):
+        passed.append(user_rows[:3].T.copy())
+        return real(user_rows, uav_xyz)
+
+    monkeypatch.setattr(scenario_mod, "_first_nearest", counted)
+    return passed
+
+
 @pytest.mark.parametrize("n_uavs", [1, 2, 8, 24, 255, 256, 257])
-def test_nearest_uavs_equals_the_einsum_oracle_on_ties(params, n_uavs):
+def test_nearest_uavs_equals_the_einsum_oracle_on_ties(params, n_uavs, monkeypatch):
     """Exact ties on duplicated UAV rows go to the lowest index at every fleet
-    size, including both sides of the rank dtype's edge (255 | 256)."""
+    size, including both sides of the rank dtype's edge (255 | 256), through
+    the exact pass."""
     bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
     scn = generate_scenario(300, 1, bounds, (5000.0, 5000.0, 0.0), seed=n_uavs)
     rng = np.random.default_rng(n_uavs)
     tied = 0  # users served by a copy of the last UAV below it
+    passed = _count_exact_passes(monkeypatch)
     for _ in range(5):
         q = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
         q[-1] = np.append(scn.user_xyz[0, :2], 60.0)  # user 0 is directly under the last UAV
         q[rng.integers(0, n_uavs, n_uavs // 2)] = q[-1]  # and under its copies
         first_copy = int(np.flatnonzero((q == q[-1]).all(axis=1))[0])
-        nearest, d_near = nearest_uavs(scn.user_xyz, q)
+        passed.clear()
+        nearest, d_near, _ = nearest_uavs(scn, q)
         rate, oracle_nearest = sum_user_rate_einsum(scn, q, params)
         assert nearest.dtype == np.intp
         assert nearest.tolist() == oracle_nearest.tolist()
         assert nearest[0] == first_copy and d_near[0] == 60.0
-        tied += int(np.sum((q[nearest] == q[-1]).all(axis=1) & (nearest < n_uavs - 1)))
+        copies = (q[nearest] == q[-1]).all(axis=1) & (nearest < n_uavs - 1)
+        tied += int(np.sum(copies))
+        exact_users = {tuple(u) for rows in passed for u in rows.tolist()}
+        assert {tuple(u) for u in scn.user_xyz[copies].tolist()} <= exact_users
         assert sum_user_rate(scn, q, params) == rate
     assert tied > 0 or n_uavs == 1
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_nearest_uavs_keeps_the_first_of_two_d_squared_sharing_a_root(params, order, monkeypatch):
+    """d² = 22500.000000000004 and 22500 have the same square root, 150.0, so
+    the oracle serves the first of the two UAVs in either order: the screen
+    leaves the user to the exact pass, which keeps the first minimum after
+    the square root, not the smaller d²."""
+    uavs = np.array([[1.9e-6, 0.0, 150.0], [0.0, 0.0, 150.0]])[list(order)]
+    bounds = Bounds(-10.0, 10.0, -10.0, 10.0, 60.0, 200.0)
+    scn = Scenario([[0.0, 0.0, 0.0]], uavs, (5000.0, 5000.0, 0.0), bounds, seed=0)
+    passed = _count_exact_passes(monkeypatch)
+    nearest, d_near, h = nearest_uavs(scn, uavs)
+    oracle_nearest, oracle_d, d = nearest_uavs_einsum(scn.user_xyz, uavs)
+    assert d[0, 0] == d[0, 1] == 150.0
+    assert nearest.tolist() == oracle_nearest.tolist() == [0]
+    assert d_near.tolist() == oracle_d.tolist() == [150.0] and h.tolist() == [150.0]
+    assert len(passed) == 1 and passed[0].tolist() == [[0.0, 0.0, 0.0]]
+    assert sum_user_rate(scn, uavs, params) == sum_user_rate_einsum(scn, uavs, params)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_users=st.integers(1, 40), n_uavs=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       offset=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), span=st.sampled_from([1.0, 50.0, 1000.0]),
+       on_grid=st.booleans(), copies=st.integers(0, 4))
+def test_nearest_uavs_equals_the_einsum_oracle_on_random_fleets(n_users, n_uavs, seed, offset, span, on_grid,
+                                                                 copies):
+    """Fleets anywhere in projected coordinates (offsets up to 1e6 m), on an
+    integer grid (many equidistant UAVs) or not, with duplicated UAV rows and
+    a user directly under a UAV: the nearest UAV, d and f1 equal the einsum
+    oracle's, and every user the oracle sees tied goes through the exact pass."""
+    params = SystemParams()
+    rng = np.random.default_rng(seed)
+    users = np.column_stack([rng.random((n_users, 2)) * span, np.zeros(n_users)])
+    uavs = np.column_stack([rng.random((n_uavs, 2)) * span, rng.uniform(60.0, 120.0, n_uavs)])
+    if on_grid:
+        users, uavs = np.round(users), np.round(uavs)
+    uavs[0, :2] = users[-1, :2]  # the last user is directly under UAV 0
+    uavs[rng.integers(0, n_uavs, copies)] = uavs[rng.integers(0, n_uavs, copies)]
+    shift = np.array([*offset, 0.0])
+    users += shift
+    uavs += shift
+    bounds = Bounds(-2e6, 2e6, -2e6, 2e6, 60.0, 120.0)
+    scn = Scenario(users, uavs, (5e6, 5e6, 0.0), bounds, seed=0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        passed = _count_exact_passes(monkeypatch)
+        nearest, d_near, h = nearest_uavs(scn, uavs)
+    oracle_nearest, oracle_d, d = nearest_uavs_einsum(scn.user_xyz, uavs)
+    assert nearest.tolist() == oracle_nearest.tolist()
+    assert d_near.tolist() == oracle_d.tolist()
+    assert h.tolist() == np.abs(scn.user_xyz[:, 2] - uavs[nearest, 2]).tolist()
+    assert sum_user_rate(scn, uavs, params) == sum_user_rate_einsum(scn, uavs, params)[0]
+    tied = (d == oracle_d[:, None]).sum(axis=1) > 1
+    exact_users = {tuple(u) for rows in passed for u in rows.tolist()}
+    assert {tuple(u) for u in scn.user_xyz[tied].tolist()} <= exact_users
 
 
 @given(d=st.floats(10.0, 5000.0), frac=st.floats(0.01, 1.0))
