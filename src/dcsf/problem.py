@@ -228,8 +228,11 @@ def score(individual: Individual, params, f1: float) -> ObjectiveTriple:
 def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
     """Compute and cache (f1, f2, f3), the per-cluster SNRs, rates and similarities,
     and the constraint-violation scalar. With no `parent`, every term is
-    computed; see `batch_terms` for what a parent lends, and f1 always."""
-    batch_terms([individual], scenario, params, [parent])
+    computed; see `batch_terms` for what a parent lends, and f1 always. An
+    individual that is its own parent keeps all but f1, and so makes no
+    `batch_terms` call."""
+    if parent is not individual:
+        batch_terms([individual], scenario, params, [parent])
     return score(individual, params, channel.sum_user_rate(scenario, individual.q, params))
 
 

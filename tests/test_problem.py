@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import Bounds, SystemParams, beamforming, generate_scenario, solver
+from dcsf import Bounds, SystemParams, beamforming, generate_scenario, problem, solver
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
@@ -339,6 +339,30 @@ def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng
         assert np.array_equal(ind.cluster_snr, fresh.cluster_snr)
         assert ind.fleet_terms != stale_terms and ind.fleet_terms == fresh.fleet_terms
         assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
+
+
+def test_evaluate_with_itself_as_parent_keeps_its_terms_and_makes_no_batch_terms_call(
+        small_scenario, rng, monkeypatch):
+    params = SystemParams()
+    real_terms = problem.batch_terms
+    calls = []
+
+    def counting_terms(*args):
+        calls.append(args)
+        return real_terms(*args)
+
+    for _ in range(10):
+        ind = random_individual(small_scenario, rng)
+        evaluate(ind, small_scenario, params)
+        before = ind.copy()
+        monkeypatch.setattr(problem, "batch_terms", counting_terms)
+        evaluate(ind, small_scenario, params, ind)
+        monkeypatch.setattr(problem, "batch_terms", real_terms)
+        assert ind.objectives == before.objectives and ind.violation == before.violation
+        assert ind.fleet_terms == before.fleet_terms
+        for name in ("cluster_snr", "cluster_rate", "cluster_xi"):
+            assert getattr(ind, name).tobytes() == getattr(before, name).tobytes()
+    assert calls == []
 
 
 def test_to_dict_from_dict_roundtrip(small_scenario, rng):
