@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import dcsf
@@ -64,3 +66,14 @@ def test_no_library_module_calls_scalar_exp_or_log10():
                   and isinstance(node.value, ast.Name) and node.value.id == "math"):
                 calls.append(f"{path.name}:{node.lineno} math.{node.attr}")
     assert not calls, f"scalar exp or log10 in src/dcsf: {calls}"
+
+
+def test_no_library_module_holds_a_mutable_container():
+    """No module in src/dcsf holds a module-level dict, list, set or
+    bytearray, dunders aside: a cache there (say, keyed by array id) would
+    keep every scenario it saw alive and carry state from one solve to the
+    next in one process."""
+    modules = [dcsf] + [importlib.import_module(f"dcsf.{info.name}") for info in pkgutil.iter_modules(dcsf.__path__)]
+    held = [f"{module.__name__}.{name}" for module in modules for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set, bytearray)) and not (name.startswith("__") and name.endswith("__"))]
+    assert not held, f"module-level mutable containers in src/dcsf: {held}"
