@@ -239,31 +239,32 @@ def nearest_uavs(scenario: Scenario, uav_xyz: np.ndarray) -> tuple[np.ndarray, n
         nearest[undecided] = _first_nearest(rows[:, undecided], uav_xyz)
 
     near = np.take(uav_xyz.T, nearest, axis=1)
-    d = rows[0] - near[0]
-    d *= d
+    d = _direct_squares(rows, near)
     h = np.subtract(rows[2], near[2])
-    np.abs(h, out=h)
-    square = h * h
-    d += square
-    np.subtract(rows[1], near[1], out=square)
-    square *= square
-    d += square
-    return nearest, np.sqrt(d, out=d), h
+    return nearest, np.sqrt(d, out=d), np.abs(h, out=h)
 
 
 def _first_nearest(user_rows: np.ndarray, uav_xyz: np.ndarray) -> np.ndarray:
     """Index of each user's nearest UAV, the first minimum of the direct
     (V, U) distances after the square root, for users given as (3+, U) rows."""
-    d = user_rows[0] - uav_xyz[:, 0, None]
-    d *= d
-    square = user_rows[2] - uav_xyz[:, 2, None]
-    square *= square
-    d += square
-    np.subtract(user_rows[1], uav_xyz[:, 1, None], out=square)
-    square *= square
-    d += square
+    d = _direct_squares(user_rows, uav_xyz.T[:, :, None])
     np.sqrt(d, out=d)
     return _first_true(d == d.min(axis=0))
+
+
+def _direct_squares(user_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """|u - p|² of users given as (3+, U) rows, summed as (dx² + dz²) + dy²,
+    to points given as (3, ...) coordinate rows that broadcast against them:
+    (3, U), one point per user, or (3, V, 1), a fleet."""
+    d = user_rows[0] - points[0]
+    d *= d
+    square = user_rows[2] - points[2]
+    square *= square
+    d += square
+    np.subtract(user_rows[1], points[1], out=square)
+    square *= square
+    d += square
+    return d
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:
