@@ -153,18 +153,17 @@ def batch_terms(individuals, scenario, params, parents) -> list[bool]:
     From the evaluated `parents[i]` (or None), an individual takes the SNR of
     each cluster whose member set, Q rows and w equal, byte for byte, those
     of a cluster of the parent, and the fleet terms when all its Q rows are
-    byte-equal to the parent's; an individual that is its own parent keeps
-    its own. The rest is computed over the whole batch at once: one
-    `energy.total_flight_energy` and one `scenario.fleet_violations` call on
-    the moved fleets, one `beamforming.cluster_snr` call on the clusters
-    left unrated, and one `cluster_semantic_terms` call on the batch.
+    byte-equal to the parent's. The rest is computed over the whole batch
+    at once: one `energy.total_flight_energy` and one
+    `scenario.fleet_violations` call on the moved fleets, one
+    `beamforming.cluster_snr` call on the clusters left unrated, and one
+    `cluster_semantic_terms` call on the batch.
 
     Returns, per individual, whether its Q equals its parent's, and so its f1.
     """
-    kept = [parent is ind or (parent is not None and ind.q.tobytes() == parent.q.tobytes())
+    kept = [parent is not None and ind.q.tobytes() == parent.q.tobytes()
             for ind, parent in zip(individuals, parents)]
-    batch = [(ind, parent, same_q) for ind, parent, same_q in zip(individuals, parents, kept)
-             if parent is not ind]
+    batch = list(zip(individuals, parents, kept))
     if not batch:
         return kept
     q = np.stack([ind.q for ind, _, _ in batch])
