@@ -241,6 +241,8 @@ def _cmd_export(args) -> int:
     scn = _load_valid_scenario(args.scenario, params)
     front = _load_front(Path(args.run))
     for i, ind in enumerate(front):
+        if len(ind.w) != scn.n_uavs:
+            raise ValueError(f"front member {i} has {len(ind.w)} UAVs; the scenario has {scn.n_uavs}")
         if not all(params.k_min <= k <= params.k_max for k in ind.k.tolist()):
             raise ValueError(f"front member {i}: k {ind.k.tolist()} not in [{params.k_min}, {params.k_max}]")
         problem.evaluate(ind, scn, params)
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run an optimizer and write run artifacts")
     s.add_argument("--scenario", required=True)
-    s.add_argument("--mode", choices=["llm-aoa", "aoa", "monolithic-nsga2"], default="llm-aoa")
+    s.add_argument("--mode", choices=solver.MODES, default="llm-aoa")
     s.add_argument("--advisor", choices=["llm", "fallback"], default="fallback",
                    help=f"llm-aoa's advisor: the chat endpoint at ${ENV_URL} or the fallback rule "
                         "(default); aoa and monolithic-nsga2 run none")

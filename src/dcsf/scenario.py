@@ -253,9 +253,10 @@ def _first_nearest(user_rows: np.ndarray, uav_xyz: np.ndarray) -> np.ndarray:
 
 
 def _direct_squares(user_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """|u - p|² of users given as (3+, U) rows, summed as (dx² + dz²) + dy²,
-    to points given as (3, ...) coordinate rows that broadcast against them:
-    (3, U), one point per user, or (3, V, 1), a fleet."""
+    """|u - p|² of users given as (3+, ...) rows, summed as (dx² + dz²) + dy²
+    one coordinate at a time, to points given as (3, ...) coordinate rows
+    that broadcast against them: (3, U), one point per user, (3, V, 1), a
+    fleet, or, in `squared_distances`, every other point of a set."""
     d = user_rows[0] - points[0]
     d *= d
     square = user_rows[2] - points[2]
@@ -283,20 +284,11 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
 
 def squared_distances(xyz: np.ndarray) -> np.ndarray:
     """|r_i - r_j|² for every pair of points of each stacked set, (..., n, 3)
-    -> (..., n, n).
-
-    Built one coordinate at a time, so no (..., n, n, 3) difference array is
-    held. As in `nearest_uavs`, the squares are summed as (dx² + dz²) + dy²,
-    which reproduces, bit for bit, `einsum("ijk,ijk->ij")` over the pairwise
-    differences of one set.
-    """
-    d = xyz[..., :, None, 0] - xyz[..., None, :, 0]
-    d *= d
-    for axis in (2, 1):
-        square = xyz[..., :, None, axis] - xyz[..., None, :, axis]
-        square *= square
-        d += square
-    return d
+    -> (..., n, n), in the order of `_direct_squares`, which reproduces, bit
+    for bit, `einsum("ijk,ijk->ij")` over the pairwise differences of one
+    set; no (..., n, n, 3) difference array is held."""
+    rows = np.moveaxis(xyz, -1, 0)
+    return _direct_squares(rows[..., :, None], rows[..., None, :])
 
 
 # Relative slack on d_min^2 when screening pairs by vectorized squared

@@ -3,14 +3,15 @@
 The main pipeline alternates four stages per outer iteration: greedy cluster
 merging on f2 (GCA), an advisor-guided NSGA-II pass over positions and weights,
 an exhaustive per-cluster sweep of the symbol count (GSO), and an elitist
-sort/truncate assessment. Two baselines share the machinery: the same loop
+sort/truncate assessment. Two baselines share the machinery: the same stages
 with fixed (p_c, p_m) and no advisor, and a flat NSGA-II over every variable
-at once.
+at once, which runs the generations alone.
 
-All three modes run the same NSGA-II generation, `nsga2_generation`; they
-differ only in the genome and its decoding. Parents carry their objectives
-across generations, so each generation evaluates only the offspring that
-differ from their parent.
+All three modes run one outer loop (`run`) around the same NSGA-II
+generation, `nsga2_generation`; they differ only in the genome and its
+decoding, set up once before the loop, and in the stages around the
+generations. Parents carry their objectives across generations, so each
+generation evaluates only the offspring that differ from their parent.
 
 Every evaluated individual also carries what does not depend on k: one SNR
 per cluster, which depends on the members' positions and weights, and its
@@ -45,6 +46,9 @@ from .problem import ClusterAssignment, Individual, canonicalize_labels
 class SolverError(RuntimeError):
     pass
 
+
+# The modes `run` accepts: the paper's method and its two baselines.
+MODES = ("llm-aoa", "aoa", "monolithic-nsga2")
 
 # NSGA-II operator constants: the crossover and mutation probabilities (aoa
 # and monolithic-nsga2 keep them; the llm-aoa advisor adapts them from there)
@@ -531,34 +535,45 @@ def _history_record(t: int, population, p_c: float, p_m: float) -> dict:
 def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> RunResult:
     """Execute a full optimization run.
 
-    Modes: "llm-aoa" (the advisor sets p_c and p_m each generation, through
-    `transport` when one is given; see `advisor.advise`), "aoa" (fixed
-    P_C_INITIAL and P_M_INITIAL, no advisor) and "monolithic-nsga2" (flat
-    NSGA-II over all variables). History carries one record per outer
-    iteration.
+    Modes (`MODES`): "llm-aoa" (the advisor sets p_c and p_m each generation,
+    through `transport` when one is given; see `advisor.advise`), "aoa"
+    (fixed P_C_INITIAL and P_M_INITIAL, no advisor) and "monolithic-nsga2"
+    (flat NSGA-II over all variables, fixed p_c and p_m). All three run this
+    one outer loop; only the AO modes open each outer iteration with GCA and
+    close it with GSO and an elitist select. History carries one record per
+    outer iteration.
     """
-    if mode == "monolithic-nsga2":
-        return _run_monolithic(scenario, params, config)
-    if mode not in ("llm-aoa", "aoa"):
-        raise ValueError(f"unknown mode {mode!r}")
-
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     rng = np.random.default_rng(config.seed)
-    population = initialize_population(scenario, params, config, rng)
+    alternating = mode != "monolithic-nsga2"
+    if alternating:
+        # offspring keep their parent's (c, k); the genome is (Q, w)
+        population = initialize_population(scenario, params, config, rng)
+        bounds, decode = _gene_bounds(scenario, params), _with_genes
+    else:
+        bounds = lower, upper = _monolithic_bounds(scenario, params)
+        genomes = [lower + rng.random(len(lower)) * (upper - lower)
+                   for _ in range(config.population_size)]
+        population = [_decode_monolithic(g, params) for g in genomes]
+
+        def decode(_, genes):
+            return _decode_monolithic(genes, params)
     evaluate_population(population, scenario, params)
 
-    bounds = _gene_bounds(scenario, params)
     p_c, p_m = P_C_INITIAL, P_M_INITIAL
     llm_failures = 0
     window: list[tuple[float, float]] = []
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
-        gca_step(population, scenario, params)
+        if alternating:
+            gca_step(population, scenario, params)
+            # each generation returns its survivors' own (Q, w) genomes
+            genomes = [_genes_of(ind) for ind in population]
         for gen in range(config.t_local):
-            # offspring keep their parent's (c, k)
-            population, _ = nsga2_generation(
-                population, [_genes_of(ind) for ind in population], scenario, params,
-                bounds, _with_genes, p_c, p_m, rng)
-            if mode == "aoa":
+            population, genomes = nsga2_generation(
+                population, genomes, scenario, params, bounds, decode, p_c, p_m, rng)
+            if mode != "llm-aoa":
                 continue  # fixed (p_c, p_m): no advisor, no front metrics
             objs = _front_objectives(population)
             sp, m3 = metrics.spacing_metric(objs), metrics.max_spread_metric(objs)
@@ -576,8 +591,9 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
                 if llm_failures == LLM_FAILURE_LIMIT:
                     transport = None
             window.append((sp, m3))
-        gso_step(population, scenario, params)
-        population = select_best(population, config.population_size)
+        if alternating:
+            gso_step(population, scenario, params)
+            population = select_best(population, config.population_size)
         history.append(_history_record(t, population, p_c, p_m))
     return RunResult(population, history)
 
@@ -603,23 +619,3 @@ def _decode_monolithic(genes: np.ndarray, params) -> Individual:
     k_full = [min(max(round(g), params.k_min), params.k_max) for g in genes[5 * n_v:].tolist()]
     assignment, k = canonicalize_labels(labels, k_full[:max(labels)])
     return Individual(assignment, q, w, k)
-
-
-def _run_monolithic(scenario, params, config: SolverConfig) -> RunResult:
-    rng = np.random.default_rng(config.seed)
-    bounds = _monolithic_bounds(scenario, params)
-    lower, upper = bounds
-    genomes = [lower + rng.random(len(lower)) * (upper - lower)
-               for _ in range(config.population_size)]
-    population = [_decode_monolithic(g, params) for g in genomes]
-    evaluate_population(population, scenario, params)
-
-    p_c, p_m = P_C_INITIAL, P_M_INITIAL
-    history: list[dict] = []
-    for t in range(1, config.t_ao + 1):
-        for _ in range(config.t_local):
-            population, genomes = nsga2_generation(
-                population, genomes, scenario, params, bounds,
-                lambda _, genes: _decode_monolithic(genes, params), p_c, p_m, rng)
-        history.append(_history_record(t, population, p_c, p_m))
-    return RunResult(population, history)

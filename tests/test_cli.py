@@ -142,6 +142,22 @@ def test_export_deployment_rejects_a_k_outside_the_symbol_range(tmp_path, capsys
     assert not dep.exists()
 
 
+@pytest.mark.parametrize("uavs", [2, 4])
+def test_export_deployment_rejects_a_front_of_another_fleet_size(tmp_path, capsys, uavs):
+    out = _solve(tmp_path, _generate(tmp_path), "run")  # 3 UAVs
+    other = tmp_path / "other.json"
+    assert main(["generate", "--users", "25", "--uavs", str(uavs), "--area", "500",
+                 "--bs", "2000", "2000", "0", "--out", str(other)]) == 0
+    dep = tmp_path / "dep.json"
+    capsys.readouterr()
+    rc = main(["export-deployment", "--scenario", str(other), "--run", str(out), "--out", str(dep)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: front member 0 has 3 UAVs; the scenario has {uavs}\n"
+    assert not dep.exists()
+
+
 def test_missing_scenario_is_a_runtime_error(tmp_path):
     rc = main(["solve", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")])
     assert rc == 1

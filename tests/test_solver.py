@@ -517,18 +517,36 @@ def test_nsga2_generation_preserves_size_and_discrete_genes(small_scenario, rng)
         assert (ind.assignment.labels, tuple(ind.k)) in signatures
 
 
-def test_nsga2_generation_returns_each_survivors_monolithic_genome(small_scenario, rng):
-    bounds = lower, upper = _monolithic_bounds(small_scenario, PARAMS)
-    genomes = [lower + rng.random(len(lower)) * (upper - lower) for _ in range(8)]
-    pop = [_decode_monolithic(g, PARAMS) for g in genomes]
+@pytest.mark.parametrize("monolithic", [True, False], ids=["monolithic", "positions-and-weights"])
+def test_nsga2_generation_returns_each_survivors_genome(small_scenario, rng, monolithic):
+    """`run` keeps the genomes a generation returns: each decodes to its
+    survivor, its (Q, w) genes are byte-equal to the survivor's `_genes_of`,
+    and GCA and GSO, which run between generations, leave those unchanged."""
+    if monolithic:
+        bounds = lower, upper = _monolithic_bounds(small_scenario, PARAMS)
+        genomes = [lower + rng.random(len(lower)) * (upper - lower) for _ in range(8)]
+        pop = [_decode_monolithic(g, PARAMS) for g in genomes]
+        qw = slice(small_scenario.n_uavs, 5 * small_scenario.n_uavs)  # labels, (Q, w), k
+
+        def decode(_, g):
+            return _decode_monolithic(g, PARAMS)
+    else:
+        pop = initialize_population(small_scenario, PARAMS, SolverConfig(population_size=8), rng)
+        genomes = [_genes_of(ind) for ind in pop]
+        bounds, decode, qw = _gene_bounds(small_scenario, PARAMS), _with_genes, slice(None)
     for _ in range(3):
-        pop, genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
-                                        lambda _, g: _decode_monolithic(g, PARAMS), 0.9, 0.5, rng)
+        pop, genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds, decode, 0.9, 0.5, rng)
     assert len(pop) == len(genomes) == 8
     for ind, g in zip(pop, genomes):
-        decoded = _decode_monolithic(g, PARAMS)
+        decoded = decode(ind, g)
         evaluate(decoded, small_scenario, PARAMS)
         assert decoded.to_dict() == ind.to_dict()
+        assert g[qw].tobytes() == _genes_of(ind).tobytes()
+    before = [(ind.assignment, ind.k.tolist()) for ind in pop]
+    gca_step(pop, small_scenario, PARAMS)
+    gso_step(pop, small_scenario, PARAMS)
+    assert [(ind.assignment, ind.k.tolist()) for ind in pop] != before  # the stages ran
+    assert [_genes_of(ind).tobytes() for ind in pop] == [g[qw].tobytes() for g in genomes]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -707,7 +725,7 @@ def test_run_is_seed_deterministic(small_scenario):
     assert f1 == f2
 
 
-def test_run_history_and_modes(small_scenario):
+def test_run_history_and_modes(small_scenario, monkeypatch):
     cfg = SolverConfig(population_size=8, t_ao=3, t_local=2, seed=1)
     for mode in ("llm-aoa", "aoa", "monolithic-nsga2"):
         res = run(mode, small_scenario, PARAMS, cfg)
@@ -715,8 +733,11 @@ def test_run_history_and_modes(small_scenario):
         assert len(res.population) == 8
         for row in res.history:
             assert row["hypervolume"] >= 0.0
-    with pytest.raises(ValueError):
+    # an unknown mode fails before anything is evaluated
+    calls = _count_calls(monkeypatch, problem, "batch_terms")
+    with pytest.raises(ValueError, match="unknown mode 'nope'"):
         run("nope", small_scenario, PARAMS, cfg)
+    assert calls == []
 
 
 def test_aoa_mode_ignores_advisor_setting(small_scenario, monkeypatch):
