@@ -245,7 +245,9 @@ def _cmd_export(args) -> int:
             raise ValueError(f"front member {i} has {len(ind.w)} UAVs; the scenario has {scn.n_uavs}")
         if not all(params.k_min <= k <= params.k_max for k in ind.k.tolist()):
             raise ValueError(f"front member {i}: k {ind.k.tolist()} not in [{params.k_min}, {params.k_max}]")
-        problem.evaluate(ind, scn, params)
+        if not all(params.w_min <= w <= params.w_max for w in ind.w.tolist()):
+            raise ValueError(f"front member {i}: w {ind.w.tolist()} not in [{params.w_min}, {params.w_max}]")
+    problem.evaluate(front, scn, params)
     if args.index == "knee":
         idx = _knee(front)
     else:

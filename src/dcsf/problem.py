@@ -6,11 +6,11 @@ per-cluster symbol counts k}. Cluster labels are kept canonical (consecutive
 exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
 
 Each evaluated individual carries what does not depend on k: one SNR per
-cluster, and its fleet terms, f3 and the C1 + C2 violation, which depend on
-Q alone; and each cluster's semantic rate and similarity at its k.
+cluster, and its fleet terms, f1, f3 and the C1 + C2 violation, which depend
+on Q alone; and each cluster's semantic rate and similarity at its k.
 `batch_terms` sets them for a batch of individuals at once, in array passes;
-`score` sums them into f2 and the C6 violation next to a given f1, which
-also depends on Q alone. `evaluate` is a batch of one, its f1 and `score`.
+`score` sums them into the objectives, f2 and the C6 violation. `evaluate`
+is `batch_terms` and `score` over one batch.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class Individual:
     cluster_rate: np.ndarray | None = field(default=None, repr=False)  # suts/s per cluster
     cluster_xi: np.ndarray | None = field(default=None, repr=False)
     cluster_snr: np.ndarray | None = field(default=None, repr=False)  # per cluster; k-independent
-    fleet_terms: tuple[float, float] | None = field(default=None, repr=False)  # (f3, C1 + C2 violation)
+    # (f1, f3, C1 + C2 violation); k-independent
+    fleet_terms: tuple[float, float, float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -145,42 +146,40 @@ class Individual:
                           float(doc.get("violation", 0.0)))
 
 
-def batch_terms(individuals, scenario, params, parents) -> list[bool]:
+def batch_terms(individuals, scenario, params, parents) -> None:
     """Set each individual's `cluster_snr` (one per cluster) and
-    `fleet_terms`, f3 and the C1 + C2 violation, which k does not change,
-    and then its `cluster_rate` and `cluster_xi` at its k.
+    `fleet_terms`, f1, f3 and the C1 + C2 violation, which k does not
+    change, and then its `cluster_rate` and `cluster_xi` at its k.
 
     From the evaluated `parents[i]` (or None), an individual takes the SNR of
     each cluster whose member set, Q rows and w equal, byte for byte, those
     of a cluster of the parent, and the fleet terms when all its Q rows are
     byte-equal to the parent's. The rest is computed over the whole batch
-    at once: one `energy.total_flight_energy` and one
-    `scenario.fleet_violations` call on the moved fleets, one
-    `beamforming.cluster_snr` call on the clusters left unrated, and one
-    `cluster_semantic_terms` call on the batch.
-
-    Returns, per individual, whether its Q equals its parent's, and so its f1.
+    at once: one `channel.sum_user_rate`, one `energy.total_flight_energy`
+    and one `scenario.fleet_violations` call on the moved fleets (the first
+    even when none moved), one `beamforming.cluster_snr` call on the
+    clusters left unrated, and one `cluster_semantic_terms` call on the
+    batch. An empty batch sets nothing.
     """
-    kept = [parent is not None and ind.q.tobytes() == parent.q.tobytes()
-            for ind, parent in zip(individuals, parents)]
-    batch = list(zip(individuals, parents, kept))
-    if not batch:
-        return kept
-    q = np.stack([ind.q for ind, _, _ in batch])
+    if not individuals:
+        return
+    q = np.stack([ind.q for ind in individuals])
     moved = []
-    for f, (ind, parent, same_q) in enumerate(batch):
-        if same_q:
+    for f, (ind, parent) in enumerate(zip(individuals, parents)):
+        if parent is not None and ind.q.tobytes() == parent.q.tobytes():
             ind.fleet_terms = parent.fleet_terms
         else:
             moved.append(f)
+    fleets = q[moved]
+    f1 = channel.sum_user_rate(scenario, fleets, params).tolist()
     if moved:
-        f3 = energy.total_flight_energy(scenario, q[moved], params).tolist()
-        violations, _ = fleet_violations(q[moved], scenario.bounds, params.d_min)
-        for f, terms in zip(moved, zip(f3, violations)):
-            batch[f][0].fleet_terms = terms
+        f3 = energy.total_flight_energy(scenario, fleets, params).tolist()
+        violations, _ = fleet_violations(fleets, scenario.bounds, params.d_min)
+        for f, terms in zip(moved, zip(f1, f3, violations)):
+            individuals[f].fleet_terms = terms
 
     clusters, slots = [], []
-    for f, (ind, parent, _) in enumerate(batch):
+    for f, (ind, parent) in enumerate(zip(individuals, parents)):
         known = {}
         if parent is not None:
             same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
@@ -193,12 +192,11 @@ def batch_terms(individuals, scenario, params, parents) -> list[bool]:
         clusters += [(f, members[i]) for i in stale]
         slots += [(ind, i) for i in stale]
     if clusters:
-        w = np.stack([ind.w for ind, _, _ in batch])
+        w = np.stack([ind.w for ind in individuals])
         snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
         for (ind, i), snr in zip(slots, snrs.tolist()):
             ind.cluster_snr[i] = snr
-    cluster_semantic_terms([ind for ind, _, _ in batch], params)
-    return kept
+    cluster_semantic_terms(individuals, params)
 
 
 def cluster_semantic_terms(individuals, params) -> None:
@@ -215,24 +213,31 @@ def cluster_semantic_terms(individuals, params) -> None:
         ind.cluster_rate, ind.cluster_xi = rates[start:end], xis[start:end]
 
 
-def score(individual: Individual, params, f1: float) -> ObjectiveTriple:
+def score(individual: Individual, params) -> ObjectiveTriple:
     """Set and return the objectives and violation of an individual whose
-    fleet terms, cluster rates and similarities are set, given its f1."""
-    f3, violation = individual.fleet_terms
+    fleet terms, cluster rates and similarities are set."""
+    f1, f3, violation = individual.fleet_terms
     individual.objectives = ObjectiveTriple(f1, float(individual.cluster_rate.sum()), f3)
     individual.violation = violation + float(np.maximum(params.xi_threshold - individual.cluster_xi, 0.0).sum())
     return individual.objectives
 
 
-def evaluate(individual: Individual, scenario, params, parent: Individual | None = None) -> ObjectiveTriple:
-    """Compute and cache (f1, f2, f3), the per-cluster SNRs, rates and similarities,
-    and the constraint-violation scalar. With no `parent`, every term is
-    computed; see `batch_terms` for what a parent lends, and f1 always. An
-    individual that is its own parent keeps all but f1, and so makes no
-    `batch_terms` call."""
-    if parent is not individual:
-        batch_terms([individual], scenario, params, [parent])
-    return score(individual, params, channel.sum_user_rate(scenario, individual.q, params))
+def evaluate(individuals, scenario, params, parents=None):
+    """Compute and cache (f1, f2, f3), the per-cluster SNRs, rates and
+    similarities, and the constraint-violation scalar of a batch of
+    individuals, in one `batch_terms` call, and so with one
+    `channel.sum_user_rate` call; returns their objectives.
+
+    `parents[i]`, when given, lends `individuals[i]` what `batch_terms`
+    says; with no parents every term is computed. One individual, with its
+    parent or None, is a batch of one that returns its `ObjectiveTriple`.
+    """
+    single = isinstance(individuals, Individual)
+    if single:
+        individuals, parents = [individuals], [parents]
+    batch_terms(individuals, scenario, params, parents or [None] * len(individuals))
+    objectives = [score(ind, params) for ind in individuals]
+    return objectives[0] if single else objectives
 
 
 def violations_report(individual: Individual, scenario, params) -> list[str]:

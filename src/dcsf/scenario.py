@@ -4,8 +4,8 @@ A scenario is plain arrays: `user_xyz` (U x 3), `uav_initial_xyz` (V x 3)
 and `bs_xyz` (3,), plus the deployment `Bounds` and the seed. Construction
 copies them to float arrays, checks their shapes and that every coordinate is
 finite, and marks them read-only, so everything here is immutable after
-construction; so are the users' rows that `nearest_uavs` screens with,
-built once with them. Scenarios are generated once, written to JSON, and
+construction; so are the users' rows and the scale that `nearest_uavs`
+screens and measures with, built once with them. Scenarios are generated once, written to JSON, and
 replayed exactly.
 """
 
@@ -65,8 +65,9 @@ class Scenario:
     bs_xyz: np.ndarray           # (3,) base station
     bounds: Bounds
     seed: int
-    user_rows: np.ndarray = field(init=False, repr=False)     # (4, U) users' [x; y; z; 1]
-    user_sq_norms: np.ndarray = field(init=False, repr=False)  # (U,) users' |u|²
+    user_rows: np.ndarray = field(init=False, repr=False)    # (3, U) users' [x; y; z]
+    screen_rows: np.ndarray = field(init=False, repr=False)  # (4, U) users' [2x; 2y; 2z; -1]
+    user_sq_norm_max: float = field(init=False, repr=False)  # max_u |u|²
 
     def __post_init__(self):
         for name, ndim in (("user_xyz", 2), ("uav_initial_xyz", 2), ("bs_xyz", 1)):
@@ -78,11 +79,13 @@ class Scenario:
                 raise ScenarioError(f"non-finite coordinate in {name}")
             xyz.setflags(write=False)
             object.__setattr__(self, name, xyz)
-        rows = np.vstack([self.user_xyz.T, np.ones(self.n_users)])
-        sq_norms = np.einsum("uk,uk->u", self.user_xyz, self.user_xyz)
-        for name, value in (("user_rows", rows), ("user_sq_norms", sq_norms)):
+        rows = np.ascontiguousarray(self.user_xyz.T)
+        screen = np.vstack([2.0 * rows, np.full(self.n_users, -1.0)])
+        for name, value in (("user_rows", rows), ("screen_rows", screen)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        sq_norms = np.einsum("uk,uk->u", self.user_xyz, self.user_xyz)
+        object.__setattr__(self, "user_sq_norm_max", float(sq_norms.max()))
 
     @property
     def n_users(self) -> int:
@@ -183,15 +186,17 @@ def generate_scenario(
     return Scenario(users, launch_positions(n_uavs, bounds), bs_xyz, bounds, seed)
 
 
-# Relative slack of the nearest-UAV screen, on the scale |u|² + max_v |q_v|²
-# of a user's scores: over 150 times the rounding that can separate the
-# screen from the direct distances (see `nearest_uavs`).
+# Relative slack of the nearest-UAV screen, on the scale max_u |u|² +
+# max_v |q_v|² of a fleet's scores: over 150 times the rounding that can
+# separate the screen from the direct distances (see `nearest_uavs`).
 _NEAREST_SLACK = 2.0 ** -40
 
 
 def nearest_uavs(scenario: Scenario, uav_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index, distance d and height difference |Δz| of each user's link to
-    its nearest UAV in `uav_xyz` (V, 3); ties go to the lowest index.
+    its nearest UAV in `uav_xyz`; ties go to the lowest index. `uav_xyz` is
+    one fleet (V, 3), which gives (U,) results, or a stack of fleets
+    (F, V, 3), which gives (F, U) results, each row that fleet's alone.
 
     Nearest means the first minimum of the direct distances, each summed as
     (dx² + dz²) + dy² and then square-rooted. That reproduces, bit for bit,
@@ -199,68 +204,81 @@ def nearest_uavs(scenario: Scenario, uav_xyz: np.ndarray) -> tuple[np.ndarray, n
     in tests/oracles.py); (dx² + dy²) + dz² does not.
 
     A screen finds the candidates first. User u rates UAV q_v by the score
-    s_v(u) = [2q_v, -|q_v|²] · [u; 1] = |u|² - |u - q_v|², all of them in
-    one (V, 4) @ (4, U) matmul on the scenario's `user_rows`; the higher the
-    score, the nearer the UAV. UAV v is a candidate for u when s_v(u) is at
-    least the top score less _NEAREST_SLACK · M, M = |u|² + max_v |q_v|².
-    The margin argument, in units of u·M with u = 2⁻⁵³: each computed score
-    is within 13 of its exact value (a 4-term dot product whose terms sum in
-    magnitude to at most 2|q_v|² + |u|² ≤ 2M, plus the rounding of |q_v|²
-    and of the floor); each direct d² is within 10 of its exact value, as
-    d² ≤ 2M; and two d² more than 8 apart have different square roots. The
-    slack is 2¹³ = 8192, over 150 times the 2·13 + 2·10 + 8 = 54 these add
-    up to, so a UAV outside it is strictly farther than the top-scored UAV
-    after the square root and is never the oracle's choice: the nearest UAV
-    is always a candidate (barring underflow, which needs every coordinate
-    below about 1e-150 m). A user with one candidate is served by it. The
-    users with more, exact ties such as duplicated UAVs and margins inside
-    the slack, or with none (a non-finite score), go through the direct
-    (V, U') distances, `_first_nearest`. A screen on d² alone would not do:
-    two d² one ulp apart can share a d, and then the first of them wins,
-    not the smaller.
+    s_v(u) = [q_v, |q_v|²] · [2u; -1] = |u|² - |u - q_v|², all of them, of
+    every fleet, in one (F·V, 4) @ (4, U) matmul on the scenario's
+    `screen_rows`; the higher the score, the nearer the UAV. UAV v is a
+    candidate for u when s_v(u) is at least u's top score in v's fleet less
+    _NEAREST_SLACK · M, with one scale per fleet, M = max_u |u|² +
+    max_v |q_v|². The margin argument, in units of u·M with u = 2⁻⁵³: each
+    computed score is within 13 of its exact value (a 4-term dot product
+    whose terms sum in magnitude to at most 2|q_v|² + |u|² ≤ 2M, plus the
+    rounding of |q_v|² and of the floor), whatever order the BLAS kernel
+    sums in; each direct d² is within 10 of its exact value, as d² ≤ 2M;
+    and two d² more than 8 apart have different square roots. The slack is
+    2¹³ = 8192, over 150 times the 2·13 + 2·10 + 8 = 54 these add up to, so
+    a UAV outside it is strictly farther than the top-scored UAV after the
+    square root and is never the oracle's choice: the nearest UAV is always
+    a candidate (barring underflow, which needs every coordinate below
+    about 1e-150 m). A user with one candidate is served by it. The users
+    with more, exact ties such as duplicated UAVs and margins inside the
+    slack, or with none (a non-finite score), go through the direct (V, U')
+    distances to their own fleet, `_first_nearest`. A screen on d² alone
+    would not do: two d² one ulp apart can share a d, and then the first of
+    them wins, not the smaller.
 
     The winners' coordinates are gathered, and d and |Δz| are computed once
     per user in the direct order, so d is the oracle's, bit for bit.
     """
     rows = scenario.user_rows
-    n = len(uav_xyz)
-    coefficients = np.empty((n, 4))
-    np.multiply(uav_xyz, 2.0, out=coefficients[:, :3])
-    sq_norms = np.einsum("vk,vk->v", uav_xyz, uav_xyz)
-    np.negative(sq_norms, out=coefficients[:, 3])
-    scores = coefficients @ rows
-    floor = scenario.user_sq_norms + sq_norms.max()
-    floor *= -_NEAREST_SLACK
-    floor += scores.max(axis=0)
-    candidate = scores >= floor
+    fleets = uav_xyz.shape[:-1]  # (V,) or (F, V)
+    n = fleets[-1]
+    uavs = uav_xyz.reshape(-1, 3)
+    coefficients = np.empty((len(uavs), 4))
+    coefficients[:, :3] = uavs
+    sq_norms = np.einsum("vk,vk->v", uavs, uavs, out=coefficients[:, 3])
+    scores = (coefficients @ scenario.screen_rows).reshape(*fleets, rows.shape[1])
+    scale = scenario.user_sq_norm_max + sq_norms.reshape(fleets).max(axis=-1, keepdims=True)  # M per fleet
+    floor = scores.max(axis=-2)
+    floor -= _NEAREST_SLACK * scale
+    candidate = scores >= floor[..., None, :]
     nearest = _first_true(candidate)
-    undecided = np.flatnonzero(candidate.sum(axis=0, dtype=np.min_scalar_type(n)) != 1)
-    if len(undecided):
-        nearest[undecided] = _first_nearest(rows[:, undecided], uav_xyz)
+    undecided = candidate.sum(axis=-2, dtype=np.min_scalar_type(n)) != 1
+    if undecided.any():
+        undecided = np.flatnonzero(undecided)
+        fleet, user = np.divmod(undecided, rows.shape[1])
+        nearest.flat[undecided] = _first_nearest(rows[:, user], uav_xyz.reshape(-1, n, 3)[fleet])
 
-    near = np.take(uav_xyz.T, nearest, axis=1)
-    d = _direct_squares(rows, near)
+    # each winner's row of `uavs`
+    winner = nearest if uav_xyz.ndim == 2 else nearest + np.arange(0, len(uavs), n)[:, None]
+    near = np.take(uavs.T, winner, axis=1)
     h = np.subtract(rows[2], near[2])
+    d = _direct_squares(rows, near, h)
     return nearest, np.sqrt(d, out=d), np.abs(h, out=h)
 
 
-def _first_nearest(user_rows: np.ndarray, uav_xyz: np.ndarray) -> np.ndarray:
+def _first_nearest(user_rows: np.ndarray, fleets: np.ndarray) -> np.ndarray:
     """Index of each user's nearest UAV, the first minimum of the direct
-    (V, U) distances after the square root, for users given as (3+, U) rows."""
-    d = _direct_squares(user_rows, uav_xyz.T[:, :, None])
+    (V, U) distances after the square root, for users given as (3, U) rows,
+    each against its own fleet of `fleets` (U, V, 3)."""
+    d = _direct_squares(user_rows, fleets.T)
     np.sqrt(d, out=d)
     return _first_true(d == d.min(axis=0))
 
 
-def _direct_squares(user_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """|u - p|² of users given as (3+, ...) rows, summed as (dx² + dz²) + dy²
+def _direct_squares(user_rows: np.ndarray, points: np.ndarray, dz: np.ndarray | None = None) -> np.ndarray:
+    """|u - p|² of users given as (3, ...) rows, summed as (dx² + dz²) + dy²
     one coordinate at a time, to points given as (3, ...) coordinate rows
-    that broadcast against them: (3, U), one point per user, (3, V, 1), a
-    fleet, or, in `squared_distances`, every other point of a set."""
+    that broadcast against them: (3, U) or (3, F, U), one point per user and
+    fleet, (3, V, U), each user's own fleet, or, in `squared_distances`,
+    every other point of a set. `dz`, when given, is the z difference
+    already computed."""
     d = user_rows[0] - points[0]
     d *= d
-    square = user_rows[2] - points[2]
-    square *= square
+    if dz is None:
+        square = user_rows[2] - points[2]
+        square *= square
+    else:
+        square = dz * dz
     d += square
     np.subtract(user_rows[1], points[1], out=square)
     square *= square
@@ -269,17 +287,17 @@ def _direct_squares(user_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Row index, as `intp`, of the first True of each column of a (V, U) mask
-    that has one.
+    """Row index, as `intp`, of the first True of each column of a (V, U)
+    mask, or of each of a stack of them (F, V, U), that has one.
 
-    Found without an axis-0 argmax (for which numpy moves the V axis last and
-    runs U short argmaxes): row v gets rank n - v where it is True and 0
+    Found without an argmax over V (for which numpy moves the V axis last
+    and runs U short argmaxes): row v gets rank n - v where it is True and 0
     elsewhere, so the highest rank of a column is n minus its first True row.
     The ranks use the smallest unsigned dtype that holds n.
     """
-    n = len(mask)
+    n = mask.shape[-2]
     rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
-    return n - (mask * rank[:, None]).max(axis=0).astype(np.intp)
+    return n - (mask.view(np.uint8) * rank[:, None]).max(axis=-2).astype(np.intp)
 
 
 def squared_distances(xyz: np.ndarray) -> np.ndarray:

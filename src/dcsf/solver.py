@@ -15,12 +15,13 @@ generation evaluates only the offspring that differ from their parent.
 
 Every evaluated individual also carries what does not depend on k: one SNR
 per cluster, which depends on the members' positions and weights, and its
-fleet terms, f3 and the C1 + C2 violation, which depend on the positions
-alone. An offspring reuses its parent's SNR for each cluster it kept
-unchanged, and its parent's fleet terms and f1 when it kept every position.
+fleet terms, f1, f3 and the C1 + C2 violation, which depend on the
+positions alone. An offspring reuses its parent's SNR for each cluster it
+kept unchanged, and its parent's fleet terms when it kept every position.
 One population evaluation computes the rest for all its pending individuals
-in array passes (`problem.batch_terms`): one `beamforming.cluster_snr` call
-and one `energy.total_flight_energy` call, and f1 per moved individual.
+in one `problem.evaluate` batch, in array passes: one
+`channel.sum_user_rate` call on the stack of moved fleets, one
+`energy.total_flight_energy` call and one `beamforming.cluster_snr` call.
 
 GCA and GSO also run over the whole population at once. GCA merges every
 individual in lockstep, one pass per merge: each pass rates the pairs not
@@ -104,18 +105,16 @@ def initialize_population(scenario, params, config: SolverConfig, rng=None) -> l
 
 def evaluate_population(population, scenario, params, parents=None) -> None:
     """Evaluate every member that has no objectives yet, lending it the
-    stored SNRs, fleet terms and f1 of `parents[i]` when `parents` is given.
-    What is left to compute, over all those members, is computed in one
-    `problem.batch_terms` pass and one f1 computation per moved member."""
+    stored SNRs and fleet terms (f1 among them) of `parents[i]` when
+    `parents` is given. What is left to compute, over all those members, is
+    computed in one `problem.evaluate` batch, which is not called when no
+    member is pending."""
     pending = [i for i, ind in enumerate(population) if ind.objectives is None]
-    lenders = [None if parents is None else parents[i] for i in pending]
+    if not pending:
+        return
     try:
-        kept = problem.batch_terms([population[i] for i in pending], scenario, params, lenders)
-        for i, parent, same_q in zip(pending, lenders, kept):
-            if same_q:
-                problem.score(population[i], params, parent.objectives.f1)
-            else:
-                problem.evaluate(population[i], scenario, params, population[i])
+        problem.evaluate([population[i] for i in pending], scenario, params,
+                         None if parents is None else [parents[i] for i in pending])
     except ValueError as exc:
         raise SolverError(f"evaluation failed: {exc}") from exc
 
@@ -227,7 +226,7 @@ def gca_step(population, scenario, params) -> None:
     `cluster_snr` and one `semantic_terms` call: every pair in the first
     pass, then only the pairs with each new cluster. The merged individuals
     are rated in one `cluster_semantic_terms` call and scored again with
-    their own f1 and fleet terms.
+    their own fleet terms.
     """
     evaluate_population(population, scenario, params)
     merging = [_Merging(ind) for ind in population if ind.assignment.n_clusters > 1]
@@ -252,7 +251,7 @@ def gca_step(population, scenario, params) -> None:
     changed = [m.ind for m in merging if m.changed]
     problem.cluster_semantic_terms(changed, params)
     for ind in changed:
-        problem.score(ind, params, ind.objectives.f1)
+        problem.score(ind, params)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +488,7 @@ def gso_step(population, scenario, params) -> None:
     on k, give one (cluster, k) table of rates and similarities in one
     `semantic.semantic_terms` call, and one masked argmax over its rows. The
     individuals whose k changed are rated in one `cluster_semantic_terms`
-    call and scored again, with their own SNRs, f1 and fleet terms.
+    call and scored again, with their own SNRs and fleet terms.
     """
     evaluate_population(population, scenario, params)
     snr = np.concatenate([ind.cluster_snr for ind in population])
@@ -505,7 +504,7 @@ def gso_step(population, scenario, params) -> None:
             changed.append(ind)
     problem.cluster_semantic_terms(changed, params)
     for ind in changed:
-        problem.score(ind, params, ind.objectives.f1)
+        problem.score(ind, params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcsf import Bounds, SystemParams, generate_scenario, scenario as scenario_mod
+from dcsf import Bounds, SystemParams, channel as channel_mod, generate_scenario, scenario as scenario_mod
 from dcsf.channel import path_gain, sum_user_rate
 from dcsf.scenario import Scenario, nearest_uavs
 from oracles import (
@@ -236,6 +236,77 @@ def test_nearest_uavs_equals_the_einsum_oracle_on_random_fleets(n_users, n_uavs,
     tied = (d == oracle_d[:, None]).sum(axis=1) > 1
     exact_users = {tuple(u) for rows in passed for u in rows.tolist()}
     assert {tuple(u) for u in scn.user_xyz[tied].tolist()} <= exact_users
+
+
+def _count_blocks(monkeypatch):
+    """Record the shape of the fleets of every `nearest_uavs` call of
+    `sum_user_rate`: one per block."""
+    shapes = []
+    real = channel_mod.nearest_uavs
+
+    def counted(scenario, uav_xyz):
+        shapes.append(uav_xyz.shape)
+        return real(scenario, uav_xyz)
+
+    monkeypatch.setattr(channel_mod, "nearest_uavs", counted)
+    return shapes
+
+
+def test_a_block_score_array_stays_under_128_kib():
+    assert channel_mod._BLOCK_CELLS * 8 < 128 * 1024 <= (channel_mod._BLOCK_CELLS + 1) * 8
+
+
+@pytest.mark.parametrize("n_users, n_uavs, n_fleets, blocks", [
+    (300, 8, 14, [6, 6, 2]),      # 14 fleets in blocks of 6: the last block is short
+    (300, 8, 6, [6]),
+    (300, 8, 1, [1]),
+    (300, 8, 0, []),
+    (2000, 8, 3, [None] * 3),     # V·U = 16,000: blocks of one run as single fleets
+    (500, 24, 2, [None] * 2),
+    (20, 3, 700, [273, 273, 154]),
+])
+def test_a_stack_of_fleets_equals_its_fleets_one_by_one(params, monkeypatch, n_users, n_uavs, n_fleets, blocks):
+    """f1 and the nearest UAVs of a stack equal, bit for bit, those of each
+    fleet alone and the einsum oracle's, in blocks of _BLOCK_CELLS // (V·U)
+    fleets. Fleets on both sides of every block boundary carry duplicated
+    UAVs, so the exact pass runs on each of them."""
+    bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
+    scn = generate_scenario(n_users, n_uavs, bounds, (5000.0, 5000.0, 0.0), seed=n_fleets)
+    rng = np.random.default_rng(n_fleets)
+    q = bounds.lower + rng.random((n_fleets, n_uavs, 3)) * (bounds.upper - bounds.lower)
+    edges = np.cumsum([1 if b is None else b for b in blocks]).tolist()
+    tied = sorted({f for edge in edges[:-1] for f in (edge - 1, edge)} | {0} if n_fleets else set())
+    for f in tied:
+        q[f, 1:3] = q[f, 0]  # users nearest UAV 0 tie with UAVs 1 and 2
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = _count_blocks(patch)
+        exact = _count_exact_fleets(patch)
+        rates = sum_user_rate(scn, q, params)
+        nearest, d_near, h = nearest_uavs(scn, q)
+    assert [None if len(shape) == 2 else shape[0] for shape in shapes] == blocks
+    assert rates.shape == (n_fleets,) and rates.dtype == np.float64
+    assert nearest.shape == d_near.shape == h.shape == (n_fleets, n_users)
+    for f in tied:
+        assert q[f].tobytes() in exact  # the screen left ties, and the exact pass ran
+    for f in range(n_fleets):
+        rate, oracle_nearest = sum_user_rate_einsum(scn, q[f], params)
+        assert rates[f] == sum_user_rate(scn, q[f], params) == rate
+        single = nearest_uavs(scn, q[f])
+        assert nearest[f].tolist() == single[0].tolist() == oracle_nearest.tolist()
+        assert d_near[f].tobytes() == single[1].tobytes() and h[f].tobytes() == single[2].tobytes()
+
+
+def _count_exact_fleets(monkeypatch):
+    """Record, as bytes, every fleet the screen's exact pass measured users against."""
+    fleets = set()
+    real = scenario_mod._first_nearest
+
+    def counted(user_rows, uav_xyz):
+        fleets.update(fleet.tobytes() for fleet in uav_xyz)
+        return real(user_rows, uav_xyz)
+
+    monkeypatch.setattr(scenario_mod, "_first_nearest", counted)
+    return fleets
 
 
 @given(d=st.floats(10.0, 5000.0), frac=st.floats(0.01, 1.0))

@@ -142,6 +142,28 @@ def test_export_deployment_rejects_a_k_outside_the_symbol_range(tmp_path, capsys
     assert not dep.exists()
 
 
+@pytest.mark.parametrize("w", [-5.0, -1e-300, 1.0 + 2.0 ** -52, 7])
+def test_export_deployment_rejects_weights_outside_their_bounds(tmp_path, capsys, w):
+    """A member whose weights leave [w_min, w_max] is refused before it is
+    evaluated, whichever member is exported: such weights would score as
+    feasible with a semantic rate no solve can reach."""
+    scn = _generate(tmp_path)
+    out = _solve(tmp_path, scn, "run")
+    doc = json.loads((out / "pareto.json").read_text())
+    doc["front"][-1]["w"] = [w] * len(doc["front"][-1]["w"])
+    (out / "pareto.json").write_text(json.dumps(doc))
+    dep = tmp_path / "dep.json"
+    capsys.readouterr()
+    rc = main(["export-deployment", "--scenario", str(scn), "--run", str(out),
+               "--index", "0", "--out", str(dep)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    member = len(doc["front"]) - 1
+    assert err == f"error: front member {member}: w {[float(w)] * 3} not in [0.0, 1.0]\n"
+    assert not dep.exists()
+
+
 @pytest.mark.parametrize("uavs", [2, 4])
 def test_export_deployment_rejects_a_front_of_another_fleet_size(tmp_path, capsys, uavs):
     out = _solve(tmp_path, _generate(tmp_path), "run")  # 3 UAVs

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsf import Bounds, SystemParams, beamforming, generate_scenario, problem, solver
+from dcsf import Bounds, SystemParams, beamforming, channel, generate_scenario, solver
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
@@ -24,6 +24,7 @@ from oracles import (
     fake_pool,
     per_user_rates,
     random_individual,
+    sum_user_rate_einsum,
     total_flight_energy_per_uav,
     violation_double_loop,
 )
@@ -164,7 +165,8 @@ def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
     """One population evaluation over crowded fleets, fleets with pairs a few
     ulps either side of d_min (inside the screen's slack), fleets with a UAV
     on a corner of the bounds and fleets outside the bounds gives each member
-    the double loop's violation and the per-UAV f3, under ==;
+    the double loop's violation, the per-UAV f3 and the einsum oracle's f1,
+    under ==;
     `fleet_violations` over the same stack gives the amounts the evaluation
     read and one line per breach the double loops find."""
     params = SystemParams()
@@ -194,7 +196,8 @@ def test_batched_violation_and_f3_equal_the_double_loop_oracles(rng):
         for ind, amount, fleet_lines in zip(batch, amounts, lines):
             assert ind.violation == violation_double_loop(ind, scn, params)
             assert ind.objectives.f3 == total_flight_energy_per_uav(scn, ind.q, params)
-            assert ind.fleet_terms[1] == amount
+            assert ind.fleet_terms[2] == amount
+            assert ind.fleet_terms[0] == ind.objectives.f1 == sum_user_rate_einsum(scn, ind.q, params)[0]
             assert (amount == 0.0) == (fleet_lines == [])
             outside = [i for i in range(n) if not all(lower[a] <= ind.q[i, a] <= upper[a] for a in range(3))]
             assert fleet_lines == (
@@ -341,28 +344,35 @@ def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng
         assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
 
 
-def test_evaluate_with_itself_as_parent_keeps_its_terms_and_makes_no_batch_terms_call(
-        small_scenario, rng, monkeypatch):
+def test_evaluate_with_itself_as_parent_keeps_its_terms(small_scenario, rng, monkeypatch):
+    """An individual lent its own terms keeps them all: `batch_terms` scores
+    no fleet for f1 and rates no cluster."""
     params = SystemParams()
-    real_terms = problem.batch_terms
-    calls = []
+    real_rate, real_snr = channel.sum_user_rate, beamforming.cluster_snr
+    fleets, clusters = [], []
 
-    def counting_terms(*args):
-        calls.append(args)
-        return real_terms(*args)
+    def counting_rate(scenario, q, params):
+        fleets.append(len(q))
+        return real_rate(scenario, q, params)
+
+    def counting_snr(rated, *args):
+        clusters.append(len(rated))
+        return real_snr(rated, *args)
 
     for _ in range(10):
         ind = random_individual(small_scenario, rng)
         evaluate(ind, small_scenario, params)
         before = ind.copy()
-        monkeypatch.setattr(problem, "batch_terms", counting_terms)
+        monkeypatch.setattr(channel, "sum_user_rate", counting_rate)
+        monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
         evaluate(ind, small_scenario, params, ind)
-        monkeypatch.setattr(problem, "batch_terms", real_terms)
+        monkeypatch.setattr(channel, "sum_user_rate", real_rate)
+        monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
         assert ind.objectives == before.objectives and ind.violation == before.violation
         assert ind.fleet_terms == before.fleet_terms
         for name in ("cluster_snr", "cluster_rate", "cluster_xi"):
             assert getattr(ind, name).tobytes() == getattr(before, name).tobytes()
-    assert calls == []
+    assert fleets == [0] * 10 and clusters == []
 
 
 def test_to_dict_from_dict_roundtrip(small_scenario, rng):

@@ -561,10 +561,26 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_fleets(monkeypatch):
+    """Record the number of fleets each `channel.sum_user_rate` call scores:
+    one fresh f1 per fleet."""
+    fleets = []
+    real = channel.sum_user_rate
+
+    def counted(scenario, uav_positions, params):
+        q = np.asarray(uav_positions)
+        fleets.append(1 if q.ndim == 2 else len(q))
+        return real(scenario, uav_positions, params)
+
+    monkeypatch.setattr(channel, "sum_user_rate", counted)
+    return fleets
+
+
 def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
     # wrap every generation's decoder to count, independently of the solver,
-    # the offspring whose (c, Q, w, k) differ from their parent's
-    differs = []
+    # the offspring whose (c, Q, w, k) differ from their parent's, and those
+    # whose Q does
+    differs, moved = [], []
     real_generation = solver.nsga2_generation
 
     def counted_generation(population, genomes, scenario, params, bounds, decode, *rest):
@@ -572,21 +588,23 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
             child = decode(parent, genes)
             fields = ("c", "Q", "w", "k")
             differs.append(any(child.to_dict()[f] != parent.to_dict()[f] for f in fields))
+            moved.append(child.q.tobytes() != parent.q.tobytes())
             return child
 
         return real_generation(population, genomes, scenario, params, bounds, counted_decode, *rest)
 
     monkeypatch.setattr(solver, "nsga2_generation", counted_generation)
-    # every evaluation ends in one `score` call, with f1 from `evaluate` or from the parent
+    # every evaluation ends in one `score` call, with a fresh f1 or the parent's
     calls = _count_calls(monkeypatch, problem, "score")
-    f1_calls = _count_calls(monkeypatch, problem, "evaluate")
+    f1_fleets = _count_fleets(monkeypatch)
     cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, seed=0)
     run("monolithic-nsga2", small_scenario, PARAMS, cfg)
     offspring = 2 * (int(round(P_C_INITIAL * 8)) // 2) + int(round(P_M_INITIAL * 8))
     assert len(differs) == 2 * 3 * offspring
     assert 0 < differs.count(False) < len(differs)  # the clone skip is exercised
     assert len(calls) == 8 + differs.count(True)
-    assert 8 <= len(f1_calls) <= len(calls)
+    # a fresh f1 for the initial population and each offspring that moved
+    assert 8 <= sum(f1_fleets) == 8 + moved.count(True) <= len(calls)
 
 
 def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monkeypatch):
@@ -603,12 +621,12 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
         children.append((parent, child))
         return child
 
-    # every evaluation ends in one `score` call, with f1 from `evaluate` or from the parent
+    # every evaluation ends in one `score` call, with a fresh f1 or the parent's
     calls = _count_calls(monkeypatch, problem, "score")
-    f1_calls = _count_calls(monkeypatch, problem, "evaluate")
+    f1_fleets = _count_fleets(monkeypatch)
     nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
                      lambda parent, genes: decode(parent, genes, 0.0), 0.5, 0.5, rng)
-    assert calls == [] and f1_calls == [] and len(children) == 8
+    assert calls == [] and f1_fleets == [] and len(children) == 8
     for parent, child in children:
         fresh = Individual(child.assignment, child.q.copy(), child.w.copy(), child.k.copy())
         evaluate(fresh, small_scenario, PARAMS)
@@ -618,9 +636,10 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
         assert child.cluster_xi is not parent.cluster_xi
     # the same generation with one weight moved evaluates every offspring, with its parent's f1
     calls.clear()
+    f1_fleets.clear()  # the fresh evaluations' own
     nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
                      lambda parent, genes: decode(parent, genes, 1e-6), 0.5, 0.5, rng)
-    assert len(calls) == 8 and f1_calls == []
+    assert len(calls) == 8 and sum(f1_fleets) == 0
 
 
 def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
@@ -630,12 +649,12 @@ def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
     k_before = ind.k.copy()
     # every evaluation ends in one `score` call; GSO's take f1 from the individual
     calls = _count_calls(monkeypatch, problem, "score")
-    f1_calls = _count_calls(monkeypatch, problem, "evaluate")
+    f1_fleets = _count_fleets(monkeypatch)
     gso_step([ind], small_scenario, PARAMS)
     assert not np.array_equal(ind.k, k_before) and len(calls) == 1
     swept = ind.copy()
     gso_step([ind], small_scenario, PARAMS)  # the sweep's argmax keeps k
-    assert np.array_equal(ind.k, swept.k) and len(calls) == 1 and f1_calls == []
+    assert np.array_equal(ind.k, swept.k) and len(calls) == 1 and sum(f1_fleets) == 0
     assert ind.to_dict() == swept.to_dict()
 
 
@@ -648,24 +667,25 @@ def _assert_evaluated_afresh(ind, scn):
 
 def test_gca_and_gso_score_without_f1(monkeypatch):
     """A merged or re-swept individual keeps its Q, so it is scored with its
-    own f1: no `sum_user_rate` call, and the values of a fresh evaluation."""
+    own f1: no fleet scored by `sum_user_rate`, and the values of a fresh
+    evaluation."""
     bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
     scn = generate_scenario(50, 12, bounds, (2000.0, 2000.0, 0.0), seed=12)
     rng = np.random.default_rng(12)
     population = [random_individual(scn, rng) for _ in range(6)]
     solver.evaluate_population(population, scn, PARAMS)
-    f1_calls = _count_calls(monkeypatch, channel, "sum_user_rate")
+    f1_fleets = _count_fleets(monkeypatch)
     labels = [ind.assignment.labels for ind in population]
     gca_step(population, scn, PARAMS)
     merged = [ind for ind, before in zip(population, labels) if ind.assignment.labels != before]
-    assert merged and f1_calls == []
+    assert merged and sum(f1_fleets) == 0
     for ind in merged:
         _assert_evaluated_afresh(ind, scn)
     ks = [ind.k.copy() for ind in population]
-    f1_calls.clear()  # the fresh evaluations' own
+    f1_fleets.clear()  # the fresh evaluations' own
     gso_step(population, scn, PARAMS)
     swept = [ind for ind, k in zip(population, ks) if not np.array_equal(ind.k, k)]
-    assert swept and f1_calls == []
+    assert swept and sum(f1_fleets) == 0
     for ind in swept:
         _assert_evaluated_afresh(ind, scn)
 
@@ -675,9 +695,9 @@ def test_a_weight_only_offspring_takes_its_parents_f1(small_scenario, rng, monke
     solver.evaluate_population(parents, small_scenario, PARAMS)
     children = [Individual(ind.assignment, ind.q.copy(), ind.w * 0.5, ind.k.copy()) for ind in parents]
     children[1].q[0] += 1.0  # one child moves a UAV
-    f1_calls = _count_calls(monkeypatch, channel, "sum_user_rate")
+    f1_fleets = _count_fleets(monkeypatch)
     solver.evaluate_population(children, small_scenario, PARAMS, parents)
-    assert len(f1_calls) == 1
+    assert f1_fleets == [1]  # one stacked call, on the one child that moved
     for parent, child in zip(parents, children):
         assert (child.objectives.f1 == parent.objectives.f1) == (child is not children[1])
         _assert_evaluated_afresh(child, small_scenario)
