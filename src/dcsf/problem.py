@@ -154,48 +154,67 @@ def batch_terms(individuals, scenario, params, parents) -> None:
     From the evaluated `parents[i]` (or None), an individual takes the SNR of
     each cluster whose member set, Q rows and w equal, byte for byte, those
     of a cluster of the parent, and the fleet terms when all its Q rows are
-    byte-equal to the parent's. The rest is computed over the whole batch
-    at once: one `channel.sum_user_rate`, one `energy.total_flight_energy`
-    and one `scenario.fleet_violations` call on the moved fleets (the first
-    even when none moved), one `beamforming.cluster_snr` call on the
-    clusters left unrated, and one `cluster_semantic_terms` call on the
-    batch. An empty batch sets nothing.
+    byte-equal to the parent's. One byte compare of the batch's stacked Q
+    and w with its lenders' marks each UAV unchanged or not; a cluster is
+    lent when none of its members changed, all of them carry one parent
+    label L, and the parent's cluster L has as many members (one bincount
+    and a min and max per cluster). Its SNR is gathered from the lenders'
+    concatenated SNRs. The rest is computed over the whole batch at once:
+    one `channel.sum_user_rate`, one `energy.total_flight_energy` and one
+    `scenario.fleet_violations` call on the moved fleets (the first even
+    when none moved), one `beamforming.cluster_snr` call on the clusters
+    left unrated, and one `cluster_semantic_terms` call on the batch. An
+    empty batch sets nothing.
     """
     if not individuals:
         return
-    q = np.stack([ind.q for ind in individuals])
-    moved = []
-    for f, (ind, parent) in enumerate(zip(individuals, parents)):
-        if parent is not None and ind.q.tobytes() == parent.q.tobytes():
-            ind.fleet_terms = parent.fleet_terms
-        else:
-            moved.append(f)
+    q, w = np.stack([ind.q for ind in individuals]), np.stack([ind.w for ind in individuals])
+    counts = np.array([ind.assignment.n_clusters for ind in individuals])
+    starts = np.cumsum(counts) - counts
+    # each UAV's cluster, numbered over the batch
+    cluster = np.array([ind.assignment.labels for ind in individuals]) - 1 + starts[:, None]
+    snr = np.zeros(int(counts.sum()))
+    lent = np.zeros(len(snr), dtype=bool)
+    moved = np.ones(len(individuals), dtype=bool)
+    rows = [f for f, parent in enumerate(parents) if parent is not None]
+    if rows:
+        lenders = [parents[f] for f in rows]
+        q_same = (q[rows].view(np.int64) == np.stack([parent.q for parent in lenders]).view(np.int64)).all(axis=2)
+        same = q_same & (w[rows].view(np.int64) == np.stack([parent.w for parent in lenders]).view(np.int64))
+        moved[rows] = ~q_same.all(axis=1)
+        lender_counts = np.array([parent.assignment.n_clusters for parent in lenders])
+        # each UAV's cluster in its lender, numbered over the lenders
+        source = (np.array([parent.assignment.labels for parent in lenders]) - 1
+                  + (np.cumsum(lender_counts) - lender_counts)[:, None]).ravel()
+        member = cluster[rows].ravel()
+        lo, hi = np.full(len(snr), len(source)), np.full(len(snr), -1)
+        np.minimum.at(lo, member, source)
+        np.maximum.at(hi, member, source)
+        # one lender cluster (a cluster with no lender keeps lo > hi), no changed member, and one size
+        lent = (lo == hi) & (np.bincount(member[~same.ravel()], minlength=len(snr)) == 0)
+        lent[lent] = np.bincount(source)[lo[lent]] == np.bincount(cluster.ravel())[lent]
+        snr[lent] = np.concatenate([parent.cluster_snr for parent in lenders])[lo[lent]]
+        for f, parent in zip(rows, lenders):
+            if not moved[f]:
+                individuals[f].fleet_terms = parent.fleet_terms
+
+    moved = np.flatnonzero(moved)
     fleets = q[moved]
     f1 = channel.sum_user_rate(scenario, fleets, params).tolist()
-    if moved:
+    if len(moved):
         f3 = energy.total_flight_energy(scenario, fleets, params).tolist()
         violations, _ = fleet_violations(fleets, scenario.bounds, params.d_min)
-        for f, terms in zip(moved, zip(f1, f3, violations)):
+        for f, terms in zip(moved.tolist(), zip(f1, f3, violations)):
             individuals[f].fleet_terms = terms
 
-    clusters, slots = [], []
-    for f, (ind, parent) in enumerate(zip(individuals, parents)):
-        known = {}
-        if parent is not None:
-            same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
-                    & (ind.w.view(np.int64) == parent.w.view(np.int64))).tolist()
-            known = {members: snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr)
-                     if all(same[v] for v in members)}
-        members = ind.assignment.clusters()
-        ind.cluster_snr = np.array([known.get(m, 0.0) for m in members])
-        stale = [i for i, m in enumerate(members) if m not in known]
-        clusters += [(f, members[i]) for i in stale]
-        slots += [(ind, i) for i in stale]
-    if clusters:
-        w = np.stack([ind.w for ind in individuals])
-        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
-        for (ind, i), snr in zip(slots, snrs.tolist()):
-            ind.cluster_snr[i] = snr
+    stale = np.flatnonzero(~lent)
+    if len(stale):
+        owner = np.repeat(np.arange(len(individuals)), counts)[stale]
+        clusters = [(f, individuals[f].assignment.clusters()[c])
+                    for f, c in zip(owner.tolist(), (stale - starts[owner]).tolist())]
+        snr[stale] = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
+    for ind, start, n in zip(individuals, starts.tolist(), counts.tolist()):
+        ind.cluster_snr = snr[start: start + n]
     cluster_semantic_terms(individuals, params)
 
 
@@ -213,19 +232,37 @@ def cluster_semantic_terms(individuals, params) -> None:
         ind.cluster_rate, ind.cluster_xi = rates[start:end], xis[start:end]
 
 
-def score(individual: Individual, params) -> ObjectiveTriple:
-    """Set and return the objectives and violation of an individual whose
-    fleet terms, cluster rates and similarities are set."""
-    f1, f3, violation = individual.fleet_terms
-    individual.objectives = ObjectiveTriple(f1, float(individual.cluster_rate.sum()), f3)
-    individual.violation = violation + float(np.maximum(params.xi_threshold - individual.cluster_xi, 0.0).sum())
-    return individual.objectives
+def score(individuals, params) -> list[ObjectiveTriple]:
+    """Set and return the objectives and violations of a batch of
+    individuals whose fleet terms, cluster rates and similarities are set.
+
+    For each cluster count n, f2 and the C6 sum of the individuals with n
+    clusters are the row sums of one (individuals, n) array; a row sums bit
+    for bit like the 1-D vector, so each equals the individual's own sum.
+    """
+    if not individuals:
+        return []
+    counts = [len(ind.cluster_rate) for ind in individuals]
+    starts = np.cumsum(counts) - counts
+    rates = np.concatenate([ind.cluster_rate for ind in individuals])
+    shortfall = np.maximum(params.xi_threshold - np.concatenate([ind.cluster_xi for ind in individuals]), 0.0)
+    by_count: dict[int, list[int]] = {}
+    for f, n in enumerate(counts):
+        by_count.setdefault(n, []).append(f)
+    f2, c6 = np.empty(len(individuals)), np.empty(len(individuals))
+    for n, rows in by_count.items():
+        cells = starts[rows][:, None] + np.arange(n)
+        f2[rows], c6[rows] = rates[cells].sum(axis=1), shortfall[cells].sum(axis=1)
+    for ind, rate, shortfall_sum in zip(individuals, f2.tolist(), c6.tolist()):
+        f1, f3, violation = ind.fleet_terms
+        ind.objectives, ind.violation = ObjectiveTriple(f1, rate, f3), violation + shortfall_sum
+    return [ind.objectives for ind in individuals]
 
 
 def evaluate(individuals, scenario, params, parents=None):
     """Compute and cache (f1, f2, f3), the per-cluster SNRs, rates and
     similarities, and the constraint-violation scalar of a batch of
-    individuals, in one `batch_terms` call, and so with one
+    individuals, in one `batch_terms` and one `score` call, and so with one
     `channel.sum_user_rate` call; returns their objectives.
 
     `parents[i]`, when given, lends `individuals[i]` what `batch_terms`
@@ -236,7 +273,7 @@ def evaluate(individuals, scenario, params, parents=None):
     if single:
         individuals, parents = [individuals], [parents]
     batch_terms(individuals, scenario, params, parents or [None] * len(individuals))
-    objectives = [score(ind, params) for ind in individuals]
+    objectives = score(individuals, params)
     return objectives[0] if single else objectives
 
 

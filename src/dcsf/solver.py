@@ -12,6 +12,13 @@ generation, `nsga2_generation`; they differ only in the genome and its
 decoding, set up once before the loop, and in the stages around the
 generations. Parents carry their objectives across generations, so each
 generation evaluates only the offspring that differ from their parent.
+A generation handles its offspring as one batch, from genes to objectives:
+the tournament picks and the crossover and mutation draws are made one
+child pair or mutant at a time, in the order of the random stream, and one
+array pass (`breed`) then builds every child's genes; one decode call
+builds the offspring of that (children, genes) stack, one byte compare of
+their stacked Q and w with their parents' finds the possible clones, and
+one population evaluation scores the rest.
 
 Every evaluated individual also carries what does not depend on k: one SNR
 per cluster, which depends on the members' positions and weights, and its
@@ -30,7 +37,8 @@ yet rated, of all individuals, in one `cluster_snr` and one
 [k_min, k_max] in one `semantic_terms` call and sets every k by one argmax
 over the rows. GCA's ordered merges are scored as matrix row sums. The
 individuals GCA or GSO changed are rated in one
-`problem.cluster_semantic_terms` call and scored again (`problem.score`).
+`problem.cluster_semantic_terms` call and scored again in one
+`problem.score` call.
 """
 
 from __future__ import annotations
@@ -250,8 +258,7 @@ def gca_step(population, scenario, params) -> None:
         active = still
     changed = [m.ind for m in merging if m.changed]
     problem.cluster_semantic_terms(changed, params)
-    for ind in changed:
-        problem.score(ind, params)
+    problem.score(changed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +310,31 @@ def crowding_distance(front) -> np.ndarray:
     return distance
 
 
-def _rank_and_crowd(pool):
-    fronts = nondominated_sort(pool)
-    rank = np.empty(len(pool), dtype=int)
-    crowd = np.empty(len(pool))
-    for r, front in enumerate(fronts):
+def _rank_and_crowd(pool) -> tuple[list, list]:
+    """Each member's front rank and crowding distance within its front."""
+    rank, crowd = np.empty(len(pool), dtype=int), np.empty(len(pool))
+    for r, front in enumerate(nondominated_sort(pool)):
         rank[front] = r
         crowd[front] = crowding_distance([pool[i] for i in front])
-    return fronts, rank, crowd
+    return rank.tolist(), crowd.tolist()
 
 
 def _select_indices(pool, m: int) -> list[int]:
-    """Pool indices of the m elitist survivors by (front rank, crowding)."""
-    fronts, _, crowd = _rank_and_crowd(pool)
+    """Pool indices of the m elitist survivors by (front rank, crowding).
+
+    Whole fronts are taken in rank order while they fit; crowding is
+    computed only for the one front that is split, the only one where it
+    decides anything (Deb et al. 2002). The next generation ranks and crowds
+    its population afresh.
+    """
     chosen: list[int] = []
-    for front in fronts:
+    for front in nondominated_sort(pool):
         if len(chosen) + len(front) <= m:
             chosen.extend(front)
         else:
-            order = sorted(front, key=lambda i: (-crowd[i], i))
-            chosen.extend(order[: m - len(chosen)])
+            crowd = crowding_distance([pool[i] for i in front]).tolist()
+            order = sorted(range(len(front)), key=lambda j: (-crowd[j], front[j]))
+            chosen.extend(front[j] for j in order[: m - len(chosen)])
             break
     return chosen
 
@@ -354,18 +366,20 @@ def _genes_of(ind: Individual) -> np.ndarray:
     return np.concatenate([ind.q.ravel(), ind.w])
 
 
-def _with_genes(ind: Individual, genes: np.ndarray) -> Individual:
-    n_v = len(ind.w)
-    child = Individual(ind.assignment, genes[: 3 * n_v].reshape(n_v, 3).copy(),
-                       genes[3 * n_v:].copy(), ind.k.copy())
-    return child
+def _with_genes(parents, genes: np.ndarray) -> list[Individual]:
+    """Offspring with the (Q, w) rows of `genes` and their parents' (c, k);
+    the Q and w blocks of the whole stack are copied once."""
+    n_v = genes.shape[1] // 4
+    q = genes[:, : 3 * n_v].reshape(len(genes), n_v, 3).copy()
+    w = genes[:, 3 * n_v:].copy()
+    return [Individual(parent.assignment, q_i, w_i, parent.k.copy()) for parent, q_i, w_i in zip(parents, q, w)]
 
 
 # gene i of SBX crosses when its r <= 0.5, which for doubles is r < this
 _SBX_LIMIT = float(np.nextafter(0.5, 1.0))
 
 
-def _hit_draws(rng, limits) -> tuple[np.ndarray, list[float]]:
+def _hit_draws(rng, limits) -> tuple[list[int], list[float]]:
     """(gene indices, u draws) of the genes that hit: gene i draws r and hits
     when r < limits[i], and a gene that hits draws its u right after its r.
 
@@ -388,35 +402,55 @@ def _hit_draws(rng, limits) -> tuple[np.ndarray, list[float]]:
                     genes.append(i)
                     pending = True
                 i += 1
-    return np.array(genes, dtype=np.intp), us
+    return genes, us
 
 
-def sbx_crossover(g1, g2, lower, upper, eta, rng):
-    """Simulated binary crossover: each gene whose parents differ crosses with
-    probability 1/2, with a spread factor beta drawn from its u."""
-    limits = np.where(np.abs(g1 - g2) > 1e-14, _SBX_LIMIT, 0.0).tolist()
-    genes, us = _hit_draws(rng, limits)
-    exponent = 1.0 / (eta + 1.0)
-    beta = np.array([(2.0 * u) ** exponent if u <= 0.5 else (1.0 / (2.0 * (1.0 - u))) ** exponent
-                     for u in us])
-    a, b, up, down = g1[genes], g2[genes], 1 + beta, 1 - beta
-    c1, c2 = g1.copy(), g2.copy()
-    c1[genes] = 0.5 * (up * a + down * b)
-    c2[genes] = 0.5 * (down * a + up * b)
-    return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
+def breed(genomes: np.ndarray, pick, n_pairs: int, n_mutants: int, bounds, rng):
+    """(parent rows, children genes): `n_pairs` SBX pairs, then `n_mutants`
+    polynomial mutants, of the (M, genes) stack `genomes`, each parent row
+    given by `pick()`.
 
+    SBX crosses each gene whose parents differ with probability 1/2, by a
+    spread factor beta drawn from its u; a mutant mutates each of the n
+    genes with probability 1/n, by a step delta drawn from its u and scaled
+    by the gene's range. The picks and draws are made one pair or mutant at
+    a time, in that order; beta and delta are Python float powers, whose
+    bits do not depend on numpy's SIMD level. One pass then builds every
+    child: the parents' rows gathered, the crossed and mutated genes set,
+    and one clip into `bounds` of the (children, genes) stack.
+    """
+    lower, upper = bounds
+    n = genomes.shape[1]
+    sbx_exp, poly_exp = 1.0 / (SBX_ETA + 1.0), 1.0 / (POLY_ETA + 1.0)
+    rows: list[int] = []
+    pairs, crossed, betas = [], [], []
+    for p in range(n_pairs):
+        i1, i2 = pick(), pick()
+        limits = np.where(np.abs(genomes[i1] - genomes[i2]) > 1e-14, _SBX_LIMIT, 0.0).tolist()
+        genes, us = _hit_draws(rng, limits)
+        rows += [i1, i2]
+        pairs += [p] * len(genes)
+        crossed += genes
+        betas += [(2.0 * u) ** sbx_exp if u <= 0.5 else (1.0 / (2.0 * (1.0 - u))) ** sbx_exp for u in us]
+    mutants, mutated, deltas = [], [], []
+    for j in range(n_mutants):
+        rows.append(pick())
+        genes, us = _hit_draws(rng, [1.0 / n] * n)
+        mutants += [2 * n_pairs + j] * len(genes)
+        mutated += genes
+        deltas += [(2.0 * u) ** poly_exp - 1.0 if u < 0.5 else 1.0 - (2.0 * (1.0 - u)) ** poly_exp for u in us]
 
-def polynomial_mutation(genes, lower, upper, eta, rng):
-    """Polynomial mutation: each of the n genes mutates with probability 1/n,
-    by a step delta drawn from its u and scaled by the gene's range."""
-    n = len(genes)
-    hit, us = _hit_draws(rng, [1.0 / n] * n)
-    exponent = 1.0 / (eta + 1.0)
-    delta = np.array([(2.0 * u) ** exponent - 1.0 if u < 0.5 else 1.0 - (2.0 * (1.0 - u)) ** exponent
-                      for u in us])
-    out = genes.copy()
-    out[hit] = genes[hit] + delta * (upper[hit] - lower[hit])
-    return np.clip(out, lower, upper)
+    parents = np.array(rows, dtype=np.intp)
+    children = genomes[parents]
+    first, crossed = 2 * np.array(pairs, dtype=np.intp), np.array(crossed, dtype=np.intp)
+    a, b = genomes[parents[first], crossed], genomes[parents[first + 1], crossed]
+    up, down = 1 + np.array(betas), 1 - np.array(betas)
+    children[first, crossed] = 0.5 * (up * a + down * b)
+    children[first + 1, crossed] = 0.5 * (down * a + up * b)
+    mutants, mutated = np.array(mutants, dtype=np.intp), np.array(mutated, dtype=np.intp)
+    children[mutants, mutated] = (genomes[parents[mutants], mutated]
+                                  + np.array(deltas) * (upper[mutated] - lower[mutated]))
+    return parents, np.clip(children, lower, upper, out=children)
 
 
 def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
@@ -434,45 +468,43 @@ def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
     return child
 
 
+def _same_bytes(arrays, stack: np.ndarray) -> np.ndarray:
+    """Per row of the float `stack`: the matching one of `arrays` equals it byte for byte."""
+    equal = np.array(arrays).reshape(stack.shape).view(np.int64) == stack.view(np.int64)
+    return equal.all(axis=tuple(range(1, stack.ndim)))
+
+
 def nsga2_generation(population, genomes, scenario, params, bounds, decode,
                      p_c: float, p_m: float, rng):
     """One NSGA-II generation: SBX offspring, polynomial mutants, elitist
     selection of the best M from parents plus offspring.
 
-    `genomes[i]` is the real-valued genome of `population[i]`, `bounds` its
-    (lower, upper) gene bounds, and `decode(parent, genes)` builds one
-    offspring. Parents keep their objectives, and an offspring equal to its
-    parent inherits them; only the other offspring are evaluated.
-    Returns the M survivors and their genomes.
+    `genomes` is the (M, genes) stack of the population's real-valued
+    genomes, `bounds` their (lower, upper) gene bounds, and
+    `decode(parents, genes)` builds the offspring of a stack of genes, one
+    per row, each from its parent. The offspring are handled as one batch:
+    `breed` makes every child's genes, one `decode` call builds them, one
+    byte compare of their stacked Q and w with their parents' finds the
+    possible clones, and one population evaluation scores the rest. Parents
+    keep their objectives, and an offspring equal to its parent inherits
+    them. Returns the M survivors and the stack of their genomes.
     """
     evaluate_population(population, scenario, params)
     m = len(population)
-    lower, upper = bounds
-    _, rank, crowd = _rank_and_crowd(population)
-    rank, crowd = rank.tolist(), crowd.tolist()
-
-    def pick() -> int:
-        return _tournament(rank, crowd, rng)
-
-    children: list[tuple[int, np.ndarray]] = []  # (parent index, genes)
-    n_cross = int(round(p_c * m))
-    for _ in range(n_cross // 2):
-        i1, i2 = pick(), pick()
-        g1, g2 = sbx_crossover(genomes[i1], genomes[i2], lower, upper, SBX_ETA, rng)
-        children += [(i1, g1), (i2, g2)]
-
-    n_mut = int(round(p_m * m))
-    for _ in range(n_mut):
-        i = pick()
-        children.append((i, polynomial_mutation(genomes[i], lower, upper, POLY_ETA, rng)))
-
-    offspring = [_inherit_if_clone(population[i], decode(population[i], genes))
-                 for i, genes in children]
-    evaluate_population(offspring, scenario, params, [population[i] for i, _ in children])
+    genomes = np.asarray(genomes)
+    rank, crowd = _rank_and_crowd(population)
+    rows, children = breed(genomes, lambda: _tournament(rank, crowd, rng),
+                           int(round(p_c * m)) // 2, int(round(p_m * m)), bounds, rng)
+    parents = [population[i] for i in rows.tolist()]
+    offspring = decode(parents, children)
+    qs, ws = np.stack([ind.q for ind in population]), np.stack([ind.w for ind in population])
+    same = _same_bytes([ind.q for ind in offspring], qs[rows]) & _same_bytes([ind.w for ind in offspring], ws[rows])
+    for f in np.flatnonzero(same).tolist():
+        _inherit_if_clone(parents[f], offspring[f])
+    evaluate_population(offspring, scenario, params, parents)
     pool = population + offspring
-    pool_genomes = list(genomes) + [genes for _, genes in children]
     chosen = _select_indices(pool, m)
-    return [pool[i] for i in chosen], [pool_genomes[i] for i in chosen]
+    return [pool[i] for i in chosen], np.concatenate([genomes, children])[chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +535,7 @@ def gso_step(population, scenario, params) -> None:
             ind.k[:] = best[start:end]
             changed.append(ind)
     problem.cluster_semantic_terms(changed, params)
-    for ind in changed:
-        problem.score(ind, params)
+    problem.score(changed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +583,8 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
         bounds, decode = _gene_bounds(scenario, params), _with_genes
     else:
         bounds = lower, upper = _monolithic_bounds(scenario, params)
-        genomes = [lower + rng.random(len(lower)) * (upper - lower)
-                   for _ in range(config.population_size)]
-        population = [_decode_monolithic(g, params) for g in genomes]
+        genomes = lower + rng.random((config.population_size, len(lower))) * (upper - lower)
+        population = _decode_monolithic(genomes, params)
 
         def decode(_, genes):
             return _decode_monolithic(genes, params)
@@ -568,7 +598,7 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
         if alternating:
             gca_step(population, scenario, params)
             # each generation returns its survivors' own (Q, w) genomes
-            genomes = [_genes_of(ind) for ind in population]
+            genomes = np.stack([_genes_of(ind) for ind in population])
         for gen in range(config.t_local):
             population, genomes = nsga2_generation(
                 population, genomes, scenario, params, bounds, decode, p_c, p_m, rng)
@@ -608,13 +638,20 @@ def _monolithic_bounds(scenario, params):
             np.concatenate([np.full(n_v, float(n_v)), upper, np.full(n_v, float(params.k_max))]))
 
 
-def _decode_monolithic(genes: np.ndarray, params) -> Individual:
-    """Round the label and k genes half to even and clip them into their
-    bounds; Q and w are taken as they are. Raw label r takes the r-th k gene."""
-    n_v = len(genes) // 6  # labels, Q (3 per UAV), w, k
-    labels = [min(max(round(g), 1), n_v) for g in genes[:n_v].tolist()]
-    q = genes[n_v: 4 * n_v].reshape(n_v, 3).copy()
-    w = genes[4 * n_v: 5 * n_v].copy()
-    k_full = [min(max(round(g), params.k_min), params.k_max) for g in genes[5 * n_v:].tolist()]
-    assignment, k = canonicalize_labels(labels, k_full[:max(labels)])
-    return Individual(assignment, q, w, k)
+def _decode_monolithic(genes: np.ndarray, params) -> list[Individual]:
+    """One individual per row of the genome stack `genes`: the label and k
+    genes are rounded half to even and clipped into their bounds, and Q and
+    w taken as they are. Raw label r takes the r-th k gene; labels are
+    renumbered 1..N in order of first appearance, in array passes."""
+    n_v = genes.shape[1] // 6  # labels, Q (3 per UAV), w, k
+    raw = np.clip(np.rint(genes[:, :n_v]), 1, n_v).astype(np.intp)
+    q = genes[:, n_v: 4 * n_v].reshape(len(genes), n_v, 3).copy()
+    w = genes[:, 4 * n_v: 5 * n_v].copy()
+    k_full = np.clip(np.rint(genes[:, 5 * n_v:]), params.k_min, params.k_max).astype(int)
+    # each UAV's first UAV with the same raw label; the first appearances, in order, are 1..N
+    first = (raw[:, :, None] == raw[:, None, :]).argmax(axis=2)
+    appears = first == np.arange(n_v)
+    labels = np.take_along_axis(np.cumsum(appears, axis=1), first, axis=1).tolist()
+    row, uav = np.nonzero(appears)
+    k = np.split(k_full[row, raw[row, uav] - 1], np.cumsum(appears.sum(axis=1))[:-1])
+    return [Individual(ClusterAssignment(tuple(c)), q_i, w_i, k_i) for c, q_i, w_i, k_i in zip(labels, q, w, k)]

@@ -399,6 +399,22 @@ def crowding(front_objs):
     return dist
 
 
+def lent_terms(ind, parent):
+    """The per-individual lending rule of `problem.batch_terms`: ({cluster
+    slot: the parent's SNR} for each cluster of `ind` whose member set, Q
+    rows and w equal, byte for byte, those of a cluster of the evaluated
+    `parent`; the parent's fleet terms when all Q rows are byte-equal, else
+    None). With no parent nothing is lent."""
+    if parent is None:
+        return {}, None
+    same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
+            & (ind.w.view(np.int64) == parent.w.view(np.int64))).tolist()
+    known = {members: snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr.tolist())
+             if all(same[v] for v in members)}
+    lent = {i: known[members] for i, members in enumerate(ind.assignment.clusters()) if members in known}
+    return lent, parent.fleet_terms if ind.q.tobytes() == parent.q.tobytes() else None
+
+
 def semantic_terms_from_scratch(ind, scenario, params):
     """Per-cluster (semantic rate, similarity) of `ind`, its SNRs computed afresh."""
     batch_terms([ind], scenario, params, [None])

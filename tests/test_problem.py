@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcsf import Bounds, SystemParams, beamforming, channel, generate_scenario, solver
+from dcsf.solver import merge_clusters
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
@@ -14,6 +15,7 @@ from dcsf.problem import (
     canonicalize_labels,
     dominance_matrix,
     evaluate,
+    score,
     violations_report,
 )
 from dcsf.scenario import fleet_close_pairs, fleet_violations
@@ -22,6 +24,7 @@ from oracles import (
     cluster_snr_one,
     f2_by_cluster,
     fake_pool,
+    lent_terms,
     per_user_rates,
     random_individual,
     sum_user_rate_einsum,
@@ -326,6 +329,105 @@ def test_a_mixed_batch_stores_the_per_cluster_oracle_snrs():
         for members, snr in zip(assignment.clusters(), child.cluster_snr.tolist()):
             assert snr == pytest.approx(cluster_snr_one(members, child.q, child.w, scn.bs_xyz, params, sinc),
                                         rel=1e-12), members
+
+
+_LENDING_SCENARIO = generate_scenario(30, 8, Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0), (2000.0, 2000.0, 0.0),
+                                      seed=3)
+
+
+def _child_of(parent, structure, change, v, rng):
+    """A child of `parent` with its clusters kept, relabelled, two merged,
+    UAV v split off or drawn afresh, then one value of UAV v changed: Q by
+    one ulp, w by one ulp, or w from 0.0 to -0.0 (UAV 0's w is 0.0)."""
+    params = SystemParams()
+    assignment, k, n = parent.assignment, parent.k.copy(), parent.assignment.n_clusters
+    if structure == "relabel":  # the same clusters under other labels
+        perm = rng.permutation(n)
+        assignment, k = ClusterAssignment(tuple(int(perm[c - 1]) + 1 for c in assignment.labels)), k[np.argsort(perm)]
+    elif structure == "merge" and n > 1:
+        survivor, absorbed = rng.choice(n, 2, replace=False) + 1
+        assignment, k = merge_clusters(assignment, k, int(survivor), int(absorbed))
+    elif structure == "split" and assignment.labels.count(assignment.labels[v]) > 1:
+        labels = list(assignment.labels)
+        labels[v] = n + 1
+        assignment, k = ClusterAssignment(tuple(labels)), np.append(k, params.k_min)
+    elif structure == "random":
+        raw = rng.integers(1, len(parent.w) + 1, len(parent.w))
+        assignment, k = canonicalize_labels(raw, rng.integers(params.k_min, params.k_max + 1, int(raw.max())))
+    child = Individual(assignment, parent.q.copy(), parent.w.copy(), k)
+    if change == "q-ulp":
+        child.q[v, 0] = np.nextafter(child.q[v, 0], np.inf)
+    elif change == "w-ulp":
+        child.w[v] = np.nextafter(child.w[v], np.inf)
+    elif change == "negative-zero":
+        child.w[0] = -0.0
+    return child
+
+
+_CHILD = st.tuples(st.integers(-1, 2), st.sampled_from(["same", "relabel", "merge", "split", "random"]),
+                   st.sampled_from(["none", "q-ulp", "w-ulp", "negative-zero"]), st.integers(0, 7))
+
+
+@settings(max_examples=80, deadline=None)
+@example(seed=0, specs=[(0, "same", "none", 1), (-1, "same", "none", 1), (0, "relabel", "w-ulp", 2),
+                        (1, "merge", "none", 0), (1, "split", "q-ulp", 3), (2, "same", "negative-zero", 0),
+                        (2, "random", "none", 5)])
+@given(st.integers(0, 2**32 - 1), st.lists(_CHILD, min_size=1, max_size=8))
+def test_batch_lending_equals_the_per_individual_rule(seed, specs):
+    """A mixed batch takes, bit for bit, the SNRs and fleet terms the
+    per-individual rule `lent_terms` lends, and `cluster_snr` rates exactly
+    the clusters that rule leaves stale, in batch order."""
+    scn, params = _LENDING_SCENARIO, SystemParams()
+    rng = np.random.default_rng(seed)
+    parents = [random_individual(scn, rng) for _ in range(3)]
+    for parent in parents:
+        parent.w[0] = 0.0
+    evaluate(parents, scn, params)
+    children, lenders = [], []
+    for lender, structure, change, v in specs:
+        children.append(_child_of(parents[max(lender, 0)], structure, change, v, rng))
+        lenders.append(parents[lender] if lender >= 0 else None)
+    rules = [lent_terms(child, lender) for child, lender in zip(children, lenders)]
+    fresh = [Individual(c.assignment, c.q.copy(), c.w.copy(), c.k.copy()) for c in children]
+    evaluate(fresh, scn, params)
+    rated, real_snr = [], beamforming.cluster_snr
+
+    def recording_snr(clusters, *args):
+        rated.extend(clusters)
+        return real_snr(clusters, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beamforming, "cluster_snr", recording_snr)
+        batch_terms(children, scn, params, lenders)
+    assert rated == [(f, members) for f, (child, (lent, _)) in enumerate(zip(children, rules))
+                     for i, members in enumerate(child.assignment.clusters()) if i not in lent]
+    for child, again, (lent, fleet_terms) in zip(children, fresh, rules):
+        want = [lent.get(i, snr) for i, snr in enumerate(again.cluster_snr.tolist())]
+        assert child.cluster_snr.tobytes() == np.array(want).tobytes()
+        if fleet_terms is None:
+            assert child.fleet_terms == again.fleet_terms
+        else:
+            assert child.fleet_terms is fleet_terms
+
+
+def test_a_batch_score_equals_each_individuals_own_sums(rng):
+    """f2 and the C6 sum of a batch mixing 1 to 40 clusters per individual
+    (across numpy's 8-wide pairwise block) equal each individual's 1-D sums."""
+    params = SystemParams()
+    batch = []
+    for n in rng.permutation(np.repeat(np.arange(1, 41), 3)).tolist():
+        ind = Individual(ClusterAssignment(tuple(range(1, n + 1))), np.zeros((n, 3)), np.ones(n), np.full(n, 5))
+        ind.fleet_terms = (float(rng.random()), float(rng.random()), float(rng.integers(0, 2)) * rng.random())
+        ind.cluster_rate = rng.random(n) * 10.0 ** rng.integers(-3, 7, n)
+        ind.cluster_xi = rng.random(n)
+        batch.append(ind)
+    objectives = score(batch, params)
+    for ind, objective in zip(batch, objectives, strict=True):
+        f1, f3, violation = ind.fleet_terms
+        assert ind.objectives is objective
+        assert objective == ObjectiveTriple(f1, float(ind.cluster_rate.copy().sum()), f3)
+        assert ind.violation == violation + float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
+    assert score([], params) == []
 
 
 def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng):

@@ -8,12 +8,15 @@ from dcsf.solver import (
     LLM_FAILURE_LIMIT,
     P_C_INITIAL,
     P_M_INITIAL,
+    POLY_ETA,
+    SBX_ETA,
     SolverConfig,
     _decode_monolithic,
     _gene_bounds,
     _genes_of,
     _monolithic_bounds,
     _with_genes,
+    breed,
     crowding_distance,
     final_front,
     gca_step,
@@ -22,9 +25,7 @@ from dcsf.solver import (
     merge_clusters,
     nondominated_sort,
     nsga2_generation,
-    polynomial_mutation,
     run,
-    sbx_crossover,
     select_best,
 )
 from oracles import (
@@ -404,16 +405,18 @@ def test_evaluation_errors_become_solver_errors(small_scenario):
         solver.evaluate_population([on_a_user], small_scenario, PARAMS)
 
 
+def _picks(*rows):
+    """A `pick` for `breed` that returns the given parent rows in order."""
+    return iter(rows).__next__
+
+
 def test_sbx_and_mutation_respect_bounds(rng):
     lower = np.zeros(10)
     upper = np.full(10, 5.0)
     for _ in range(100):
-        g1 = rng.uniform(0, 5, 10)
-        g2 = rng.uniform(0, 5, 10)
-        c1, c2 = sbx_crossover(g1, g2, lower, upper, 15.0, rng)
-        m = polynomial_mutation(g1, lower, upper, 20.0, rng)
-        for child in (c1, c2, m):
-            assert np.all(child >= lower) and np.all(child <= upper)
+        genomes = rng.uniform(0, 5, (2, 10))
+        _, children = breed(genomes, _picks(0, 1, 0), 1, 1, (lower, upper), rng)
+        assert np.all(children >= lower) and np.all(children <= upper)
 
 
 def _parent_pairs(n, rng):
@@ -428,20 +431,20 @@ def _parent_pairs(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 32, 48, 96])
 def test_sbx_and_mutation_equal_the_per_gene_loops(n):
-    """Byte-equal children and the same generator state as drawing one value
-    at a time (n = 1 mutates every gene)."""
+    """`breed`'s children of one SBX pair and two mutants are byte-equal to
+    the per-gene loops' on the same draws, and leave the generator in the
+    same state as drawing one value at a time (n = 1 mutates every gene)."""
     rng = np.random.default_rng(n)
     lower, upper = np.full(n, -2.0), np.full(n, 6.0)
     for trial in range(60):
         for g1, g2 in _parent_pairs(n, rng):
             fast, slow = np.random.default_rng([n, trial]), np.random.default_rng([n, trial])
-            got = sbx_crossover(g1, g2, lower, upper, 15.0, fast)
-            want = sbx_crossover_loop(g1, g2, lower, upper, 15.0, slow)
+            rows, got = breed(np.stack([g1, g2]), _picks(0, 1, 0, 1), 1, 2, (lower, upper), fast)
+            want = [*sbx_crossover_loop(g1, g2, lower, upper, SBX_ETA, slow),
+                    polynomial_mutation_loop(g1, lower, upper, POLY_ETA, slow),
+                    polynomial_mutation_loop(g2, lower, upper, POLY_ETA, slow)]
+            assert rows.tolist() == [0, 1, 0, 1]
             assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
-            assert fast.random() == slow.random()
-            got = polynomial_mutation(g1, lower, upper, 20.0, fast)
-            want = polynomial_mutation_loop(g1, lower, upper, 20.0, slow)
-            assert got.tobytes() == want.tobytes()
             assert fast.random() == slow.random()
 
 
@@ -467,27 +470,26 @@ def test_sbx_and_mutation_equal_the_per_gene_loops_on_boundary_draws():
     draws = [0.5, 0.5, 0.25, 0.5, 0.75, 0.0, 0.5, 0.999, 0.25, 0.5, 0.1] * 4
     for start in range(len(draws) // 2):
         fast, slow = _Replay(draws[start:]), _Replay(draws[start:])
-        got = sbx_crossover(g1, g2, lower, upper, 15.0, fast)
-        want = sbx_crossover_loop(g1, g2, lower, upper, 15.0, slow)
+        _, got = breed(np.stack([g1, g2]), _picks(0, 1, 0), 1, 1, (lower, upper), fast)
+        want = [*sbx_crossover_loop(g1, g2, lower, upper, SBX_ETA, slow),
+                polynomial_mutation_loop(g1, lower, upper, POLY_ETA, slow)]
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
-        got = polynomial_mutation(g1, lower, upper, 20.0, fast)
-        want = polynomial_mutation_loop(g1, lower, upper, 20.0, slow)
-        assert got.tobytes() == want.tobytes()
         assert fast.values == slow.values
 
 
 def test_monolithic_decode_equals_the_numpy_decode():
     """Half-way label and k genes round to even, and genes on or past the
-    bounds clip, as `np.rint` and `np.clip` do."""
+    bounds clip, as `np.rint` and `np.clip` do; one stack decodes as its
+    rows one at a time."""
     rng = np.random.default_rng(5)
     n_v = 6
     halves = np.arange(0.5, 21.0, 1.0)
     edges = np.array([1.0, float(n_v), PARAMS.k_min, PARAMS.k_max, 0.0, 21.0, -0.5, 0.49999999999999994])
-    for _ in range(300):
-        genes = rng.uniform(0.0, 1.0, 6 * n_v)
-        genes[:n_v] = rng.choice(np.concatenate([halves[: n_v + 1], edges]), n_v)
-        genes[5 * n_v:] = rng.choice(np.concatenate([halves, edges]), n_v)
-        got, want = _decode_monolithic(genes, PARAMS), decode_monolithic_numpy(genes, PARAMS)
+    genomes = rng.uniform(0.0, 1.0, (300, 6 * n_v))
+    genomes[:, :n_v] = rng.choice(np.concatenate([halves[: n_v + 1], edges]), (300, n_v))
+    genomes[:, 5 * n_v:] = rng.choice(np.concatenate([halves, edges]), (300, n_v))
+    for genes, got in zip(genomes, _decode_monolithic(genomes, PARAMS), strict=True):
+        want = decode_monolithic_numpy(genes, PARAMS)
         assert got.assignment == want.assignment
         assert got.k.dtype == want.k.dtype and got.k.tolist() == want.k.tolist()
         assert got.q.tobytes() == want.q.tobytes() and got.w.tobytes() == want.w.tobytes()
@@ -524,8 +526,8 @@ def test_nsga2_generation_returns_each_survivors_genome(small_scenario, rng, mon
     and GCA and GSO, which run between generations, leave those unchanged."""
     if monolithic:
         bounds = lower, upper = _monolithic_bounds(small_scenario, PARAMS)
-        genomes = [lower + rng.random(len(lower)) * (upper - lower) for _ in range(8)]
-        pop = [_decode_monolithic(g, PARAMS) for g in genomes]
+        genomes = lower + rng.random((8, len(lower))) * (upper - lower)
+        pop = _decode_monolithic(genomes, PARAMS)
         qw = slice(small_scenario.n_uavs, 5 * small_scenario.n_uavs)  # labels, (Q, w), k
 
         def decode(_, g):
@@ -538,7 +540,7 @@ def test_nsga2_generation_returns_each_survivors_genome(small_scenario, rng, mon
         pop, genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds, decode, 0.9, 0.5, rng)
     assert len(pop) == len(genomes) == 8
     for ind, g in zip(pop, genomes):
-        decoded = decode(ind, g)
+        [decoded] = decode([ind], g[None])
         evaluate(decoded, small_scenario, PARAMS)
         assert decoded.to_dict() == ind.to_dict()
         assert g[qw].tobytes() == _genes_of(ind).tobytes()
@@ -547,6 +549,97 @@ def test_nsga2_generation_returns_each_survivors_genome(small_scenario, rng, mon
     gso_step(pop, small_scenario, PARAMS)
     assert [(ind.assignment, ind.k.tolist()) for ind in pop] != before  # the stages ran
     assert [_genes_of(ind).tobytes() for ind in pop] == [g[qw].tobytes() for g in genomes]
+
+
+def _tournament_oracle(pool, rng):
+    """The binary tournament from scratch: ranks from the peeled fronts,
+    crowding from the per-member loop, ties to the lower index."""
+    objs = np.array([ind.objectives.as_tuple() for ind in pool])
+    rank, crowd = np.empty(len(pool), dtype=int), np.empty(len(pool))
+    for r, front in enumerate(peeled_fronts(objs, np.array([ind.violation for ind in pool]))):
+        rank[front], crowd[front] = r, crowding(objs[front])
+
+    def pick():
+        i, j = rng.integers(0, len(pool), size=2).tolist()
+        if rank[i] != rank[j]:
+            return i if rank[i] < rank[j] else j
+        if crowd[i] != crowd[j]:
+            return i if crowd[i] > crowd[j] else j
+        return min(i, j)
+
+    return pick
+
+
+@pytest.mark.parametrize("monolithic", [True, False], ids=["monolithic", "positions-and-weights"])
+def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, monolithic):
+    """Replayed one child at a time, with the per-gene loops and a one-row
+    decode, on a generator cloned from the same state, a generation makes
+    the same parents, children's genes and decoded offspring, and leaves its
+    generator in the same state: no draw added or dropped. The monolithic
+    genomes carry label and k genes at exact halves and on their bounds."""
+    scn, n_v, m = small_scenario, small_scenario.n_uavs, 12
+    rng = np.random.default_rng(29)
+    if monolithic:
+        bounds = lower, upper = _monolithic_bounds(scn, PARAMS)
+        genomes = lower + rng.random((m, len(lower))) * (upper - lower)
+        genomes[:, :n_v] = rng.choice([1.0, 1.5, 2.5, float(n_v)], (m, n_v))
+        genomes[:, 5 * n_v:] = rng.choice([PARAMS.k_min, PARAMS.k_min + 0.5, 6.5, PARAMS.k_max], (m, n_v))
+        pop = _decode_monolithic(genomes, PARAMS)
+
+        def decode(_, genes):
+            return _decode_monolithic(genes, PARAMS)
+
+        def decode_one(_, genes):
+            return decode_monolithic_numpy(genes, PARAMS)
+    else:
+        bounds = lower, upper = _gene_bounds(scn, PARAMS)
+        pop = initialize_population(scn, PARAMS, SolverConfig(population_size=m), rng)
+        genomes, decode = np.stack([_genes_of(ind) for ind in pop]), _with_genes
+
+        def decode_one(parent, genes):
+            return Individual(parent.assignment, genes[: 3 * n_v].reshape(n_v, 3), genes[3 * n_v:], parent.k)
+    solver.evaluate_population(pop, scn, PARAMS)
+    seen = []
+
+    def recording(parents, genes):
+        offspring = decode(parents, genes)
+        seen.append((list(parents), genes.copy(), [ind.to_dict() for ind in offspring]))
+        return offspring
+
+    for p_c, p_m in [(0.8, 0.4), (0.5, 0.9), (0.9, 0.1)]:
+        before, before_genomes = pop, np.array(genomes)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        seen.clear()
+        pop, genomes = nsga2_generation(pop, genomes, scn, PARAMS, bounds, recording, p_c, p_m, rng)
+        [(parents, genes, offspring)] = seen
+
+        pick, rows, want = _tournament_oracle(before, replay), [], []
+        for _ in range(int(round(p_c * m)) // 2):
+            i1, i2 = pick(), pick()
+            rows += [i1, i2]
+            want += sbx_crossover_loop(before_genomes[i1], before_genomes[i2], lower, upper, SBX_ETA, replay)
+        for _ in range(int(round(p_m * m))):
+            rows.append(pick())
+            want.append(polynomial_mutation_loop(before_genomes[rows[-1]], lower, upper, POLY_ETA, replay))
+        assert [next(i for i, ind in enumerate(before) if ind is parent) for parent in parents] == rows
+        assert genes.tobytes() == np.stack(want).tobytes()
+        assert offspring == [decode_one(before[i], g).to_dict() for i, g in zip(rows, want)]
+        assert rng.bit_generator.state == replay.bit_generator.state
+    if monolithic:  # the exact halves reached the offspring undecided by crossing
+        assert np.isin(genes[:, :n_v], [1.5, 2.5]).any() and np.isin(genes[:, 5 * n_v:], [6.5]).any()
+
+
+def test_a_generation_with_no_offspring_keeps_its_population(small_scenario, rng):
+    pop = initialize_population(small_scenario, PARAMS, SolverConfig(population_size=4), rng)
+    genomes = np.stack([_genes_of(ind) for ind in pop])
+    state = rng.bit_generator.state
+    # the advisor's lowest probabilities round to no pair and no mutant at M = 4
+    out, out_genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS,
+                                        _gene_bounds(small_scenario, PARAMS), _with_genes, 0.1, 0.01, rng)
+    assert sorted(map(id, out)) == sorted(map(id, pop))
+    assert sorted(g.tobytes() for g in out_genomes) == sorted(g.tobytes() for g in genomes)
+    assert rng.bit_generator.state == state  # a generation with no offspring draws nothing
 
 
 def _count_calls(monkeypatch, module, name):
@@ -576,6 +669,20 @@ def _count_fleets(monkeypatch):
     return fleets
 
 
+def _count_scored(monkeypatch):
+    """Record the number of individuals each `problem.score` call scores:
+    every evaluation ends in `score`, with a fresh f1 or the parent's."""
+    scored = []
+    real = problem.score
+
+    def counted(individuals, params):
+        scored.append(len(individuals))
+        return real(individuals, params)
+
+    monkeypatch.setattr(problem, "score", counted)
+    return scored
+
+
 def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
     # wrap every generation's decoder to count, independently of the solver,
     # the offspring whose (c, Q, w, k) differ from their parent's, and those
@@ -584,27 +691,27 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
     real_generation = solver.nsga2_generation
 
     def counted_generation(population, genomes, scenario, params, bounds, decode, *rest):
-        def counted_decode(parent, genes):
-            child = decode(parent, genes)
+        def counted_decode(parents, genes):
+            children = decode(parents, genes)
             fields = ("c", "Q", "w", "k")
-            differs.append(any(child.to_dict()[f] != parent.to_dict()[f] for f in fields))
-            moved.append(child.q.tobytes() != parent.q.tobytes())
-            return child
+            for parent, child in zip(parents, children, strict=True):
+                differs.append(any(child.to_dict()[f] != parent.to_dict()[f] for f in fields))
+                moved.append(child.q.tobytes() != parent.q.tobytes())
+            return children
 
         return real_generation(population, genomes, scenario, params, bounds, counted_decode, *rest)
 
     monkeypatch.setattr(solver, "nsga2_generation", counted_generation)
-    # every evaluation ends in one `score` call, with a fresh f1 or the parent's
-    calls = _count_calls(monkeypatch, problem, "score")
+    scored = _count_scored(monkeypatch)
     f1_fleets = _count_fleets(monkeypatch)
     cfg = SolverConfig(population_size=8, t_ao=2, t_local=3, seed=0)
     run("monolithic-nsga2", small_scenario, PARAMS, cfg)
     offspring = 2 * (int(round(P_C_INITIAL * 8)) // 2) + int(round(P_M_INITIAL * 8))
     assert len(differs) == 2 * 3 * offspring
     assert 0 < differs.count(False) < len(differs)  # the clone skip is exercised
-    assert len(calls) == 8 + differs.count(True)
+    assert sum(scored) == 8 + differs.count(True)
     # a fresh f1 for the initial population and each offspring that moved
-    assert 8 <= sum(f1_fleets) == 8 + moved.count(True) <= len(calls)
+    assert 8 <= sum(f1_fleets) == 8 + moved.count(True) <= sum(scored)
 
 
 def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monkeypatch):
@@ -615,18 +722,19 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
     bounds = _gene_bounds(small_scenario, PARAMS)
     children = []
 
-    def decode(parent, genes, nudge):
-        child = _with_genes(parent, _genes_of(parent))  # genes ignored: a clone
-        child.w[0] += nudge
-        children.append((parent, child))
-        return child
+    def decode(parents, genes, nudge):
+        # genes ignored: clones
+        clones = _with_genes(parents, np.stack([_genes_of(parent) for parent in parents]))
+        for parent, child in zip(parents, clones):
+            child.w[0] += nudge
+            children.append((parent, child))
+        return clones
 
-    # every evaluation ends in one `score` call, with a fresh f1 or the parent's
-    calls = _count_calls(monkeypatch, problem, "score")
+    scored = _count_scored(monkeypatch)
     f1_fleets = _count_fleets(monkeypatch)
     nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
-                     lambda parent, genes: decode(parent, genes, 0.0), 0.5, 0.5, rng)
-    assert calls == [] and f1_fleets == [] and len(children) == 8
+                     lambda parents, genes: decode(parents, genes, 0.0), 0.5, 0.5, rng)
+    assert scored == [] and f1_fleets == [] and len(children) == 8
     for parent, child in children:
         fresh = Individual(child.assignment, child.q.copy(), child.w.copy(), child.k.copy())
         evaluate(fresh, small_scenario, PARAMS)
@@ -635,11 +743,11 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
         assert child.cluster_xi.tobytes() == fresh.cluster_xi.tobytes()
         assert child.cluster_xi is not parent.cluster_xi
     # the same generation with one weight moved evaluates every offspring, with its parent's f1
-    calls.clear()
+    scored.clear()
     f1_fleets.clear()  # the fresh evaluations' own
     nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
-                     lambda parent, genes: decode(parent, genes, 1e-6), 0.5, 0.5, rng)
-    assert len(calls) == 8 and sum(f1_fleets) == 0
+                     lambda parents, genes: decode(parents, genes, 1e-6), 0.5, 0.5, rng)
+    assert sum(scored) == 8 and sum(f1_fleets) == 0
 
 
 def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
@@ -647,14 +755,14 @@ def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
     ind.k[:] = PARAMS.k_max
     evaluate(ind, small_scenario, PARAMS)
     k_before = ind.k.copy()
-    # every evaluation ends in one `score` call; GSO's take f1 from the individual
-    calls = _count_calls(monkeypatch, problem, "score")
+    # GSO's evaluations take f1 from the individual
+    scored = _count_scored(monkeypatch)
     f1_fleets = _count_fleets(monkeypatch)
     gso_step([ind], small_scenario, PARAMS)
-    assert not np.array_equal(ind.k, k_before) and len(calls) == 1
+    assert not np.array_equal(ind.k, k_before) and sum(scored) == 1
     swept = ind.copy()
     gso_step([ind], small_scenario, PARAMS)  # the sweep's argmax keeps k
-    assert np.array_equal(ind.k, swept.k) and len(calls) == 1 and sum(f1_fleets) == 0
+    assert np.array_equal(ind.k, swept.k) and sum(scored) == 1 and sum(f1_fleets) == 0
     assert ind.to_dict() == swept.to_dict()
 
 
