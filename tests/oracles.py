@@ -478,8 +478,9 @@ def gso_sweep(ind, scn, params):
 
 
 def sbx_crossover_loop(g1, g2, lower, upper, eta, rng):
-    """SBX one gene at a time: r for every gene, then u right after r when the
-    gene crosses, as `solver.sbx_crossover` was first written."""
+    """SBX of one pair, one gene at a time: r for every gene, then u right
+    after r when the gene crosses; `solver.breed` makes a pair's children
+    from the same draws."""
     c1, c2 = g1.copy(), g2.copy()
     for i in range(len(g1)):
         if rng.random() <= 0.5 and abs(g1[i] - g2[i]) > 1e-14:

@@ -626,7 +626,7 @@ def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, mono
         assert genes.tobytes() == np.stack(want).tobytes()
         assert offspring == [decode_one(before[i], g).to_dict() for i, g in zip(rows, want)]
         assert rng.bit_generator.state == replay.bit_generator.state
-    if monolithic:  # the exact halves reached the offspring undecided by crossing
+    if monolithic:  # some offspring still carry exact-half label and k genes
         assert np.isin(genes[:, :n_v], [1.5, 2.5]).any() and np.isin(genes[:, 5 * n_v:], [6.5]).any()
 
 
