@@ -135,7 +135,7 @@ def _cmd_solve(args) -> int:
     knee_i = _knee(front)
     # the last history row holds the front metrics and (p_c, p_m) of this front
     last = result.history[-1]
-    # final_front keeps only feasible members when any exist
+    # the first front holds only feasible members when any exist: they dominate every infeasible one
     least_violating = min(front, key=lambda ind: ind.violation)
     best_violation = least_violating.violation
     feasible = best_violation == 0.0

@@ -12,13 +12,18 @@ generation, `nsga2_generation`; they differ only in the genome and its
 decoding, set up once before the loop, and in the stages around the
 generations. Parents carry their objectives across generations, so each
 generation evaluates only the offspring that differ from their parent.
-A generation handles its offspring as one batch, from genes to objectives:
-the tournament picks and the crossover and mutation draws are made one
-child pair or mutant at a time, in the order of the random stream, and one
-array pass (`breed`) then builds every child's genes; one decode call
-builds the offspring of that (children, genes) stack, one byte compare of
-their stacked Q and w with their parents' finds the possible clones, and
-one population evaluation scores the rest.
+They also carry their fronts: a generation sorts its pool of parents and
+offspring once, in the elitist selection, and hands the survivors' fronts
+to the next generation and to the advisor, so `run` sorts afresh only at
+the start of each outer iteration, after GCA has changed f2. The sort peels
+only the feasible members; constrained dominance orders the infeasible ones
+by violation alone. A generation handles its offspring as one batch, from
+genes to objectives: the tournament picks and the crossover and mutation
+draws are made one child pair or mutant at a time, in the order of the
+random stream, and one array pass (`breed`) then builds every child's
+genes; one decode call builds the offspring of that (children, genes)
+stack, one byte compare of their stacked Q and w with their parents' finds
+the possible clones, and one population evaluation scores the rest.
 
 Every evaluated individual also carries what does not depend on k: one SNR
 per cluster, which depends on the members' positions and weights, and its
@@ -265,29 +270,48 @@ def gca_step(population, scenario, params) -> None:
 # Stage 2: NSGA-II over positions and weights
 
 def nondominated_sort(pool) -> list[list[int]]:
-    """Fast non-dominated sort (Deb et al. 2002) under constrained dominance;
-    returns index fronts.
+    """Fast non-dominated sort (Deb et al. 2002) under constrained dominance
+    (Deb 2000); returns index fronts, the same fronts in the same member
+    order as the pairwise double loop's peel of the whole pool.
 
-    The dominance matrix gives each member's dominated-by list in ascending
-    order, as the pairwise double loop built it, so the fronts and their
-    order are unchanged.
+    A feasible member (violation 0.0 or -0.0) dominates every infeasible
+    one, and infeasible members are ordered by violation alone, so only the
+    feasible members are peeled, on `problem.dominance_matrix` of those
+    members, where constrained dominance is Pareto dominance. Its
+    dominated-by lists are ascending, as the double loop built them. The
+    infeasible members follow, one front per distinct violation in
+    ascending order, each front in ascending index order. That is the
+    peel's order: a member joins a front when its last dominator in
+    processing order is processed, and every dominated-by list is
+    ascending; every infeasible member of one violation has the same
+    dominators (all feasible members and all lower violations), so each
+    violation joins as one front, in ascending index order.
     """
-    dominates = problem.dominance_matrix(pool)
-    count = dominates.sum(axis=0).tolist()
-    dominated = np.nonzero(dominates)[1].tolist()
-    ends = np.cumsum(dominates.sum(axis=1)).tolist()
-    dominated_by = [dominated[start:end] for start, end in zip([0] + ends, ends)]
-    fronts = [[i for i, c in enumerate(count) if c == 0]]
-    while True:
-        next_front = []
-        for i in fronts[-1]:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    next_front.append(j)
-        if not next_front:
-            return fronts
-        fronts.append(next_front)
+    violation = np.array([ind.violation for ind in pool])
+    feasible = np.flatnonzero(violation == 0.0)
+    fronts = []
+    if len(feasible):
+        dominates = problem.dominance_matrix([pool[i] for i in feasible.tolist()])
+        count = dominates.sum(axis=0).tolist()
+        dominated = np.nonzero(dominates)[1].tolist()
+        ends = np.cumsum(dominates.sum(axis=1)).tolist()
+        dominated_by = [dominated[start:end] for start, end in zip([0] + ends, ends)]
+        front = [i for i, c in enumerate(count) if c == 0]
+        while front:
+            fronts.append(feasible[front].tolist())
+            next_front = []
+            for i in front:
+                for j in dominated_by[i]:
+                    count[j] -= 1
+                    if count[j] == 0:
+                        next_front.append(j)
+            front = next_front
+    infeasible = np.flatnonzero(violation != 0.0)
+    if len(infeasible):
+        order = infeasible[np.argsort(violation[infeasible], kind="stable")]
+        levels = violation[order]
+        fronts += [f.tolist() for f in np.split(order, np.flatnonzero(levels[1:] != levels[:-1]) + 1)]
+    return fronts or [[]]
 
 
 def crowding_distance(front) -> np.ndarray:
@@ -310,38 +334,60 @@ def crowding_distance(front) -> np.ndarray:
     return distance
 
 
-def _rank_and_crowd(pool) -> tuple[list, list]:
-    """Each member's front rank and crowding distance within its front."""
+def _rank_and_crowd(pool, fronts) -> tuple[list, list]:
+    """Each member's front rank and crowding distance within its front, from
+    the pool's index `fronts`."""
     rank, crowd = np.empty(len(pool), dtype=int), np.empty(len(pool))
-    for r, front in enumerate(nondominated_sort(pool)):
+    for r, front in enumerate(fronts):
         rank[front] = r
         crowd[front] = crowding_distance([pool[i] for i in front])
     return rank.tolist(), crowd.tolist()
 
 
-def _select_indices(pool, m: int) -> list[int]:
-    """Pool indices of the m elitist survivors by (front rank, crowding).
+def _select_indices(pool, m: int) -> tuple[list[int], list[list[int]]]:
+    """(chosen, fronts): pool indices of the m elitist survivors by (front
+    rank, crowding), and the survivors' fronts as indices into `chosen`,
+    equal to `nondominated_sort([pool[i] for i in chosen])`.
 
-    Whole fronts are taken in rank order while they fit; crowding is
+    The pool is sorted once. Whole fronts are taken in rank order while
+    they fit, and the loop stops when they fill m exactly; crowding is
     computed only for the one front that is split, the only one where it
-    decides anything (Deb et al. 2002). The next generation ranks and crowds
-    its population afresh.
+    decides anything (Deb et al. 2002). A whole front keeps its pool order
+    among the survivors, and by induction their peel gives it again. The
+    peel orders the survivors of split front r by the position in front
+    r - 1 of their last dominator, then by index, which is selection
+    order; for r = 0, or an infeasible split front, every member has the
+    same dominators, so selection order stands.
     """
     chosen: list[int] = []
+    fronts: list[list[int]] = []
+    previous: list[int] = []
     for front in nondominated_sort(pool):
-        if len(chosen) + len(front) <= m:
+        start = len(chosen)
+        if start + len(front) <= m:
             chosen.extend(front)
-        else:
-            crowd = crowding_distance([pool[i] for i in front]).tolist()
-            order = sorted(range(len(front)), key=lambda j: (-crowd[j], front[j]))
-            chosen.extend(front[j] for j in order[: m - len(chosen)])
-            break
-    return chosen
+            fronts.append(list(range(start, len(chosen))))
+            if len(chosen) == m:
+                break
+            previous = front
+            continue
+        crowd = crowding_distance([pool[i] for i in front]).tolist()
+        order = sorted(range(len(front)), key=lambda j: (-crowd[j], front[j]))
+        chosen.extend(front[j] for j in order[: m - start])
+        last = np.zeros(m - start, dtype=int)
+        if previous and pool[front[0]].violation == 0.0:
+            n = len(previous)
+            dominated = problem.dominance_matrix([pool[i] for i in previous + chosen[start:]])[:n, n:]
+            # the position in `previous` of each survivor's last dominator there
+            last = n - 1 - np.argmax(dominated[::-1], axis=0)
+        fronts.append((start + np.argsort(last, kind="stable")).tolist())
+        break
+    return chosen, fronts
 
 
 def select_best(pool, m: int):
     """Elitist selection of m individuals by (front rank, crowding)."""
-    return [pool[i] for i in _select_indices(pool, m)]
+    return [pool[i] for i in _select_indices(pool, m)[0]]
 
 
 def _tournament(rank: list, crowd: list, rng) -> int:
@@ -474,25 +520,27 @@ def _same_bytes(arrays, stack: np.ndarray) -> np.ndarray:
     return equal.all(axis=tuple(range(1, stack.ndim)))
 
 
-def nsga2_generation(population, genomes, scenario, params, bounds, decode,
+def nsga2_generation(population, genomes, fronts, scenario, params, bounds, decode,
                      p_c: float, p_m: float, rng):
     """One NSGA-II generation: SBX offspring, polynomial mutants, elitist
     selection of the best M from parents plus offspring.
 
-    `genomes` is the (M, genes) stack of the population's real-valued
-    genomes, `bounds` their (lower, upper) gene bounds, and
+    `population` is evaluated; `genomes` is the (M, genes) stack of its
+    real-valued genomes, `fronts` its index fronts as `nondominated_sort`
+    gives them, `bounds` the (lower, upper) gene bounds, and
     `decode(parents, genes)` builds the offspring of a stack of genes, one
     per row, each from its parent. The offspring are handled as one batch:
     `breed` makes every child's genes, one `decode` call builds them, one
     byte compare of their stacked Q and w with their parents' finds the
     possible clones, and one population evaluation scores the rest. Parents
     keep their objectives, and an offspring equal to its parent inherits
-    them. Returns the M survivors and the stack of their genomes.
+    them. The pool of parents and offspring is sorted once, in the
+    selection. Returns the M survivors, the stack of their genomes and
+    their fronts, which the next generation takes as they are.
     """
-    evaluate_population(population, scenario, params)
     m = len(population)
     genomes = np.asarray(genomes)
-    rank, crowd = _rank_and_crowd(population)
+    rank, crowd = _rank_and_crowd(population, fronts)
     rows, children = breed(genomes, lambda: _tournament(rank, crowd, rng),
                            int(round(p_c * m)) // 2, int(round(p_m * m)), bounds, rng)
     parents = [population[i] for i in rows.tolist()]
@@ -503,8 +551,8 @@ def nsga2_generation(population, genomes, scenario, params, bounds, decode,
         _inherit_if_clone(parents[f], offspring[f])
     evaluate_population(offspring, scenario, params, parents)
     pool = population + offspring
-    chosen = _select_indices(pool, m)
-    return [pool[i] for i in chosen], np.concatenate([genomes, children])[chosen]
+    chosen, fronts = _select_indices(pool, m)
+    return [pool[i] for i in chosen], np.concatenate([genomes, children])[chosen], fronts
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +590,19 @@ def gso_step(population, scenario, params) -> None:
 # Full runs
 
 def final_front(population) -> list[Individual]:
-    """Feasible first front of the population (all-infeasible fallback: best front)."""
-    feasible = [ind for ind in population if ind.violation == 0.0]
-    base = feasible if feasible else list(population)
-    fronts = nondominated_sort(base)
-    return [base[i] for i in fronts[0]]
+    """The first front of the population under constrained dominance: its
+    non-dominated feasible members when any exist, else its least-violating
+    ones."""
+    return [population[i] for i in nondominated_sort(population)[0]]
 
 
-def _front_objectives(population) -> np.ndarray:
-    return np.array([ind.objectives.as_tuple() for ind in final_front(population)])
+def _objectives(individuals) -> np.ndarray:
+    return np.array([ind.objectives.as_tuple() for ind in individuals])
 
 
 def _history_record(t: int, population, p_c: float, p_m: float) -> dict:
     """One `history` row: front metrics after outer iteration t."""
-    objs = _front_objectives(population)
+    objs = _objectives(final_front(population))
     return {
         "iteration": t, "sp": metrics.spacing_metric(objs), "m3": metrics.max_spread_metric(objs),
         "hypervolume": metrics.hypervolume(objs), "p_c": p_c, "p_m": p_m, "front_size": len(objs),
@@ -599,12 +646,14 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
             gca_step(population, scenario, params)
             # each generation returns its survivors' own (Q, w) genomes
             genomes = np.stack([_genes_of(ind) for ind in population])
+        # sorted once per outer iteration; each generation returns its survivors' fronts
+        fronts = nondominated_sort(population)
         for gen in range(config.t_local):
-            population, genomes = nsga2_generation(
-                population, genomes, scenario, params, bounds, decode, p_c, p_m, rng)
+            population, genomes, fronts = nsga2_generation(
+                population, genomes, fronts, scenario, params, bounds, decode, p_c, p_m, rng)
             if mode != "llm-aoa":
                 continue  # fixed (p_c, p_m): no advisor, no front metrics
-            objs = _front_objectives(population)
+            objs = _objectives([population[i] for i in fronts[0]])
             sp, m3 = metrics.spacing_metric(objs), metrics.max_spread_metric(objs)
             inp = advisor_mod.AdvisorInput(
                 generation=(t - 1) * config.t_local + gen + 1,

@@ -356,6 +356,14 @@ def nondominated_sort_double_loop(pool) -> list[list[int]]:
     return fronts
 
 
+def final_front_feasible_first(population) -> list[Individual]:
+    """The first front of the feasible members when any exist, else of the
+    whole population, each by the double loop."""
+    feasible = [ind for ind in population if ind.violation == 0.0]
+    base = feasible if feasible else list(population)
+    return [base[i] for i in nondominated_sort_double_loop(base)[0]]
+
+
 def peeled_fronts(objs, viol):
     """Non-dominated fronts, each sorted, by vectorized constrained-domination
     peeling that shares no code with `problem.dominates`."""

@@ -32,6 +32,7 @@ from oracles import (
     crowding,
     decode_monolithic_numpy,
     fake_pool,
+    final_front_feasible_first,
     gca_replay,
     gso_sweep,
     nondominated_sort_double_loop,
@@ -58,16 +59,88 @@ def test_sort_and_crowding_match_brute_force(rng):
             assert np.array_equal(got, want)
 
 
+def _tied_pool(rng, m, infeasible_share):
+    """m members with few distinct values per objective, so ties and
+    duplicates are common, and about `infeasible_share` of them infeasible at
+    one of three violations; feasible members carry 0.0 or -0.0."""
+    objs = rng.integers(0, 4, (m, 3)) * [1e7, 1e5, 1e3] + 1.0
+    if m > 3:
+        objs[m - 1] = objs[0]
+    zeros = np.where(rng.random(m) < 0.5, -0.0, 0.0)
+    violations = np.where(rng.random(m) < infeasible_share, rng.integers(1, 4, m) * 0.5, zeros)
+    return fake_pool(objs, violations)
+
+
 def test_sort_gives_the_double_loop_fronts_in_its_order(rng):
     for case in range(300):
         m = int(rng.integers(1, 61))
-        # few distinct values per objective, so ties and duplicates are common
         objs = rng.integers(0, 4, (m, 3)) * [1e7, 1e5, 1e3] + 1.0
         if m > 3:
             objs[m - 1] = objs[0]
         violations = np.where(rng.random(m) < 0.3, rng.integers(0, 3, m) * 0.5, 0.0)
         pool = fake_pool(objs, violations)
         assert nondominated_sort(pool) == nondominated_sort_double_loop(pool), case
+    # all-feasible, mixed and all-infeasible pools, -0.0 against 0.0, one member
+    for case in range(300):
+        pool = _tied_pool(rng, int(rng.integers(1, 41)), (0.0, 0.5, 1.0)[case % 3])
+        assert nondominated_sort(pool) == nondominated_sort_double_loop(pool), case
+    signed = fake_pool([(1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (3.0, 0.5, 1.0)], [0.0, -0.0, 0.0])
+    assert nondominated_sort(signed) == nondominated_sort_double_loop(signed) == [[1, 2], [0]]
+    levels = fake_pool([(1.0, 1.0, 1.0)] * 5, [0.5, 0.25, 0.5, 0.25, 1.0])
+    assert nondominated_sort(levels) == nondominated_sort_double_loop(levels) == [[1, 3], [0, 2], [4]]
+    for violation in (0.0, 1.0):
+        one = fake_pool([(1.0, 1.0, 1.0)], [violation])
+        assert nondominated_sort(one) == nondominated_sort_double_loop(one) == [[0]]
+    assert nondominated_sort([]) == nondominated_sort_double_loop([]) == [[]]
+
+
+def test_selection_carries_the_survivors_double_loop_fronts(rng):
+    """`_select_indices` picks the textbook survivors (whole fronts of the
+    double loop, then the split front by descending crowding, ties to the
+    lower index), and its fronts are the double loop's fronts of those
+    survivors, member order included. Every kind of cut occurs."""
+    kinds = dict.fromkeys(("front 0 split", "feasible front split", "infeasible front split", "exact fill"), 0)
+    for case in range(600):
+        pool = _tied_pool(rng, int(rng.integers(2, 41)), (0.0, 0.4, 1.0)[case % 3])
+        m = int(rng.integers(1, len(pool) + 1))
+        want: list[int] = []
+        for r, front in enumerate(nondominated_sort_double_loop(pool)):
+            if len(want) + len(front) <= m:
+                want.extend(front)
+                if len(want) == m:
+                    kinds["exact fill"] += 1
+                    break
+                continue
+            crowd = crowding(np.array([pool[i].objectives.as_tuple() for i in front]))
+            order = sorted(range(len(front)), key=lambda j: (-crowd[j], front[j]))
+            want.extend(front[j] for j in order[: m - len(want)])
+            kind = "front 0" if r == 0 else "feasible front" if pool[front[0]].violation == 0.0 else "infeasible front"
+            kinds[kind + " split"] += 1
+            break
+        chosen, fronts = solver._select_indices(pool, m)
+        assert chosen == want, case
+        assert fronts == nondominated_sort_double_loop([pool[i] for i in chosen]), case
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_each_generation_takes_and_returns_the_fresh_fronts(small_scenario, monkeypatch, mode):
+    """In a run, the fronts each generation is given and returns equal the
+    double loop's fronts of its population and of its survivors."""
+    real_generation = solver.nsga2_generation
+    checked = []
+
+    def checked_generation(population, genomes, fronts, *rest):
+        assert fronts == nondominated_sort_double_loop(population)
+        survivors, genomes, fronts = real_generation(population, genomes, fronts, *rest)
+        assert fronts == nondominated_sort_double_loop(survivors)
+        checked.append(len(fronts))
+        return survivors, genomes, fronts
+
+    monkeypatch.setattr(solver, "nsga2_generation", checked_generation)
+    cfg = SolverConfig(population_size=8, t_ao=3, t_local=4, seed=2)
+    run(mode, small_scenario, PARAMS, cfg)
+    assert len(checked) == cfg.t_ao * cfg.t_local and max(checked) > 1
 
 
 def test_row_sums_equal_the_sums_of_the_rows(rng):
@@ -511,8 +584,9 @@ def test_nsga2_generation_preserves_size_and_discrete_genes(small_scenario, rng)
     cfg = SolverConfig(population_size=8, t_ao=1, t_local=1, seed=0)
     pop = initialize_population(small_scenario, PARAMS, cfg, rng)
     signatures = {(ind.assignment.labels, tuple(ind.k)) for ind in pop}
-    out, _ = nsga2_generation(pop, [_genes_of(ind) for ind in pop], small_scenario, PARAMS,
-                              _gene_bounds(small_scenario, PARAMS), _with_genes, 0.9, 0.5, rng)
+    solver.evaluate_population(pop, small_scenario, PARAMS)
+    out, _, _ = nsga2_generation(pop, [_genes_of(ind) for ind in pop], nondominated_sort(pop), small_scenario,
+                                 PARAMS, _gene_bounds(small_scenario, PARAMS), _with_genes, 0.9, 0.5, rng)
     assert len(out) == 8
     # offspring inherit (c, k) untouched from some parent
     for ind in out:
@@ -536,8 +610,10 @@ def test_nsga2_generation_returns_each_survivors_genome(small_scenario, rng, mon
         pop = initialize_population(small_scenario, PARAMS, SolverConfig(population_size=8), rng)
         genomes = [_genes_of(ind) for ind in pop]
         bounds, decode, qw = _gene_bounds(small_scenario, PARAMS), _with_genes, slice(None)
+    solver.evaluate_population(pop, small_scenario, PARAMS)
     for _ in range(3):
-        pop, genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds, decode, 0.9, 0.5, rng)
+        pop, genomes, _ = nsga2_generation(pop, genomes, nondominated_sort(pop), small_scenario, PARAMS,
+                                           bounds, decode, 0.9, 0.5, rng)
     assert len(pop) == len(genomes) == 8
     for ind, g in zip(pop, genomes):
         [decoded] = decode([ind], g[None])
@@ -611,7 +687,8 @@ def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, mono
         replay = np.random.default_rng()
         replay.bit_generator.state = rng.bit_generator.state
         seen.clear()
-        pop, genomes = nsga2_generation(pop, genomes, scn, PARAMS, bounds, recording, p_c, p_m, rng)
+        pop, genomes, _ = nsga2_generation(pop, genomes, nondominated_sort(pop), scn, PARAMS, bounds, recording,
+                                           p_c, p_m, rng)
         [(parents, genes, offspring)] = seen
 
         pick, rows, want = _tournament_oracle(before, replay), [], []
@@ -632,11 +709,12 @@ def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, mono
 
 def test_a_generation_with_no_offspring_keeps_its_population(small_scenario, rng):
     pop = initialize_population(small_scenario, PARAMS, SolverConfig(population_size=4), rng)
+    solver.evaluate_population(pop, small_scenario, PARAMS)
     genomes = np.stack([_genes_of(ind) for ind in pop])
     state = rng.bit_generator.state
     # the advisor's lowest probabilities round to no pair and no mutant at M = 4
-    out, out_genomes = nsga2_generation(pop, genomes, small_scenario, PARAMS,
-                                        _gene_bounds(small_scenario, PARAMS), _with_genes, 0.1, 0.01, rng)
+    out, out_genomes, _ = nsga2_generation(pop, genomes, nondominated_sort(pop), small_scenario, PARAMS,
+                                           _gene_bounds(small_scenario, PARAMS), _with_genes, 0.1, 0.01, rng)
     assert sorted(map(id, out)) == sorted(map(id, pop))
     assert sorted(g.tobytes() for g in out_genomes) == sorted(g.tobytes() for g in genomes)
     assert rng.bit_generator.state == state  # a generation with no offspring draws nothing
@@ -690,7 +768,7 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
     differs, moved = [], []
     real_generation = solver.nsga2_generation
 
-    def counted_generation(population, genomes, scenario, params, bounds, decode, *rest):
+    def counted_generation(population, genomes, fronts, scenario, params, bounds, decode, *rest):
         def counted_decode(parents, genes):
             children = decode(parents, genes)
             fields = ("c", "Q", "w", "k")
@@ -699,7 +777,7 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
                 moved.append(child.q.tobytes() != parent.q.tobytes())
             return children
 
-        return real_generation(population, genomes, scenario, params, bounds, counted_decode, *rest)
+        return real_generation(population, genomes, fronts, scenario, params, bounds, counted_decode, *rest)
 
     monkeypatch.setattr(solver, "nsga2_generation", counted_generation)
     scored = _count_scored(monkeypatch)
@@ -732,7 +810,7 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
 
     scored = _count_scored(monkeypatch)
     f1_fleets = _count_fleets(monkeypatch)
-    nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
+    nsga2_generation(pop, genomes, nondominated_sort(pop), small_scenario, PARAMS, bounds,
                      lambda parents, genes: decode(parents, genes, 0.0), 0.5, 0.5, rng)
     assert scored == [] and f1_fleets == [] and len(children) == 8
     for parent, child in children:
@@ -745,7 +823,7 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
     # the same generation with one weight moved evaluates every offspring, with its parent's f1
     scored.clear()
     f1_fleets.clear()  # the fresh evaluations' own
-    nsga2_generation(pop, genomes, small_scenario, PARAMS, bounds,
+    nsga2_generation(pop, genomes, nondominated_sort(pop), small_scenario, PARAMS, bounds,
                      lambda parents, genes: decode(parents, genes, 1e-6), 0.5, 0.5, rng)
     assert sum(scored) == 8 and sum(f1_fleets) == 0
 
@@ -903,6 +981,12 @@ def test_final_front_prefers_feasible():
     pool = fake_pool(objs, violations=[0.0, 1.0])
     front = final_front(pool)
     assert len(front) == 1 and front[0].violation == 0.0
+
+
+def test_final_front_equals_the_feasible_filter_oracle(rng):
+    for case in range(300):
+        pool = _tied_pool(rng, int(rng.integers(0, 31)), (0.0, 0.5, 1.0)[case % 3])
+        assert [id(ind) for ind in final_front(pool)] == [id(ind) for ind in final_front_feasible_first(pool)], case
 
 
 def test_solver_config_validation():
