@@ -289,23 +289,22 @@ def nondominated_sort(pool) -> list[list[int]]:
     """
     violation = np.array([ind.violation for ind in pool])
     feasible = np.flatnonzero(violation == 0.0)
+    dominates = problem.dominance_matrix([pool[i] for i in feasible.tolist()])
+    count = dominates.sum(axis=0).tolist()
+    dominated = np.nonzero(dominates)[1].tolist()
+    ends = np.cumsum(dominates.sum(axis=1)).tolist()
+    dominated_by = [dominated[start:end] for start, end in zip([0] + ends, ends)]
     fronts = []
-    if len(feasible):
-        dominates = problem.dominance_matrix([pool[i] for i in feasible.tolist()])
-        count = dominates.sum(axis=0).tolist()
-        dominated = np.nonzero(dominates)[1].tolist()
-        ends = np.cumsum(dominates.sum(axis=1)).tolist()
-        dominated_by = [dominated[start:end] for start, end in zip([0] + ends, ends)]
-        front = [i for i, c in enumerate(count) if c == 0]
-        while front:
-            fronts.append(feasible[front].tolist())
-            next_front = []
-            for i in front:
-                for j in dominated_by[i]:
-                    count[j] -= 1
-                    if count[j] == 0:
-                        next_front.append(j)
-            front = next_front
+    front = [i for i, c in enumerate(count) if c == 0]
+    while front:
+        fronts.append(feasible[front].tolist())
+        next_front = []
+        for i in front:
+            for j in dominated_by[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    next_front.append(j)
+        front = next_front
     infeasible = np.flatnonzero(violation != 0.0)
     if len(infeasible):
         order = infeasible[np.argsort(violation[infeasible], kind="stable")]
@@ -646,7 +645,8 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
             gca_step(population, scenario, params)
             # each generation returns its survivors' own (Q, w) genomes
             genomes = np.stack([_genes_of(ind) for ind in population])
-        # sorted once per outer iteration; each generation returns its survivors' fronts
+        # GCA and GSO change objectives, so each outer iteration sorts afresh; the
+        # generations then carry their survivors' fronts
         fronts = nondominated_sort(population)
         for gen in range(config.t_local):
             population, genomes, fronts = nsga2_generation(
