@@ -22,7 +22,7 @@ from .scenario import (
     save_scenario,
 )
 from .semantic import SimilarityModel, default_similarity_model, semantic_similarity, semantic_terms
-from .solver import RunResult, SolverConfig, final_front, run
+from .solver import RunResult, SolverConfig, run
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "cluster_snr",
     "default_similarity_model",
     "evaluate",
-    "final_front",
     "generate_scenario",
     "hypervolume",
     "knee_index",

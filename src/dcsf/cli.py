@@ -131,12 +131,12 @@ def _cmd_solve(args) -> int:
     result = solver.run(args.mode, scn, params, config, transport=transport)
     elapsed = time.perf_counter() - start
 
-    front = solver.final_front(result.population)
+    front = result.front
     knee_i = _knee(front)
     # the last history row holds the front metrics and (p_c, p_m) of this front
     last = result.history[-1]
-    # the first front holds only feasible members when any exist: they dominate every infeasible one
-    least_violating = min(front, key=lambda ind: ind.violation)
+    # the first front holds only feasible members when any exist, else members of one violation
+    least_violating = front[0]
     best_violation = least_violating.violation
     feasible = best_violation == 0.0
     violations = [] if feasible else problem.violations_report(least_violating, scn, params)

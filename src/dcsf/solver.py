@@ -12,10 +12,11 @@ generation, `nsga2_generation`; they differ only in the genome and its
 decoding, set up once before the loop, and in the stages around the
 generations. Parents carry their objectives across generations, so each
 generation evaluates only the offspring that differ from their parent.
-They also carry their fronts: a generation sorts its pool of parents and
-offspring once, in the elitist selection, and hands the survivors' fronts
-to the next generation and to the advisor, so `run` sorts afresh only at
-the start of each outer iteration, after GCA has changed f2. The sort peels
+They also carry their fronts, so `run` sorts only where objectives change:
+a generation sorts its pool once, in the elitist `select_best`, and hands
+the survivors' fronts to the next generation and the advisor; the
+monolithic mode sorts once more, after the initial evaluation, and the AO
+modes after GCA and, in a closing `select_best`, after GSO. The sort peels
 only the feasible members; constrained dominance orders the infeasible ones
 by violation alone. A generation handles its offspring as one batch, from
 genes to objectives: the tournament picks and the crossover and mutation
@@ -94,6 +95,7 @@ class SolverConfig:
 class RunResult:
     population: list[Individual]
     history: list[dict]  # ends with the final p_c, p_m and front metrics
+    front: list[Individual]  # the population's first front under constrained dominance
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,8 @@ def merge_clusters(assignment: ClusterAssignment, k: np.ndarray, survivor: int, 
     """Merge cluster `absorbed` into `survivor` (1-based labels), renumbering
     the remaining labels consecutively.
 
-    The merged cluster keeps the lower-indexed cluster's k; the choice is
-    transient because the symbol sweep re-optimizes k right afterwards.
+    The merged cluster keeps the lower-indexed cluster's k; that k stands,
+    and counts in C6, through the generations until the closing symbol sweep.
     """
     if survivor == absorbed:
         raise ValueError("cannot merge a cluster with itself")
@@ -188,7 +190,7 @@ class _Merging:
     It keeps the SNR and merged rate of every pair of clusters across passes:
     a merge moves the pair's into the individual's cluster SNRs and rates,
     drops the absorbed row and column and leaves only the survivor's pairs
-    to rate again, at the lower-indexed cluster's k, as `merge_clusters` does.
+    to rate again, at the lower-indexed cluster's k, which the merge keeps.
     """
 
     def __init__(self, ind: Individual):
@@ -343,10 +345,11 @@ def _rank_and_crowd(pool, fronts) -> tuple[list, list]:
     return rank.tolist(), crowd.tolist()
 
 
-def _select_indices(pool, m: int) -> tuple[list[int], list[list[int]]]:
-    """(chosen, fronts): pool indices of the m elitist survivors by (front
-    rank, crowding), and the survivors' fronts as indices into `chosen`,
-    equal to `nondominated_sort([pool[i] for i in chosen])`.
+def select_best(pool, m: int) -> tuple[list[int], list[list[int]]]:
+    """Elitist selection, (chosen, fronts): pool indices of the m survivors
+    by (front rank, crowding), and the survivors' fronts as indices into
+    `chosen`, equal to `nondominated_sort([pool[i] for i in chosen])`. With
+    m = len(pool) it drops nobody and orders the pool by front.
 
     The pool is sorted once. Whole fronts are taken in rank order while
     they fit, and the loop stops when they fill m exactly; crowding is
@@ -382,11 +385,6 @@ def _select_indices(pool, m: int) -> tuple[list[int], list[list[int]]]:
         fronts.append((start + np.argsort(last, kind="stable")).tolist())
         break
     return chosen, fronts
-
-
-def select_best(pool, m: int):
-    """Elitist selection of m individuals by (front rank, crowding)."""
-    return [pool[i] for i in _select_indices(pool, m)[0]]
 
 
 def _tournament(rank: list, crowd: list, rng) -> int:
@@ -550,7 +548,7 @@ def nsga2_generation(population, genomes, fronts, scenario, params, bounds, deco
         _inherit_if_clone(parents[f], offspring[f])
     evaluate_population(offspring, scenario, params, parents)
     pool = population + offspring
-    chosen, fronts = _select_indices(pool, m)
+    chosen, fronts = select_best(pool, m)
     return [pool[i] for i in chosen], np.concatenate([genomes, children])[chosen], fronts
 
 
@@ -588,20 +586,13 @@ def gso_step(population, scenario, params) -> None:
 # ---------------------------------------------------------------------------
 # Full runs
 
-def final_front(population) -> list[Individual]:
-    """The first front of the population under constrained dominance: its
-    non-dominated feasible members when any exist, else its least-violating
-    ones."""
-    return [population[i] for i in nondominated_sort(population)[0]]
-
-
 def _objectives(individuals) -> np.ndarray:
     return np.array([ind.objectives.as_tuple() for ind in individuals])
 
 
-def _history_record(t: int, population, p_c: float, p_m: float) -> dict:
-    """One `history` row: front metrics after outer iteration t."""
-    objs = _objectives(final_front(population))
+def _history_record(t: int, front, p_c: float, p_m: float) -> dict:
+    """One `history` row: the metrics of the first `front` after outer iteration t."""
+    objs = _objectives(front)
     return {
         "iteration": t, "sp": metrics.spacing_metric(objs), "m3": metrics.max_spread_metric(objs),
         "hypervolume": metrics.hypervolume(objs), "p_c": p_c, "p_m": p_m, "front_size": len(objs),
@@ -616,8 +607,9 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
     (fixed P_C_INITIAL and P_M_INITIAL, no advisor) and "monolithic-nsga2"
     (flat NSGA-II over all variables, fixed p_c and p_m). All three run this
     one outer loop; only the AO modes open each outer iteration with GCA and
-    close it with GSO and an elitist select. History carries one record per
-    outer iteration.
+    close it with GSO and an elitist select. `fronts` are always the fronts
+    of `population`, sorted only where objectives change. History carries
+    one record per outer iteration, of its first front; `front` is the last.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
@@ -635,6 +627,8 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
         def decode(_, genes):
             return _decode_monolithic(genes, params)
     evaluate_population(population, scenario, params)
+    if not alternating:
+        fronts = nondominated_sort(population)
 
     p_c, p_m = P_C_INITIAL, P_M_INITIAL
     llm_failures = 0
@@ -645,9 +639,7 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
             gca_step(population, scenario, params)
             # each generation returns its survivors' own (Q, w) genomes
             genomes = np.stack([_genes_of(ind) for ind in population])
-        # GCA and GSO change objectives, so each outer iteration sorts afresh; the
-        # generations then carry their survivors' fronts
-        fronts = nondominated_sort(population)
+            fronts = nondominated_sort(population)  # GCA changed f2
         for gen in range(config.t_local):
             population, genomes, fronts = nsga2_generation(
                 population, genomes, fronts, scenario, params, bounds, decode, p_c, p_m, rng)
@@ -671,9 +663,13 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
             window.append((sp, m3))
         if alternating:
             gso_step(population, scenario, params)
-            population = select_best(population, config.population_size)
-        history.append(_history_record(t, population, p_c, p_m))
-    return RunResult(population, history)
+            # GSO changed f2: sort, and order the population by front, the
+            # order in which the next outer iteration's tournaments draw it
+            chosen, fronts = select_best(population, config.population_size)
+            population = [population[i] for i in chosen]
+        front = [population[i] for i in fronts[0]]
+        history.append(_history_record(t, front, p_c, p_m))
+    return RunResult(population, history, front)
 
 
 # ---------------------------------------------------------------------------

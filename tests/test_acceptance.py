@@ -23,7 +23,6 @@ from dcsf.problem import ClusterAssignment, Individual, evaluate
 from dcsf.solver import (
     SolverConfig,
     crowding_distance,
-    final_front,
     gca_step,
     gso_step,
     nondominated_sort,
@@ -249,8 +248,7 @@ def test_acceptance_09_advisor_beats_static_on_scaled_problem():
         cfg = SolverConfig(population_size=20, t_ao=10, t_local=5, seed=seed)
         adaptive = run("llm-aoa", scn, PARAMS, cfg)
         static = run("aoa", scn, PARAMS, cfg)
-        hv_a, hv_s = _paired_hypervolumes(final_front(adaptive.population),
-                                          final_front(static.population))
+        hv_a, hv_s = _paired_hypervolumes(adaptive.front, static.front)
         if hv_a >= hv_s:
             wins += 1
         ratios.append(hv_a / hv_s if hv_s > 0 else math.inf)
@@ -272,7 +270,7 @@ def test_acceptance_10_full_scale_knee_magnitudes():
     scn = generate_scenario(500, 8, bounds, (5000.0, 5000.0, 0.0), seed=0)
     cfg = SolverConfig(population_size=30, t_ao=20, t_local=10, seed=0)
     result = run("llm-aoa", scn, PARAMS, cfg)
-    front = final_front(result.population)
+    front = result.front
     objs = np.array([ind.objectives.as_tuple() for ind in front])
     from dcsf.metrics import knee_index
 

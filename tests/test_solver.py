@@ -18,7 +18,6 @@ from dcsf.solver import (
     _with_genes,
     breed,
     crowding_distance,
-    final_front,
     gca_step,
     gso_step,
     initialize_population,
@@ -87,7 +86,7 @@ def test_sort_gives_the_double_loop_fronts_in_its_order(rng):
 
 
 def test_selection_carries_the_survivors_double_loop_fronts(rng):
-    """`_select_indices` picks the textbook survivors (whole fronts of the
+    """`select_best` picks the textbook survivors (whole fronts of the
     double loop, then the split front by descending crowding, ties to the
     lower index), and its fronts are the double loop's fronts of those
     survivors, member order included. Every kind of cut occurs."""
@@ -109,7 +108,7 @@ def test_selection_carries_the_survivors_double_loop_fronts(rng):
             kind = "front 0" if r == 0 else "feasible front" if pool[front[0]].violation == 0.0 else "infeasible front"
             kinds[kind + " split"] += 1
             break
-        chosen, fronts = solver._select_indices(pool, m)
+        chosen, fronts = select_best(pool, m)
         assert chosen == want, case
         assert fronts == nondominated_sort_double_loop([pool[i] for i in chosen]), case
     assert all(kinds.values()), kinds
@@ -158,8 +157,8 @@ def test_sort_handles_duplicates():
 def test_select_best_keeps_first_front_whole_when_it_fits():
     objs = [(3.0, 1.0, 1.0), (1.0, 3.0, 1.0), (2.0, 2.0, 1.0), (0.5, 0.5, 2.0), (0.4, 0.4, 3.0)]
     pool = fake_pool(objs)
-    chosen = select_best(pool, 3)
-    got = {ind.objectives.as_tuple() for ind in chosen}
+    chosen, _ = select_best(pool, 3)
+    got = {pool[i].objectives.as_tuple() for i in chosen}
     assert got == {objs[0], objs[1], objs[2]}
 
 
@@ -918,9 +917,35 @@ def test_run_is_seed_deterministic(small_scenario):
     r1 = run("llm-aoa", small_scenario, PARAMS, cfg)
     r2 = run("llm-aoa", small_scenario, PARAMS, cfg)
     assert r1.history == r2.history
-    f1 = [ind.to_dict() for ind in final_front(r1.population)]
-    f2 = [ind.to_dict() for ind in final_front(r2.population)]
+    f1 = [ind.to_dict() for ind in r1.front]
+    f2 = [ind.to_dict() for ind in r2.front]
     assert f1 == f2
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_run_sorts_only_where_objectives_change(small_scenario, monkeypatch, mode):
+    """`run` sorts once per generation and otherwise only where objectives
+    changed: once after the initial evaluation in the monolithic mode, and
+    after GCA and after GSO in each outer iteration of the AO modes. Its
+    `front` is the first front of its population, and the last history row
+    holds that front's metrics."""
+    sorts = _count_calls(monkeypatch, solver, "nondominated_sort")
+    alternating = mode != "monolithic-nsga2"
+    several_fronts = False
+    for t_ao, t_local, seed in [(3, 2, 0), (3, 2, 1), (1, 1, 0), (1, 1, 1)]:
+        cfg = SolverConfig(population_size=8, t_ao=t_ao, t_local=t_local, seed=seed)
+        before = len(sorts)
+        res = run(mode, small_scenario, PARAMS, cfg)
+        want = t_ao * (t_local + 2) if alternating else 1 + t_ao * t_local
+        assert len(sorts) - before == want, cfg
+        assert [id(ind) for ind in res.front] == [id(ind) for ind in final_front_feasible_first(res.population)]
+        objs = np.array([ind.objectives.as_tuple() for ind in res.front])
+        last = res.history[-1]
+        assert last["sp"] == metrics.spacing_metric(objs)
+        assert last["m3"] == metrics.max_spread_metric(objs)
+        assert last["hypervolume"] == metrics.hypervolume(objs)
+        several_fronts |= len(nondominated_sort_double_loop(res.population)) > 1
+    assert several_fronts
 
 
 def test_run_history_and_modes(small_scenario, monkeypatch):
@@ -971,14 +996,15 @@ def test_fallback_advisor_can_move_probabilities(small_scenario, monkeypatch):
 def test_final_front_prefers_feasible():
     objs = [(1.0, 1.0, 1.0), (5.0, 5.0, 0.5)]
     pool = fake_pool(objs, violations=[0.0, 1.0])
-    front = final_front(pool)
-    assert len(front) == 1 and front[0].violation == 0.0
+    front = nondominated_sort(pool)[0]
+    assert front == [0] and pool[front[0]].violation == 0.0
 
 
 def test_final_front_equals_the_feasible_filter_oracle(rng):
     for case in range(300):
         pool = _tied_pool(rng, int(rng.integers(0, 31)), (0.0, 0.5, 1.0)[case % 3])
-        assert [id(ind) for ind in final_front(pool)] == [id(ind) for ind in final_front_feasible_first(pool)], case
+        front = [pool[i] for i in nondominated_sort(pool)[0]]
+        assert [id(ind) for ind in front] == [id(ind) for ind in final_front_feasible_first(pool)], case
 
 
 def test_solver_config_validation():
