@@ -109,7 +109,10 @@ def hypervolume_min(points: np.ndarray, ref: np.ndarray) -> float:
     pts = pts[np.all(pts < ref, axis=1)]
     if len(pts) == 0:
         return 0.0
-    z_levels = np.unique(pts[:, 2])
+    # the distinct z values, ascending: np.unique's sort and neighbour compare,
+    # without its first call's lazy import of numpy.ma
+    z = np.sort(pts[:, 2])
+    z_levels = z[np.concatenate(([True], z[1:] != z[:-1]))]
     hv = 0.0
     for i, z in enumerate(z_levels):
         z_next = z_levels[i + 1] if i + 1 < len(z_levels) else ref[2]

@@ -5,12 +5,12 @@ per-cluster symbol counts k}. Cluster labels are kept canonical (consecutive
 1..N_cluster), which makes the structural constraints (non-empty clusters,
 exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
 
-Each evaluated individual carries what does not depend on k: one SNR per
-cluster, and its fleet terms, f1, f3 and the C1 + C2 violation, which depend
-on Q alone; and each cluster's semantic rate and similarity at its k.
-`batch_terms` sets them for a batch of individuals at once, in array passes;
-`score` sums them into the objectives, f2 and the C6 violation. `evaluate`
-is `batch_terms` and `score` over one batch.
+Each evaluated individual caches only what does not depend on k: one SNR
+per cluster, and its fleet terms, f1, f3 and the C1 + C2 violation, which
+depend on Q alone. `batch_terms` sets them for a batch of individuals at
+once, in array passes, and ends in `cluster_semantic_terms`, the one
+function that derives what depends on k, f2 and the C6 violation, and sets
+the objectives. `evaluate` is `batch_terms` over one batch.
 """
 
 from __future__ import annotations
@@ -71,22 +71,6 @@ class ClusterAssignment:
         return self._clusters
 
 
-def canonicalize_labels(raw_labels, k_values) -> tuple[ClusterAssignment, np.ndarray]:
-    """Relabel arbitrary positive cluster ids to first-appearance order 1..N.
-
-    k entries follow their clusters; labels absent from `raw_labels` drop out.
-    Idempotent: canonical input maps to itself.
-    """
-    raw = [int(v) for v in raw_labels]
-    k_values = np.asarray(k_values).tolist()
-    mapping = {label: new for new, label in enumerate(dict.fromkeys(raw), start=1)}
-    new_labels = tuple(mapping[v] for v in raw)
-    if len(k_values) != max(raw):
-        raise EncodingError(f"k has {len(k_values)} entries but assignment has max label {max(raw)}")
-    # the mapping's insertion order is first appearance, the new label order
-    return ClusterAssignment(new_labels), np.array([k_values[old - 1] for old in mapping])
-
-
 @dataclass
 class Individual:
     """One candidate solution with cached fitness."""
@@ -97,8 +81,6 @@ class Individual:
     k: np.ndarray  # (N_cluster,) integer symbols/word per cluster
     objectives: ObjectiveTriple | None = None
     violation: float = 0.0
-    cluster_rate: np.ndarray | None = field(default=None, repr=False)  # suts/s per cluster
-    cluster_xi: np.ndarray | None = field(default=None, repr=False)
     cluster_snr: np.ndarray | None = field(default=None, repr=False)  # per cluster; k-independent
     # (f1, f3, C1 + C2 violation); k-independent
     fleet_terms: tuple[float, float, float] | None = field(default=None, repr=False)
@@ -117,7 +99,7 @@ class Individual:
             raise EncodingError(f"w shape {self.w.shape} mismatched to fleet size")
 
     def copy(self) -> "Individual":
-        arrays = ("q", "w", "k", "cluster_rate", "cluster_xi", "cluster_snr")
+        arrays = ("q", "w", "k", "cluster_snr")
         return replace(self, **{name: None if getattr(self, name) is None else getattr(self, name).copy()
                                 for name in arrays})
 
@@ -146,10 +128,11 @@ class Individual:
                           float(doc.get("violation", 0.0)))
 
 
-def batch_terms(individuals, scenario, params, parents) -> None:
+def batch_terms(individuals, scenario, params, parents) -> list[ObjectiveTriple]:
     """Set each individual's `cluster_snr` (one per cluster) and
     `fleet_terms`, f1, f3 and the C1 + C2 violation, which k does not
-    change, and then its `cluster_rate` and `cluster_xi` at its k.
+    change, and then, in `cluster_semantic_terms`, its objectives and
+    violation at its k; returns the objectives.
 
     From the evaluated `parents[i]` (or None), an individual takes the SNR of
     each cluster whose member set, Q rows and w equal, byte for byte, those
@@ -167,7 +150,7 @@ def batch_terms(individuals, scenario, params, parents) -> None:
     empty batch sets nothing.
     """
     if not individuals:
-        return
+        return []
     q, w = np.stack([ind.q for ind in individuals]), np.stack([ind.w for ind in individuals])
     counts = np.array([ind.assignment.n_clusters for ind in individuals])
     starts = np.cumsum(counts) - counts
@@ -215,26 +198,16 @@ def batch_terms(individuals, scenario, params, parents) -> None:
         snr[stale] = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
     for ind, start, n in zip(individuals, starts.tolist(), counts.tolist()):
         ind.cluster_snr = snr[start: start + n]
-    cluster_semantic_terms(individuals, params)
+    return cluster_semantic_terms(individuals, params)
 
 
-def cluster_semantic_terms(individuals, params) -> None:
-    """Set each individual's `cluster_rate` and `cluster_xi`, read-only views
-    of one `semantic.semantic_terms` call over the stored SNRs and k of all
-    the individuals' clusters. Zero-SNR clusters contribute nothing."""
-    if not individuals:
-        return
-    rates, xis = semantic.semantic_terms(np.concatenate([ind.cluster_snr for ind in individuals]),
-                                         np.concatenate([ind.k for ind in individuals]), params)
-    rates.flags.writeable = xis.flags.writeable = False
-    ends = np.cumsum([len(ind.k) for ind in individuals]).tolist()
-    for ind, start, end in zip(individuals, [0] + ends, ends):
-        ind.cluster_rate, ind.cluster_xi = rates[start:end], xis[start:end]
-
-
-def score(individuals, params) -> list[ObjectiveTriple]:
+def cluster_semantic_terms(individuals, params) -> list[ObjectiveTriple]:
     """Set and return the objectives and violations of a batch of
-    individuals whose fleet terms, cluster rates and similarities are set.
+    individuals whose `cluster_snr` and fleet terms are set: f2 sums each
+    cluster's semantic rate at its k, and the C6 violation adds each
+    cluster's similarity shortfall to the fleet's C1 + C2, both from one
+    `semantic.semantic_terms` call over the stored SNRs and k of all the
+    batch's clusters. Zero-SNR clusters contribute nothing.
 
     For each cluster count n, f2 and the C6 sum of the individuals with n
     clusters are the row sums of one (individuals, n) array; a row sums bit
@@ -242,10 +215,11 @@ def score(individuals, params) -> list[ObjectiveTriple]:
     """
     if not individuals:
         return []
-    counts = [len(ind.cluster_rate) for ind in individuals]
+    counts = [len(ind.k) for ind in individuals]
     starts = np.cumsum(counts) - counts
-    rates = np.concatenate([ind.cluster_rate for ind in individuals])
-    shortfall = np.maximum(params.xi_threshold - np.concatenate([ind.cluster_xi for ind in individuals]), 0.0)
+    rates, xis = semantic.semantic_terms(np.concatenate([ind.cluster_snr for ind in individuals]),
+                                         np.concatenate([ind.k for ind in individuals]), params)
+    shortfall = np.maximum(params.xi_threshold - xis, 0.0)
     by_count: dict[int, list[int]] = {}
     for f, n in enumerate(counts):
         by_count.setdefault(n, []).append(f)
@@ -260,9 +234,9 @@ def score(individuals, params) -> list[ObjectiveTriple]:
 
 
 def evaluate(individuals, scenario, params, parents=None):
-    """Compute and cache (f1, f2, f3), the per-cluster SNRs, rates and
-    similarities, and the constraint-violation scalar of a batch of
-    individuals, in one `batch_terms` and one `score` call, and so with one
+    """Compute and cache the per-cluster SNRs and fleet terms of a batch of
+    individuals, and set their objectives (f1, f2, f3) and constraint
+    violations, in one `batch_terms` call, and so with one
     `channel.sum_user_rate` call; returns their objectives.
 
     `parents[i]`, when given, lends `individuals[i]` what `batch_terms`
@@ -272,18 +246,18 @@ def evaluate(individuals, scenario, params, parents=None):
     single = isinstance(individuals, Individual)
     if single:
         individuals, parents = [individuals], [parents]
-    batch_terms(individuals, scenario, params, parents or [None] * len(individuals))
-    objectives = score(individuals, params)
+    objectives = batch_terms(individuals, scenario, params, parents or [None] * len(individuals))
     return objectives[0] if single else objectives
 
 
 def violations_report(individual: Individual, scenario, params) -> list[str]:
     """The individual's breaches, one human-readable line each: C1 and C2 as
     `scenario.fleet_violations` words them, then C6 per cluster."""
-    if individual.cluster_xi is None:
+    if individual.cluster_snr is None:
         evaluate(individual, scenario, params)
     report = fleet_violations(individual.q[None], scenario.bounds, params.d_min)[1][0]
-    for c, xi in enumerate(individual.cluster_xi):
+    _, xis = semantic.semantic_terms(individual.cluster_snr, individual.k, params)
+    for c, xi in enumerate(xis.tolist()):
         if xi < params.xi_threshold:
             report.append(f"C6: cluster {c + 1} similarity {xi:.4f} < {params.xi_threshold}")
     return report

@@ -10,8 +10,9 @@ at once, which runs the generations alone.
 All three modes run one outer loop (`run`) around the same NSGA-II
 generation, `nsga2_generation`; they differ only in the genome and its
 decoding, set up once before the loop, and in the stages around the
-generations. Parents carry their objectives across generations, so each
-generation evaluates only the offspring that differ from their parent.
+generations, which leave Q and w, and so the genomes, as they are. Parents
+carry their objectives across generations, so each generation evaluates
+only the offspring that differ from their parent.
 They also carry their fronts, so `run` sorts only where objectives change:
 a generation sorts its pool once, in the elitist `select_best`, and hands
 the survivors' fronts to the next generation and the advisor; the
@@ -26,8 +27,8 @@ genes; one decode call builds the offspring of that (children, genes)
 stack, one byte compare of their stacked Q and w with their parents' finds
 the possible clones, and one population evaluation scores the rest.
 
-Every evaluated individual also carries what does not depend on k: one SNR
-per cluster, which depends on the members' positions and weights, and its
+Every evaluated individual also caches only what does not depend on k: one
+SNR per cluster, which depends on the members' positions and weights, and its
 fleet terms, f1, f3 and the C1 + C2 violation, which depend on the
 positions alone. An offspring reuses its parent's SNR for each cluster it
 kept unchanged, and its parent's fleet terms when it kept every position.
@@ -42,9 +43,9 @@ yet rated, of all individuals, in one `cluster_snr` and one
 `semantic.semantic_terms` call. GSO rates every stored SNR at every k of
 [k_min, k_max] in one `semantic_terms` call and sets every k by one argmax
 over the rows. GCA's ordered merges are scored as matrix row sums. The
-individuals GCA or GSO changed are rated in one
-`problem.cluster_semantic_terms` call and scored again in one
-`problem.score` call.
+individuals GCA or GSO changed are scored again in one
+`problem.cluster_semantic_terms` call, which derives f2 and the C6
+violation, the terms that depend on k, from their stored SNRs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import advisor as advisor_mod
 from . import beamforming, metrics, problem, semantic
-from .problem import ClusterAssignment, Individual, canonicalize_labels
+from .problem import ClusterAssignment, Individual
 
 
 class SolverError(RuntimeError):
@@ -104,18 +105,31 @@ class RunResult:
 def initialize_population(scenario, params, config: SolverConfig, rng=None) -> list[Individual]:
     """Mixed initialization: random labels, uniform positions/weights, random k."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    n_v = scenario.n_uavs
+    m, n_v = config.population_size, scenario.n_uavs
     lower, upper = scenario.bounds.lower, scenario.bounds.upper
-    population = []
-    for _ in range(config.population_size):
-        raw_labels = rng.integers(1, n_v + 1, size=n_v)
-        # placeholder k sized to the raw max label, then relabeled with the clusters
-        k_raw = rng.integers(params.k_min, params.k_max + 1, size=int(raw_labels.max()))
-        assignment, k = canonicalize_labels(raw_labels, k_raw)
-        q = lower + rng.random((n_v, 3)) * (upper - lower)
-        w = rng.uniform(params.w_min, params.w_max, size=n_v)
-        population.append(Individual(assignment, q, w, k))
-    return population
+    raw, k_raw, q, w = np.empty((m, n_v), dtype=np.intp), np.zeros((m, n_v), dtype=int), [], []
+    for i in range(m):
+        raw[i] = rng.integers(1, n_v + 1, size=n_v)
+        # one k per raw label up to the largest drawn, relabeled with the clusters
+        k_raw[i, : raw[i].max()] = rng.integers(params.k_min, params.k_max + 1, size=raw[i].max())
+        q.append(lower + rng.random((n_v, 3)) * (upper - lower))
+        w.append(rng.uniform(params.w_min, params.w_max, size=n_v))
+    return [Individual(assignment, q_i, w_i, k) for (assignment, k), q_i, w_i in zip(_canonical(raw, k_raw), q, w)]
+
+
+def _canonical(raw: np.ndarray, k_raw: np.ndarray) -> list[tuple[ClusterAssignment, np.ndarray]]:
+    """(assignment, k) of each row of the (M, V) positive raw labels: the
+    labels renumbered 1..N in order of first appearance, in array passes,
+    and raw label r's k, `k_raw[row, r - 1]`, following its cluster; raw
+    labels absent from a row drop out with their k."""
+    n_v = raw.shape[1]
+    # each UAV's first UAV with the same raw label; the first appearances, in order, are 1..N
+    first = (raw[:, :, None] == raw[:, None, :]).argmax(axis=2)
+    appears = first == np.arange(n_v)
+    labels = np.take_along_axis(np.cumsum(appears, axis=1), first, axis=1).tolist()
+    row, uav = np.nonzero(appears)
+    k = np.split(k_raw[row, raw[row, uav] - 1], np.cumsum(appears.sum(axis=1))[:-1])
+    return [(ClusterAssignment(tuple(c)), k_i) for c, k_i in zip(labels, k)]
 
 
 def evaluate_population(population, scenario, params, parents=None) -> None:
@@ -187,23 +201,26 @@ def _best_merge(rates: np.ndarray, merged: np.ndarray, baseline: float):
 class _Merging:
     """The greedy merge of one evaluated individual, one pass at a time.
 
-    It keeps the SNR and merged rate of every pair of clusters across passes:
-    a merge moves the pair's into the individual's cluster SNRs and rates,
-    drops the absorbed row and column and leaves only the survivor's pairs
-    to rate again, at the lower-indexed cluster's k, which the merge keeps.
+    It holds the individual's assignment, k, cluster SNRs and cluster
+    `rates` while it merges, and the SNR and merged rate of every pair of
+    clusters across passes: a merge moves the pair's into the cluster SNRs
+    and rates, drops the absorbed row and column and leaves only the
+    survivor's pairs to rate again, at the lower-indexed cluster's k, which
+    the merge keeps. The individual itself is left as it was until `gca_step`
+    writes the result back.
     """
 
-    def __init__(self, ind: Individual):
+    def __init__(self, ind: Individual, rates: np.ndarray):
         self.ind = ind
+        self.assignment, self.k, self.snr, self.rates = ind.assignment, ind.k, ind.cluster_snr, rates
         self.baseline = ind.objectives.f2
         n = len(ind.k)
         self.pair_snr, self.merged = np.zeros((n, n)), np.zeros((n, n))
         self.lo, self.hi = np.triu_indices(n, 1)  # slots of the pairs to rate
-        self.changed = False
 
     def pairs(self) -> list[tuple[int, ...]]:
         """Member sets of the pending pairs."""
-        clusters = self.ind.assignment.clusters()
+        clusters = self.assignment.clusters()
         return [tuple(sorted(clusters[lo] + clusters[hi]))
                 for lo, hi in zip(self.lo.tolist(), self.hi.tolist())]
 
@@ -212,20 +229,18 @@ class _Merging:
         merge; True when a merge was applied and more than one cluster is left."""
         self.pair_snr[self.lo, self.hi] = self.pair_snr[self.hi, self.lo] = snrs
         self.merged[self.lo, self.hi] = self.merged[self.hi, self.lo] = rates
-        ind = self.ind
-        gain, b, a = _best_merge(ind.cluster_rate, self.merged, self.baseline)
+        gain, b, a = _best_merge(self.rates, self.merged, self.baseline)
         if gain <= 0:
             return False
-        ind.assignment, ind.k = merge_clusters(ind.assignment, ind.k, b + 1, a + 1)
-        self.changed = True
+        self.assignment, self.k = merge_clusters(self.assignment, self.k, b + 1, a + 1)
         s = b - (b > a)  # the survivor's slot after the merge
-        ind.cluster_snr = np.delete(ind.cluster_snr, a)
-        ind.cluster_snr[s] = self.pair_snr[b, a]
-        ind.cluster_rate = np.delete(ind.cluster_rate, a)
-        ind.cluster_rate[s] = self.merged[b, a]
+        self.snr = np.delete(self.snr, a)
+        self.snr[s] = self.pair_snr[b, a]
+        self.rates = np.delete(self.rates, a)
+        self.rates[s] = self.merged[b, a]
         self.pair_snr = np.delete(np.delete(self.pair_snr, a, 0), a, 1)
         self.merged = np.delete(np.delete(self.merged, a, 0), a, 1)
-        others = np.delete(np.arange(len(ind.k)), s)
+        others = np.delete(np.arange(len(self.k)), s)
         self.lo, self.hi = np.minimum(others, s), np.maximum(others, s)
         return len(others) > 0
 
@@ -236,25 +251,31 @@ def gca_step(population, scenario, params) -> None:
     than one cluster merges in lockstep with the others.
 
     Every merge gain, including those after a merge has been applied, is
-    measured against the individual's f2 from the previous iteration. Each
-    pass rates every pair it has not rated yet, over all individuals, in one
-    `cluster_snr` and one `semantic_terms` call: every pair in the first
-    pass, then only the pairs with each new cluster. The merged individuals
-    are rated in one `cluster_semantic_terms` call and scored again with
-    their own fleet terms.
+    measured against the individual's f2 from the previous iteration. The
+    clusters' own rates come from one `semantic_terms` call over the stored
+    SNRs and k of the merging individuals. Each pass rates every pair it has
+    not rated yet, over all individuals, in one `cluster_snr` and one
+    `semantic_terms` call: every pair in the first pass, then only the pairs
+    with each new cluster. When no individual merges any more, each merged
+    one takes its assignment, k and SNRs at once, and all of them are scored
+    again in one `cluster_semantic_terms` call, with their own fleet terms.
     """
     evaluate_population(population, scenario, params)
-    merging = [_Merging(ind) for ind in population if ind.assignment.n_clusters > 1]
-    if not merging:
+    individuals = [ind for ind in population if ind.assignment.n_clusters > 1]
+    if not individuals:
         return
-    q = np.stack([m.ind.q for m in merging])
-    w = np.stack([m.ind.w for m in merging])
+    rates, _ = semantic.semantic_terms(np.concatenate([ind.cluster_snr for ind in individuals]),
+                                       np.concatenate([ind.k for ind in individuals]), params)
+    ends = np.cumsum([len(ind.k) for ind in individuals]).tolist()
+    merging = [_Merging(ind, rates[start:end]) for ind, start, end in zip(individuals, [0] + ends, ends)]
+    q = np.stack([ind.q for ind in individuals])
+    w = np.stack([ind.w for ind in individuals])
     active = list(range(len(merging)))
     while active:
         clusters = [(f, members) for f in active for members in merging[f].pairs()]
         snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
         # each pair is rated at the k of its lower-indexed cluster
-        ks = np.concatenate([merging[f].ind.k[merging[f].lo] for f in active])
+        ks = np.concatenate([merging[f].k[merging[f].lo] for f in active])
         rates, _ = semantic.semantic_terms(snrs, ks, params)
         still, start = [], 0
         for f in active:
@@ -263,9 +284,12 @@ def gca_step(population, scenario, params) -> None:
                 still.append(f)
             start = end
         active = still
-    changed = [m.ind for m in merging if m.changed]
+    changed = []
+    for m in merging:
+        if m.assignment is not m.ind.assignment:
+            m.ind.assignment, m.ind.k, m.ind.cluster_snr = m.assignment, m.k, m.snr
+            changed.append(m.ind)
     problem.cluster_semantic_terms(changed, params)
-    problem.score(changed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +529,6 @@ def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
             and child.q.tobytes() == parent.q.tobytes()
             and child.w.tobytes() == parent.w.tobytes()):
         child.objectives, child.violation = parent.objectives, parent.violation
-        child.cluster_rate, child.cluster_xi = parent.cluster_rate.copy(), parent.cluster_xi.copy()
         child.cluster_snr = parent.cluster_snr.copy()
         child.fleet_terms = parent.fleet_terms
     return child
@@ -564,8 +587,8 @@ def gso_step(population, scenario, params) -> None:
     The stored SNRs of every cluster of the population, which do not depend
     on k, give one (cluster, k) table of rates and similarities in one
     `semantic.semantic_terms` call, and one masked argmax over its rows. The
-    individuals whose k changed are rated in one `cluster_semantic_terms`
-    call and scored again, with their own SNRs and fleet terms.
+    individuals whose k changed are scored again in one
+    `cluster_semantic_terms` call, with their own SNRs and fleet terms.
     """
     evaluate_population(population, scenario, params)
     snr = np.concatenate([ind.cluster_snr for ind in population])
@@ -580,7 +603,6 @@ def gso_step(population, scenario, params) -> None:
             ind.k[:] = best[start:end]
             changed.append(ind)
     problem.cluster_semantic_terms(changed, params)
-    problem.score(changed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +640,7 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
     if alternating:
         # offspring keep their parent's (c, k); the genome is (Q, w)
         population = initialize_population(scenario, params, config, rng)
+        genomes = np.stack([_genes_of(ind) for ind in population])
         bounds, decode = _gene_bounds(scenario, params), _with_genes
     else:
         bounds = lower, upper = _monolithic_bounds(scenario, params)
@@ -636,9 +659,7 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
     history: list[dict] = []
     for t in range(1, config.t_ao + 1):
         if alternating:
-            gca_step(population, scenario, params)
-            # each generation returns its survivors' own (Q, w) genomes
-            genomes = np.stack([_genes_of(ind) for ind in population])
+            gca_step(population, scenario, params)  # GCA and GSO keep Q and w, and so the genomes
             fronts = nondominated_sort(population)  # GCA changed f2
         for gen in range(config.t_local):
             population, genomes, fronts = nsga2_generation(
@@ -666,7 +687,7 @@ def run(mode: str, scenario, params, config: SolverConfig, transport=None) -> Ru
             # GSO changed f2: sort, and order the population by front, the
             # order in which the next outer iteration's tournaments draw it
             chosen, fronts = select_best(population, config.population_size)
-            population = [population[i] for i in chosen]
+            population, genomes = [population[i] for i in chosen], genomes[chosen]
         front = [population[i] for i in fronts[0]]
         history.append(_history_record(t, front, p_c, p_m))
     return RunResult(population, history, front)
@@ -686,17 +707,11 @@ def _monolithic_bounds(scenario, params):
 def _decode_monolithic(genes: np.ndarray, params) -> list[Individual]:
     """One individual per row of the genome stack `genes`: the label and k
     genes are rounded half to even and clipped into their bounds, and Q and
-    w taken as they are. Raw label r takes the r-th k gene; labels are
-    renumbered 1..N in order of first appearance, in array passes."""
+    w taken as they are. Raw label r takes the r-th k gene, and `_canonical`
+    renumbers the labels."""
     n_v = genes.shape[1] // 6  # labels, Q (3 per UAV), w, k
     raw = np.clip(np.rint(genes[:, :n_v]), 1, n_v).astype(np.intp)
     q = genes[:, n_v: 4 * n_v].reshape(len(genes), n_v, 3).copy()
     w = genes[:, 4 * n_v: 5 * n_v].copy()
     k_full = np.clip(np.rint(genes[:, 5 * n_v:]), params.k_min, params.k_max).astype(int)
-    # each UAV's first UAV with the same raw label; the first appearances, in order, are 1..N
-    first = (raw[:, :, None] == raw[:, None, :]).argmax(axis=2)
-    appears = first == np.arange(n_v)
-    labels = np.take_along_axis(np.cumsum(appears, axis=1), first, axis=1).tolist()
-    row, uav = np.nonzero(appears)
-    k = np.split(k_full[row, raw[row, uav] - 1], np.cumsum(appears.sum(axis=1))[:-1])
-    return [Individual(ClusterAssignment(tuple(c)), q_i, w_i, k_i) for c, q_i, w_i, k_i in zip(labels, q, w, k)]
+    return [Individual(assignment, q_i, w_i, k) for (assignment, k), q_i, w_i in zip(_canonical(raw, k_full), q, w)]

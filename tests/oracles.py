@@ -14,13 +14,24 @@ from dcsf.problem import (
     Individual,
     ObjectiveTriple,
     batch_terms,
-    canonicalize_labels,
     evaluate,
 )
 from dcsf.scenario import SPEED_OF_LIGHT, nearest_uavs
+from dcsf.semantic import semantic_terms
 from dcsf.solver import merge_clusters
 
 PARAMS = SystemParams()
+
+
+def canonicalize_labels(raw_labels, k_values) -> tuple[ClusterAssignment, np.ndarray]:
+    """Relabel arbitrary positive cluster ids to first-appearance order 1..N,
+    one individual at a time with a dict: k entries follow their clusters,
+    and labels absent from `raw_labels` drop out with their k."""
+    raw = [int(v) for v in raw_labels]
+    k_values = np.asarray(k_values).tolist()
+    mapping = {label: new for new, label in enumerate(dict.fromkeys(raw), start=1)}
+    # the mapping's insertion order is first appearance, the new label order
+    return ClusterAssignment(tuple(mapping[v] for v in raw)), np.array([k_values[old - 1] for old in mapping])
 
 
 def random_individual(scn, rng, params=PARAMS):
@@ -274,7 +285,8 @@ def violation_double_loop(ind, scn, params):
                    + (np.maximum(ind.q - upper, 0.0) / span).sum())
     for _, _, d in close_pairs_double_loop(ind.q, params.d_min):
         total += (params.d_min - d) / params.d_min
-    total += float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
+    _, xis = semantic_terms(ind.cluster_snr, ind.k, params)
+    total += float(np.maximum(params.xi_threshold - xis, 0.0).sum())
     return total
 
 
@@ -426,7 +438,7 @@ def lent_terms(ind, parent):
 def semantic_terms_from_scratch(ind, scenario, params):
     """Per-cluster (semantic rate, similarity) of `ind`, its SNRs computed afresh."""
     batch_terms([ind], scenario, params, [None])
-    return ind.cluster_rate, ind.cluster_xi
+    return semantic_terms(ind.cluster_snr, ind.k, params)
 
 
 def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):

@@ -225,10 +225,10 @@ def test_monolithic_mode_through_cli(tmp_path, monkeypatch):
         assert (config["mode"], config["advisor"]) == (mode, recorded)
 
 
-def _solve_40x6(tmp_path, seed, capsys):
+def _solve_40x6(tmp_path, seed, capsys, bs=()):
     """llm-aoa on `dcsf generate --users 40 --uavs 6` (other options default)."""
     scn = tmp_path / "scn40x6.json"
-    assert main(["generate", "--users", "40", "--uavs", "6", "--out", str(scn)]) == 0
+    assert main(["generate", "--users", "40", "--uavs", "6", *(["--bs", *bs] if bs else []), "--out", str(scn)]) == 0
     out = tmp_path / f"run-seed{seed}"
     capsys.readouterr()
     rc = main(["solve", "--scenario", str(scn), "--seed", str(seed), "--pop", "8",
@@ -238,8 +238,9 @@ def _solve_40x6(tmp_path, seed, capsys):
 
 
 def test_solve_reports_an_infeasible_front(tmp_path, capsys):
-    # solver seed 3 ends with no feasible member on this scenario
-    out, captured = _solve_40x6(tmp_path, 3, capsys)
+    # with the BS 1000 km away every cluster's SNR is near -50 dB, so each
+    # similarity sits at its floor, at most 0.38, below the threshold at every k
+    out, captured = _solve_40x6(tmp_path, 3, capsys, bs=("1000000", "1000000", "0"))
     report = json.loads((out / "report.json").read_text())
     front = json.loads((out / "pareto.json").read_text())["front"]
     assert report["feasible"] is False

@@ -5,21 +5,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsf import Bounds, SystemParams, beamforming, channel, generate_scenario, solver
-from dcsf.solver import merge_clusters
+from dcsf.solver import _canonical, merge_clusters
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
     Individual,
     ObjectiveTriple,
     batch_terms,
-    canonicalize_labels,
+    cluster_semantic_terms,
     dominance_matrix,
     evaluate,
-    score,
     violations_report,
 )
 from dcsf.scenario import fleet_close_pairs, fleet_violations
+from dcsf.semantic import semantic_terms
 from oracles import (
+    canonicalize_labels,
     close_pairs_double_loop,
     cluster_snr_one,
     f2_by_cluster,
@@ -46,22 +47,30 @@ def test_clusters_listing():
     assert a.clusters() == ((0, 2), (1,), (3,))
 
 
+def _canonical_one(raw_labels, k_values):
+    """`solver._canonical` of one row, its k padded to the row's length."""
+    k_raw = np.zeros((1, max(len(raw_labels), len(k_values))), dtype=int)
+    k_raw[0, : len(k_values)] = k_values
+    [(assignment, k)] = _canonical(np.array([raw_labels]), k_raw)
+    return assignment, k
+
+
 def test_canonicalize_first_appearance_order():
-    assignment, k = canonicalize_labels([3, 1, 3, 2], [10, 20, 30])
+    assignment, k = _canonical_one([3, 1, 3, 2], [10, 20, 30])
     assert assignment.labels == (1, 2, 1, 3)
     # k entries follow their clusters: 3 -> 1, 1 -> 2, 2 -> 3
     assert list(k) == [30, 10, 20]
 
 
 def test_canonicalize_idempotent():
-    assignment, k = canonicalize_labels([1, 2, 1], [5, 7])
-    again, k2 = canonicalize_labels(assignment.labels, k)
+    assignment, k = _canonical_one([1, 2, 1], [5, 7])
+    again, k2 = _canonical_one(assignment.labels, k)
     assert again.labels == assignment.labels
     assert list(k2) == list(k)
 
 
 def test_canonicalize_drops_absent_labels():
-    assignment, k = canonicalize_labels([4, 4, 2], [1, 2, 3, 4])
+    assignment, k = _canonical_one([4, 4, 2], [1, 2, 3, 4])
     assert assignment.labels == (1, 1, 2)
     assert list(k) == [4, 2]
 
@@ -224,7 +233,7 @@ def test_low_similarity_contributes_violation(small_scenario):
     # k_min with a weak weight forces low similarity toward the distant BS
     ind = Individual(a, q, np.full(3, 0.01), np.array([1, 1, 1]))
     evaluate(ind, small_scenario, params)
-    if np.any(ind.cluster_xi < params.xi_threshold):
+    if np.any(semantic_terms(ind.cluster_snr, ind.k, params)[1] < params.xi_threshold):
         assert ind.violation > 0
 
 
@@ -416,18 +425,20 @@ def test_a_batch_score_equals_each_individuals_own_sums(rng):
     params = SystemParams()
     batch = []
     for n in rng.permutation(np.repeat(np.arange(1, 41), 3)).tolist():
-        ind = Individual(ClusterAssignment(tuple(range(1, n + 1))), np.zeros((n, 3)), np.ones(n), np.full(n, 5))
+        k = rng.integers(params.k_min, params.k_max + 1, n)
+        ind = Individual(ClusterAssignment(tuple(range(1, n + 1))), np.zeros((n, 3)), np.ones(n), k)
         ind.fleet_terms = (float(rng.random()), float(rng.random()), float(rng.integers(0, 2)) * rng.random())
-        ind.cluster_rate = rng.random(n) * 10.0 ** rng.integers(-3, 7, n)
-        ind.cluster_xi = rng.random(n)
+        # SNRs from -30 to 30 dB, some of them zero
+        ind.cluster_snr = 10.0 ** rng.uniform(-3, 3, n) * (rng.random(n) > 0.1)
         batch.append(ind)
-    objectives = score(batch, params)
+    objectives = cluster_semantic_terms(batch, params)
     for ind, objective in zip(batch, objectives, strict=True):
         f1, f3, violation = ind.fleet_terms
+        rates, xis = semantic_terms(ind.cluster_snr, ind.k, params)
         assert ind.objectives is objective
-        assert objective == ObjectiveTriple(f1, float(ind.cluster_rate.copy().sum()), f3)
-        assert ind.violation == violation + float(np.maximum(params.xi_threshold - ind.cluster_xi, 0.0).sum())
-    assert score([], params) == []
+        assert objective == ObjectiveTriple(f1, float(rates.copy().sum()), f3)
+        assert ind.violation == violation + float(np.maximum(params.xi_threshold - xis, 0.0).sum())
+    assert cluster_semantic_terms([], params) == []
 
 
 def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng):
@@ -472,8 +483,10 @@ def test_evaluate_with_itself_as_parent_keeps_its_terms(small_scenario, rng, mon
         monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
         assert ind.objectives == before.objectives and ind.violation == before.violation
         assert ind.fleet_terms == before.fleet_terms
-        for name in ("cluster_snr", "cluster_rate", "cluster_xi"):
-            assert getattr(ind, name).tobytes() == getattr(before, name).tobytes()
+        assert ind.cluster_snr.tobytes() == before.cluster_snr.tobytes()
+        for terms, before_terms in zip(semantic_terms(ind.cluster_snr, ind.k, params),
+                                       semantic_terms(before.cluster_snr, before.k, params)):
+            assert terms.tobytes() == before_terms.tobytes()
     assert fleets == [0] * 10 and clusters == []
 
 

@@ -117,7 +117,10 @@ def test_selection_carries_the_survivors_double_loop_fronts(rng):
 @pytest.mark.parametrize("mode", solver.MODES)
 def test_each_generation_takes_and_returns_the_fresh_fronts(small_scenario, monkeypatch, mode):
     """In a run, the fronts each generation is given and returns equal the
-    double loop's fronts of its population and of its survivors."""
+    double loop's fronts of its population and of its survivors. The second
+    scenario's BS is so far away that every member is infeasible, so its
+    fronts are the distinct violation levels."""
+    far = generate_scenario(20, 3, small_scenario.bounds, (1e6, 1e6, 0.0), seed=1)
     real_generation = solver.nsga2_generation
     checked = []
 
@@ -130,8 +133,10 @@ def test_each_generation_takes_and_returns_the_fresh_fronts(small_scenario, monk
 
     monkeypatch.setattr(solver, "nsga2_generation", checked_generation)
     cfg = SolverConfig(population_size=8, t_ao=3, t_local=4, seed=2)
-    run(mode, small_scenario, PARAMS, cfg)
-    assert len(checked) == cfg.t_ao * cfg.t_local and max(checked) > 1
+    for scenario in (small_scenario, far):
+        result = run(mode, scenario, PARAMS, cfg)
+    assert all(ind.violation > 0.0 for ind in result.population)
+    assert len(checked) == 2 * cfg.t_ao * cfg.t_local and max(checked) > 1
 
 
 def test_row_sums_equal_the_sums_of_the_rows(rng):
@@ -290,6 +295,38 @@ def test_population_gca_merges_each_individual_as_its_replay_in_one_call_per_pas
         assert ind.objectives == expected.objectives
         assert ind.violation == expected.violation
         assert ind.cluster_snr.tobytes() == expected.cluster_snr.tobytes()
+
+
+def test_gca_members_stay_whole_at_every_pass(monkeypatch):
+    """At every pass of a GCA step, and after it, each member's stored
+    objectives and violation are those of a fresh evaluation of its current
+    (c, Q, w, k): no member holds a merged assignment with its old scores."""
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    scn = generate_scenario(50, 12, bounds, (2000.0, 2000.0, 0.0), seed=12)
+    rng = np.random.default_rng(12)
+    population = [random_individual(scn, rng) for _ in range(6)]
+    solver.evaluate_population(population, scn, PARAMS)
+    real_snr = beamforming.cluster_snr
+    passes, merges = [], _count_calls(monkeypatch, solver, "merge_clusters")
+
+    def assert_whole():
+        for ind in population:
+            fresh = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
+            evaluate(fresh, scn, PARAMS)
+            assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
+
+    def checking_snr(clusters, *args):
+        monkeypatch.setattr(beamforming, "cluster_snr", real_snr)  # the fresh evaluations' own
+        assert_whole()
+        monkeypatch.setattr(beamforming, "cluster_snr", checking_snr)
+        passes.append(len(merges))
+        return real_snr(clusters, *args)
+
+    monkeypatch.setattr(beamforming, "cluster_snr", checking_snr)
+    gca_step(population, scn, PARAMS)
+    monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
+    assert_whole()
+    assert passes[-1] > 0  # a pass came after an applied merge
 
 
 def test_gso_matches_from_scratch_argmax(small_scenario, rng):
@@ -666,7 +703,7 @@ def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, mono
         def decode_one(parent, genes):
             return Individual(parent.assignment, genes[: 3 * n_v].reshape(n_v, 3), genes[3 * n_v:], parent.k)
     solver.evaluate_population(pop, scn, PARAMS)
-    seen = []
+    seen, children = [], []
 
     def recording(parents, genes):
         offspring = decode(parents, genes)
@@ -681,6 +718,7 @@ def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, mono
         pop, genomes, _ = nsga2_generation(pop, genomes, nondominated_sort(pop), scn, PARAMS, bounds, recording,
                                            p_c, p_m, rng)
         [(parents, genes, offspring)] = seen
+        children.append(genes)
 
         pick, rows, want = _tournament_oracle(before, replay), [], []
         for _ in range(int(round(p_c * m)) // 2):
@@ -694,8 +732,9 @@ def test_a_generation_equals_its_replay_one_child_at_a_time(small_scenario, mono
         assert genes.tobytes() == np.stack(want).tobytes()
         assert offspring == [decode_one(before[i], g).to_dict() for i, g in zip(rows, want)]
         assert rng.bit_generator.state == replay.bit_generator.state
-    if monolithic:  # some offspring still carry exact-half label and k genes
-        assert np.isin(genes[:, :n_v], [1.5, 2.5]).any() and np.isin(genes[:, 5 * n_v:], [6.5]).any()
+    if monolithic:  # some offspring of the three generations still carry exact-half label and k genes
+        children = np.concatenate(children)
+        assert np.isin(children[:, :n_v], [1.5, 2.5]).any() and np.isin(children[:, 5 * n_v:], [6.5]).any()
 
 
 def test_a_generation_with_no_offspring_keeps_its_population(small_scenario, rng):
@@ -739,16 +778,17 @@ def _count_fleets(monkeypatch):
 
 
 def _count_scored(monkeypatch):
-    """Record the number of individuals each `problem.score` call scores:
-    every evaluation ends in `score`, with a fresh f1 or the parent's."""
+    """Record the number of individuals each `problem.cluster_semantic_terms`
+    call scores: every evaluation ends in it, with a fresh f1 or the
+    parent's."""
     scored = []
-    real = problem.score
+    real = problem.cluster_semantic_terms
 
     def counted(individuals, params):
         scored.append(len(individuals))
         return real(individuals, params)
 
-    monkeypatch.setattr(problem, "score", counted)
+    monkeypatch.setattr(problem, "cluster_semantic_terms", counted)
     return scored
 
 
@@ -809,8 +849,9 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
         evaluate(fresh, small_scenario, PARAMS)
         assert child.objectives == fresh.objectives
         assert child.violation == fresh.violation
-        assert child.cluster_xi.tobytes() == fresh.cluster_xi.tobytes()
-        assert child.cluster_xi is not parent.cluster_xi
+        assert semantic_terms(child.cluster_snr, child.k, PARAMS)[1].tobytes() == \
+            semantic_terms(fresh.cluster_snr, fresh.k, PARAMS)[1].tobytes()
+        assert child.cluster_snr is not parent.cluster_snr
     # the same generation with one weight moved evaluates every offspring, with its parent's f1
     scored.clear()
     f1_fleets.clear()  # the fresh evaluations' own
@@ -839,7 +880,8 @@ def _assert_evaluated_afresh(ind, scn):
     fresh = Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy())
     evaluate(fresh, scn, PARAMS)
     assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
-    assert ind.cluster_xi.tobytes() == fresh.cluster_xi.tobytes()
+    assert semantic_terms(ind.cluster_snr, ind.k, PARAMS)[1].tobytes() == \
+        semantic_terms(fresh.cluster_snr, fresh.k, PARAMS)[1].tobytes()
 
 
 def test_gca_and_gso_score_without_f1(monkeypatch):
