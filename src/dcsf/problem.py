@@ -7,10 +7,11 @@ exactly one cluster per UAV, sizes summing to the fleet) hold by construction.
 
 Each evaluated individual caches only what does not depend on k: one SNR
 per cluster, and its fleet terms, f1, f3 and the C1 + C2 violation, which
-depend on Q alone. `batch_terms` sets them for a batch of individuals at
-once, in array passes, and ends in `cluster_semantic_terms`, the one
-function that derives what depends on k, f2 and the C6 violation, and sets
-the objectives. `evaluate` is `batch_terms` over one batch.
+depend on Q alone. `evaluate` sets them for a batch of individuals at
+once, in array passes, lending each one what its parent, when given, holds
+unchanged; it ends in `cluster_semantic_terms`, the one function that
+derives what depends on k, f2 and the C6 violation, and sets the
+objectives. `dominance_matrix` compares feasible members only.
 """
 
 from __future__ import annotations
@@ -128,29 +129,36 @@ class Individual:
                           float(doc.get("violation", 0.0)))
 
 
-def batch_terms(individuals, scenario, params, parents) -> list[ObjectiveTriple]:
+def evaluate(individuals, scenario, params, parents=None):
     """Set each individual's `cluster_snr` (one per cluster) and
     `fleet_terms`, f1, f3 and the C1 + C2 violation, which k does not
     change, and then, in `cluster_semantic_terms`, its objectives and
-    violation at its k; returns the objectives.
+    violation at its k; returns the objectives. One individual, with its
+    parent or None, is a batch of one that returns its `ObjectiveTriple`.
 
-    From the evaluated `parents[i]` (or None), an individual takes the SNR of
-    each cluster whose member set, Q rows and w equal, byte for byte, those
-    of a cluster of the parent, and the fleet terms when all its Q rows are
-    byte-equal to the parent's. One byte compare of the batch's stacked Q
-    and w with its lenders' marks each UAV unchanged or not; a cluster is
-    lent when none of its members changed, all of them carry one parent
-    label L, and the parent's cluster L has as many members (one bincount
-    and a min and max per cluster). Its SNR is gathered from the lenders'
-    concatenated SNRs. The rest is computed over the whole batch at once:
-    one `channel.sum_user_rate`, one `energy.total_flight_energy` and one
+    From the evaluated `parents[i]` (or None; with no `parents`, every term
+    is computed), an individual takes the SNR of each cluster whose member
+    set, Q rows and w equal, byte for byte, those of a cluster of the
+    parent, and the fleet terms when all its Q rows are byte-equal to the
+    parent's; so a clone of its parent is lent every term that k does not
+    change. One byte compare of the batch's stacked Q and w with its
+    lenders' marks each UAV unchanged or not; a cluster is lent when none
+    of its members changed, all of them carry one parent label L, and the
+    parent's cluster L has as many members (one bincount and a min and max
+    per cluster). Its SNR is gathered from the lenders' concatenated SNRs.
+    The rest is computed over the whole batch at once: one
+    `channel.sum_user_rate`, one `energy.total_flight_energy` and one
     `scenario.fleet_violations` call on the moved fleets (the first even
     when none moved), one `beamforming.cluster_snr` call on the clusters
     left unrated, and one `cluster_semantic_terms` call on the batch. An
     empty batch sets nothing.
     """
+    single = isinstance(individuals, Individual)
+    if single:
+        individuals, parents = [individuals], [parents]
     if not individuals:
         return []
+    parents = parents or [None] * len(individuals)
     q, w = np.stack([ind.q for ind in individuals]), np.stack([ind.w for ind in individuals])
     counts = np.array([ind.assignment.n_clusters for ind in individuals])
     starts = np.cumsum(counts) - counts
@@ -198,7 +206,8 @@ def batch_terms(individuals, scenario, params, parents) -> list[ObjectiveTriple]
         snr[stale] = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
     for ind, start, n in zip(individuals, starts.tolist(), counts.tolist()):
         ind.cluster_snr = snr[start: start + n]
-    return cluster_semantic_terms(individuals, params)
+    objectives = cluster_semantic_terms(individuals, params)
+    return objectives[0] if single else objectives
 
 
 def cluster_semantic_terms(individuals, params) -> list[ObjectiveTriple]:
@@ -233,23 +242,6 @@ def cluster_semantic_terms(individuals, params) -> list[ObjectiveTriple]:
     return [ind.objectives for ind in individuals]
 
 
-def evaluate(individuals, scenario, params, parents=None):
-    """Compute and cache the per-cluster SNRs and fleet terms of a batch of
-    individuals, and set their objectives (f1, f2, f3) and constraint
-    violations, in one `batch_terms` call, and so with one
-    `channel.sum_user_rate` call; returns their objectives.
-
-    `parents[i]`, when given, lends `individuals[i]` what `batch_terms`
-    says; with no parents every term is computed. One individual, with its
-    parent or None, is a batch of one that returns its `ObjectiveTriple`.
-    """
-    single = isinstance(individuals, Individual)
-    if single:
-        individuals, parents = [individuals], [parents]
-    objectives = batch_terms(individuals, scenario, params, parents or [None] * len(individuals))
-    return objectives[0] if single else objectives
-
-
 def violations_report(individual: Individual, scenario, params) -> list[str]:
     """The individual's breaches, one human-readable line each: C1 and C2 as
     `scenario.fleet_violations` words them, then C6 per cluster."""
@@ -264,13 +256,11 @@ def violations_report(individual: Individual, scenario, params) -> list[str]:
 
 
 def dominance_matrix(pool) -> np.ndarray:
-    """D[i, j]: pool[i] constrained-dominates pool[j]. Feasibility comes first,
-    then the lower violation between infeasible members, then Pareto dominance
-    on (f1, f2, -f3) between feasible ones."""
+    """D[i, j]: pool[i] Pareto-dominates pool[j] on (f1, f2, -f3). The pool
+    holds feasible members only, among which constrained dominance is Pareto
+    dominance; `solver.nondominated_sort` orders the infeasible ones by
+    violation itself."""
     f1, f2, f3 = np.array([ind.objectives.as_tuple() for ind in pool]).reshape(-1, 3).T
-    violation = np.array([ind.violation for ind in pool])
     no_worse = (f1[:, None] >= f1) & (f2[:, None] >= f2) & (f3[:, None] <= f3)
     better = (f1[:, None] > f1) | (f2[:, None] > f2) | (f3[:, None] < f3)
-    feasible = violation == 0.0
-    return np.where(feasible[:, None] != feasible, feasible[:, None],
-                    np.where(feasible[:, None], no_worse & better, violation[:, None] < violation))
+    return no_worse & better

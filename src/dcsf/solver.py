@@ -12,27 +12,26 @@ generation, `nsga2_generation`; they differ only in the genome and its
 decoding, set up once before the loop, and in the stages around the
 generations, which leave Q and w, and so the genomes, as they are. Parents
 carry their objectives across generations, so each generation evaluates
-only the offspring that differ from their parent.
-They also carry their fronts, so `run` sorts only where objectives change:
-a generation sorts its pool once, in the elitist `select_best`, and hands
-the survivors' fronts to the next generation and the advisor; the
-monolithic mode sorts once more, after the initial evaluation, and the AO
-modes after GCA and, in a closing `select_best`, after GSO. The sort peels
-only the feasible members; constrained dominance orders the infeasible ones
-by violation alone. A generation handles its offspring as one batch, from
-genes to objectives: the tournament picks and the crossover and mutation
-draws are made one child pair or mutant at a time, in the order of the
-random stream, and one array pass (`breed`) then builds every child's
-genes; one decode call builds the offspring of that (children, genes)
-stack, one byte compare of their stacked Q and w with their parents' finds
-the possible clones, and one population evaluation scores the rest.
+only its offspring. They also carry their fronts, so `run` sorts only where
+objectives change: a generation sorts its pool once, in the elitist
+`select_best`, and hands the survivors' fronts to the next generation and
+the advisor; the monolithic mode sorts once more, after the initial
+evaluation, and the AO modes after GCA and, in a closing `select_best`,
+after GSO. The sort peels only the feasible members; constrained dominance
+orders the infeasible ones by violation alone. A generation handles its
+offspring as one batch, from genes to objectives: the tournament picks and
+the crossover and mutation draws are made one child pair or mutant at a
+time, in the order of the random stream, and one array pass (`breed`) then
+builds every child's genes; one decode call builds the offspring of that
+(children, genes) stack, and one population evaluation scores them all.
 
 Every evaluated individual also caches only what does not depend on k: one
 SNR per cluster, which depends on the members' positions and weights, and its
 fleet terms, f1, f3 and the C1 + C2 violation, which depend on the
 positions alone. An offspring reuses its parent's SNR for each cluster it
-kept unchanged, and its parent's fleet terms when it kept every position.
-One population evaluation computes the rest for all its pending individuals
+kept unchanged, and its parent's fleet terms when it kept every position,
+so a clone of its parent computes only its k-dependent sums. One
+population evaluation computes the rest for all its pending individuals
 in one `problem.evaluate` batch, in array passes: one
 `channel.sum_user_rate` call on the stack of moved fleets, one
 `energy.total_flight_energy` call and one `beamforming.cluster_snr` call.
@@ -133,11 +132,10 @@ def _canonical(raw: np.ndarray, k_raw: np.ndarray) -> list[tuple[ClusterAssignme
 
 
 def evaluate_population(population, scenario, params, parents=None) -> None:
-    """Evaluate every member that has no objectives yet, lending it the
-    stored SNRs and fleet terms (f1 among them) of `parents[i]` when
-    `parents` is given. What is left to compute, over all those members, is
-    computed in one `problem.evaluate` batch, which is not called when no
-    member is pending."""
+    """Evaluate every member that has no objectives yet in one
+    `problem.evaluate` batch, which lends member i what `parents[i]` holds
+    unchanged when `parents` is given, and is not called when no member is
+    pending."""
     pending = [i for i, ind in enumerate(population) if ind.objectives is None]
     if not pending:
         return
@@ -520,26 +518,6 @@ def breed(genomes: np.ndarray, pick, n_pairs: int, n_mutants: int, bounds, rng):
     return parents, np.clip(children, lower, upper, out=children)
 
 
-def _inherit_if_clone(parent: Individual, child: Individual) -> Individual:
-    """Give `child` its parent's evaluation when its (c, Q, w, k) equal the
-    parent's byte for byte (so -0.0 and NaN cannot alias); such a child
-    would evaluate to exactly the same values."""
-    if (child.assignment.labels == parent.assignment.labels
-            and child.k.tobytes() == parent.k.tobytes()
-            and child.q.tobytes() == parent.q.tobytes()
-            and child.w.tobytes() == parent.w.tobytes()):
-        child.objectives, child.violation = parent.objectives, parent.violation
-        child.cluster_snr = parent.cluster_snr.copy()
-        child.fleet_terms = parent.fleet_terms
-    return child
-
-
-def _same_bytes(arrays, stack: np.ndarray) -> np.ndarray:
-    """Per row of the float `stack`: the matching one of `arrays` equals it byte for byte."""
-    equal = np.array(arrays).reshape(stack.shape).view(np.int64) == stack.view(np.int64)
-    return equal.all(axis=tuple(range(1, stack.ndim)))
-
-
 def nsga2_generation(population, genomes, fronts, scenario, params, bounds, decode,
                      p_c: float, p_m: float, rng):
     """One NSGA-II generation: SBX offspring, polynomial mutants, elitist
@@ -550,13 +528,12 @@ def nsga2_generation(population, genomes, fronts, scenario, params, bounds, deco
     gives them, `bounds` the (lower, upper) gene bounds, and
     `decode(parents, genes)` builds the offspring of a stack of genes, one
     per row, each from its parent. The offspring are handled as one batch:
-    `breed` makes every child's genes, one `decode` call builds them, one
-    byte compare of their stacked Q and w with their parents' finds the
-    possible clones, and one population evaluation scores the rest. Parents
-    keep their objectives, and an offspring equal to its parent inherits
-    them. The pool of parents and offspring is sorted once, in the
-    selection. Returns the M survivors, the stack of their genomes and
-    their fronts, which the next generation takes as they are.
+    `breed` makes every child's genes, one `decode` call builds them, and
+    one population evaluation scores them all, each lent what its parent
+    holds unchanged. Parents keep their objectives. The pool of parents and
+    offspring is sorted once, in the selection. Returns the M survivors, the
+    stack of their genomes and their fronts, which the next generation takes
+    as they are.
     """
     m = len(population)
     genomes = np.asarray(genomes)
@@ -565,10 +542,6 @@ def nsga2_generation(population, genomes, fronts, scenario, params, bounds, deco
                            int(round(p_c * m)) // 2, int(round(p_m * m)), bounds, rng)
     parents = [population[i] for i in rows.tolist()]
     offspring = decode(parents, children)
-    qs, ws = np.stack([ind.q for ind in population]), np.stack([ind.w for ind in population])
-    same = _same_bytes([ind.q for ind in offspring], qs[rows]) & _same_bytes([ind.w for ind in offspring], ws[rows])
-    for f in np.flatnonzero(same).tolist():
-        _inherit_if_clone(parents[f], offspring[f])
     evaluate_population(offspring, scenario, params, parents)
     pool = population + offspring
     chosen, fronts = select_best(pool, m)

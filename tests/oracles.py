@@ -13,7 +13,6 @@ from dcsf.problem import (
     ClusterAssignment,
     Individual,
     ObjectiveTriple,
-    batch_terms,
     evaluate,
 )
 from dcsf.scenario import SPEED_OF_LIGHT, nearest_uavs
@@ -420,7 +419,7 @@ def crowding(front_objs):
 
 
 def lent_terms(ind, parent):
-    """The per-individual lending rule of `problem.batch_terms`: ({cluster
+    """The per-individual lending rule of `problem.evaluate`: ({cluster
     slot: the parent's SNR} for each cluster of `ind` whose member set, Q
     rows and w equal, byte for byte, those of a cluster of the evaluated
     `parent`; the parent's fleet terms when all Q rows are byte-equal, else
@@ -437,7 +436,7 @@ def lent_terms(ind, parent):
 
 def semantic_terms_from_scratch(ind, scenario, params):
     """Per-cluster (semantic rate, similarity) of `ind`, its SNRs computed afresh."""
-    batch_terms([ind], scenario, params, [None])
+    evaluate([ind], scenario, params)
     return semantic_terms(ind.cluster_snr, ind.k, params)
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcsf
 from dcsf.advisor import ENV_URL
 from dcsf.cli import main
 
@@ -262,6 +267,33 @@ def test_solve_reports_a_feasible_front(tmp_path, capsys):
     assert report["violations"] == []
     assert captured.err == ""
     assert "llm-aoa: front of" in captured.out
+
+
+# every command in one fresh process; prints the exit codes, then whether numpy.ma was imported
+_EVERY_COMMAND = """
+import sys
+from dcsf.cli import main
+
+root = sys.argv[1]
+scn, runs = f"{root}/scn.json", [f"{root}/{mode}" for mode in ("llm-aoa", "aoa", "monolithic-nsga2")]
+codes = [main(["generate", "--users", "40", "--uavs", "6", "--out", scn])]
+for run in runs:
+    codes.append(main(["solve", "--scenario", scn, "--mode", run.rsplit("/", 1)[1], "--pop", "8",
+                       "--t-ao", "2", "--t-local", "2", "--out", run]))
+codes.append(main(["compare", *runs, "--out", f"{root}/compare.json"]))
+codes.append(main(["export-deployment", "--scenario", scn, "--run", runs[0], "--out", f"{root}/dep.json"]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """`numpy.ma` costs about 10 ms to import in a fresh process, and no
+    command needs it: generate, a solve in each mode, compare and
+    export-deployment run in one process and leave it unimported."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dcsf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 @pytest.fixture(scope="module")

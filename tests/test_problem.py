@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsf import Bounds, SystemParams, beamforming, channel, generate_scenario, solver
-from dcsf.solver import _canonical, merge_clusters
+from dcsf.solver import _canonical, merge_clusters, nondominated_sort
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
     Individual,
     ObjectiveTriple,
-    batch_terms,
     cluster_semantic_terms,
     dominance_matrix,
     evaluate,
@@ -245,8 +244,7 @@ def test_dominance_feasible_beats_infeasible(small_scenario, rng):
     evaluate(b, small_scenario, params)
     a.violation = 0.0
     b.violation = 2.0
-    assert dominance_matrix([a, b])[0, 1]
-    assert not dominance_matrix([a, b])[1, 0]
+    assert nondominated_sort([a, b]) == [[0], [1]]
 
 
 def test_dominance_among_infeasible_by_violation(small_scenario, rng):
@@ -256,7 +254,7 @@ def test_dominance_among_infeasible_by_violation(small_scenario, rng):
     evaluate(a, small_scenario, params)
     evaluate(b, small_scenario, params)
     a.violation, b.violation = 1.0, 3.0
-    assert dominance_matrix([a, b])[0, 1] and not dominance_matrix([a, b])[1, 0]
+    assert nondominated_sort([a, b]) == [[0], [1]]
 
 
 obj_triple = st.tuples(
@@ -332,7 +330,7 @@ def test_a_mixed_batch_stores_the_per_cluster_oracle_snrs():
             children.append(child)
             parents.append(parent)
     order = rng.permutation(len(children)).tolist()
-    batch_terms([children[i] for i in order], scn, params, [parents[i] for i in order])
+    evaluate([children[i] for i in order], scn, params, [parents[i] for i in order])
     for child in children:
         sinc = beamforming.sinc_matrix(child.q, params)
         for members, snr in zip(assignment.clusters(), child.cluster_snr.tolist()):
@@ -407,7 +405,7 @@ def test_batch_lending_equals_the_per_individual_rule(seed, specs):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(beamforming, "cluster_snr", recording_snr)
-        batch_terms(children, scn, params, lenders)
+        evaluate(children, scn, params, lenders)
     assert rated == [(f, members) for f, (child, (lent, _)) in enumerate(zip(children, rules))
                      for i, members in enumerate(child.assignment.clusters()) if i not in lent]
     for child, again, (lent, fleet_terms) in zip(children, fresh, rules):
@@ -458,7 +456,7 @@ def test_evaluate_without_a_parent_ignores_stale_stored_snrs(small_scenario, rng
 
 
 def test_evaluate_with_itself_as_parent_keeps_its_terms(small_scenario, rng, monkeypatch):
-    """An individual lent its own terms keeps them all: `batch_terms` scores
+    """An individual lent its own terms keeps them all: `evaluate` scores
     no fleet for f1 and rates no cluster."""
     params = SystemParams()
     real_rate, real_snr = channel.sum_user_rate, beamforming.cluster_snr

@@ -475,8 +475,7 @@ def test_only_moved_fleets_compute_f3_and_c1_c2(monkeypatch):
     assert any(not np.array_equal(ind.k, k) for ind, k in zip(population, ks))
     assert rows == []
 
-    clones = [solver._inherit_if_clone(ind, Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy()))
-              for ind in population]
+    clones = [Individual(ind.assignment, ind.q.copy(), ind.w.copy(), ind.k.copy()) for ind in population]
     weight_only = [Individual(ind.assignment, ind.q.copy(), ind.w * 0.5, ind.k.copy()) for ind in population]
     solver.evaluate_population(clones + weight_only, scn, PARAMS, population + population)
     assert rows == []
@@ -817,8 +816,8 @@ def test_monolithic_run_evaluates_only_offspring(small_scenario, monkeypatch):
     run("monolithic-nsga2", small_scenario, PARAMS, cfg)
     offspring = 2 * (int(round(P_C_INITIAL * 8)) // 2) + int(round(P_M_INITIAL * 8))
     assert len(differs) == 2 * 3 * offspring
-    assert 0 < differs.count(False) < len(differs)  # the clone skip is exercised
-    assert sum(scored) == 8 + differs.count(True)
+    assert 0 < differs.count(False) < len(differs)  # clones are among the offspring
+    assert sum(scored) == 8 + len(differs)
     # a fresh f1 for the initial population and each offspring that moved
     assert 8 <= sum(f1_fleets) == 8 + moved.count(True) <= sum(scored)
 
@@ -841,9 +840,11 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
 
     scored = _count_scored(monkeypatch)
     f1_fleets = _count_fleets(monkeypatch)
+    rated = _count_calls(monkeypatch, beamforming, "cluster_snr")
     nsga2_generation(pop, genomes, nondominated_sort(pop), small_scenario, PARAMS, bounds,
                      lambda parents, genes: decode(parents, genes, 0.0), 0.5, 0.5, rng)
-    assert scored == [] and f1_fleets == [] and len(children) == 8
+    # the clones are scored at their k in one batch, lent every SNR and their f1: one f1 call, on no fleet
+    assert scored == [8] and f1_fleets == [0] and rated == [] and len(children) == 8
     for parent, child in children:
         fresh = Individual(child.assignment, child.q.copy(), child.w.copy(), child.k.copy())
         evaluate(fresh, small_scenario, PARAMS)
@@ -855,9 +856,10 @@ def test_a_clone_offspring_inherits_a_fresh_evaluation(small_scenario, rng, monk
     # the same generation with one weight moved evaluates every offspring, with its parent's f1
     scored.clear()
     f1_fleets.clear()  # the fresh evaluations' own
+    rated.clear()
     nsga2_generation(pop, genomes, nondominated_sort(pop), small_scenario, PARAMS, bounds,
                      lambda parents, genes: decode(parents, genes, 1e-6), 0.5, 0.5, rng)
-    assert sum(scored) == 8 and sum(f1_fleets) == 0
+    assert sum(scored) == 8 and sum(f1_fleets) == 0 and len(rated) == 1
 
 
 def test_gso_re_evaluates_only_when_k_changes(small_scenario, rng, monkeypatch):
@@ -999,7 +1001,7 @@ def test_run_history_and_modes(small_scenario, monkeypatch):
         for row in res.history:
             assert row["hypervolume"] >= 0.0
     # an unknown mode fails before anything is evaluated
-    calls = _count_calls(monkeypatch, problem, "batch_terms")
+    calls = _count_calls(monkeypatch, problem, "evaluate")
     with pytest.raises(ValueError, match="unknown mode 'nope'"):
         run("nope", small_scenario, PARAMS, cfg)
     assert calls == []
