@@ -7,6 +7,8 @@ cluster-to-BS link.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, nearest_uavs
@@ -14,6 +16,10 @@ from .scenario import SPEED_OF_LIGHT, nearest_uavs
 
 # The free-space loss's term 20 log10(4 pi / c), in dB.
 _FSPL_CONSTANT_DB = 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+
+# Radians to degrees: a multiply by it equals `np.degrees` bit for bit, and
+# takes less than half its time.
+_DEGREES_PER_RADIAN = 180.0 / math.pi
 
 
 def path_gain(d: np.ndarray, h: np.ndarray, params) -> np.ndarray:
@@ -26,7 +32,7 @@ def path_gain(d: np.ndarray, h: np.ndarray, params) -> np.ndarray:
     # p_los = 1 / (1 + psi * exp(-beta * (elevation_deg - psi))), in the buffer of h
     p_los = np.divide(h, d, out=h)
     np.arcsin(p_los, out=p_los)
-    np.degrees(p_los, out=p_los)
+    np.multiply(p_los, _DEGREES_PER_RADIAN, out=p_los)
     p_los -= params.psi
     p_los *= -params.beta
     np.exp(p_los, out=p_los)

@@ -17,11 +17,8 @@ import numpy as np
 
 from . import metrics, problem, scenario as scenario_mod, solver
 from .advisor import ENV_URL, LlmEndpoint
-from .scenario import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
-
-
-def _json_dump(doc, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+from .scenario import (Bounds, JsonRows, SystemParams, generate_scenario, json_pieces, load_scenario,
+                       save_scenario, write_json)
 
 
 def _fmt(value: float) -> str:
@@ -63,7 +60,7 @@ def _write_history(history, path: Path) -> None:
 
 
 def _write_pareto(front, path: Path) -> None:
-    _json_dump({"front": [ind.to_dict() for ind in front]}, path)
+    write_json({"front": [ind.to_dict() for ind in front]}, path)
 
 
 def _knee(front) -> int:
@@ -85,10 +82,8 @@ def _deployment_doc(scn, ind) -> dict:
             "k": int(ind.k[label - 1]),
             "singleton": len(clusters[label - 1]) == 1,
         })
-    user_rows = [
-        {"user": u, "position": [float(x) for x in scn.user_xyz[u]], "uav": int(serving[u])}
-        for u in range(scn.n_users)
-    ]
+    user_rows = JsonRows({"user": "%d", "position": ["%r", "%r", "%r"], "uav": "%d"},
+                         zip(range(scn.n_users), *scn.user_rows.tolist(), serving.tolist()))
     return {
         "objectives": {
             "user_rate_bps": ind.objectives.f1,
@@ -141,7 +136,7 @@ def _cmd_solve(args) -> int:
     feasible = best_violation == 0.0
     violations = [] if feasible else problem.violations_report(least_violating, scn, params)
 
-    _json_dump({
+    write_json({
         "mode": args.mode,
         "advisor": advisor,
         "seed": config.seed,
@@ -156,8 +151,8 @@ def _cmd_solve(args) -> int:
     }, out / "config.json")
     _write_history(result.history, out / "history.csv")
     _write_pareto(front, out / "pareto.json")
-    _json_dump(_deployment_doc(scn, front[knee_i]), out / "deployment.json")
-    _json_dump({
+    write_json(_deployment_doc(scn, front[knee_i]), out / "deployment.json")
+    write_json({
         "front_size": len(front),
         "feasible": feasible,
         "best_violation": best_violation,
@@ -169,8 +164,9 @@ def _cmd_solve(args) -> int:
         "hypervolume": last["hypervolume"],
         "final_p_c": last["p_c"],
         "final_p_m": last["p_m"],
-        "elapsed_seconds": round(elapsed, 3),
     }, out / "report.json")
+    # wall-clock data stays out of the deterministic artifacts
+    write_json({"elapsed_seconds": round(elapsed, 3)}, out / "timings.json")
     if not feasible:
         print(f"warning: no member of the front is feasible (best violation {best_violation:.4g}):",
               *violations, sep="\n  ", file=sys.stderr)
@@ -226,10 +222,10 @@ def _cmd_compare(args) -> int:
         f"{a}/{b}": rows[a]["hypervolume"] / rows[b]["hypervolume"]
         for i, a in enumerate(names) for b in names[i + 1:]
     }
-    doc = {"runs": rows, "hypervolume_ratios": ratios}
+    text = "".join(json_pieces({"runs": rows, "hypervolume_ratios": ratios}))
     if args.out:
-        _json_dump(doc, Path(args.out))
-    print(json.dumps(doc, indent=2))
+        Path(args.out).write_text(text + "\n", encoding="ascii")
+    print(text)
     return 0
 
 
@@ -255,7 +251,7 @@ def _cmd_export(args) -> int:
         if not (0 <= idx < len(front)):
             print(f"error: index {idx} outside front of {len(front)}", file=sys.stderr)
             return 1
-    _json_dump(_deployment_doc(scn, front[idx]), Path(args.out))
+    write_json(_deployment_doc(scn, front[idx]), args.out)
     print(f"wrote {args.out} (front member {idx})")
     return 0
 

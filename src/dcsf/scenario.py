@@ -6,7 +6,8 @@ copies them to float arrays, checks their shapes and that every coordinate is
 finite, and marks them read-only, so everything here is immutable after
 construction; so are the users' rows and the scale that `nearest_uavs`
 screens and measures with, built once with them. Scenarios are generated once, written to JSON, and
-replayed exactly.
+replayed exactly. `write_json` writes every JSON file dcsf writes, as the
+text of `json.dumps(doc, indent=2)`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -369,15 +373,122 @@ def validate_scenario(scenario: Scenario, params: SystemParams) -> list[str]:
     return problems + fleet_violations(scenario.uav_initial_xyz[None], bounds, params.d_min)[1][0]
 
 
+@dataclass(frozen=True)
+class JsonRows:
+    """A JSON list whose items share one shape, written from rows of values
+    in place of one document per item. `item` is that shape, with "%r" at
+    each finite float leaf and "%d" at each int leaf, and no "%r" or "%d"
+    key; `rows`, read once, yields each item's leaf values as a tuple of
+    Python floats and ints, in the order of `item`'s leaves. `json_pieces`
+    renders `item` once into a %-template and hands on _ROWS_PER_BLOCK
+    formatted items at a time."""
+
+    item: dict | list
+    rows: Iterable[tuple]
+
+
+# Items of a `JsonRows` per piece: about 33 KB of deployment users.
+_ROWS_PER_BLOCK = 256
+
+
+def _scalar_text(value) -> str | None:
+    """json's text of a str, None, bool, int or float, in json's order of
+    checks; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def json_pieces(value, newline: str = "\n") -> Iterator[str]:
+    """The text of `json.dumps(value, indent=2)`, in pieces, never the whole
+    of a container that holds a container: each run of a container's scalar
+    members is one piece, and a `JsonRows` is _ROWS_PER_BLOCK items a piece.
+
+    `newline` opens the line `value` is on: "\\n" and its indent. json's
+    rules, in its order: a str (by `encode_basestring_ascii`), None, True,
+    False, an int (`int.__repr__`), a float (`float.__repr__`, but NaN,
+    Infinity and -Infinity; `np.float64` is a float), a list or tuple, a
+    dict, else TypeError. Empty containers are "[]" and "{}". Dict keys must
+    be str.
+    """
+    text = _scalar_text(value)
+    if text is not None:
+        yield text
+    elif isinstance(value, (list, tuple)):
+        yield from _members("[", (("", item) for item in value), "]", newline)
+    elif isinstance(value, dict):
+        yield from _members("{", ((_key_text(key), item) for key, item in value.items()), "}", newline)
+    elif isinstance(value, JsonRows):
+        inner = newline + "  "
+        template = (inner + "".join(json_pieces(value.item, inner))).replace("%", "%%")
+        template = template.replace('"%%r"', "%r").replace('"%%d"', "%d")
+        opening = "["
+        rows = iter(value.rows)
+        while block := list(islice(rows, _ROWS_PER_BLOCK)):
+            yield opening + ",".join([template % row for row in block])
+            opening = ","
+        yield "[]" if opening == "[" else newline + "]"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key) + ": "
+
+
+def _members(opening: str, members, closing: str, newline: str) -> Iterator[str]:
+    """A container's text from its (prefix, item) members, the prefix being
+    "" or a key's text."""
+    inner = newline + "  "
+    text, separator = opening, ""
+    for prefix, item in members:
+        text += separator + inner + prefix
+        scalar = _scalar_text(item)
+        if scalar is None:
+            yield text
+            yield from json_pieces(item, inner)
+            text = ""
+        else:
+            text += scalar
+        separator = ","
+    yield opening + closing if not separator else text + newline + closing
+
+
+def write_json(doc, path: str | Path) -> None:
+    """Write `json.dumps(doc, indent=2)` and a newline to `path`, in the
+    pieces of `json_pieces`."""
+    with open(path, "w", encoding="ascii") as f:
+        f.writelines(json_pieces(doc))
+        f.write("\n")
+
+
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     doc = {
-        "users": scenario.user_xyz.tolist(),
+        "users": JsonRows(["%r", "%r", "%r"], zip(*scenario.user_rows.tolist())),
         "uavs_initial": scenario.uav_initial_xyz.tolist(),
         "bs": scenario.bs_xyz.tolist(),
         "bounds": asdict(scenario.bounds),
         "seed": scenario.seed,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(doc, path)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -2,7 +2,9 @@
 done the slow and obvious way (scalar loops, from-scratch evaluation, the
 textbook formula); plus the random inputs several test modules build."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -538,3 +540,52 @@ def decode_monolithic_numpy(genes, params) -> Individual:
     k_full = np.clip(np.rint(genes[5 * n_v:]).astype(int), params.k_min, params.k_max)
     assignment, k = canonicalize_labels(raw_labels, np.resize(k_full, int(raw_labels.max())))
     return Individual(assignment, q, w, k)
+
+
+def json_file_text(doc) -> str:
+    """What `scenario.write_json` writes: `json.dumps(doc, indent=2)` and a
+    newline, json's own encoder."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def scenario_doc(scn) -> dict:
+    """The scenario file's document, built with `tolist()` as one nested list."""
+    return {
+        "users": scn.user_xyz.tolist(),
+        "uavs_initial": scn.uav_initial_xyz.tolist(),
+        "bs": scn.bs_xyz.tolist(),
+        "bounds": asdict(scn.bounds),
+        "seed": scn.seed,
+    }
+
+
+def deployment_doc(scn, ind) -> dict:
+    """The deployment document with one dict per UAV and per user; each user
+    is served by its nearest UAV, as in f1."""
+    serving = nearest_uavs(scn, ind.q)[0]
+    clusters = ind.assignment.clusters()
+    uav_rows = []
+    for v in range(scn.n_uavs):
+        label = ind.assignment.labels[v]
+        uav_rows.append({
+            "uav": v,
+            "position": [float(x) for x in ind.q[v]],
+            "weight": float(ind.w[v]),
+            "cluster": label,
+            "k": int(ind.k[label - 1]),
+            "singleton": len(clusters[label - 1]) == 1,
+        })
+    user_rows = [
+        {"user": u, "position": [float(x) for x in scn.user_xyz[u]], "uav": int(serving[u])}
+        for u in range(scn.n_users)
+    ]
+    return {
+        "objectives": {
+            "user_rate_bps": ind.objectives.f1,
+            "semantic_rate_suts": ind.objectives.f2,
+            "flight_energy_j": ind.objectives.f3,
+        },
+        "violation": ind.violation,
+        "uavs": uav_rows,
+        "users": user_rows,
+    }

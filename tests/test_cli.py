@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,11 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dcsf
+from dcsf import Bounds, cli, scenario as scenario_mod
 from dcsf.advisor import ENV_URL
 from dcsf.cli import main
+from dcsf.problem import ObjectiveTriple
+from dcsf.scenario import _ROWS_PER_BLOCK, Scenario, json_pieces, launch_positions, write_json
+from oracles import deployment_doc, json_file_text, random_individual
 
 
 def _generate(tmp_path, seed=5):
@@ -52,7 +58,7 @@ def test_generate_rejects_an_invalid_scenario_without_writing(tmp_path, capsys):
 def test_solve_writes_all_artifacts(tmp_path):
     scn = _generate(tmp_path)
     out = _solve(tmp_path, scn, "run")
-    for name in ("config.json", "history.csv", "pareto.json", "deployment.json", "report.json"):
+    for name in ("config.json", "history.csv", "pareto.json", "deployment.json", "report.json", "timings.json"):
         assert (out / name).exists(), name
     history = (out / "history.csv").read_text().splitlines()
     assert history[0] == "iteration,sp,m3,hypervolume,p_c,p_m,front_size"
@@ -78,18 +84,26 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     scn = _generate(tmp_path)
     a = _solve(tmp_path, scn, "runA")
     b = _solve(tmp_path, scn, "runB")
-    assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
-    assert (a / "pareto.json").read_bytes() == (b / "pareto.json").read_bytes()
+    for name in ("config.json", "history.csv", "pareto.json", "deployment.json", "report.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the wall clock goes to timings.json alone
+    for run in (a, b):
+        timings = json.loads((run / "timings.json").read_text())
+        assert list(timings) == ["elapsed_seconds"] and timings["elapsed_seconds"] >= 0.0
 
 
-def test_compare_reports_shared_scale_metrics(tmp_path):
+def test_compare_reports_shared_scale_metrics(tmp_path, capsys):
     scn = _generate(tmp_path)
     a = _solve(tmp_path, scn, "runA", mode="llm-aoa", advisor="fallback")
     b = _solve(tmp_path, scn, "runB", mode="aoa")
     cmp_path = tmp_path / "cmp.json"
+    capsys.readouterr()
     rc = main(["compare", str(a), str(b), "--out", str(cmp_path)])
     assert rc == 0
+    # one text, printed and written
+    assert capsys.readouterr().out == cmp_path.read_text()
     doc = json.loads(cmp_path.read_text())
+    assert cmp_path.read_text() == json_file_text(doc)
     assert set(doc["runs"]) == {"runA", "runB"}
     assert "runA/runB" in doc["hypervolume_ratios"]
     for row in doc["runs"].values():
@@ -118,6 +132,46 @@ def test_export_deployment_matches_solve_output(tmp_path):
                "--index", "knee", "--out", str(dep)])
     assert rc == 0
     assert dep.read_bytes() == (out / "deployment.json").read_bytes()
+
+
+def _edge_deployment(seed):
+    """A deployment on users at edge coordinates, over more than two blocks
+    of rows, with edge objectives."""
+    rng = np.random.default_rng(seed)
+    users = rng.random((2 * _ROWS_PER_BLOCK + 40, 3)) * (1000.0, 1000.0, 0.0)
+    users[:4] = [[5e-324, -0.0, 0.0], [1e16, 1e-05, 1e-07], [123.456, 0.1, 2.5e150], [-1e-300, 1.0, 3.0]]
+    bounds = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
+    scn = Scenario(users, launch_positions(5, bounds), (5000.0, 5000.0, 0.0), bounds, 0)
+    ind = random_individual(scn, rng)
+    ind.objectives = ObjectiveTriple(1e16, 1e-05, 5e-324)
+    ind.violation = -0.0
+    return scn, ind
+
+
+def test_deployment_file_equals_the_per_user_dict_document(tmp_path):
+    path = tmp_path / "dep.json"
+    for seed in range(3):
+        scn, ind = _edge_deployment(seed)
+        write_json(cli._deployment_doc(scn, ind), path)
+        assert path.read_text() == json_file_text(deployment_doc(scn, ind))
+
+
+def test_deployment_writer_hands_the_file_one_block_of_rows_at_most(tmp_path, monkeypatch):
+    pieces = []
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            pieces.append(text)
+            return len(text)
+
+    monkeypatch.setattr(scenario_mod, "open", lambda *args, **kwargs: Spy(), raising=False)
+    scn, ind = _edge_deployment(0)
+    write_json(cli._deployment_doc(scn, ind), tmp_path / "dep.json")
+    oracle = deployment_doc(scn, ind)
+    assert "".join(pieces) == json_file_text(oracle)
+    # a row's text, its line's indent and its comma
+    row = max(len("".join(json_pieces(user, "\n    "))) + 6 for user in oracle["users"])
+    assert max(map(len, pieces)) <= _ROWS_PER_BLOCK * row < len("".join(pieces)) / 2
 
 
 def test_export_deployment_rejects_bad_index(tmp_path):

@@ -1,12 +1,16 @@
 import json
+import math
+from enum import IntEnum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcsf import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
-from dcsf.scenario import Scenario, ScenarioError, launch_positions, validate_scenario
+from dcsf.scenario import (_ROWS_PER_BLOCK, JsonRows, Scenario, ScenarioError, json_pieces, launch_positions,
+                           validate_scenario)
 from dcsf.semantic import default_similarity_model
-from oracles import associate_users
+from oracles import associate_users, json_file_text, scenario_doc
 
 BOUNDS = Bounds(0.0, 1000.0, 0.0, 1000.0, 60.0, 120.0)
 BS = (5000.0, 5000.0, 0.0)
@@ -201,3 +205,83 @@ def test_params_validation():
         with pytest.raises(ScenarioError):
             SystemParams(**kwargs)
     SystemParams(k_min=3, k_max=8)  # a k range inside the table is fine
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-05, 1e-07, 0.1, -2.5e300]
+
+
+def _text(doc) -> str:
+    return "".join(json_pieces(doc))
+
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+            | st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats().map(np.float64) | st.text())
+_documents = st.recursive(
+    _scalars,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_json_pieces_equal_json_dumps_indent_2(doc):
+    assert _text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value, text", [
+    # json's order of checks: bools before ints, subclasses by their base's repr
+    (True, "true"), (False, "false"), (None, "null"), (IntEnum("E", "A").A, "1"),
+    (np.float64(0.1), "0.1"), (10**30, "1" + "0" * 30),
+    (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"),
+    (-0.0, "-0.0"), (5e-324, "5e-324"), (1e16, "1e+16"), (1e-05, "1e-05"),
+    ("é \x00\"\\", '"\\u00e9\\u2028\\u0000\\"\\\\"'), ("\ud800", '"\\ud800"'),
+    ([], "[]"), ((), "[]"), ({}, "{}"), ([[]], "[\n  []\n]"), ({"": {}}, '{\n  "": {}\n}'),
+    ({"kéy": (1, [2.0])}, '{\n  "k\\u00e9y": [\n    1,\n    [\n      2.0\n    ]\n  ]\n}'),
+])
+def test_json_pieces_follow_jsons_rules(value, text):
+    assert _text(value) == text == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(1.0), np.bool_(True), {1, 2}, b"x", object(),
+                                   [1, np.array([1.0])], {"a": {"b": Bounds}}])
+def test_json_pieces_reject_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _text(value)
+
+
+def test_json_pieces_take_only_str_keys():
+    with pytest.raises(TypeError, match="keys must be str"):
+        _text({1: 2})
+
+
+@pytest.mark.parametrize("n", [0, 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1, 2 * _ROWS_PER_BLOCK + 3])
+def test_json_rows_equal_the_list_of_items(n):
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    xs[:min(n, len(EDGE_FLOATS) - 3)] = EDGE_FLOATS[3:3 + min(n, len(EDGE_FLOATS) - 3)]  # the finite edge values
+    ids = rng.integers(-10**12, 10**12, n).tolist()
+    item = {"id": "%d", "at": ["%r", {"x%": "%r"}]}
+    items = [{"id": i, "at": [x, {"x%": x}]} for i, x in zip(ids, xs.tolist())]
+    assert _text(JsonRows(item, zip(ids, xs.tolist(), xs.tolist()))) == json.dumps(items, indent=2)
+    pieces = list(json_pieces({"rows": JsonRows(item, zip(ids, xs.tolist(), xs.tolist())), "n": n}))
+    assert "".join(pieces) == json.dumps({"rows": items, "n": n}, indent=2)
+    # the head, one piece per block of rows, the closing bracket (or "[]") and the tail
+    assert len(pieces) == 3 + -(-n // _ROWS_PER_BLOCK)
+
+
+def test_scenario_file_equals_json_dumps_on_edge_coordinates(tmp_path):
+    users = [[5e-324, -0.0, 0.0], [1e16, 1e-05, 1e-07], [123.456, 0.1, 2.5e300]]
+    scn = Scenario(users, [[0.0, 1e-05, 60.0], [-1e16, 7.0, 120.0]], (5000, -2.5, 1e3), BOUNDS, 2**70)
+    path = tmp_path / "scenario.json"
+    save_scenario(scn, path)
+    assert path.read_text() == json_file_text(scenario_doc(scn))
+    big = generate_scenario(600, 3, BOUNDS, BS, seed=1)
+    save_scenario(big, path)
+    assert path.read_text() == json_file_text(scenario_doc(big))
