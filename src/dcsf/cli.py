@@ -2,7 +2,8 @@
 and export deployments.
 
 All artifacts are written with stable formatting so repeated runs with the
-same seed produce byte-identical files.
+same seed produce byte-identical files; the one exception is `timings.json`,
+which holds the solve's wall-clock time.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import metrics, problem, scenario as scenario_mod, solver
 from .advisor import ENV_URL, LlmEndpoint
-from .scenario import (Bounds, JsonRows, SystemParams, generate_scenario, json_pieces, load_scenario,
-                       save_scenario, write_json)
+from .scenario import Bounds, JsonRows, SystemParams, generate_scenario, load_scenario, save_scenario, write_json
 
 
 def _fmt(value: float) -> str:
@@ -57,10 +57,6 @@ def _write_history(history, path: Path) -> None:
             _fmt(row["p_c"]), _fmt(row["p_m"]), str(row["front_size"]),
         ]))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_pareto(front, path: Path) -> None:
-    write_json({"front": [ind.to_dict() for ind in front]}, path)
 
 
 def _knee(front) -> int:
@@ -150,7 +146,7 @@ def _cmd_solve(args) -> int:
         "n_uavs": scn.n_uavs,
     }, out / "config.json")
     _write_history(result.history, out / "history.csv")
-    _write_pareto(front, out / "pareto.json")
+    write_json({"front": [ind.to_dict() for ind in front]}, out / "pareto.json")
     write_json(_deployment_doc(scn, front[knee_i]), out / "deployment.json")
     write_json({
         "front_size": len(front),
@@ -222,7 +218,7 @@ def _cmd_compare(args) -> int:
         f"{a}/{b}": rows[a]["hypervolume"] / rows[b]["hypervolume"]
         for i, a in enumerate(names) for b in names[i + 1:]
     }
-    text = "".join(json_pieces({"runs": rows, "hypervolume_ratios": ratios}))
+    text = json.dumps({"runs": rows, "hypervolume_ratios": ratios}, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="ascii")
     print(text)

@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from dcsf import Bounds, SystemParams, generate_scenario
+from dcsf import Bounds, SystemParams, generate_scenario, scenario as scenario_mod
 
 
 @pytest.fixture
@@ -18,3 +20,18 @@ def small_scenario():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def written_pieces(monkeypatch):
+    """Every text `scenario.write_json` hands its file, in order; no file is
+    written."""
+    pieces = []
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            pieces.append(text)
+            return len(text)
+
+    monkeypatch.setattr(scenario_mod, "open", lambda *args, **kwargs: Spy(), raising=False)
+    return pieces

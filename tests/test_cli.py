@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -11,11 +10,11 @@ import numpy as np
 import pytest
 
 import dcsf
-from dcsf import Bounds, cli, scenario as scenario_mod
+from dcsf import Bounds, cli, solver
 from dcsf.advisor import ENV_URL
 from dcsf.cli import main
 from dcsf.problem import ObjectiveTriple
-from dcsf.scenario import _ROWS_PER_BLOCK, Scenario, json_pieces, launch_positions, write_json
+from dcsf.scenario import _ROWS_PER_BLOCK, Scenario, launch_positions, write_json
 from oracles import deployment_doc, json_file_text, random_individual
 
 
@@ -156,22 +155,14 @@ def test_deployment_file_equals_the_per_user_dict_document(tmp_path):
         assert path.read_text() == json_file_text(deployment_doc(scn, ind))
 
 
-def test_deployment_writer_hands_the_file_one_block_of_rows_at_most(tmp_path, monkeypatch):
-    pieces = []
-
-    class Spy(io.StringIO):
-        def write(self, text):
-            pieces.append(text)
-            return len(text)
-
-    monkeypatch.setattr(scenario_mod, "open", lambda *args, **kwargs: Spy(), raising=False)
+def test_deployment_writer_hands_the_file_one_block_of_rows_at_most(written_pieces):
     scn, ind = _edge_deployment(0)
-    write_json(cli._deployment_doc(scn, ind), tmp_path / "dep.json")
+    write_json(cli._deployment_doc(scn, ind), "dep.json")
     oracle = deployment_doc(scn, ind)
-    assert "".join(pieces) == json_file_text(oracle)
+    assert "".join(written_pieces) == json_file_text(oracle)
     # a row's text, its line's indent and its comma
-    row = max(len("".join(json_pieces(user, "\n    "))) + 6 for user in oracle["users"])
-    assert max(map(len, pieces)) <= _ROWS_PER_BLOCK * row < len("".join(pieces)) / 2
+    row = max(len(json.dumps(user, indent=2).replace("\n", "\n    ")) + 6 for user in oracle["users"])
+    assert max(map(len, written_pieces)) <= _ROWS_PER_BLOCK * row < len("".join(written_pieces)) / 2
 
 
 def test_export_deployment_rejects_bad_index(tmp_path):
@@ -311,6 +302,20 @@ def test_solve_reports_an_infeasible_front(tmp_path, capsys):
     for line in report["violations"]:
         assert line.startswith(("C1:", "C2:", "C6:"))
         assert line in captured.err
+
+
+def test_every_json_file_the_cli_writes_is_jsons_own_text(tmp_path, capsys):
+    scn = _generate(tmp_path)
+    runs = [_solve(tmp_path, scn, f"run-{mode}", mode=mode) for mode in solver.MODES]
+    far, _ = _solve_40x6(tmp_path, 3, capsys, bs=("1000000", "1000000", "0"))
+    assert json.loads((far / "report.json").read_text())["violations"]
+    dep = tmp_path / "dep.json"
+    assert main(["export-deployment", "--scenario", str(scn), "--run", str(runs[0]),
+                 "--index", "0", "--out", str(dep)]) == 0
+    names = ("config.json", "pareto.json", "deployment.json", "report.json", "timings.json")
+    for path in [scn, dep] + [run / name for run in runs + [far] for name in names]:
+        text = path.read_text()
+        assert text == json_file_text(json.loads(text)), path
 
 
 def test_solve_reports_a_feasible_front(tmp_path, capsys):

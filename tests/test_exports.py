@@ -68,6 +68,27 @@ def test_no_library_module_calls_scalar_exp_or_log10():
     assert not calls, f"scalar exp or log10 in src/dcsf: {calls}"
 
 
+def test_no_library_module_imports_from_json_encoder():
+    """No module in src/dcsf reaches into `json.encoder`: every file is
+    written by `json.dumps` itself, so a second JSON encoder cannot come back
+    unnoticed."""
+    imports = []
+    for path in sorted(Path(dcsf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "encoder"
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                names = ["json.encoder"]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name == "json.encoder" or name.startswith("json.encoder.")]
+    assert not imports, f"json.encoder used in src/dcsf: {imports}"
+
+
 def test_no_library_module_holds_a_mutable_container():
     """No module in src/dcsf holds a module-level dict, list, set or
     bytearray, dunders aside: a cache there (say, keyed by array id) would

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcsf import Bounds, SystemParams, generate_scenario, load_scenario, save_scenario
-from dcsf.scenario import (_ROWS_PER_BLOCK, JsonRows, Scenario, ScenarioError, json_pieces, launch_positions,
-                           validate_scenario)
+from dcsf.scenario import (_ROWS_PER_BLOCK, JsonRows, Scenario, ScenarioError, launch_positions, validate_scenario,
+                           write_json)
 from dcsf.semantic import default_similarity_model
 from oracles import associate_users, json_file_text, scenario_doc
 
@@ -86,6 +86,8 @@ def test_load_rejects_a_seed_that_is_not_a_json_integer(tmp_path, seed):
     ("uavs_initial", 0, [0.0, "250", 60.0]),
     ("bs", 2, True),
     ("bs", 0, "5000"),
+    ("users", 2, [None, 1.0, 0.0]),
+    ("users", 3, [[1.0], 2.0, 0.0]),
 ])
 def test_load_rejects_a_coordinate_that_is_not_a_json_number(tmp_path, field, index, value):
     path = tmp_path / "bad.json"
@@ -213,8 +215,28 @@ def test_params_validation():
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-05, 1e-07, 0.1, -2.5e300]
 
 
-def _text(doc) -> str:
-    return "".join(json_pieces(doc))
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "doc.json"
+
+
+def _written(doc, path) -> str:
+    write_json(doc, path)
+    return path.read_text()
+
+
+ROW_ITEM = {"id": "%d", "at": ["%r", {"x%": "%r"}]}
+
+
+def _row_table(n: int, seed: int) -> tuple[JsonRows, list]:
+    """n rows of edge ints and floats, as a `JsonRows` and as its list of items."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    finite = [x for x in EDGE_FLOATS if math.isfinite(x)]
+    xs[:len(finite)] = finite[:n]
+    ids = rng.integers(-10**12, 10**12, n).tolist()
+    items = [{"id": i, "at": [x, {"x%": x}]} for i, x in zip(ids, xs.tolist())]
+    return JsonRows(ROW_ITEM, zip(ids, xs.tolist(), xs.tolist())), items
 
 
 _scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
@@ -228,9 +250,20 @@ _documents = st.recursive(
 
 
 @settings(max_examples=400, deadline=None)
-@given(_documents)
-def test_json_pieces_equal_json_dumps_indent_2(doc):
-    assert _text(doc) == json.dumps(doc, indent=2)
+@given(st.dictionaries(st.text(), _documents, max_size=5),
+       st.none() | st.tuples(st.integers(0, 2 * _ROWS_PER_BLOCK + 3), st.integers(0, 2**32 - 1), st.integers(0, 5)))
+def test_write_json_writes_json_dumps_indent_2(json_path, doc, table):
+    """A dict document, with or without a top-level row table at any
+    position, is written as json's text of its materialized form."""
+    members = list(doc.items())
+    materialized = dict(members)
+    if table is not None:
+        n, seed, at = table
+        rows, items = _row_table(n, seed)
+        members = [(key, value) for key, value in members if key != "rows"]
+        materialized = dict(members[:at] + [("rows", items)] + members[at:])
+        members[at:at] = [("rows", rows)]
+    assert _written(dict(members), json_path) == json_file_text(materialized)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -240,41 +273,46 @@ def test_json_pieces_equal_json_dumps_indent_2(doc):
     (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"),
     (-0.0, "-0.0"), (5e-324, "5e-324"), (1e16, "1e+16"), (1e-05, "1e-05"),
     ("\u00e9\u2028\x00\"\\", '"\\u00e9\\u2028\\u0000\\"\\\\"'), ("\ud800", '"\\ud800"'),
+    ("line\nbreak", '"line\\nbreak"'),
     ([], "[]"), ((), "[]"), ({}, "{}"), ([[]], "[\n  []\n]"), ({"": {}}, '{\n  "": {}\n}'),
     ({"kéy": (1, [2.0])}, '{\n  "k\\u00e9y": [\n    1,\n    [\n      2.0\n    ]\n  ]\n}'),
 ])
-def test_json_pieces_follow_jsons_rules(value, text):
-    assert _text(value) == text == json.dumps(value, indent=2)
+def test_write_json_follows_jsons_rules(json_path, value, text):
+    # as a top-level value, one level in
+    assert _written({"v": value}, json_path) == '{\n  "v": ' + text.replace("\n", "\n  ") + "\n}\n"
+    assert _written({"v": value}, json_path) == json_file_text({"v": value})
+    if isinstance(value, dict):
+        # as the document
+        assert _written(value, json_path) == text + "\n" == json_file_text(value)
 
 
 @pytest.mark.parametrize("value", [np.int64(1), np.float32(1.0), np.bool_(True), {1, 2}, b"x", object(),
-                                   [1, np.array([1.0])], {"a": {"b": Bounds}}])
-def test_json_pieces_reject_what_json_rejects(value):
+                                   [1, np.array([1.0])], {"a": {"b": Bounds}},
+                                   # a row table below the top level
+                                   [JsonRows(["%d"], [(1,)])], {"a": JsonRows(["%d"], [(1,)])}])
+def test_write_json_rejects_what_json_rejects(json_path, value):
     with pytest.raises(TypeError):
-        json.dumps(value, indent=2)
-    with pytest.raises(TypeError):
-        _text(value)
+        json.dumps({"v": value}, indent=2)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        write_json({"v": value}, json_path)
 
 
-def test_json_pieces_take_only_str_keys():
+def test_write_json_takes_only_str_top_level_keys(json_path):
     with pytest.raises(TypeError, match="keys must be str"):
-        _text({1: 2})
+        write_json({1: 2}, json_path)
 
 
 @pytest.mark.parametrize("n", [0, 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1, 2 * _ROWS_PER_BLOCK + 3])
-def test_json_rows_equal_the_list_of_items(n):
-    rng = np.random.default_rng(n)
-    xs = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
-    finite = [x for x in EDGE_FLOATS if math.isfinite(x)]
-    xs[:len(finite)] = finite[:n]
-    ids = rng.integers(-10**12, 10**12, n).tolist()
-    item = {"id": "%d", "at": ["%r", {"x%": "%r"}]}
-    items = [{"id": i, "at": [x, {"x%": x}]} for i, x in zip(ids, xs.tolist())]
-    assert _text(JsonRows(item, zip(ids, xs.tolist(), xs.tolist()))) == json.dumps(items, indent=2)
-    pieces = list(json_pieces({"rows": JsonRows(item, zip(ids, xs.tolist(), xs.tolist())), "n": n}))
-    assert "".join(pieces) == json.dumps({"rows": items, "n": n}, indent=2)
-    # the head, one piece per block of rows, the closing bracket (or "[]") and the tail
-    assert len(pieces) == 3 + math.ceil(n / _ROWS_PER_BLOCK)
+def test_write_json_writes_a_row_table_one_block_at_a_time(written_pieces, n):
+    rows, items = _row_table(n, n)
+    write_json({"rows": rows, "n": n}, "doc.json")
+    assert "".join(written_pieces) == json_file_text({"rows": items, "n": n})
+    # the head, the key, one piece per block of rows, the closing bracket (or
+    # "[]"), the next key, its value and the tail
+    assert len(written_pieces) == 6 + math.ceil(n / _ROWS_PER_BLOCK)
+    # a block of rows, each its text, its line's indent and its comma
+    row = max((len(json.dumps(item, indent=2).replace("\n", "\n    ")) + 6 for item in items), default=0)
+    assert all(len(block) <= _ROWS_PER_BLOCK * row for block in written_pieces[2:-4])
 
 
 def test_scenario_file_equals_json_dumps_on_edge_coordinates(tmp_path):
