@@ -7,8 +7,8 @@ finite, and marks them read-only, so everything here is immutable after
 construction; so are the users' rows and the scale that `nearest_uavs`
 screens and measures with, built once with them. Scenarios are generated once, written to JSON, and
 replayed exactly. `write_json` writes the scenario and every run artifact
-as the text of `json.dumps(doc, indent=2)`, by `json.dumps` of each
-top-level value, and the row tables from their arrays.
+as the text of `json.dumps(doc, indent=2)`: one `json.dumps` call per
+file, and the row tables from their arrays.
 """
 
 from __future__ import annotations
@@ -391,23 +391,24 @@ _ROWS_PER_BLOCK = 256
 
 
 def write_json(doc: dict, path: str | Path) -> None:
-    """Write `json.dumps(doc, indent=2)` and a newline to `path`, one
-    top-level value of the dict `doc` at a time: its `json.dumps(value,
-    indent=2)` indented one level (exact, as json escapes every newline in a
-    string), or, for a `JsonRows`, its items _ROWS_PER_BLOCK at a time,
-    each formatted through the template that `json.dumps` renders from
-    `item` at the items' indent. The top-level keys must be str."""
+    """Write `json.dumps(doc, indent=2)` and a newline to `path`, from one
+    `json.dumps` of the dict `doc` in which each top-level `JsonRows` stands
+    as "[]". Each row table is written in its place, _ROWS_PER_BLOCK items
+    at a time, each formatted through the template that `json.dumps`
+    renders from `item` at the items' indent. A top-level member is found
+    by its line, a newline, two spaces and its key: json escapes every
+    newline inside a string, and deeper members are indented further. The
+    top-level keys must be str."""
+    if not all(isinstance(key, str) for key in doc):
+        raise TypeError("top-level keys must be str")
+    rest = json.dumps({key: [] if isinstance(value, JsonRows) else value for key, value in doc.items()}, indent=2)
     with open(path, "w", encoding="ascii") as f:
-        f.write("{")
-        separator = "\n  "
         for key, value in doc.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            f.write(separator + json.dumps(key) + ": ")
-            separator = ",\n  "
             if not isinstance(value, JsonRows):
-                f.write(json.dumps(value, indent=2).replace("\n", "\n  "))
                 continue
+            member = "\n  " + json.dumps(key) + ": "
+            head, rest = rest.split(member + "[]", 1)
+            f.write(head + member)
             template = ("\n    " + json.dumps(value.item, indent=2).replace("\n", "\n    ")).replace("%", "%%")
             template = template.replace('"%%r"', "%r").replace('"%%d"', "%d")
             opening = "["
@@ -416,7 +417,7 @@ def write_json(doc: dict, path: str | Path) -> None:
                 f.write(opening + ",".join([template % row for row in block]))
                 opening = ","
             f.write("[]" if opening == "[" else "\n  ]")
-        f.write("\n}\n" if doc else "}\n")
+        f.write(rest + "\n")
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

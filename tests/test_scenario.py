@@ -266,6 +266,13 @@ def test_write_json_writes_json_dumps_indent_2(json_path, doc, table):
     assert _written(dict(members), json_path) == json_file_text(materialized)
 
 
+def test_write_json_finds_a_row_table_by_its_top_level_line(json_path):
+    # the table's key below the top level, and its member's text in a string
+    rows, items = _row_table(3, 0)
+    doc = {"a": {"rows": []}, "b": '\n  "rows": []', "c": [{"rows": []}], "rows": rows, "d": {"rows": []}}
+    assert _written(doc, json_path) == json_file_text({**doc, "rows": items})
+
+
 @pytest.mark.parametrize("value, text", [
     # json's order of checks: bools before ints, subclasses by their base's repr
     (True, "true"), (False, "false"), (None, "null"), (IntEnum("E", "A").A, "1"),
@@ -290,11 +297,13 @@ def test_write_json_follows_jsons_rules(json_path, value, text):
                                    [1, np.array([1.0])], {"a": {"b": Bounds}},
                                    # a row table below the top level
                                    [JsonRows(["%d"], [(1,)])], {"a": JsonRows(["%d"], [(1,)])}])
-def test_write_json_rejects_what_json_rejects(json_path, value):
+def test_write_json_rejects_what_json_rejects(tmp_path, value):
     with pytest.raises(TypeError):
         json.dumps({"v": value}, indent=2)
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        write_json({"v": value}, json_path)
+        write_json({"v": value}, tmp_path / "doc.json")
+    # the document is encoded before the file is opened
+    assert not (tmp_path / "doc.json").exists()
 
 
 def test_write_json_takes_only_str_top_level_keys(json_path):
@@ -307,12 +316,12 @@ def test_write_json_writes_a_row_table_one_block_at_a_time(written_pieces, n):
     rows, items = _row_table(n, n)
     write_json({"rows": rows, "n": n}, "doc.json")
     assert "".join(written_pieces) == json_file_text({"rows": items, "n": n})
-    # the head, the key, one piece per block of rows, the closing bracket (or
-    # "[]"), the next key, its value and the tail
-    assert len(written_pieces) == 6 + math.ceil(n / _ROWS_PER_BLOCK)
+    # the text up to the table's key, one piece per block of rows, the
+    # closing bracket (or "[]"), and the rest of the document
+    assert len(written_pieces) == 3 + math.ceil(n / _ROWS_PER_BLOCK)
     # a block of rows, each its text, its line's indent and its comma
     row = max((len(json.dumps(item, indent=2).replace("\n", "\n    ")) + 6 for item in items), default=0)
-    assert all(len(block) <= _ROWS_PER_BLOCK * row for block in written_pieces[2:-4])
+    assert all(len(block) <= _ROWS_PER_BLOCK * row for block in written_pieces[1:-2])
 
 
 def test_scenario_file_equals_json_dumps_on_edge_coordinates(tmp_path):
