@@ -225,9 +225,6 @@ def _written(doc, path) -> str:
     return path.read_text()
 
 
-ROW_ITEM = {"id": "%d", "at": ["%r", {"x%": "%r"}]}
-
-
 def _row_table(n: int, seed: int) -> tuple[JsonRows, list]:
     """n rows of edge ints and floats, as a `JsonRows` and as its list of items."""
     rng = np.random.default_rng(seed)
@@ -236,7 +233,7 @@ def _row_table(n: int, seed: int) -> tuple[JsonRows, list]:
     xs[:len(finite)] = finite[:n]
     ids = rng.integers(-10**12, 10**12, n).tolist()
     items = [{"id": i, "at": [x, {"x%": x}]} for i, x in zip(ids, xs.tolist())]
-    return JsonRows(ROW_ITEM, zip(ids, xs.tolist(), xs.tolist())), items
+    return JsonRows({"id": "%d", "at": ["%r", {"x%": "%r"}]}, zip(ids, xs.tolist(), xs.tolist())), items
 
 
 _scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
@@ -252,7 +249,7 @@ _documents = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(st.dictionaries(st.text(), _documents, max_size=5),
        st.none() | st.tuples(st.integers(0, 2 * _ROWS_PER_BLOCK + 3), st.integers(0, 2**32 - 1), st.integers(0, 5)))
-def test_write_json_writes_json_dumps_indent_2(json_path, doc, table):
+def test_json_pieces_equal_json_dumps_indent_2(json_path, doc, table):
     """A dict document, with or without a top-level row table at any
     position, is written as json's text of its materialized form."""
     members = list(doc.items())
@@ -280,14 +277,14 @@ def test_write_json_finds_a_row_table_by_its_top_level_line(json_path):
     (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"),
     (-0.0, "-0.0"), (5e-324, "5e-324"), (1e16, "1e+16"), (1e-05, "1e-05"),
     ("\u00e9\u2028\x00\"\\", '"\\u00e9\\u2028\\u0000\\"\\\\"'), ("\ud800", '"\\ud800"'),
-    ("line\nbreak", '"line\\nbreak"'),
     ([], "[]"), ((), "[]"), ({}, "{}"), ([[]], "[\n  []\n]"), ({"": {}}, '{\n  "": {}\n}'),
     ({"kéy": (1, [2.0])}, '{\n  "k\\u00e9y": [\n    1,\n    [\n      2.0\n    ]\n  ]\n}'),
+    ("line\nbreak", '"line\\nbreak"'),
 ])
-def test_write_json_follows_jsons_rules(json_path, value, text):
+def test_json_pieces_follow_jsons_rules(json_path, value, text):
     # as a top-level value, one level in
-    assert _written({"v": value}, json_path) == '{\n  "v": ' + text.replace("\n", "\n  ") + "\n}\n"
-    assert _written({"v": value}, json_path) == json_file_text({"v": value})
+    expected = '{\n  "v": ' + text.replace("\n", "\n  ") + "\n}\n"
+    assert _written({"v": value}, json_path) == expected == json_file_text({"v": value})
     if isinstance(value, dict):
         # as the document
         assert _written(value, json_path) == text + "\n" == json_file_text(value)
@@ -297,7 +294,7 @@ def test_write_json_follows_jsons_rules(json_path, value, text):
                                    [1, np.array([1.0])], {"a": {"b": Bounds}},
                                    # a row table below the top level
                                    [JsonRows(["%d"], [(1,)])], {"a": JsonRows(["%d"], [(1,)])}])
-def test_write_json_rejects_what_json_rejects(tmp_path, value):
+def test_json_pieces_reject_what_json_rejects(tmp_path, value):
     with pytest.raises(TypeError):
         json.dumps({"v": value}, indent=2)
     with pytest.raises(TypeError, match="is not JSON serializable"):
@@ -306,13 +303,13 @@ def test_write_json_rejects_what_json_rejects(tmp_path, value):
     assert not (tmp_path / "doc.json").exists()
 
 
-def test_write_json_takes_only_str_top_level_keys(json_path):
+def test_json_pieces_take_only_str_keys(json_path):
     with pytest.raises(TypeError, match="keys must be str"):
         write_json({1: 2}, json_path)
 
 
 @pytest.mark.parametrize("n", [0, 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1, 2 * _ROWS_PER_BLOCK + 3])
-def test_write_json_writes_a_row_table_one_block_at_a_time(written_pieces, n):
+def test_json_rows_equal_the_list_of_items(written_pieces, n):
     rows, items = _row_table(n, n)
     write_json({"rows": rows, "n": n}, "doc.json")
     assert "".join(written_pieces) == json_file_text({"rows": items, "n": n})
