@@ -11,7 +11,8 @@ tests check it against spherical quadrature (tests/oracles.py), which is no
 production path: at centimeter wavelengths and inter-UAV spacings of tens of
 meters the integrand oscillates far too fast for quadrature to be practical.
 
-`cluster_snr` rates a list of clusters of one or more fleets in one call.
+`cluster_snr` rates clusters of one or more fleets in one call, each given
+as a fleet index and a boolean membership row over the fleet's V UAVs.
 Clusters of one size are gathered and rated together, so the cost per call
 grows with the number of distinct cluster sizes rather than with the number
 of clusters. Each group builds the sinc factors of its clusters' own members,
@@ -55,34 +56,38 @@ def pairwise_sinc_sum(sinc: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights[..., None, :] @ sinc @ weights[..., :, None])[..., 0, 0]
 
 
-def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz: np.ndarray,
-                params) -> np.ndarray:
+def cluster_snr(fleets: np.ndarray, members: np.ndarray, uav_positions: np.ndarray, weights: np.ndarray,
+                bs_xyz: np.ndarray, params) -> np.ndarray:
     """SNR of each cluster's link to the BS.
 
-    `clusters` lists (fleet, members) pairs, each naming UAVs of one fleet of
-    the stack `uav_positions` (N, V, 3) and `weights` (N, V). Every UAV
-    transmits P_v = `params.uav_tx_power`. Multi-UAV clusters transmit P_c =
-    sum w^2 P_v with the collaborative array gain, normalized by the members'
-    own `sinc_matrix`; singletons use the plain link budget. Path loss and BS
-    direction are taken from the cluster's centroid (far-field BS), which must
-    not coincide with the BS.
+    Cluster c is the UAVs set in row c of the boolean (C, V) `members`, of
+    fleet `fleets[c]` of the stack `uav_positions` (N, V, 3) and `weights`
+    (N, V). Every UAV transmits P_v = `params.uav_tx_power`. Multi-UAV
+    clusters transmit P_c = sum w^2 P_v with the collaborative array gain,
+    normalized by the members' own `sinc_matrix`; singletons use the plain
+    link budget. Path loss and BS direction are taken from the cluster's
+    centroid (far-field BS), which must not coincide with the BS.
 
     Clusters of one size are rated together, with no loop over clusters:
     stacked matrix products and reductions over their trailing per-cluster
     axes, and one `channel.path_gain` call for all their centroid links. The
     one-cluster-at-a-time oracle in tests/oracles.py agrees to rounding.
     """
-    snr = np.empty(len(clusters))
-    by_size: dict[int, list[int]] = {}
-    for i, (_, members) in enumerate(clusters):
-        if len(members) == 0:
-            raise ValueError("empty cluster")
-        by_size.setdefault(len(members), []).append(i)
+    fleets, members = np.asarray(fleets), np.asarray(members)
+    if members.dtype != bool or members.shape != (len(fleets), uav_positions.shape[1]):
+        raise ValueError(f"members must be boolean ({len(fleets)}, {uav_positions.shape[1]}), "
+                         f"not {members.dtype} {members.shape}")
+    sizes = members.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("empty cluster")
+    snr = np.empty(len(fleets))
     p = 2.0 * math.pi / params.wavelength
-    for n, rows in by_size.items():
-        fleets = np.array([clusters[i][0] for i in rows])[:, None]
-        ids = np.array([clusters[i][1] for i in rows])
-        pos = uav_positions[fleets, ids]
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == n)
+        # each row's members, in ascending order
+        ids = np.nonzero(members[rows])[1].reshape(len(rows), n)
+        fleet = fleets[rows][:, None]
+        pos = uav_positions[fleet, ids]
         deltas = bs_xyz - np.add.reduce(pos, axis=1) / n
         d = np.sqrt((deltas[:, None, :] @ deltas[:, :, None]).ravel())
         if not d.all():
@@ -91,7 +96,7 @@ def cluster_snr(clusters, uav_positions: np.ndarray, weights: np.ndarray, bs_xyz
         if n == 1:
             snr[rows] = params.uav_tx_power * path
             continue
-        w = weights[fleets, ids]
+        w = weights[fleet, ids]
         p_totals = np.add.reduce(w**2 * params.uav_tx_power, axis=1)
         phases = p * (pos @ (deltas / d[:, None])[:, :, None])[:, :, 0]
         gains = np.abs(np.add.reduce(w * np.exp(1j * phases), axis=1)) ** 2 * params.eta

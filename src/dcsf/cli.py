@@ -66,7 +66,6 @@ def _knee(front) -> int:
 def _deployment_doc(scn, ind) -> dict:
     # each user is served by its nearest UAV, as in f1
     serving = scenario_mod.nearest_uavs(scn, ind.q)[0]
-    clusters = ind.assignment.clusters()
     uav_rows = []
     for v in range(scn.n_uavs):
         label = ind.assignment.labels[v]
@@ -76,7 +75,7 @@ def _deployment_doc(scn, ind) -> dict:
             "weight": float(ind.w[v]),
             "cluster": label,
             "k": int(ind.k[label - 1]),
-            "singleton": len(clusters[label - 1]) == 1,
+            "singleton": ind.assignment.labels.count(label) == 1,
         })
     user_rows = JsonRows({"user": "%d", "position": ["%r", "%r", "%r"], "uav": "%d"},
                          zip(range(scn.n_users), *scn.user_rows.tolist(), serving.tolist()))

@@ -49,27 +49,16 @@ class ClusterAssignment:
     """Canonical per-UAV cluster labels: consecutive integers starting at 1."""
 
     labels: tuple[int, ...]
-    _clusters: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise EncodingError("empty assignment")
-        present = set(self.labels)
-        n_cluster = max(self.labels)
-        if present != set(range(1, n_cluster + 1)):
-            raise EncodingError(f"labels {self.labels} are not canonical 1..{n_cluster}")
-        out: list[list[int]] = [[] for _ in range(n_cluster)]
-        for uav, label in enumerate(self.labels):
-            out[label - 1].append(uav)
-        object.__setattr__(self, "_clusters", tuple(map(tuple, out)))
+        if set(self.labels) != set(range(1, self.n_clusters + 1)):
+            raise EncodingError(f"labels {self.labels} are not canonical 1..{self.n_clusters}")
 
     @property
     def n_clusters(self) -> int:
-        return len(self._clusters)
-
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """UAV indices per cluster, in cluster-label order."""
-        return self._clusters
+        return max(self.labels)
 
 
 @dataclass
@@ -201,9 +190,7 @@ def evaluate(individuals, scenario, params, parents=None):
     stale = np.flatnonzero(~lent)
     if len(stale):
         owner = np.repeat(np.arange(len(individuals)), counts)[stale]
-        clusters = [(f, individuals[f].assignment.clusters()[c])
-                    for f, c in zip(owner.tolist(), (stale - starts[owner]).tolist())]
-        snr[stale] = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
+        snr[stale] = beamforming.cluster_snr(owner, cluster[owner] == stale[:, None], q, w, scenario.bs_xyz, params)
     for ind, start, n in zip(individuals, starts.tolist(), counts.tolist()):
         ind.cluster_snr = snr[start: start + n]
     objectives = cluster_semantic_terms(individuals, params)

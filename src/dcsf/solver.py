@@ -37,8 +37,9 @@ in one `problem.evaluate` batch, in array passes: one
 `energy.total_flight_energy` call and one `beamforming.cluster_snr` call.
 
 GCA and GSO also run over the whole population at once. GCA merges every
-individual in lockstep, one pass per merge: each pass rates the pairs not
-yet rated, of all individuals, in one `cluster_snr` and one
+individual in lockstep, one pass per merge, on boolean (clusters, V)
+membership rows: each pass rates the pairs not yet rated, of all
+individuals, each the OR of its two rows, in one `cluster_snr` and one
 `semantic.semantic_terms` call. GSO rates every stored SNR at every k of
 [k_min, k_max] in one `semantic_terms` call and sets every k by one argmax
 over the rows. GCA's ordered merges are scored as matrix row sums. The
@@ -149,27 +150,22 @@ def evaluate_population(population, scenario, params, parents=None) -> None:
 # ---------------------------------------------------------------------------
 # Stage 1: greedy cluster merging
 
-def merge_clusters(assignment: ClusterAssignment, k: np.ndarray, survivor: int, absorbed: int):
-    """Merge cluster `absorbed` into `survivor` (1-based labels), renumbering
-    the remaining labels consecutively.
+def merge_clusters(members: np.ndarray, k: np.ndarray, survivor: int, absorbed: int):
+    """Merge cluster slot `absorbed` into slot `survivor` (0-based) of the
+    boolean (clusters, V) membership rows `members`: the survivor's row takes
+    the absorbed one's UAVs and the absorbed row and k entry drop out, so the
+    rows stay in label order.
 
     The merged cluster keeps the lower-indexed cluster's k; that k stands,
     and counts in C6, through the generations until the closing symbol sweep.
     """
     if survivor == absorbed:
         raise ValueError("cannot merge a cluster with itself")
-    new_labels = []
-    for label in assignment.labels:
-        if label == absorbed:
-            label = survivor
-        if label > absorbed:
-            label -= 1
-        new_labels.append(label)
-    k = np.asarray(k)
-    new_k = np.delete(k, absorbed - 1)
-    if survivor > absorbed:
-        new_k[survivor - 2] = k[absorbed - 1]
-    return ClusterAssignment(tuple(new_labels)), new_k
+    merged, kept = members[survivor] | members[absorbed], k[min(survivor, absorbed)]
+    members, k = np.delete(members, absorbed, 0), np.delete(k, absorbed)
+    s = survivor - (survivor > absorbed)
+    members[s], k[s] = merged, kept
+    return members, k
 
 
 def _best_merge(rates: np.ndarray, merged: np.ndarray, baseline: float):
@@ -199,28 +195,23 @@ def _best_merge(rates: np.ndarray, merged: np.ndarray, baseline: float):
 class _Merging:
     """The greedy merge of one evaluated individual, one pass at a time.
 
-    It holds the individual's assignment, k, cluster SNRs and cluster
-    `rates` while it merges, and the SNR and merged rate of every pair of
-    clusters across passes: a merge moves the pair's into the cluster SNRs
-    and rates, drops the absorbed row and column and leaves only the
-    survivor's pairs to rate again, at the lower-indexed cluster's k, which
-    the merge keeps. The individual itself is left as it was until `gca_step`
-    writes the result back.
+    It holds the individual's clusters as boolean (clusters, V) membership
+    rows, its k, cluster SNRs and cluster `rates` while it merges, and the
+    SNR and merged rate of every pair of clusters across passes: a merge
+    moves the pair's into the cluster SNRs and rates, drops the absorbed row
+    and column and leaves only the survivor's pairs to rate again, at the
+    lower-indexed cluster's k, which the merge keeps. The individual itself
+    is left as it was until `gca_step` writes the result back.
     """
 
     def __init__(self, ind: Individual, rates: np.ndarray):
         self.ind = ind
-        self.assignment, self.k, self.snr, self.rates = ind.assignment, ind.k, ind.cluster_snr, rates
-        self.baseline = ind.objectives.f2
+        self.k, self.snr, self.rates = ind.k, ind.cluster_snr, rates
         n = len(ind.k)
+        self.members = np.arange(1, n + 1)[:, None] == np.array(ind.assignment.labels)
+        self.baseline = ind.objectives.f2
         self.pair_snr, self.merged = np.zeros((n, n)), np.zeros((n, n))
         self.lo, self.hi = np.triu_indices(n, 1)  # slots of the pairs to rate
-
-    def pairs(self) -> list[tuple[int, ...]]:
-        """Member sets of the pending pairs."""
-        clusters = self.assignment.clusters()
-        return [tuple(sorted(clusters[lo] + clusters[hi]))
-                for lo, hi in zip(self.lo.tolist(), self.hi.tolist())]
 
     def step(self, snrs: np.ndarray, rates: np.ndarray) -> bool:
         """Take the pending pairs' `snrs` and merged `rates` and apply the best
@@ -230,7 +221,7 @@ class _Merging:
         gain, b, a = _best_merge(self.rates, self.merged, self.baseline)
         if gain <= 0:
             return False
-        self.assignment, self.k = merge_clusters(self.assignment, self.k, b + 1, a + 1)
+        self.members, self.k = merge_clusters(self.members, self.k, b, a)
         s = b - (b > a)  # the survivor's slot after the merge
         self.snr = np.delete(self.snr, a)
         self.snr[s] = self.pair_snr[b, a]
@@ -270,8 +261,10 @@ def gca_step(population, scenario, params) -> None:
     w = np.stack([ind.w for ind in individuals])
     active = list(range(len(merging)))
     while active:
-        clusters = [(f, members) for f in active for members in merging[f].pairs()]
-        snrs = beamforming.cluster_snr(clusters, q, w, scenario.bs_xyz, params)
+        fleets = np.repeat(active, [len(merging[f].lo) for f in active])
+        pairs = np.concatenate([merging[f].members[merging[f].lo] | merging[f].members[merging[f].hi]
+                                for f in active])
+        snrs = beamforming.cluster_snr(fleets, pairs, q, w, scenario.bs_xyz, params)
         # each pair is rated at the k of its lower-indexed cluster
         ks = np.concatenate([merging[f].k[merging[f].lo] for f in active])
         rates, _ = semantic.semantic_terms(snrs, ks, params)
@@ -284,8 +277,9 @@ def gca_step(population, scenario, params) -> None:
         active = still
     changed = []
     for m in merging:
-        if m.assignment is not m.ind.assignment:
-            m.ind.assignment, m.ind.k, m.ind.cluster_snr = m.assignment, m.k, m.snr
+        if len(m.k) < len(m.ind.k):
+            m.ind.assignment = ClusterAssignment(tuple((m.members.argmax(axis=0) + 1).tolist()))
+            m.ind.k, m.ind.cluster_snr = m.k, m.snr
             changed.append(m.ind)
     problem.cluster_semantic_terms(changed, params)
 

@@ -19,7 +19,6 @@ from dcsf.problem import (
 )
 from dcsf.scenario import SPEED_OF_LIGHT, nearest_uavs
 from dcsf.semantic import semantic_terms
-from dcsf.solver import merge_clusters
 
 PARAMS = SystemParams()
 
@@ -33,6 +32,35 @@ def canonicalize_labels(raw_labels, k_values) -> tuple[ClusterAssignment, np.nda
     mapping = {label: new for new, label in enumerate(dict.fromkeys(raw), start=1)}
     # the mapping's insertion order is first appearance, the new label order
     return ClusterAssignment(tuple(mapping[v] for v in raw)), np.array([k_values[old - 1] for old in mapping])
+
+
+def clusters_of(assignment) -> tuple[tuple[int, ...], ...]:
+    """UAV indices per cluster, in cluster-label order, one UAV at a time."""
+    out = [[] for _ in range(max(assignment.labels))]
+    for uav, label in enumerate(assignment.labels):
+        out[label - 1].append(uav)
+    return tuple(map(tuple, out))
+
+
+def merge_labels(assignment, k, survivor: int, absorbed: int) -> tuple[ClusterAssignment, np.ndarray]:
+    """Merge cluster `absorbed` into `survivor` (1-based labels) on the label
+    tuple, one UAV at a time: the absorbed label becomes the survivor's, the
+    labels above it move down by one, and the merged cluster keeps the
+    lower-indexed cluster's k."""
+    if survivor == absorbed:
+        raise ValueError("cannot merge a cluster with itself")
+    labels = []
+    for label in assignment.labels:
+        if label == absorbed:
+            label = survivor
+        if label > absorbed:
+            label -= 1
+        labels.append(label)
+    k = np.asarray(k)
+    new_k = np.delete(k, absorbed - 1)
+    if survivor > absorbed:
+        new_k[survivor - 2] = k[absorbed - 1]
+    return ClusterAssignment(tuple(labels)), new_k
 
 
 def random_individual(scn, rng, params=PARAMS):
@@ -265,7 +293,7 @@ def f2_by_cluster(ind, scn, params):
     sinc = sinc_matrix(ind.q, params)
     return sum(semantic_terms_one(cluster_snr_one(members, ind.q, ind.w, scn.bs_xyz, params, sinc),
                                   int(ind.k[i]), params)[0]
-               for i, members in enumerate(ind.assignment.clusters()))
+               for i, members in enumerate(clusters_of(ind.assignment)))
 
 
 def close_pairs_double_loop(q, d_min):
@@ -430,9 +458,9 @@ def lent_terms(ind, parent):
         return {}, None
     same = ((ind.q.view(np.int64) == parent.q.view(np.int64)).all(axis=1)
             & (ind.w.view(np.int64) == parent.w.view(np.int64))).tolist()
-    known = {members: snr for members, snr in zip(parent.assignment.clusters(), parent.cluster_snr.tolist())
+    known = {members: snr for members, snr in zip(clusters_of(parent.assignment), parent.cluster_snr.tolist())
              if all(same[v] for v in members)}
-    lent = {i: known[members] for i, members in enumerate(ind.assignment.clusters()) if members in known}
+    lent = {i: known[members] for i, members in enumerate(clusters_of(ind.assignment)) if members in known}
     return lent, parent.fleet_terms if ind.q.tobytes() == parent.q.tobytes() else None
 
 
@@ -453,7 +481,7 @@ def enumerate_merge_gains(ind, scenario, params, baseline_f2: float):
         for b2 in range(1, n + 1):
             if b == b2:
                 continue
-            assignment, k = merge_clusters(ind.assignment, ind.k, b, b2)
+            assignment, k = merge_labels(ind.assignment, ind.k, b, b2)
             rates, _ = semantic_terms_from_scratch(Individual(assignment, ind.q, ind.w, k), scenario, params)
             f2 = float(rates.sum())
             yield b, b2, f2 - baseline_f2, assignment, k, f2
@@ -563,7 +591,7 @@ def deployment_doc(scn, ind) -> dict:
     """The deployment document with one dict per UAV and per user; each user
     is served by its nearest UAV, as in f1."""
     serving = nearest_uavs(scn, ind.q)[0]
-    clusters = ind.assignment.clusters()
+    clusters = clusters_of(ind.assignment)
     uav_rows = []
     for v in range(scn.n_uavs):
         label = ind.assignment.labels[v]

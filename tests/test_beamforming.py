@@ -21,9 +21,17 @@ def _random_array(rng, n=None, max_spacing_wavelengths=10.0):
     return pos, w
 
 
+def _rows(members, n_uavs):
+    """Boolean membership rows (clusters, n_uavs) of lists of UAV indices."""
+    rows = np.zeros((len(members), n_uavs), dtype=bool)
+    for row, ids in zip(rows, members):
+        row[list(ids)] = True
+    return rows
+
+
 def _snr(members, q, w, bs, params):
     """One cluster of one fleet through the batched `cluster_snr`."""
-    return cluster_snr([(0, members)], q[None], w[None], bs, params)[0]
+    return cluster_snr([0], _rows([members], len(q)), q[None], w[None], bs, params)[0]
 
 
 def _link_loss(a, b, params):
@@ -136,8 +144,26 @@ def test_zero_weights_give_zero_cluster_snr(params):
 
 
 def test_empty_cluster_rejected(params):
+    with pytest.raises(ValueError, match="empty cluster"):
+        cluster_snr([0], np.zeros((1, 1), dtype=bool), np.zeros((1, 1, 3)), np.ones((1, 1)), np.ones(3), params)
+    # an empty row among full ones
+    q, w = np.zeros((1, 3, 3)), np.ones((1, 3))
+    with pytest.raises(ValueError, match="empty cluster"):
+        cluster_snr([0, 0], np.array([[True, True, True], [False] * 3]), q, w, np.ones(3), params)
+
+
+@pytest.mark.parametrize("members", [
+    np.array([[1, 0, 1]]),                       # integer, not boolean
+    np.array([[1.0, 0.0, 1.0]]),                 # float, not boolean
+    np.array([[True, False]]),                   # V = 2 rows for a V = 3 fleet
+    np.array([[True, False, True, False]]),      # V = 4 rows for a V = 3 fleet
+    np.array([[True, False, True]] * 2),         # two rows for one fleet index
+    np.array([True, False, True]),               # one flat row
+], ids=["int", "float", "short-row", "long-row", "extra-row", "flat"])
+def test_cluster_snr_rejects_malformed_membership_rows(params, members):
+    q = np.array([[[0.0, 0.0, 80.0], [10.0, 0.0, 80.0], [0.0, 10.0, 90.0]]])
     with pytest.raises(ValueError):
-        cluster_snr([(0, [])], np.zeros((1, 1, 3)), np.ones((1, 1)), np.ones(3), params)
+        cluster_snr([0], members, q, np.ones((1, 3)), np.array([2000.0, 2000.0, 0.0]), params)
 
 
 def test_cophased_pair_beats_singleton(params):
@@ -185,17 +211,26 @@ def test_batched_cluster_snr_equals_the_per_cluster_oracle():
                      sorted(rng.choice(n_uavs, size=int(rng.integers(1, n_uavs + 1)), replace=False).tolist()))
                     for _ in range(30)]
         clusters[:3] = [(0, [0]), (n_fleets - 1, list(range(n_uavs))), (0, list(range(max(1, n_uavs // 2))))]
-        got = cluster_snr(clusters, q, w, bs, PARAMS)
+        fleets = np.array([fleet for fleet, _ in clusters])
+        members = _rows([ids for _, ids in clusters], n_uavs)
+        got = cluster_snr(fleets, members, q, w, bs, PARAMS)
         assert got.shape == (len(clusters),)
-        for (fleet, members), snr in zip(clusters, got):
-            assert snr == pytest.approx(cluster_snr_one(members, q[fleet], w[fleet], bs, PARAMS, sinc[fleet]),
-                                        rel=1e-12), (case, fleet, members)
-            if len(members) > 1 and not w[fleet, members].any():
-                assert snr == 0.0, (case, fleet, members)
+        for (fleet, ids), snr in zip(clusters, got):
+            assert snr == pytest.approx(cluster_snr_one(ids, q[fleet], w[fleet], bs, PARAMS, sinc[fleet]),
+                                        rel=1e-12), (case, fleet, ids)
+            if len(ids) > 1 and not w[fleet, ids].any():
+                assert snr == 0.0, (case, fleet, ids)
+        # each cluster rates bit for bit alike alone and in the batch shuffled
+        order = rng.permutation(len(clusters))
+        shuffled = np.empty_like(got)
+        shuffled[order] = cluster_snr(fleets[order], members[order], q, w, bs, PARAMS)
+        alone = np.concatenate([cluster_snr(fleets[i: i + 1], members[i: i + 1], q, w, bs, PARAMS)
+                                for i in range(len(clusters))])
+        assert shuffled.tobytes() == got.tobytes() == alone.tobytes(), case
         # the stacked denominators of one size group, against the direct per-cluster sum
         size = len(clusters[1][1])
-        group = [(fleet, members) for fleet, members in clusters if len(members) == size]
-        blocks = np.stack([sinc[fleet][np.ix_(members, members)] for fleet, members in group])
-        weights = np.stack([w[fleet, members] for fleet, members in group])
-        for (fleet, members), denom in zip(group, pairwise_sinc_sum(blocks, weights)):
-            assert denom == sinc_sum_direct(q[fleet, members], w[fleet, members], P), (case, fleet, members)
+        group = [(fleet, ids) for fleet, ids in clusters if len(ids) == size]
+        blocks = np.stack([sinc[fleet][np.ix_(ids, ids)] for fleet, ids in group])
+        weights = np.stack([w[fleet, ids] for fleet, ids in group])
+        for (fleet, ids), denom in zip(group, pairwise_sinc_sum(blocks, weights)):
+            assert denom == sinc_sum_direct(q[fleet, ids], w[fleet, ids], P), (case, fleet, ids)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsf import Bounds, SystemParams, beamforming, channel, generate_scenario, solver
-from dcsf.solver import _canonical, merge_clusters, nondominated_sort
+from dcsf.solver import _canonical, nondominated_sort
 from dcsf.problem import (
     ClusterAssignment,
     EncodingError,
@@ -16,15 +16,17 @@ from dcsf.problem import (
     evaluate,
     violations_report,
 )
-from dcsf.scenario import fleet_close_pairs, fleet_violations
+from dcsf.scenario import Scenario, fleet_close_pairs, fleet_violations
 from dcsf.semantic import semantic_terms
 from oracles import (
     canonicalize_labels,
     close_pairs_double_loop,
     cluster_snr_one,
+    clusters_of,
     f2_by_cluster,
     fake_pool,
     lent_terms,
+    merge_labels,
     per_user_rates,
     random_individual,
     sum_user_rate_einsum,
@@ -39,11 +41,6 @@ def test_assignment_requires_canonical_labels():
         ClusterAssignment((1, 3, 3))  # label 2 missing
     with pytest.raises(EncodingError):
         ClusterAssignment(())
-
-
-def test_clusters_listing():
-    a = ClusterAssignment((1, 2, 1, 3))
-    assert a.clusters() == ((0, 2), (1,), (3,))
 
 
 def _canonical_one(raw_labels, k_values):
@@ -290,9 +287,9 @@ def test_a_child_one_weight_away_from_its_parent_rates_one_cluster(monkeypatch):
     real_snr = beamforming.cluster_snr
     calls = []  # clusters rated per cluster_snr call
 
-    def counting_snr(clusters, *args, **kwargs):
-        calls.append(len(clusters))
-        return real_snr(clusters, *args, **kwargs)
+    def counting_snr(fleets, *args, **kwargs):
+        calls.append(len(fleets))
+        return real_snr(fleets, *args, **kwargs)
 
     for _ in range(20):
         parent = random_individual(scn, rng)
@@ -333,7 +330,7 @@ def test_a_mixed_batch_stores_the_per_cluster_oracle_snrs():
     evaluate([children[i] for i in order], scn, params, [parents[i] for i in order])
     for child in children:
         sinc = beamforming.sinc_matrix(child.q, params)
-        for members, snr in zip(assignment.clusters(), child.cluster_snr.tolist()):
+        for members, snr in zip(clusters_of(assignment), child.cluster_snr.tolist()):
             assert snr == pytest.approx(cluster_snr_one(members, child.q, child.w, scn.bs_xyz, params, sinc),
                                         rel=1e-12), members
 
@@ -353,7 +350,7 @@ def _child_of(parent, structure, change, v, rng):
         assignment, k = ClusterAssignment(tuple(int(perm[c - 1]) + 1 for c in assignment.labels)), k[np.argsort(perm)]
     elif structure == "merge" and n > 1:
         survivor, absorbed = rng.choice(n, 2, replace=False) + 1
-        assignment, k = merge_clusters(assignment, k, int(survivor), int(absorbed))
+        assignment, k = merge_labels(assignment, k, int(survivor), int(absorbed))
     elif structure == "split" and assignment.labels.count(assignment.labels[v]) > 1:
         labels = list(assignment.labels)
         labels[v] = n + 1
@@ -399,15 +396,15 @@ def test_batch_lending_equals_the_per_individual_rule(seed, specs):
     evaluate(fresh, scn, params)
     rated, real_snr = [], beamforming.cluster_snr
 
-    def recording_snr(clusters, *args):
-        rated.extend(clusters)
-        return real_snr(clusters, *args)
+    def recording_snr(fleets, members, *args):
+        rated.extend(zip(fleets.tolist(), map(tuple, map(np.flatnonzero, members))))
+        return real_snr(fleets, members, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(beamforming, "cluster_snr", recording_snr)
         evaluate(children, scn, params, lenders)
     assert rated == [(f, members) for f, (child, (lent, _)) in enumerate(zip(children, rules))
-                     for i, members in enumerate(child.assignment.clusters()) if i not in lent]
+                     for i, members in enumerate(clusters_of(child.assignment)) if i not in lent]
     for child, again, (lent, fleet_terms) in zip(children, fresh, rules):
         want = [lent.get(i, snr) for i, snr in enumerate(again.cluster_snr.tolist())]
         assert child.cluster_snr.tobytes() == np.array(want).tobytes()
@@ -529,3 +526,72 @@ def test_copy_is_deep_for_arrays(small_scenario, rng):
     clone = ind.copy()
     clone.q[0, 0] += 1.0
     assert ind.q[0, 0] != clone.q[0, 0]
+
+
+# Metamorphic relations: a transformed scenario and individual that describe
+# the same deployment. The objectives and violation are sums of per-UAV,
+# per-user and per-cluster terms; relabeling the UAVs reorders those sums
+# (and re-canonicalizing reorders the clusters), and floating-point addition
+# is not associative, so f2, f3 and the violation agree only to rounding,
+# while f1, summed per user over the same serving UAVs, stays bit-equal. A
+# shift or rotation rounds every coordinate anew, and with it the distances,
+# path losses and array phases. A C6 shortfall, the small difference of the
+# threshold and a similarity, magnifies that rounding in the violation.
+# Measured worst cases over these cases: 1.7e-12 relative for relabeling
+# and 1.7e-10 for the shift and the rotation.
+
+
+def _square_scenario(rng):
+    """Users and launch positions uniform in a random square area; the BS anywhere."""
+    side, (x0, y0) = rng.uniform(300.0, 2000.0), rng.uniform(-3000.0, 3000.0, 2)
+    bounds = Bounds(x0, x0 + side, y0, y0 + side, 60.0, 120.0)
+    n_users, n_uavs = int(rng.integers(5, 60)), int(rng.integers(2, 13))
+    users = np.column_stack([rng.uniform((x0, y0), (x0 + side, y0 + side), (n_users, 2)), np.zeros(n_users)])
+    launch = bounds.lower + rng.random((n_uavs, 3)) * (bounds.upper - bounds.lower)
+    return Scenario(users, launch, [*rng.uniform(-8000.0, 8000.0, 2), rng.uniform(0.0, 50.0)], bounds, 0)
+
+
+def _relabeled(scn, ind, rng):
+    perm = rng.permutation(scn.n_uavs)
+    k_raw = np.zeros((1, scn.n_uavs), dtype=int)
+    k_raw[0, : len(ind.k)] = ind.k
+    [(assignment, k)] = _canonical(np.array(ind.assignment.labels)[perm][None], k_raw)
+    return (Scenario(scn.user_xyz, scn.uav_initial_xyz[perm], scn.bs_xyz, scn.bounds, scn.seed),
+            Individual(assignment, ind.q[perm], ind.w[perm], k))
+
+
+def _moved(scn, ind, move, bounds):
+    return (Scenario(move(scn.user_xyz), move(scn.uav_initial_xyz), move(scn.bs_xyz), bounds, scn.seed),
+            Individual(ind.assignment, move(ind.q), ind.w.copy(), ind.k.copy()))
+
+
+def _shifted(scn, ind, rng):
+    b, shift = scn.bounds, np.array([137.5, -42.25, 0.0])
+    bounds = Bounds(b.x_min + 137.5, b.x_max + 137.5, b.y_min - 42.25, b.y_max - 42.25, b.z_min, b.z_max)
+    return _moved(scn, ind, lambda xyz: xyz + shift, bounds)
+
+
+def _rotated(scn, ind, rng):
+    """A quarter turn about the area's center, which maps the square onto itself."""
+    b = scn.bounds
+    cx, cy = (b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2
+
+    def turn(xyz):
+        return np.stack([cx - (xyz[..., 1] - cy), cy + (xyz[..., 0] - cx), xyz[..., 2]], axis=-1)
+    return _moved(scn, ind, turn, b)
+
+
+@pytest.mark.parametrize("transform", [_relabeled, _shifted, _rotated], ids=["relabel", "shift", "rotate"])
+def test_objectives_are_invariant_under_relabeling_shift_and_rotation(transform):
+    params, rng = SystemParams(), np.random.default_rng(0)
+    for case in range(40):
+        scn = _square_scenario(rng)
+        for _ in range(10):
+            ind = random_individual(scn, rng)
+            evaluate(ind, scn, params)
+            scn2, ind2 = transform(scn, ind, rng)
+            evaluate(ind2, scn2, params)
+            got, want = (*ind2.objectives.as_tuple(), ind2.violation), (*ind.objectives.as_tuple(), ind.violation)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), case
+            if transform is _relabeled:
+                assert ind2.objectives.f1 == ind.objectives.f1, case

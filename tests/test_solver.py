@@ -28,12 +28,16 @@ from dcsf.solver import (
     select_best,
 )
 from oracles import (
+    canonicalize_labels,
+    clusters_of,
     crowding,
     decode_monolithic_numpy,
+    enumerate_merge_gains,
     fake_pool,
     final_front_feasible_first,
     gca_replay,
     gso_sweep,
+    merge_labels,
     nondominated_sort_double_loop,
     peeled_fronts,
     polynomial_mutation_loop,
@@ -170,18 +174,27 @@ def test_select_best_keeps_first_front_whole_when_it_fits():
 def test_merge_clusters_renumbers_and_keeps_lower_indexed_k():
     a = ClusterAssignment((1, 2, 3, 2))
     k = np.array([11, 22, 33])
-    merged, k2 = merge_clusters(a, k, survivor=1, absorbed=2)
-    assert merged.labels == (1, 1, 2, 1)
-    assert list(k2) == [11, 33]
+    rows = np.arange(1, 4)[:, None] == np.array(a.labels)
+
+    def merged(survivor, absorbed):
+        """Both merges' labels and k, from membership rows and from the label oracle."""
+        members, k2 = merge_clusters(rows, k, survivor - 1, absorbed - 1)
+        oracle, k_oracle = merge_labels(a, k, survivor, absorbed)
+        assert tuple((members.argmax(axis=0) + 1).tolist()) == oracle.labels
+        assert members.sum(axis=0).tolist() == [1] * 4  # one cluster per UAV
+        assert k2.tolist() == k_oracle.tolist()
+        return oracle.labels, k2.tolist()
+
+    assert merged(1, 2) == ((1, 1, 2, 1), [11, 33])
     # merging in either order yields the same partition and the same k
-    merged, k2 = merge_clusters(a, k, survivor=3, absorbed=1)
-    assert merged.labels == (2, 1, 2, 1)
-    assert list(k2) == [22, 11]
-    merged2, k3 = merge_clusters(a, k, survivor=1, absorbed=3)
-    assert merged2.labels == (1, 2, 1, 2)
-    assert list(k3) == [11, 22]
+    assert merged(3, 1) == ((2, 1, 2, 1), [22, 11])
+    assert merged(1, 3) == ((1, 2, 1, 2), [11, 22])
+    assert rows.tolist() == (np.arange(1, 4)[:, None] == np.array(a.labels)).tolist()  # inputs untouched
+    assert k.tolist() == [11, 22, 33]
     with pytest.raises(ValueError):
-        merge_clusters(a, k, 1, 1)
+        merge_clusters(rows, k, 0, 0)
+    with pytest.raises(ValueError):
+        merge_labels(a, k, 1, 1)
 
 
 def test_gca_applied_merges_are_exhaustive_best_and_increase_f2(small_scenario, rng):
@@ -206,9 +219,9 @@ def test_gca_matches_exhaustive_oracle_and_rates_each_cluster_once(n_uavs, n_ind
     calls = []  # clusters rated per cluster_snr call
     real_snr = beamforming.cluster_snr
 
-    def counting_snr(clusters, *args, **kwargs):
-        calls.append(len(clusters))
-        return real_snr(clusters, *args, **kwargs)
+    def counting_snr(fleets, *args, **kwargs):
+        calls.append(len(fleets))
+        return real_snr(fleets, *args, **kwargs)
 
     total_merges = 0
     for _ in range(n_individuals):
@@ -281,9 +294,9 @@ def test_population_gca_merges_each_individual_as_its_replay_in_one_call_per_pas
     calls = []  # clusters rated per cluster_snr call
     real_snr = beamforming.cluster_snr
 
-    def counting_snr(clusters, *args, **kwargs):
-        calls.append(len(clusters))
-        return real_snr(clusters, *args, **kwargs)
+    def counting_snr(fleets, *args, **kwargs):
+        calls.append(len(fleets))
+        return real_snr(fleets, *args, **kwargs)
 
     monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
     gca_step(population, scn, PARAMS)
@@ -295,6 +308,45 @@ def test_population_gca_merges_each_individual_as_its_replay_in_one_call_per_pas
         assert ind.objectives == expected.objectives
         assert ind.violation == expected.violation
         assert ind.cluster_snr.tobytes() == expected.cluster_snr.tobytes()
+
+
+def _duplicated_individual(scn, rng):
+    """A random individual whose UAVs share three positions and weights, and
+    whose clusters share two k values, so that distinct merges often rate
+    bit for bit alike."""
+    n = scn.n_uavs
+    copies = rng.integers(0, 3, n)
+    q = (scn.bounds.lower + rng.random((3, 3)) * (scn.bounds.upper - scn.bounds.lower))[copies]
+    assignment, k = canonicalize_labels(rng.integers(1, n + 1, n), rng.integers(5, 7, n))
+    return Individual(assignment, q, rng.random(3)[copies], k)
+
+
+def test_gca_breaks_exact_ties_as_its_replay():
+    """With duplicated UAV positions, weights and k, distinct merges tie
+    exactly; GCA's lockstep step takes the first best merge, as the replay
+    does, in every individual."""
+    bounds = Bounds(0.0, 500.0, 0.0, 500.0, 60.0, 120.0)
+    tied = 0
+    for seed in range(4):
+        scn = generate_scenario(30, 10, bounds, (2000.0, 2000.0, 0.0), seed=seed)
+        rng = np.random.default_rng(seed)
+        population = [_duplicated_individual(scn, rng) for _ in range(8)]
+        solver.evaluate_population(population, scn, PARAMS)
+        for ind in population:
+            if ind.assignment.n_clusters > 1:
+                gains = list(enumerate_merge_gains(ind, scn, PARAMS, ind.objectives.f2))
+                best = max(gain for _, _, gain, *_ in gains)
+                # distinct partitions at the best gain; the two orders of one pair give one partition
+                tied += best > 0 and len({m.labels for _, _, gain, m, *_ in gains if gain == best}) > 1
+        replays = [gca_replay(ind, scn, PARAMS)[0] for ind in population]
+        gca_step(population, scn, PARAMS)
+        for ind, expected in zip(population, replays):
+            assert ind.assignment.labels == expected.assignment.labels
+            assert ind.k.tolist() == expected.k.tolist()
+            assert ind.cluster_snr.tobytes() == expected.cluster_snr.tobytes()
+            assert ind.objectives == expected.objectives
+            assert ind.violation == expected.violation
+    assert tied > 0
 
 
 def test_gca_members_stay_whole_at_every_pass(monkeypatch):
@@ -315,18 +367,21 @@ def test_gca_members_stay_whole_at_every_pass(monkeypatch):
             evaluate(fresh, scn, PARAMS)
             assert ind.objectives == fresh.objectives and ind.violation == fresh.violation
 
-    def checking_snr(clusters, *args):
+    def checking_snr(fleets, *args):
         monkeypatch.setattr(beamforming, "cluster_snr", real_snr)  # the fresh evaluations' own
         assert_whole()
         monkeypatch.setattr(beamforming, "cluster_snr", checking_snr)
         passes.append(len(merges))
-        return real_snr(clusters, *args)
+        return real_snr(fleets, *args)
 
+    before = sum(ind.assignment.n_clusters for ind in population)
     monkeypatch.setattr(beamforming, "cluster_snr", checking_snr)
     gca_step(population, scn, PARAMS)
     monkeypatch.setattr(beamforming, "cluster_snr", real_snr)
     assert_whole()
     assert passes[-1] > 0  # a pass came after an applied merge
+    # one `merge_clusters` call per applied merge, the count the benchmark's tracer reports
+    assert len(merges) == before - sum(ind.assignment.n_clusters for ind in population)
 
 
 def test_gso_matches_from_scratch_argmax(small_scenario, rng):
@@ -350,9 +405,9 @@ def test_gso_computes_each_cluster_snr_once(monkeypatch):
     calls = []  # clusters rated per cluster_snr call
     real_snr = beamforming.cluster_snr
 
-    def counting_snr(clusters, *args, **kwargs):
-        calls.append(len(clusters))
-        return real_snr(clusters, *args, **kwargs)
+    def counting_snr(fleets, *args, **kwargs):
+        calls.append(len(fleets))
+        return real_snr(fleets, *args, **kwargs)
 
     monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
     gso_step(population, scn, PARAMS)
@@ -369,9 +424,9 @@ def test_population_gso_equals_the_sweep_of_each_individual():
     rng = np.random.default_rng(8)
     population = [random_individual(scn, rng) for _ in range(10)]
     # a cluster of several UAVs, all at zero weight, has zero SNR
-    dead = next(ind for ind in population if max(map(len, ind.assignment.clusters())) > 1)
-    dead_slot = max(range(dead.assignment.n_clusters), key=lambda c: len(dead.assignment.clusters()[c]))
-    dead.w[list(dead.assignment.clusters()[dead_slot])] = 0.0
+    dead = next(ind for ind in population if max(map(len, clusters_of(ind.assignment))) > 1)
+    dead_slot = max(range(dead.assignment.n_clusters), key=lambda c: len(clusters_of(dead.assignment)[c]))
+    dead.w[list(clusters_of(dead.assignment)[dead_slot])] = 0.0
     for ind in population:
         evaluate(ind, scn, PARAMS)
     assert dead.cluster_snr[dead_slot] == 0.0
@@ -392,7 +447,7 @@ def test_gso_breaks_an_exact_rate_tie_toward_the_smaller_k(small_scenario, rng, 
     # rates are exactly 2e6 * 40 / 20 * 0.1 = 2e6 * 40 / 40 * 0.2 = 400000.0
     params = SystemParams(k_min=1, k_max=2, xi_threshold=xi_threshold,
                           similarity=SimilarityModel((1, 2), (0.1, 0.2), (10.0, 5.0), (0.35, 0.35)))
-    monkeypatch.setattr(beamforming, "cluster_snr", lambda clusters, *args: np.full(len(clusters), 1e-300))
+    monkeypatch.setattr(beamforming, "cluster_snr", lambda fleets, *args: np.full(len(fleets), 1e-300))
     rates, xis = semantic_terms(1e-300, np.arange(1, 3), params)
     assert (rates.tolist(), xis.tolist()) == ([400000.0, 400000.0], [0.1, 0.2])
     ind = random_individual(small_scenario, rng, params)
@@ -413,9 +468,9 @@ def test_one_population_evaluation_and_one_gca_pass_each_make_one_cluster_snr_ca
     calls = []  # clusters rated per cluster_snr call
     real_snr = beamforming.cluster_snr
 
-    def counting_snr(clusters, *args, **kwargs):
-        calls.append(len(clusters))
-        return real_snr(clusters, *args, **kwargs)
+    def counting_snr(fleets, *args, **kwargs):
+        calls.append(len(fleets))
+        return real_snr(fleets, *args, **kwargs)
 
     monkeypatch.setattr(beamforming, "cluster_snr", counting_snr)
     solver.evaluate_population(population, scn, PARAMS)
