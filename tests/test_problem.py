@@ -528,18 +528,6 @@ def test_copy_is_deep_for_arrays(small_scenario, rng):
     assert ind.q[0, 0] != clone.q[0, 0]
 
 
-# Metamorphic relations: a transformed scenario and individual that describe
-# the same deployment. The objectives and violation are sums of per-UAV,
-# per-user and per-cluster terms; relabeling the UAVs reorders those sums
-# (and re-canonicalizing reorders the clusters), and floating-point addition
-# is not associative, so f2, f3 and the violation agree only to rounding,
-# while f1, summed per user over the same serving UAVs, stays bit-equal. A
-# shift or rotation rounds every coordinate anew, and with it the distances,
-# path losses and array phases. A C6 shortfall, the small difference of the
-# threshold and a similarity, magnifies that rounding in the violation.
-# Measured worst cases over these cases: 1.7e-12 relative for relabeling
-# and 1.7e-10 for the shift and the rotation.
-
 
 def _square_scenario(rng):
     """Users and launch positions uniform in a random square area; the BS anywhere."""
@@ -552,6 +540,7 @@ def _square_scenario(rng):
 
 
 def _relabeled(scn, ind, rng):
+    """The UAVs renumbered at random: Q, w, launch positions and labels permuted alike."""
     perm = rng.permutation(scn.n_uavs)
     k_raw = np.zeros((1, scn.n_uavs), dtype=int)
     k_raw[0, : len(ind.k)] = ind.k
@@ -583,6 +572,21 @@ def _rotated(scn, ind, rng):
 
 @pytest.mark.parametrize("transform", [_relabeled, _shifted, _rotated], ids=["relabel", "shift", "rotate"])
 def test_objectives_are_invariant_under_relabeling_shift_and_rotation(transform):
+    """Metamorphic relations: a relabeled, shifted or rotated scenario and
+    individual describe the same deployment, so (f1, f2, f3) and the
+    violation agree to 1e-9 relative.
+
+    They agree only to rounding. The objectives and the violation are sums
+    of per-UAV, per-user and per-cluster terms; relabeling the UAVs
+    reorders those sums (re-canonicalizing reorders the clusters), and
+    floating-point addition is not associative. f1, summed per user over
+    the same serving UAVs, stays bit-equal. A shift or rotation rounds every
+    coordinate anew, and with it the distances, path losses and array
+    phases. A C6 shortfall, the small difference of the threshold and a
+    similarity, magnifies that rounding in the violation. The measured worst
+    cases here are 1.7e-12 for relabeling and 1.7e-10 for the shift and the
+    rotation.
+    """
     params, rng = SystemParams(), np.random.default_rng(0)
     for case in range(40):
         scn = _square_scenario(rng)
